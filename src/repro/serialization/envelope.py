@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import re
 import xml.etree.ElementTree as ET
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -360,7 +361,7 @@ def _split_frame(data: Buffer) -> Tuple[bytes, Optional[memoryview]]:
     The payload view is ``None`` for legacy all-XML frames.  Raises
     :class:`WireFormatError` for anything else.
     """
-    prefix = bytes(data[:4]) if isinstance(data, memoryview) else bytes(data[:4])
+    prefix = bytes(data[:4])
     if prefix == _MAGIC_FRAME:
         view = data if isinstance(data, memoryview) else memoryview(data)
         header_len, pos = _read_varint_at(view, len(_MAGIC_FRAME))
@@ -373,41 +374,164 @@ def _split_frame(data: Buffer) -> Tuple[bytes, Optional[memoryview]]:
     raise WireFormatError("not an envelope frame")
 
 
-def _parse_header_strict(data: Buffer) -> FrameHeader:
-    header_bytes, payload = _split_frame(data)
+#: The canonical header shape :meth:`EnvelopeCodec._render_header` emits
+#: for an envelope with type entries: these three markers delimit the
+#: type section and the ``<Payload>`` attribute list.
+_CANONICAL_HEAD = "<XmlMessage><TypeInformation>"
+_CANONICAL_BOUNDARY = "</TypeInformation><Payload "
+_CANONICAL_TAIL = " /></XmlMessage>"
+
+#: The ``<Payload>`` attribute list as rendered: single-space-separated
+#: ``name="value"`` pairs in ``_PAYLOAD_ATTR_ORDER``, ``encoding`` always
+#: present.  Values are printable ASCII without ``"``, ``<`` or ``&`` —
+#: no entities, no whitespace XML attribute normalisation would rewrite,
+#: no multi-byte characters — so the raw text between the quotes *is*
+#: the value ElementTree would report.  Absent attributes match as None.
+_PAYLOAD_VALUE = r'([ !#-%\'-;=-~]*)'
+_CANONICAL_PAYLOAD_ATTRS = re.compile(
+    'encoding="%s"' % _PAYLOAD_VALUE + "".join(
+        '(?: %s="%s")?' % (name, _PAYLOAD_VALUE)
+        for name in _PAYLOAD_ATTR_ORDER[1:]))
+
+#: Distinct type sections the memo keeps before it starts over.  A
+#: subscriber sees few distinct sections (one per published type set),
+#: so the cap only bounds a process fed adversarial or ever-new types.
+_TYPE_SECTION_MEMO_CAP = 256
+
+#: Type section text (the header decoded as latin-1, one character per
+#: byte) -> the validated entries parsed from it.  Process-wide: the same
+#: bytes always parse to the same entries, whichever codec reads them.
+#: Values are tuples so no reader can alter another's entries; each
+#: parse gets a fresh list.
+_TYPE_SECTIONS: Dict[str, Tuple["TypeEntry", ...]] = {}
+
+#: ``<Payload>`` attribute values in ``_PAYLOAD_ATTR_ORDER``, None when
+#: absent.
+_PayloadAttrs = Tuple[Optional[str], ...]
+
+
+def _type_entries(type_info: ET.Element) -> List["TypeEntry"]:
+    entries: List[TypeEntry] = []
+    for element in type_info.findall("Type"):
+        name = element.get("name")
+        guid_text = element.get("guid")
+        if not name or not guid_text:
+            raise WireFormatError("<Type> missing name/guid")
+        entries.append(
+            TypeEntry(name, guid_text, element.get("assembly", "default"),
+                      element.get("path"))
+        )
+    return entries
+
+
+def _parse_type_section(section: str) -> Optional[Tuple["TypeEntry", ...]]:
+    """Parse one type section the memo does not hold yet, and keep it.
+
+    ``None`` when the section does not parse or validate on its own: only
+    good sections enter the memo, and the caller falls back to the full
+    ElementTree reader for the authoritative error.
+    """
     try:
-        root = ET.fromstring(header_bytes)
+        entries = tuple(_type_entries(
+            ET.fromstring(section.encode("latin-1"))))
+    except (ET.ParseError, WireFormatError):
+        return None
+    if len(_TYPE_SECTIONS) >= _TYPE_SECTION_MEMO_CAP:
+        _TYPE_SECTIONS.clear()
+    _TYPE_SECTIONS[section] = entries
+    return entries
+
+
+def _scan_canonical_header(
+        header: bytes) -> Optional[Tuple[List["TypeEntry"], _PayloadAttrs]]:
+    """Read a canonical header without building an XML tree.
+
+    The type section comes from the memo and the ``<Payload>``
+    attributes from one match of :data:`_CANONICAL_PAYLOAD_ATTRS`.
+    Returns ``None`` for any other shape — legacy frames, hand-built,
+    reordered or escaped headers, duplicate or unknown attributes — and
+    the caller reads those with ElementTree instead.  Splitting at the
+    first boundary is safe: when the section before it parses on its own
+    and the attributes after it are canonical, the whole header parses to
+    exactly those entries and attributes.
+    """
+    text = header.decode("latin-1")
+    if not (text.startswith(_CANONICAL_HEAD)
+            and text.endswith(_CANONICAL_TAIL)):
+        return None
+    boundary = text.find(_CANONICAL_BOUNDARY, len(_CANONICAL_HEAD))
+    if boundary < 0:
+        return None
+    match = _CANONICAL_PAYLOAD_ATTRS.fullmatch(
+        text, boundary + len(_CANONICAL_BOUNDARY),
+        len(text) - len(_CANONICAL_TAIL))
+    if match is None:
+        return None
+    section = text[len("<XmlMessage>"):
+                   boundary + len("</TypeInformation>")]
+    entries = _TYPE_SECTIONS.get(section)
+    if entries is None:
+        entries = _parse_type_section(section)
+        if entries is None:
+            return None
+    return list(entries), match.groups()
+
+
+def _read_header_xml(
+        header: bytes,
+) -> Tuple[List["TypeEntry"], _PayloadAttrs, Optional[str]]:
+    """Read any header with ElementTree: the reference reader for every
+    shape the canonical scan declines, and the source of every parse
+    error message.  Also returns the ``<Payload>`` text (the base64
+    payload of a legacy all-XML frame)."""
+    try:
+        root = ET.fromstring(header)
     except ET.ParseError as exc:
-        raise WireFormatError("invalid envelope header XML: %s" % exc)
+        raise WireFormatError("invalid envelope XML: %s" % exc)
     if root.tag != "XmlMessage":
         raise WireFormatError("expected <XmlMessage>, found <%s>" % root.tag)
     type_info = root.find("TypeInformation")
-    entries: List[TypeEntry] = []
-    if type_info is not None:
-        for element in type_info.findall("Type"):
-            name = element.get("name")
-            guid_text = element.get("guid")
-            if not name or not guid_text:
-                raise WireFormatError("<Type> missing name/guid")
-            entries.append(
-                TypeEntry(name, guid_text, element.get("assembly", "default"),
-                          element.get("path"))
-            )
+    entries = _type_entries(type_info) if type_info is not None else []
     payload_el = root.find("Payload")
     if payload_el is None:
         raise WireFormatError("envelope missing <Payload>")
-    encoding = payload_el.get("encoding", "binary")
-    if encoding not in ("binary", "soap"):
+    return (entries, tuple(map(payload_el.get, _PAYLOAD_ATTR_ORDER)),
+            payload_el.text)
+
+
+def _read_header(data: Buffer) -> tuple:
+    """The one header reader behind :meth:`EnvelopeCodec.parse` and
+    :func:`parse_frame_header`.
+
+    Returns ``(type entries, encoding, batch roots, origin, ack,
+    publish_ack, keys text, home, trace, payload)`` with the batch shape
+    and ``keys`` attribute validated.  ``payload`` is a zero-copy view
+    for ``XME2`` frames and the ``<Payload>`` text (base64, possibly
+    ``None``) for legacy frames.
+    """
+    header_bytes, payload = _split_frame(data)
+    scanned = _scan_canonical_header(header_bytes)
+    if scanned is None:
+        entries, attrs, text = _read_header_xml(header_bytes)
+    else:
+        (entries, attrs), text = scanned, None
+    (encoding, batch_attr, roots_attr, origin, ack, publish_ack, keys_text,
+     home, trace) = attrs
+    if encoding is None:
+        encoding = "binary"
+    elif encoding not in ("binary", "soap"):
         raise WireFormatError("unknown payload encoding %r" % encoding)
     batch_roots: Optional[List[int]] = None
-    batch_attr = payload_el.get("batch")
     if batch_attr is not None:
         try:
             count = int(batch_attr)
-            batch_roots = [int(part) for part in
-                           (payload_el.get("roots") or "").split()]
+            batch_roots = [int(part) for part in (roots_attr or "").split()]
         except ValueError:
             raise WireFormatError("malformed batch attributes")
+        if count < 1:
+            # wrap_batch never builds an empty batch; a zero count would
+            # let the lazy path admit a payload it never checked.
+            raise WireFormatError("batch count %d is not positive" % count)
         if count != len(batch_roots):
             raise WireFormatError(
                 "batch count %d does not match %d roots"
@@ -416,18 +540,11 @@ def _parse_header_strict(data: Buffer) -> FrameHeader:
         for index in batch_roots:
             if not 0 <= index < len(entries):
                 raise WireFormatError("batch root %d out of range" % index)
-    keys_text = payload_el.get("keys")
     if keys_text is not None:
         _check_keys_text(keys_text,
                          len(batch_roots) if batch_roots is not None else 1)
-    payload_offset = None
-    if payload is not None:
-        payload_offset = len(data) - len(payload)
-    return FrameHeader(entries, encoding, batch_roots,
-                       payload_el.get("origin"), payload_el.get("ack"),
-                       payload_el.get("publish_ack"), keys_text,
-                       payload_el.get("home"), payload_offset,
-                       trace=payload_el.get("trace"))
+    return (entries, encoding, batch_roots, origin, ack, publish_ack,
+            keys_text, home, trace, payload if payload is not None else text)
 
 
 def parse_frame_header(data: Buffer,
@@ -441,14 +558,20 @@ def parse_frame_header(data: Buffer,
     ``XME2`` frame and the legacy all-XML envelope are accepted.
     """
     try:
-        header = _parse_header_strict(data)
+        (entries, encoding, batch_roots, origin, ack, publish_ack, keys_text,
+         home, trace, payload) = _read_header(data)
     except (WireFormatError, ValueError, TypeError):
         if stats is not None:
             stats.header_parse_errors += 1
         return None
     if stats is not None:
         stats.header_parses += 1
-    return header
+    payload_offset = None
+    if isinstance(payload, memoryview):
+        payload_offset = len(data) - len(payload)
+    return FrameHeader(entries, encoding, batch_roots, origin, ack,
+                       publish_ack, keys_text, home, payload_offset,
+                       trace=trace)
 
 
 def envelope_record_keys(data: Buffer,
@@ -1051,72 +1174,22 @@ class EnvelopeCodec:
         envelope's payload is a ``memoryview`` into ``data`` — no copy,
         no base64, no value decode.  Legacy all-XML frames are still
         accepted (their base64 payload text must be decoded to bytes).
+        Canonical headers skip ElementTree: the type section comes from
+        a process-wide memo and the ``<Payload>`` attributes from a plain
+        scan; every other shape is read with ElementTree.
         """
-        header_bytes, payload = _split_frame(data)
-        try:
-            root = ET.fromstring(header_bytes)
-        except ET.ParseError as exc:
-            raise WireFormatError("invalid envelope XML: %s" % exc)
-        envelope = self._envelope_from_root(root, payload)
-        self.stats.header_parses += 1
-        return envelope
-
-    def _envelope_from_root(self, root: ET.Element,
-                            payload: Optional[Buffer]) -> ObjectEnvelope:
-        if root.tag != "XmlMessage":
-            raise WireFormatError("expected <XmlMessage>, found <%s>" % root.tag)
-        type_info = root.find("TypeInformation")
-        entries: List[TypeEntry] = []
-        if type_info is not None:
-            for element in type_info.findall("Type"):
-                name = element.get("name")
-                guid_text = element.get("guid")
-                if not name or not guid_text:
-                    raise WireFormatError("<Type> missing name/guid")
-                entries.append(
-                    TypeEntry(name, guid_text, element.get("assembly", "default"),
-                              element.get("path"))
-                )
-        payload_el = root.find("Payload")
-        if payload_el is None:
-            raise WireFormatError("envelope missing <Payload>")
-        encoding = payload_el.get("encoding", "binary")
-        if encoding not in ("binary", "soap"):
-            raise WireFormatError("unknown payload encoding %r" % encoding)
-        if payload is None:
+        (entries, encoding, batch_roots, origin, ack, publish_ack, keys_text,
+         home, trace, payload) = _read_header(data)
+        if not isinstance(payload, memoryview):
             try:
-                payload = base64.b64decode(payload_el.text or "", validate=True)
+                payload = base64.b64decode(payload or "", validate=True)
             except (ValueError, TypeError):
                 raise WireFormatError("payload is not valid base64")
-        batch_roots: Optional[List[int]] = None
-        batch_attr = payload_el.get("batch")
-        if batch_attr is not None:
-            try:
-                count = int(batch_attr)
-                batch_roots = [int(part) for part in
-                               (payload_el.get("roots") or "").split()]
-            except ValueError:
-                raise WireFormatError("malformed batch attributes")
-            if count != len(batch_roots):
-                raise WireFormatError(
-                    "batch count %d does not match %d roots"
-                    % (count, len(batch_roots))
-                )
-            for index in batch_roots:
-                if not 0 <= index < len(entries):
-                    raise WireFormatError("batch root %d out of range" % index)
-        keys_text = payload_el.get("keys")
-        if keys_text is not None:
-            _check_keys_text(keys_text,
-                             len(batch_roots) if batch_roots is not None else 1)
-        return ObjectEnvelope(entries, encoding, payload,
-                              batch_roots=batch_roots,
-                              origin=payload_el.get("origin"),
-                              ack=payload_el.get("ack"),
-                              publish_ack=payload_el.get("publish_ack"),
-                              keys_text=keys_text,
-                              home=payload_el.get("home"),
-                              trace=payload_el.get("trace"))
+        self.stats.header_parses += 1
+        # Positional: this runs once per delivered record, and keyword
+        # passing costs measurably more here.
+        return ObjectEnvelope(entries, encoding, payload, batch_roots, origin,
+                              ack, publish_ack, None, home, keys_text, trace)
 
     def lazy_batch(self, envelope: ObjectEnvelope) -> LazyBatch:
         """Wrap a parsed envelope for header-driven, decode-on-dispatch use."""

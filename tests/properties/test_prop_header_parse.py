@@ -1,0 +1,337 @@
+"""The canonical header scan is invisible: ElementTree equivalence.
+
+``EnvelopeCodec.parse`` and ``parse_frame_header`` read the canonical
+``XME2`` header without ElementTree — the type section through a
+process-wide memo, the ``<Payload>`` attributes through a plain scan —
+and fall back to ElementTree for every other shape.  That is an
+optimisation, not a behaviour change: for every codec-built frame
+(arbitrary attribute text including every XML-escaped character,
+control and non-ASCII characters, empty strings, many type entries,
+batches) and every mutation of one (duplicate, reordered, unknown or
+single-quoted attributes, namespace declarations, extra whitespace,
+entities, truncation, a corrupt type section after a memo hit), both
+entry points must agree field for field with a test-local ElementTree
+reference reader, or both must reject the frame.
+"""
+
+import base64
+import re
+import xml.etree.ElementTree as ET
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.serialization.binary import _write_varint
+from repro.serialization.envelope import (
+    EnvelopeCodec,
+    ObjectEnvelope,
+    TypeEntry,
+    _split_frame,
+    parse_frame_header,
+)
+from repro.serialization.errors import WireFormatError
+
+#: Text the canonical scan reads itself: printable ASCII that renders
+#: unescaped (no ``"``, ``<``, ``&``).
+_PLAIN_ALPHABET = (
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+    " >'%/|,.-_=+;:#!~]"
+)
+#: Adds every XML-escaped character, whitespace XML normalises and
+#: characters outside ASCII: text the scan must hand to ElementTree.
+_ATTR_ALPHABET = _PLAIN_ALPHABET + "<&\"\t\r\né中\U0001f600"
+
+attr_text = (st.text(alphabet=_PLAIN_ALPHABET, max_size=16)
+             | st.text(alphabet=_ATTR_ALPHABET, max_size=16))
+opt_attr = st.none() | attr_text
+name_text = st.text(alphabet=_ATTR_ALPHABET, min_size=1, max_size=12)
+
+
+# -- the reference reader -------------------------------------------------
+
+def _reference(data):
+    """Read a frame with ElementTree alone: (fields, payload view or
+    ``None``, ``<Payload>`` text); raises WireFormatError when the
+    header is not a valid envelope header."""
+    header, payload = _split_frame(data)
+    try:
+        root = ET.fromstring(header)
+    except ET.ParseError as exc:
+        raise WireFormatError(str(exc))
+    if root.tag != "XmlMessage":
+        raise WireFormatError("root")
+    type_info = root.find("TypeInformation")
+    entries = []
+    for element in (type_info.findall("Type")
+                    if type_info is not None else []):
+        if not element.get("name") or not element.get("guid"):
+            raise WireFormatError("type")
+        entries.append((element.get("name"), element.get("guid"),
+                        element.get("assembly", "default"),
+                        element.get("path")))
+    payload_el = root.find("Payload")
+    if payload_el is None:
+        raise WireFormatError("payload")
+    attrs = payload_el.attrib
+    encoding = attrs.get("encoding", "binary")
+    if encoding not in ("binary", "soap"):
+        raise WireFormatError("encoding")
+    roots = None
+    if attrs.get("batch") is not None:
+        try:
+            count = int(attrs["batch"])
+            roots = [int(part) for part in (attrs.get("roots") or "").split()]
+        except ValueError:
+            raise WireFormatError("batch")
+        if count < 1 or count != len(roots):
+            raise WireFormatError("batch count")
+        if any(not 0 <= index < len(entries) for index in roots):
+            raise WireFormatError("root")
+    keys = attrs.get("keys")
+    if keys is not None:
+        tokens = keys.split(" ") if keys else []
+        if len(tokens) != (len(roots) if roots is not None else 1):
+            raise WireFormatError("keys")
+        if any(token != "-" and not token.startswith("_")
+               for token in tokens):
+            raise WireFormatError("keys token")
+    fields = {
+        "entries": entries, "encoding": encoding, "batch_roots": roots,
+        "origin": attrs.get("origin"), "ack": attrs.get("ack"),
+        "publish_ack": attrs.get("publish_ack"), "keys": keys,
+        "home": attrs.get("home"), "trace": attrs.get("trace"),
+    }
+    return fields, payload, payload_el.text
+
+
+def reference_parse(data):
+    fields, payload, text = _reference(data)
+    if payload is None:
+        try:
+            payload = base64.b64decode(text or "", validate=True)
+        except ValueError:
+            raise WireFormatError("base64")
+    fields["payload"] = bytes(payload)
+    return fields
+
+
+def reference_header(data):
+    try:
+        fields, payload, _ = _reference(data)
+    except (WireFormatError, ValueError, TypeError):
+        return None
+    fields["payload_offset"] = (None if payload is None
+                                else len(data) - len(payload))
+    return fields
+
+
+def _common(obj):
+    return {
+        "entries": [(entry.name, entry.guid_text, entry.assembly,
+                     entry.download_path) for entry in obj.type_entries],
+        "encoding": obj.encoding, "batch_roots": obj.batch_roots,
+        "origin": obj.origin, "ack": obj.ack,
+        "publish_ack": obj.publish_ack, "keys": obj._keys_text,
+        "home": obj.home, "trace": obj.trace,
+    }
+
+
+def fast_parse(data):
+    envelope = EnvelopeCodec().parse(data)
+    fields = _common(envelope)
+    fields["payload"] = bytes(envelope.payload)
+    return fields
+
+
+def fast_header(data):
+    header = parse_frame_header(data)
+    if header is None:
+        return None
+    fields = _common(header)
+    fields["payload_offset"] = header.payload_offset
+    return fields
+
+
+def _outcome(reader, data):
+    try:
+        return reader(data)
+    except WireFormatError:
+        return "rejected"
+
+
+def assert_equivalent(data):
+    assert _outcome(fast_parse, data) == _outcome(reference_parse, data)
+    assert fast_header(data) == reference_header(data)
+
+
+# -- frames ---------------------------------------------------------------
+
+@st.composite
+def envelopes(draw):
+    n_types = draw(st.integers(0, 8))
+    entries = [
+        TypeEntry(draw(name_text), draw(name_text), draw(attr_text),
+                  draw(opt_attr))
+        for _ in range(n_types)
+    ]
+    batch_roots = None
+    keys = None
+    if n_types and draw(st.booleans()):
+        count = draw(st.integers(1, 4))
+        batch_roots = [draw(st.integers(0, n_types - 1))
+                       for _ in range(count)]
+        if draw(st.booleans()):
+            keys = [draw(opt_attr) for _ in range(count)]
+    elif draw(st.booleans()):
+        keys = [draw(opt_attr)]
+    return ObjectEnvelope(
+        entries, draw(st.sampled_from(["binary", "soap"])),
+        draw(st.binary(max_size=32)),
+        batch_roots=batch_roots,
+        origin=draw(opt_attr), ack=draw(opt_attr),
+        publish_ack=draw(opt_attr), home=draw(opt_attr),
+        keys=keys, trace=draw(opt_attr),
+    )
+
+
+def _frame(header: bytes, payload: bytes) -> bytes:
+    buf = bytearray(b"XME2")
+    _write_varint(buf, len(header))
+    return bytes(buf) + header + payload
+
+
+def _pieces(data: bytes):
+    header, payload = _split_frame(data)
+    return header, bytes(payload)
+
+
+def _payload_attrs(header: bytes):
+    """(start, end) of the ``<Payload`` attribute list in ``header``."""
+    start = header.index(b"<Payload") + len(b"<Payload")
+    return start, header.index(b"/>", start)
+
+
+def _duplicate(header, draw):
+    start, _ = _payload_attrs(header)
+    name = draw(st.sampled_from([b"encoding", b"origin", b"batch", b"ack"]))
+    return header[:start] + b' %s="x"' % name + header[start:]
+
+
+def _reorder(header, draw):
+    start, end = _payload_attrs(header)
+    attrs = draw(st.permutations(
+        re.findall(rb'[A-Za-z_]+="[^"]*"', header[start:end])))
+    return header[:start] + b" " + b" ".join(attrs) + b" " + header[end:]
+
+
+def _single_quote(header, draw):
+    return header.replace(b'encoding="binary"', b"encoding='binary'", 1) \
+        .replace(b'encoding="soap"', b"encoding='soap'", 1)
+
+
+def _whitespace(header, draw):
+    old, new = draw(st.sampled_from([
+        (b"<Payload ", b"<Payload  "), (b" />", b"/>"), (b" />", b"\n/>"),
+        (b'" ', b'"\t'), (b"><Payload", b"> <Payload"),
+        (b"<TypeInformation>", b"<TypeInformation >"),
+    ]))
+    return header.replace(old, new, 1)
+
+
+def _set_attr(header, name, raw):
+    """Replace ``<Payload>`` attribute ``name`` with raw ``value`` bytes,
+    placed right after ``encoding`` (where the scan would look for it)."""
+    header = re.sub(rb' %s="[^"]*"' % name, b"", header)
+    return re.sub(rb' encoding="[^"]*"',
+                  lambda match: match.group(0) + b' %s="%s"' % (name, raw),
+                  header, count=1)
+
+
+def _entity(header, draw):
+    old, new = draw(st.sampled_from([
+        (b'"binary"', b'"b&#105;nary"'), (b'"soap"', b'"so&#x61;p"'),
+        (b'encoding="', b'encoding="&amp;'), (b'name="', b'name="&lt;'),
+        (b'encoding="', b'encoding="&bogus;'),
+    ]))
+    if draw(st.booleans()):
+        return header.replace(old, new, 1)
+    return _set_attr(header, b"origin", draw(st.sampled_from(
+        [b"a&amp;b", b"&#97;", b"&gt;", b"&quot;x", b"&bogus;"])))
+
+
+def _raw_whitespace_value(header, draw):
+    """A raw tab/newline/CR inside a value: XML normalises it to a space."""
+    return _set_attr(header, b"origin", b"a%sb" % draw(
+        st.sampled_from([b"\t", b"\n", b"\r", b"\r\n"])))
+
+
+def _namespace(header, draw):
+    start, _ = _payload_attrs(header)
+    return header[:start] + b' xmlns="urn:x"' + header[start:]
+
+
+def _unknown(header, draw):
+    start, _ = _payload_attrs(header)
+    return header[:start] + b' zz="1"' + header[start:]
+
+
+def _zero_batch(header, draw):
+    header = re.sub(rb' keys="[^"]*"', b"", header)
+    return _set_attr(_set_attr(header, b"roots", b""), b"batch", b"0")
+
+
+def _truncate(header, draw):
+    return header[:draw(st.integers(0, max(0, len(header) - 1)))]
+
+
+def _flip(header, draw):
+    at = draw(st.integers(0, len(header) - 1))
+    byte = draw(st.sampled_from(b'<>"&\' =/a\x00\xff'))
+    return header[:at] + bytes([byte]) + header[at + 1:]
+
+
+_MUTATIONS = (_duplicate, _reorder, _single_quote, _whitespace, _entity,
+              _raw_whitespace_value, _namespace, _unknown, _zero_batch,
+              _truncate, _flip)
+
+
+# -- properties -----------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(envelope=envelopes())
+def test_codec_built_frames_read_identically(envelope):
+    codec = EnvelopeCodec()
+    data = codec.envelope_to_bytes(envelope)
+    assert_equivalent(data)
+    # A second read is a memo hit for canonical headers.
+    assert_equivalent(data)
+    assert_equivalent(codec.envelope_to_legacy_bytes(envelope))
+
+
+@settings(max_examples=400, deadline=None)
+@given(envelope=envelopes(), mutation=st.sampled_from(_MUTATIONS),
+       data=st.data())
+def test_mutated_frames_read_identically(envelope, mutation, data):
+    frame = EnvelopeCodec().envelope_to_bytes(envelope)
+    header, payload = _pieces(frame)
+    assert_equivalent(frame)
+    assert_equivalent(_frame(mutation(header, data.draw), payload))
+
+
+@settings(max_examples=200, deadline=None)
+@given(envelope=envelopes().filter(lambda env: env.type_entries),
+       data=st.data())
+def test_corrupt_type_section_after_memo_hit(envelope, data):
+    frame = EnvelopeCodec().envelope_to_bytes(envelope)
+    header, payload = _pieces(frame)
+    assert_equivalent(frame)
+    stop = header.index(b"</TypeInformation>")
+    start = len(b"<XmlMessage><TypeInformation>")
+    old, new = data.draw(st.sampled_from([
+        (b' guid="', b' giud="'), (b' name="', b' nmae="'), (b" />", b" >"),
+        (b"<Type ", b"<Tpye "), (b'"', b"'"),
+    ]))
+    section = header[start:stop].replace(old, new, 1)
+    corrupt = _frame(header[:start] + section + header[stop:], payload)
+    assert_equivalent(corrupt)
+

@@ -5,7 +5,14 @@ import pytest
 from repro.cts.assembly import Assembly
 from repro.fixtures import employee_csharp, person_assembly_pair
 from repro.runtime.loader import Runtime
-from repro.serialization.envelope import EnvelopeCodec, ObjectEnvelope
+from repro.serialization import envelope as envelope_module
+from repro.serialization.binary import _write_varint
+from repro.serialization.envelope import (
+    CodecStats,
+    EnvelopeCodec,
+    ObjectEnvelope,
+    parse_frame_header,
+)
 from repro.serialization.errors import UnknownTypeError, WireFormatError
 
 
@@ -15,6 +22,16 @@ def runtime():
     asm_a, _ = person_assembly_pair()
     rt.load_assembly(asm_a)
     return rt
+
+
+def _zero_batch_frame(codec, runtime):
+    """A frame whose header declares ``batch="0" roots=""`` over a payload
+    holding one value."""
+    envelope = codec.wrap_batch([runtime.new_instance("demo.a.Person",
+                                                      ["Z"])])
+    envelope.batch_roots = []
+    envelope.keys = None
+    return codec.envelope_to_bytes(envelope)
 
 
 class TestWrap:
@@ -183,6 +200,10 @@ class TestBatchEnvelopes:
         garbage = data.replace(b'batch="1"', b'batch="z"')
         with pytest.raises(WireFormatError, match="malformed"):
             codec.parse(garbage)
+        # A zero-value batch would let the lazy path admit (and ack) a
+        # payload it never checked.
+        with pytest.raises(WireFormatError, match="not positive"):
+            codec.parse(_zero_batch_frame(codec, runtime))
 
     def test_root_index_out_of_range_rejected(self, runtime):
         codec = EnvelopeCodec(runtime)
@@ -239,6 +260,10 @@ class TestLenientHeaderReaders:
         self._assert_swallowed(b"")
         self._assert_swallowed(b"\x00\x01\x02\x03garbage")
 
+    def test_zero_value_batch(self, runtime):
+        self._assert_swallowed(
+            _zero_batch_frame(EnvelopeCodec(runtime), runtime))
+
     def test_wellformed_v1_still_reads(self, runtime):
         """The lenient readers accept the legacy all-XML frame too."""
         from repro.serialization.envelope import (
@@ -255,6 +280,92 @@ class TestLenientHeaderReaders:
         assert envelope_home(legacy, stats=stats) is None  # no home attr
         assert stats.header_parse_errors == 0
         assert stats.header_parses == 2
+
+
+class TestTypeSectionMemo:
+    """Canonical headers read their type section from a bounded,
+    process-wide memo keyed by the section's exact bytes."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        envelope_module._TYPE_SECTIONS.clear()
+        yield
+        envelope_module._TYPE_SECTIONS.clear()
+
+    @staticmethod
+    def _frame(type_section: bytes, payload_attrs: bytes) -> bytes:
+        header = (b"<XmlMessage><TypeInformation>" + type_section
+                  + b"</TypeInformation><Payload " + payload_attrs
+                  + b" /></XmlMessage>")
+        buf = bytearray(b"XME2")
+        _write_varint(buf, len(header))
+        return bytes(buf + header) + b"\x01\x02"
+
+    def test_codec_frames_take_the_memo(self, runtime):
+        codec = EnvelopeCodec(runtime)
+        data = codec.encode_batch(
+            [runtime.new_instance("demo.a.Person", ["M"])], origin="pub")
+        first = codec.parse(data)
+        assert len(envelope_module._TYPE_SECTIONS) == 1
+        second = codec.parse(data)
+        # A memo hit still counts as one header parse.
+        assert codec.stats.header_parses == 2
+        assert second.type_names() == first.type_names() == ["demo.a.Person"]
+        assert second.origin == "pub" and second.batch_roots == [0]
+
+    def test_memo_never_grows_past_its_cap(self):
+        cap = envelope_module._TYPE_SECTION_MEMO_CAP
+        codec = EnvelopeCodec()
+        for index in range(cap * 2 + 3):
+            envelope = codec.parse(self._frame(
+                b'<Type name="demo.T%d" guid="g%d" />' % (index, index),
+                b'encoding="binary"'))
+            assert envelope.type_names() == ["demo.T%d" % index]
+            assert 0 < len(envelope_module._TYPE_SECTIONS) <= cap
+
+    @pytest.mark.parametrize("section", [
+        b'<Type name="demo.T" />',           # no guid
+        b'<Type guid="g" />',                # no name
+        b'<Type name="demo.T" guid="g">',    # not well-formed
+    ])
+    def test_malformed_section_never_inserted(self, section):
+        data = self._frame(section, b'encoding="binary"')
+        with pytest.raises(WireFormatError):
+            EnvelopeCodec().parse(data)
+        assert parse_frame_header(data) is None
+        assert envelope_module._TYPE_SECTIONS == {}
+
+    def test_memo_hit_then_malformed_payload(self):
+        section = b'<Type name="demo.T" guid="g" />'
+        codec = EnvelopeCodec()
+        codec.parse(self._frame(section, b'encoding="binary" batch="1" '
+                                         b'roots="0"'))
+        for attrs, message in [
+                (b'encoding="binary" batch="z" roots="0"', "malformed"),
+                (b'encoding="binary" batch="1" roots="3"', "out of range"),
+                (b'encoding="binary" batch="2" roots="0"', "does not match"),
+                (b'encoding="weird"', "unknown payload encoding"),
+                (b'encoding="binary" keys="x"', "malformed keys"),
+                (b'encoding="binary" encoding="soap"', "invalid envelope"),
+        ]:
+            data = self._frame(section, attrs)
+            with pytest.raises(WireFormatError, match=message):
+                codec.parse(data)
+            stats = CodecStats()
+            assert parse_frame_header(data, stats=stats) is None
+            assert (stats.header_parse_errors, stats.header_parses) == (1, 0)
+        assert codec.stats.header_parses == 1
+        assert len(envelope_module._TYPE_SECTIONS) == 1
+
+    def test_envelopes_own_their_entry_lists(self, runtime):
+        codec = EnvelopeCodec(runtime)
+        data = codec.encode(runtime.new_instance("demo.a.Person", ["O"]))
+        first = codec.parse(data)
+        first.type_entries.clear()
+        first_header = parse_frame_header(data)
+        first_header.type_entries.append(first_header.type_entries[0])
+        assert codec.parse(data).type_names() == ["demo.a.Person"]
+        assert len(parse_frame_header(data).type_entries) == 1
 
 
 class TestHomeAttribute:
