@@ -1549,9 +1549,17 @@ class DeliveryPipeline:
         batch_records = 0
         batch_start = 0
         batch_end = 0
+        # Where a run of skipped records lets the cursor move while no
+        # batch is open: one advance (one cursor-file write) per run,
+        # made before the next token is issued, not one per record.
+        idle_target: Optional[int] = None
 
         def flush() -> bool:
-            nonlocal batch, batch_origin, batch_records, replayed
+            nonlocal batch, batch_origin, batch_records, replayed, idle_target
+            if idle_target is not None:
+                durability.advance_if_idle(cursor_name, idle_target,
+                                           touch=False)
+                idle_target = None
             if not batch:
                 return True
             token = durability.tracker.issue(
@@ -1588,7 +1596,7 @@ class DeliveryPipeline:
             batch's ack range, or acked directly when nothing is in
             flight — never re-scanned forever, never skipping an
             in-flight delivery."""
-            nonlocal batch_end
+            nonlocal batch_end, idle_target
             # A skipped record needs no delivery, so a block pinned at it
             # (a once-failed range whose records were since consumed
             # elsewhere — e.g. delivered through the local path) must not
@@ -1597,8 +1605,7 @@ class DeliveryPipeline:
             if batch:
                 batch_end = offset + 1
             else:
-                durability.advance_if_idle(cursor_name, offset + 1,
-                                           touch=False)
+                idle_target = offset + 1
 
         for record in records:
             if skip is not None and skip(record):
@@ -1633,7 +1640,7 @@ class DeliveryPipeline:
             if batch:
                 batch_end = max(batch_end, tail)
             else:
-                durability.advance_if_idle(cursor_name, tail, touch=False)
+                idle_target = max(idle_target or 0, tail)
         flush()
         return replayed
 

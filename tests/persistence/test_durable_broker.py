@@ -276,6 +276,20 @@ class TestCursorProgressPastSkippedRecords:
         network.run_until_idle()
         assert broker.cursors.get("pub-c") == broker.event_log.next_offset
 
+    def test_skipped_run_advances_cursor_once(self, tmp_path):
+        """A run of skipped records moves the cursor in one advance (one
+        cursor-file write), not one per record: a membership handoff
+        replays whole logs of already-seen records this way."""
+        network, broker, publisher = make_world(tmp_path)
+        publish(publisher, ["mine-%d" % i for i in range(40)])
+        publisher.declare_interest(person_java())
+        before = broker.cursors.advances
+        publisher.subscribe_durable_remote("broker", person_java(),
+                                           lambda v: None, cursor="pub-c")
+        network.run_until_idle()
+        assert broker.cursors.get("pub-c") == broker.event_log.next_offset
+        assert broker.cursors.advances - before == 1
+
 
 class TestPendingAckBound:
     def test_pending_ack_table_is_bounded(self, tmp_path, monkeypatch):
