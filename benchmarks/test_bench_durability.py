@@ -20,6 +20,7 @@ import pytest
 
 from repro.fixtures import person_assembly_pair, person_java
 from repro.apps.tps import BrokerMesh, TpsPeer
+from repro.apps.tps.topology import Topology
 from repro.net.network import SimulatedNetwork
 from repro.persistence import EventLog
 from repro.runtime.loader import Runtime
@@ -123,7 +124,7 @@ class TestDurableSubscriberReplay:
         delivery, acks) — the user-visible cost of joining late."""
         n_backlog = 300
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2,
+        mesh = BrokerMesh(network, topology=Topology.sized(2),
                           log_root=str(tmp_path / "mesh"))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()

@@ -18,6 +18,7 @@ shards (250 subscriber peers x 4 subscriptions each):
 import pytest
 
 from repro.apps.tps import BrokerMesh, TpsBroker, TpsPeer
+from repro.apps.tps.topology import Topology
 from repro.cts.assembly import Assembly
 from repro.fixtures import (
     account_csharp,
@@ -71,7 +72,7 @@ def build_seed_world():
 
 def build_mesh_world():
     network = SimulatedNetwork()
-    mesh = BrokerMesh(network, shard_count=N_SHARDS)
+    mesh = BrokerMesh(network, topology=Topology.sized(N_SHARDS))
     publisher = TpsPeer("publisher", network)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)
@@ -157,7 +158,7 @@ def build_replicated_world(tmp_path, tag, **broker_kwargs):
     """The forwarding-heavy world: 1000 subscriptions over 4 shards with
     durable logs and every record replicated to 2 follower shards."""
     network = SimulatedNetwork()
-    mesh = BrokerMesh(network, shard_count=N_SHARDS,
+    mesh = BrokerMesh(network, topology=Topology.sized(N_SHARDS),
                       log_root=str(tmp_path / tag), replication_factor=2,
                       **broker_kwargs)
     publisher = TpsPeer("publisher", network)
@@ -246,7 +247,7 @@ class TestZeroCopyForwarding:
 
         def build_pump(tag, **broker_kwargs):
             network = SimulatedNetwork()
-            mesh = BrokerMesh(network, shard_count=N_SHARDS,
+            mesh = BrokerMesh(network, topology=Topology.sized(N_SHARDS),
                               log_root=str(tmp_path / tag),
                               replication_factor=2, **broker_kwargs)
             publisher = TpsPeer("publisher", network)

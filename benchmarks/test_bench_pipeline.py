@@ -20,6 +20,7 @@ so CI catches regressions without calibration:
 import time
 
 from repro.apps.tps import BrokerMesh, TpsBroker, TpsPeer
+from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
 from repro.serialization.envelope import envelope_record_keys
@@ -143,7 +144,7 @@ class TestAcceptanceReplicationOverhead:
 
         def run(factor, name):
             network = SimulatedNetwork()
-            mesh = BrokerMesh(network, shard_count=3,
+            mesh = BrokerMesh(network, topology=Topology.sized(3),
                               log_root=str(tmp_path / name),
                               replication_factor=factor)
             publisher = TpsPeer("pub", network)

@@ -24,6 +24,7 @@ import pytest
 
 from repro.apps.tps import BrokerMesh, TpsPeer
 from repro.apps.tps.procmesh import SocketMesh
+from repro.apps.tps.topology import Topology
 from repro.fixtures import (
     person_assembly_pair,
     person_csharp,
@@ -79,10 +80,10 @@ def _publish_round(mesh, publisher, tag):
 
 def test_socket_mesh_within_3x_of_simulator(benchmark):
     sim_network = SimulatedNetwork()
-    sim_mesh = BrokerMesh(sim_network, shard_count=N_SHARDS)
+    sim_mesh = BrokerMesh(sim_network, topology=Topology.sized(N_SHARDS))
     sim_publisher = _attach_world(sim_mesh, sim_network)
 
-    sock_mesh = SocketMesh(shard_count=N_SHARDS)
+    sock_mesh = SocketMesh(topology=Topology.sized(N_SHARDS))
     sock_network = sock_mesh.client_network("clients")
     sock_publisher = _attach_world(sock_mesh, sock_network)
 
@@ -309,7 +310,7 @@ def test_encode_frame_scatter_at_least_2x_cheaper(benchmark):
 def test_receive_pool_recycles_across_link_churn():
     """Deterministic churn: a client connects, dies, and its successor's
     link is served the reaped receive buffer — a pool HIT on the shard."""
-    mesh = SocketMesh(shard_count=1, name="pool")
+    mesh = SocketMesh(topology=Topology.sized(1, "pool"))
     try:
         shard_node = mesh.nodes[0]
         address = mesh.addresses[mesh.shard_ids[0]]

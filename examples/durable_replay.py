@@ -20,6 +20,7 @@ Run:  PYTHONPATH=src python examples/durable_replay.py
 import tempfile
 
 from repro.apps.tps import BrokerMesh, TpsPeer
+from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
 from repro.persistence import inspect_log
@@ -30,7 +31,7 @@ N_BACKLOG = 8
 def main():
     log_root = tempfile.mkdtemp(prefix="repro-durable-")
     network = SimulatedNetwork()
-    mesh = BrokerMesh(network, shard_count=3, log_root=log_root)
+    mesh = BrokerMesh(network, topology=Topology.sized(3), log_root=log_root)
     publisher = TpsPeer("publisher", network)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)

@@ -16,6 +16,7 @@ Run:  PYTHONPATH=src python examples/mesh_fanout.py
 """
 
 from repro.apps.tps import BrokerMesh, TpsBroker, TpsPeer
+from repro.apps.tps.topology import Topology
 from repro.cts.assembly import Assembly
 from repro.fixtures import account_csharp, person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
@@ -52,7 +53,7 @@ def run_seed():
 
 def run_mesh():
     network = SimulatedNetwork()
-    mesh = BrokerMesh(network, shard_count=4)
+    mesh = BrokerMesh(network, topology=Topology.sized(4))
     publisher = TpsPeer("publisher", network)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)

@@ -76,7 +76,13 @@ from .pipeline import (
     foreign_cursor_name,
 )
 from .routing import RoutingIndex
-from .topology import MeshConfig, Topology, rendezvous_rank, rendezvous_shard
+from .topology import (
+    MeshConfig,
+    Topology,
+    removal_topology,
+    rendezvous_rank,
+    rendezvous_shard,
+)
 
 __all__ = [
     "BrokerMesh",
@@ -1057,26 +1063,53 @@ class MeshShard(TpsBroker):
         moved cursor names.  ``pump`` drives the fabric while in-flight
         ack windows settle (the mesh runner passes its flush loop).
         Local-handler durable subscriptions cannot migrate — their
-        handler lives in this process — and raise."""
+        handler lives in this process — so they stay put; :meth:`retire`
+        refuses to remove a shard that holds one."""
         moved: List[str] = []
         if self.event_log is None:
             return moved
         for subscription in list(self.index.subscriptions()):
-            if not isinstance(subscription, DurableSubscription):
+            if not isinstance(subscription, DurableSubscription) \
+                    or subscription.peer_id is None:
                 continue
-            if subscription.peer_id is None:
-                if self.peer_id in topology:
-                    continue  # rebalance: a pinned local sub may stay put
-                raise NetworkError(
-                    "durable cursor %r has a local handler pinned to "
-                    "shard %s; detach it before removing the shard"
-                    % (subscription.cursor_name, self.peer_id))
             new_home = topology.shard_for(subscription.peer_id)
             if new_home == self.peer_id:
                 continue
             self._handoff_subscription(subscription, new_home, pump)
             moved.append(subscription.cursor_name)
         return moved
+
+    def retire(self, survivors: Topology, pump: Callable[[], Any],
+               rounds: int) -> List[str]:
+        """The leaving shard's half of a removal, run by every mesh
+        runner: refuse while a durable subscription's handler is pinned
+        here, gate on full replica coverage of this shard's own history
+        (pumping the fabric at most ``rounds`` times), then hand every
+        durable subscription to its home under ``survivors``.  Returns
+        the moved cursor names; any raise leaves the shard live."""
+        for subscription in self.index.subscriptions():
+            if isinstance(subscription, DurableSubscription) \
+                    and subscription.peer_id is None:
+                raise ValueError(
+                    "durable cursor %r has a local handler pinned to "
+                    "shard %s; detach it before removing the shard"
+                    % (subscription.cursor_name, self.peer_id))
+        if self.event_log is not None and self._replication_target() > 0:
+            if self._replication_factor < 1:
+                raise ValueError(
+                    "shard %r holds durable records but the mesh does not "
+                    "replicate (replication_factor=0); its history would "
+                    "be lost" % self.peer_id)
+            self.ensure_replica_coverage()
+            for _ in range(rounds):
+                if self.replication_covered():
+                    break
+                pump()
+            if not self.replication_covered():
+                raise NetworkError(
+                    "shard %r's history is not fully replicated to its "
+                    "followers; aborting the removal" % self.peer_id)
+        return self.handoff_durable_subscriptions(survivors, pump=pump)
 
     def _handoff_subscription(self, subscription: DurableSubscription,
                               new_home: str,
@@ -1309,19 +1342,26 @@ class BrokerMesh:
     forwards between shards only when a conforming subscriber lives
     remotely.  Call :meth:`run_until_idle` to drain queued publishes,
     forwards and deliveries to quiescence.
+
+    Membership, draining and stats are fabric-neutral.  The fabric is
+    reached only through the hooks under "the fabric" below, which run
+    on the simulated network here;
+    :class:`~repro.apps.tps.procmesh.SocketMesh` overrides them to run
+    the same mesh over real sockets.
     """
 
-    def __init__(self, network: SimulatedNetwork,
-                 shard_count: Optional[int] = None,
+    def __init__(self, network: SimulatedNetwork, *,
+                 topology: Optional[Topology] = None,
                  name: str = "mesh", log_root: Optional[str] = None,
                  replication_factor: int = 0,
-                 topology: Optional[Topology] = None,
                  **broker_kwargs):
-        config = MeshConfig(topology=topology, shard_count=shard_count,
-                            name=name, log_root=log_root,
+        config = MeshConfig(topology=topology, name=name, log_root=log_root,
                             replication_factor=replication_factor,
                             broker_kwargs=broker_kwargs)
         self.network = network
+        self._build(config)
+
+    def _build(self, config: MeshConfig) -> None:
         #: The committed membership view; every live membership change
         #: goes through :meth:`add_shard` / :meth:`remove_shard`, which
         #: replace it with the next epoch.
@@ -1339,16 +1379,8 @@ class BrokerMesh:
         self.shards: List[MeshShard] = [
             self._spawn_shard(shard_id) for shard_id in config.shard_ids
         ]
-        for shard in self.shards:
-            shard.set_topology(self.topology)
         self._by_id = {shard.peer_id: shard for shard in self.shards}
-
-    def _spawn_shard(self, shard_id: str) -> MeshShard:
-        kwargs = dict(self._broker_kwargs)
-        if self.log_root is not None:
-            kwargs["log_dir"] = os.path.join(self.log_root, shard_id)
-        return MeshShard(shard_id, self.network,
-                         replication_factor=self.replication_factor, **kwargs)
+        self._commit_topology(self.topology)
 
     def followers_of(self, shard_id: str) -> List[str]:
         """The follower shards replicating ``shard_id``'s records."""
@@ -1360,7 +1392,7 @@ class BrokerMesh:
 
     def shard_for(self, peer_id: str) -> str:
         """The home shard id for a peer (deterministic rendezvous hash)."""
-        return rendezvous_shard(peer_id, self.shard_ids)
+        return self.topology.shard_for(peer_id)
 
     def home(self, peer_id: str) -> MeshShard:
         return self._by_id[self.shard_for(peer_id)]
@@ -1372,12 +1404,40 @@ class BrokerMesh:
     def epoch(self) -> int:
         return self.topology.epoch
 
-    # -- elastic membership ------------------------------------------------
+    # -- the fabric --------------------------------------------------------
+
+    def _spawn_shard(self, shard_id: str,
+                     network: Optional[Any] = None) -> MeshShard:
+        """A fresh shard on ``network`` — by default the fabric endpoint
+        a joining shard gets; a restart passes the old shard's."""
+        kwargs = dict(self._broker_kwargs)
+        if self.log_root is not None:
+            kwargs["log_dir"] = os.path.join(self.log_root, shard_id)
+        return MeshShard(shard_id,
+                         network if network is not None else self.network,
+                         replication_factor=self.replication_factor, **kwargs)
+
+    def _discard_shard(self, shard: MeshShard) -> None:
+        """Tear down a shard that left the mesh or failed to join."""
+        shard.close()
 
     def _commit_topology(self, topology: Topology) -> None:
         self.topology = topology
         for shard in self.shards:
             shard.set_topology(topology)
+
+    def _pump_fabric(self) -> int:
+        """Move queued messages once; returns the messages processed."""
+        return self.network.flush()
+
+    def _fabric_idle(self) -> bool:
+        return not self.network.pending()
+
+    def _fabric_nodes(self) -> List[Any]:
+        """Every fabric endpoint, for queue depths and stall counts."""
+        return [self.network]
+
+    # -- elastic membership ------------------------------------------------
 
     def add_shard(self, shard_id: Optional[str] = None) -> MeshShard:
         """Grow the mesh by one live shard (epoch + 1).
@@ -1399,7 +1459,7 @@ class BrokerMesh:
             shard.set_topology(proposed)
             shard._sync_summaries()
         except Exception:
-            shard.close()
+            self._discard_shard(shard)
             raise
         self.shards.append(shard)
         self._by_id[new_id] = shard
@@ -1419,45 +1479,16 @@ class BrokerMesh:
         (``replication_covered`` — its history then survives in its
         followers' replica logs, where the archivist fetch path serves
         it), then every durable subscription homed there is handed to
-        its new rendezvous home.  Only after both gates pass does the
-        topology commit and the shard close; any failure before that
-        aborts with the epoch unchanged and the shard still live.
+        its new rendezvous home (:meth:`MeshShard.retire`).  Only after
+        both gates pass does the topology commit and the shard close;
+        any failure before that aborts with the epoch unchanged and the
+        shard still live.
         """
-        leaving = self._by_id.get(shard_id)
-        if leaving is None:
-            raise ValueError("no shard %r in this mesh" % shard_id)
-        proposed = self.topology.without_shard(shard_id)
-        if self.replication_factor >= len(proposed):
-            raise ValueError(
-                "removing %r would leave %d shards — too few for "
-                "replication_factor=%d" % (shard_id, len(proposed),
-                                           self.replication_factor))
-        for subscription in leaving.index.subscriptions():
-            if isinstance(subscription, DurableSubscription) \
-                    and subscription.peer_id is None:
-                raise ValueError(
-                    "durable cursor %r has a local handler pinned to "
-                    "shard %s; detach it before removing the shard"
-                    % (subscription.cursor_name, shard_id))
+        proposed = removal_topology(self.topology, shard_id,
+                                    self.replication_factor)
+        leaving = self._by_id[shard_id]
         self.run_until_idle()
-        has_history = leaving.event_log is not None \
-            and leaving._replication_target() > 0
-        if has_history and self.replication_factor < 1:
-            raise ValueError(
-                "shard %r holds durable records but the mesh does not "
-                "replicate (replication_factor=0); its history would be "
-                "lost" % shard_id)
-        if has_history:
-            leaving.ensure_replica_coverage()
-            for _ in range(coverage_rounds):
-                if leaving.replication_covered():
-                    break
-                self.flush()
-            if not leaving.replication_covered():
-                raise NetworkError(
-                    "shard %r's history is not fully replicated to its "
-                    "followers; aborting the removal" % shard_id)
-        leaving.handoff_durable_subscriptions(proposed, pump=self.flush)
+        leaving.retire(proposed, self.flush, coverage_rounds)
         self.run_until_idle()
         # Point of no return: commit, purge the leaver from routing
         # state (set_topology drops its summaries on every survivor),
@@ -1465,7 +1496,7 @@ class BrokerMesh:
         self.shards.remove(leaving)
         del self._by_id[shard_id]
         self._commit_topology(proposed)
-        leaving.close()
+        self._discard_shard(leaving)
         for shard in self.shards:
             shard.ensure_replica_coverage()
         return proposed
@@ -1511,7 +1542,7 @@ class BrokerMesh:
             raise ValueError("no shard %r in this mesh" % shard_id)
         position = self.shards.index(old)
         old.close()  # unregisters from the fabric, closes the log
-        shard = self._spawn_shard(shard_id)
+        shard = self._spawn_shard(shard_id, old.network)
         shard.set_topology(self.topology)
         self.shards[position] = shard
         self._by_id[shard_id] = shard
@@ -1523,7 +1554,7 @@ class BrokerMesh:
     def flush(self) -> int:
         """One mesh round: drain queued network messages, then buffered
         shard deliveries.  Returns messages processed + enqueued."""
-        progressed = self.network.flush()
+        progressed = self._pump_fabric()
         for shard in self.shards:
             progressed += shard.flush_delivery()
         return progressed
@@ -1533,23 +1564,27 @@ class BrokerMesh:
         remain; returns the total activity count.
 
         Exhausting ``max_rounds`` with work still pending records a
-        ``stalled`` count in the fabric's :class:`NetworkStats` and
-        raises — a stuck mesh must be loud, not silently half-drained.
+        ``stalled`` count in every fabric node's :class:`NetworkStats`
+        and raises — a stuck mesh must be loud, not silently
+        half-drained.
         """
         total = 0
         for _ in range(max_rounds):
             progressed = self.flush()
             total += progressed
-            if not progressed and not self.network.pending():
+            if not progressed and self._fabric_idle():
                 return total
-        if not self.network.pending() and not any(
-                shard.pending_deliveries() for shard in self.shards):
+        buffered = sum(shard.pending_deliveries() for shard in self.shards)
+        if self._fabric_idle() and not buffered:
             return total  # the final round drained the mesh: not a stall
-        self.network.stats.record_stall()
+        nodes = self._fabric_nodes()
+        for node in nodes:
+            node.stats.record_stall()
         raise NetworkError("mesh did not go idle in %d rounds "
                            "(%d messages queued, %d deliveries buffered)"
-                           % (max_rounds, self.network.pending(),
-                              sum(s.pending_deliveries() for s in self.shards)))
+                           % (max_rounds,
+                              sum(node.pending() for node in nodes),
+                              buffered))
 
     # -- observability -----------------------------------------------------
 

@@ -1,14 +1,13 @@
 """Epoch-versioned mesh membership: the :class:`Topology` value object.
 
-The mesh used to fix its shard set at construction — a ``shard_count``
-integer turned into ids and static routes.  Elastic membership makes the
-shard set a first-class, *versioned* value instead: a :class:`Topology`
-names the live shards, the shards that have permanently left
-(``departed`` — their durable history is still servable from their
-followers' replica logs), and an **epoch** that bumps on every
-membership change.  Every shard carries the topology it last committed,
-stamps the epoch into its stats and socket greetings, and two shards can
-always tell whose view is newer by comparing epochs.
+Elastic membership makes the shard set a first-class, *versioned*
+value: a :class:`Topology` names the live shards, the shards that have
+permanently left (``departed`` — their durable history is still
+servable from their followers' replica logs), and an **epoch** that
+bumps on every membership change.  Every shard carries the topology it
+last committed, stamps the epoch into its stats and socket greetings,
+and two shards can always tell whose view is newer by comparing
+epochs.
 
 Rendezvous hashing keeps membership changes minimally disruptive: only
 the keys whose highest-random-weight winner changes are re-homed
@@ -16,18 +15,20 @@ the keys whose highest-random-weight winner changes are re-homed
 
 :class:`MeshConfig` is the unified construction surface the three mesh
 runners (``BrokerMesh``, ``SocketMesh``, ``ProcessMesh``) share: it
-resolves the ``topology=`` / legacy ``shard_count=`` pair, applies the
-replication-factor and log-root validation once, and normalizes the
-broker kwargs — so the constructors cannot drift apart again.
+resolves ``topology=``, applies the replication-factor and log-root
+validation once, and checks the broker kwargs — so the constructors
+cannot drift apart again.  :func:`removal_topology` is the matching
+pre-check every runner's ``remove_shard`` starts with.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
+import inspect
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["Topology", "MeshConfig", "rendezvous_rank", "rendezvous_shard"]
+__all__ = ["Topology", "MeshConfig", "removal_topology", "rendezvous_rank",
+           "rendezvous_shard"]
 
 
 def rendezvous_rank(key: str, shard_ids: Sequence[str]) -> List[str]:
@@ -82,7 +83,7 @@ class Topology:
 
     @classmethod
     def sized(cls, shard_count: int, name: str = "mesh") -> "Topology":
-        """The seed topology ``shard_count`` used to describe implicitly:
+        """The seed topology of ``shard_count`` shards:
         ``<name>-shard0 .. <name>-shard{N-1}`` at epoch 1."""
         if shard_count < 1:
             raise ValueError("a mesh needs at least one shard")
@@ -193,47 +194,75 @@ class Topology:
                    name=data.get("name", "mesh"))
 
 
-def _resolve_topology(topology: Any, shard_count: Optional[int],
-                      name: str, default_count: int = 4) -> Topology:
-    """The one place the ``topology=`` / legacy ``shard_count=`` pair is
-    interpreted, shared by every mesh constructor."""
-    if topology is not None:
-        if shard_count is not None:
-            raise ValueError("pass topology= or shard_count=, not both")
-        if isinstance(topology, dict):
-            return Topology.from_dict(topology)
-        if not isinstance(topology, Topology):
-            raise TypeError("topology= takes a Topology (or its as_dict "
-                            "form), got %r" % type(topology).__name__)
-        return topology
-    if shard_count is not None:
-        warnings.warn(
-            "shard_count= is deprecated; pass "
-            "topology=Topology.sized(n, name) instead",
-            DeprecationWarning, stacklevel=4)
-        return Topology.sized(shard_count, name)
-    return Topology.sized(default_count, name)
+def _resolve_topology(topology: Any, name: str,
+                      default_count: int = 4) -> Topology:
+    """The one place ``topology=`` is interpreted, shared by every mesh
+    constructor."""
+    if topology is None:
+        return Topology.sized(default_count, name)
+    if isinstance(topology, dict):
+        return Topology.from_dict(topology)
+    if not isinstance(topology, Topology):
+        raise TypeError("topology= takes a Topology (or its as_dict "
+                        "form), got %r" % type(topology).__name__)
+    return topology
+
+
+def _check_shard_kwargs(broker_kwargs: dict) -> None:
+    """Reject a keyword no mesh shard constructor accepts, in the driver:
+    a shard process would otherwise die at startup and surface only as
+    a start timeout."""
+    from .mesh import MeshShard  # mesh.py imports this module
+    accepted = set()
+    for cls in MeshShard.__mro__:
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            accepted.update(
+                name for name, parameter
+                in inspect.signature(init).parameters.items()
+                if parameter.kind is not parameter.VAR_KEYWORD)
+    unknown = sorted(set(broker_kwargs) - accepted)
+    if unknown:
+        raise TypeError("mesh shards take no keyword argument %s"
+                        % ", ".join(repr(name) for name in unknown))
+
+
+def removal_topology(topology: Topology, shard_id: str,
+                     replication_factor: int) -> Topology:
+    """The topology after ``shard_id`` leaves, checked before any mesh
+    runner touches a shard: the shard must be live, not the last one,
+    and its departure must leave enough shards to hold
+    ``replication_factor`` followers."""
+    if shard_id not in topology:
+        raise ValueError("no shard %r in this mesh" % shard_id)
+    proposed = topology.without_shard(shard_id)
+    if replication_factor >= len(proposed):
+        raise ValueError(
+            "removing %r would leave %d shards — too few for "
+            "replication_factor=%d" % (shard_id, len(proposed),
+                                       replication_factor))
+    return proposed
 
 
 class MeshConfig:
     """Normalized mesh construction parameters.
 
     All three mesh runners build one of these first, so topology
-    resolution, the replication-factor bounds, and the log-root
-    requirement are validated identically everywhere.
+    resolution, the replication-factor bounds, the log-root requirement
+    and the broker kwargs are validated identically everywhere.
     """
 
     def __init__(self, topology: Any = None,
-                 shard_count: Optional[int] = None,
                  name: str = "mesh",
                  log_root: Optional[str] = None,
                  replication_factor: int = 0,
                  broker_kwargs: Optional[dict] = None):
         self.name = name
-        self.topology = _resolve_topology(topology, shard_count, name)
+        self.topology = _resolve_topology(topology, name)
         self.log_root = log_root
         self.replication_factor = replication_factor
         self.broker_kwargs = dict(broker_kwargs or {})
+        _check_shard_kwargs(self.broker_kwargs)
         if replication_factor < 0:
             raise ValueError("replication_factor must be non-negative")
         if replication_factor >= len(self.topology):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.apps.tps import BrokerMesh, TpsPeer
 from repro.apps.tps import mesh as mesh_module
+from repro.apps.tps.procmesh import SocketMesh
 from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import NetworkError, SimulatedNetwork
@@ -22,6 +23,19 @@ def make_mesh(log_root, shards=3, replication_factor=1, seed=0,
     mesh = BrokerMesh(network, topology=Topology.sized(shards, name),
                       log_root=str(log_root),
                       replication_factor=replication_factor)
+    publisher = TpsPeer("publisher", network)
+    asm_a, _ = person_assembly_pair()
+    publisher.host_assembly(asm_a)
+    return network, mesh, publisher
+
+
+def make_socket_mesh(log_root, shards=3, replication_factor=1, name="m"):
+    """The :func:`make_mesh` world on the in-process socket fabric: the
+    client peers share one hub node routed to every shard."""
+    mesh = SocketMesh(topology=Topology.sized(shards, name),
+                      log_root=str(log_root),
+                      replication_factor=replication_factor)
+    network = mesh.client_network(name + "-clients")
     publisher = TpsPeer("publisher", network)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)
@@ -56,8 +70,10 @@ def assert_exactly_once(got, upto):
 
 
 class TestAddShard:
+    make_mesh = staticmethod(make_mesh)
+
     def test_add_bumps_epoch_and_newcomer_is_routable(self, tmp_path):
-        network, mesh, publisher = make_mesh(tmp_path)
+        network, mesh, publisher = self.make_mesh(tmp_path)
         assert mesh.epoch == 1
         shard = mesh.add_shard()
         assert mesh.epoch == 2
@@ -78,7 +94,7 @@ class TestAddShard:
         mesh.close()
 
     def test_failed_join_leaves_no_trace(self, tmp_path, monkeypatch):
-        network, mesh, publisher = make_mesh(tmp_path)
+        network, mesh, publisher = self.make_mesh(tmp_path)
         before_ids = mesh.shard_ids
 
         def boom(self):
@@ -139,8 +155,10 @@ class TestRebalance:
 
 
 class TestRemoveShard:
+    make_mesh = staticmethod(make_mesh)
+
     def test_remove_hands_off_and_loses_nothing(self, tmp_path):
-        network, mesh, publisher = make_mesh(tmp_path, shards=4)
+        network, mesh, publisher = self.make_mesh(tmp_path, shards=4)
         peer, got = durable_subscriber(network, mesh, "leaver-sub", "lv-c")
         victim = mesh.shard_for("leaver-sub")
         upto = publish(publisher, mesh, 16)
@@ -159,14 +177,14 @@ class TestRemoveShard:
         mesh.close()
 
     def test_remove_refuses_to_underrun_replication(self, tmp_path):
-        network, mesh, publisher = make_mesh(tmp_path, shards=2)
+        network, mesh, publisher = self.make_mesh(tmp_path, shards=2)
         with pytest.raises(ValueError):
             mesh.remove_shard(mesh.shard_ids[0])
         assert mesh.epoch == 1
         mesh.close()
 
     def test_remove_refuses_pinned_local_handler(self, tmp_path):
-        network, mesh, publisher = make_mesh(tmp_path, shards=4)
+        network, mesh, publisher = self.make_mesh(tmp_path, shards=4)
         victim_id = mesh.shard_ids[0]
         mesh.shard(victim_id).subscribe_durable(person_java(), lambda e: None,
                                                 cursor="pinned-c")
@@ -177,10 +195,23 @@ class TestRemoveShard:
         mesh.close()
 
     def test_unknown_shard(self, tmp_path):
-        network, mesh, publisher = make_mesh(tmp_path)
+        network, mesh, publisher = self.make_mesh(tmp_path)
         with pytest.raises(ValueError):
             mesh.remove_shard("m-shard9")
         mesh.close()
+
+
+class TestAddShardOverSockets(TestAddShard):
+    """The join tests again with every shard on its own socket node."""
+
+    make_mesh = staticmethod(make_socket_mesh)
+
+
+class TestRemoveShardOverSockets(TestRemoveShard):
+    """The removal guards and the lossless handoff again, with every
+    shard on its own socket node."""
+
+    make_mesh = staticmethod(make_socket_mesh)
 
 
 class TestCrashDuringHandoff:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.apps.tps import BrokerMesh, TpsPeer, rendezvous_shard
+from repro.apps.tps.procmesh import SocketMesh
+from repro.apps.tps.topology import Topology
 from repro.cts.assembly import Assembly
 from repro.fixtures import (
     account_csharp,
@@ -11,13 +13,20 @@ from repro.fixtures import (
     person_java,
     person_vb,
 )
-from repro.net.network import SimulatedNetwork
+from repro.net.network import NetworkError, SimulatedNetwork
 
 
-def make_world(shard_count=3, n_subscribers=6, drop_rate=0.0, seed=0,
-               **broker_kwargs):
-    network = SimulatedNetwork(drop_rate=drop_rate, seed=seed)
-    mesh = BrokerMesh(network, shard_count=shard_count, **broker_kwargs)
+def make_world(shards=3, n_subscribers=6, drop_rate=0.0, seed=0,
+               sockets=False, **broker_kwargs):
+    """A mesh with a publisher and subscribers; ``sockets=True`` runs it
+    as a SocketMesh, its client peers on one hub node."""
+    if sockets:
+        mesh = SocketMesh(topology=Topology.sized(shards), **broker_kwargs)
+        network = mesh.client_network("clients")
+    else:
+        network = SimulatedNetwork(drop_rate=drop_rate, seed=seed)
+        mesh = BrokerMesh(network, topology=Topology.sized(shards),
+                          **broker_kwargs)
     publisher = TpsPeer("publisher", network, **broker_kwargs)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)
@@ -73,7 +82,7 @@ class TestMeshDelivery:
 
     def test_subscribers_span_multiple_shards(self):
         network, mesh, publisher, subscribers, events = make_world(
-            shard_count=3, n_subscribers=12)
+            shards=3, n_subscribers=12)
         homes = {mesh.shard_for(peer.peer_id) for peer in subscribers}
         assert len(homes) >= 2  # the hash really spreads peers
 
@@ -120,7 +129,7 @@ class TestMeshDelivery:
         """With subscribers on a single shard, a publish from another
         shard's publisher forwards to exactly that one shard."""
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=4)
+        mesh = BrokerMesh(network, topology=Topology.sized(4))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -152,7 +161,7 @@ class TestMeshDelivery:
         """When the last conforming subscriber of a shard unsubscribes,
         the summary gossip removes the forward route."""
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2)
+        mesh = BrokerMesh(network, topology=Topology.sized(2))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -177,7 +186,7 @@ class TestMeshDelivery:
         """Two remote subscribers sharing an expected type: removing one
         must keep the forward route alive for the other."""
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2)
+        mesh = BrokerMesh(network, topology=Topology.sized(2))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -200,7 +209,7 @@ class TestMeshDelivery:
         """A peer with several matching subscriptions still receives ONE
         batch message per drain (the transport-layer acceptance point)."""
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2)
+        mesh = BrokerMesh(network, topology=Topology.sized(2))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -252,7 +261,7 @@ class TestLossyFabric:
 
     def test_delivery_counts_and_drop_accounting(self):
         network, mesh, publisher, subscribers, events = make_world(
-            shard_count=3, n_subscribers=8, drop_rate=0.15, seed=42,
+            shards=3, n_subscribers=8, drop_rate=0.15, seed=42,
             max_retries=20)
         home = mesh.shard_for("publisher")
         n_events = 5
@@ -276,7 +285,7 @@ class TestLossyFabric:
         outcomes = []
         for _ in range(2):
             network, mesh, publisher, subscribers, events = make_world(
-                shard_count=3, n_subscribers=6, drop_rate=0.2, seed=7,
+                shards=3, n_subscribers=6, drop_rate=0.2, seed=7,
                 max_retries=20)
             home = mesh.shard_for("publisher")
             for index in range(4):
@@ -296,7 +305,7 @@ class TestLossyFabric:
         """Forward counters never exceed what was buffered, and nothing
         deadlocks: the mesh always drains to idle."""
         network, mesh, publisher, subscribers, events = make_world(
-            shard_count=4, n_subscribers=10, drop_rate=0.25, seed=13,
+            shards=4, n_subscribers=10, drop_rate=0.25, seed=13,
             max_retries=20)
         home = mesh.shard_for("publisher")
         for index in range(6):
@@ -320,7 +329,7 @@ class TestGossipRefcountsWithBufferedEvents:
 
     def test_unsubscribe_while_events_buffered(self):
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2)
+        mesh = BrokerMesh(network, topology=Topology.sized(2))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -355,7 +364,7 @@ class TestGossipRefcountsWithBufferedEvents:
         """Two subscribers sharing a type, unsubscribing at different
         points of the buffered pipeline: counts go 2 -> 1 -> 0."""
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2)
+        mesh = BrokerMesh(network, topology=Topology.sized(2))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -382,10 +391,10 @@ class TestGossipRefcountsWithBufferedEvents:
         assert len(got_b) == 1
 
 
-def make_durable_world(tmp_path, shard_count=3, n_subscribers=4,
+def make_durable_world(tmp_path, shards=3, n_subscribers=4,
                        drop_rate=0.0, seed=0, **broker_kwargs):
     network = SimulatedNetwork(drop_rate=drop_rate, seed=seed)
-    mesh = BrokerMesh(network, shard_count=shard_count,
+    mesh = BrokerMesh(network, topology=Topology.sized(shards),
                       log_root=str(tmp_path / "mesh-logs"), **broker_kwargs)
     publisher = TpsPeer("publisher", network, **broker_kwargs)
     asm_a, _ = person_assembly_pair()
@@ -432,7 +441,7 @@ class TestDurableMesh:
         """A shard logs forwarded-in events too, so a late durable
         subscriber homed there replays events whichever shard admitted
         them first."""
-        network, mesh, publisher = make_durable_world(tmp_path, shard_count=2)
+        network, mesh, publisher = make_durable_world(tmp_path, shards=2)
         home = mesh.shard_for("publisher")
         other = next(sid for sid in mesh.shard_ids if sid != home)
 
@@ -483,7 +492,7 @@ class TestDurableMesh:
     def test_restart_shard_redelivers_unacked(self, tmp_path):
         """Acceptance: unacked events are redelivered after a crash
         (at-least-once); acked ones are never duplicated."""
-        network, mesh, publisher = make_durable_world(tmp_path, shard_count=2)
+        network, mesh, publisher = make_durable_world(tmp_path, shards=2)
         home = mesh.shard_for("publisher")
         got = []
         durable = TpsPeer("d-sub", network)
@@ -513,7 +522,7 @@ class TestDurableMesh:
     def test_restart_shard_rebuilds_forwarding_summaries(self, tmp_path):
         """A restarted shard re-learns sibling subscriptions (and siblings
         re-learn its durable ones), so cross-shard publish still works."""
-        network, mesh, publisher = make_durable_world(tmp_path, shard_count=3)
+        network, mesh, publisher = make_durable_world(tmp_path, shards=3)
         home = mesh.shard_for("publisher")
         other = next(sid for sid in mesh.shard_ids if sid != home)
         remote_got = []
@@ -533,7 +542,7 @@ class TestDurableMesh:
         """Acceptance: recovery holds on a lossy fabric — unacked events
         survive crashes and repeated replay converges on full delivery."""
         network, mesh, publisher = make_durable_world(
-            tmp_path, shard_count=2, drop_rate=0.15, seed=23, max_retries=20)
+            tmp_path, shards=2, drop_rate=0.15, seed=23, max_retries=20)
         home = mesh.shard_for("publisher")
         got = []
         durable = TpsPeer("d-sub", network, max_retries=20)
@@ -562,7 +571,7 @@ class TestDurableMesh:
 
     def test_mesh_without_log_root_rejects_durable_subscribe(self, tmp_path):
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2)  # no log_root
+        mesh = BrokerMesh(network, topology=Topology.sized(2))  # no log_root
         peer = TpsPeer("p", network)
         from repro.net.network import NetworkError
         with pytest.raises(NetworkError):
@@ -590,24 +599,55 @@ class TestDurableMesh:
 
 
 class TestRunUntilIdleBoundary:
+    sockets = False
+
+    def stall_counts(self, network, mesh):
+        return [network.stats.stalled]
+
     def test_final_round_draining_is_not_a_stall(self):
-        """A mesh that goes idle exactly on its last allowed round must
+        """A drain whose last allowed round leaves the mesh idle must
         return normally, not report a phantom stall."""
         network, mesh, publisher, subscribers, events = make_world(
-            shard_count=2, n_subscribers=2)
-        home = mesh.shard_for("publisher")
-        publisher.publish_async(
-            home, publisher.new_instance("demo.a.Person", ["edge"]))
-        # Count how many rounds a full drain takes, then rerun with
-        # exactly that budget.
-        rounds = 0
-        while mesh.flush() or network.pending():
-            rounds += 1
-        publisher.publish_async(
-            home, publisher.new_instance("demo.a.Person", ["edge2"]))
-        total = mesh.run_until_idle(max_rounds=rounds)
-        assert total > 0
-        assert network.stats.stalled == 0
+            shards=2, n_subscribers=2, sockets=self.sockets)
+        try:
+            # Every round reports work, so the drain spends its whole
+            # budget whatever the fabric's timing; the budget is ample,
+            # so the mesh is idle when it runs out.
+            real_flush = mesh.flush
+            mesh.flush = lambda: real_flush() + 1
+            publisher.publish_async(
+                mesh.shard_for("publisher"),
+                publisher.new_instance("demo.a.Person", ["edge"]))
+            assert mesh.run_until_idle(max_rounds=200) >= 200
+            assert all(len(got) == 1 for got in events.values())
+            assert set(self.stall_counts(network, mesh)) == {0}
+        finally:
+            mesh.close()
+
+    def test_exhausted_budget_is_a_recorded_stall(self):
+        """A drain that runs out of rounds with work left raises with
+        the queue depths and counts a stall on the fabric."""
+        network, mesh, publisher, subscribers, events = make_world(
+            shards=2, n_subscribers=2, sockets=self.sockets)
+        try:
+            publisher.publish_async(
+                mesh.shard_for("publisher"),
+                publisher.new_instance("demo.a.Person", ["stuck"]))
+            with pytest.raises(NetworkError, match="deliveries buffered"):
+                mesh.run_until_idle(max_rounds=1)
+            assert set(self.stall_counts(network, mesh)) == {1}
+        finally:
+            mesh.close()
+
+
+class TestRunUntilIdleBoundaryOverSockets(TestRunUntilIdleBoundary):
+    """The same drain boundary on the socket fabric, where a stall is
+    counted on every hub node."""
+
+    sockets = True
+
+    def stall_counts(self, network, mesh):
+        return [node.stats.stalled for node in mesh.hub.nodes]
 
 
 class TestMultiValueRecordLocalDurable:
@@ -615,7 +655,7 @@ class TestMultiValueRecordLocalDurable:
         """Two events forwarded as ONE record: a local durable handler at
         the receiving shard that crashes on the second value must leave
         the WHOLE record unacked, so replay redelivers both values."""
-        network, mesh, publisher = make_durable_world(tmp_path, shard_count=2)
+        network, mesh, publisher = make_durable_world(tmp_path, shards=2)
         home = mesh.shard_for("publisher")
         other = next(sid for sid in mesh.shard_ids if sid != home)
 

@@ -18,6 +18,7 @@ import pytest
 
 from repro.apps.tps import BrokerMesh, TpsPeer
 from repro.apps.tps.mesh import rendezvous_rank, rendezvous_shard
+from repro.apps.tps.topology import Topology
 from repro.cts.assembly import Assembly
 from repro.describe.description import TypeDescription
 from repro.describe.xml_codec import serialize_description_bytes
@@ -30,10 +31,10 @@ from repro.net.network import SimulatedNetwork
 from repro.serialization.envelope import envelope_home
 
 
-def make_world(tmp_path, shard_count=3, replication_factor=0,
+def make_world(tmp_path, shards=3, replication_factor=0,
                drop_rate=0.0, seed=0, name="mesh", **broker_kwargs):
     network = SimulatedNetwork(drop_rate=drop_rate, seed=seed)
-    mesh = BrokerMesh(network, shard_count=shard_count, name=name,
+    mesh = BrokerMesh(network, topology=Topology.sized(shards, name),
                       log_root=str(tmp_path / "logs"),
                       replication_factor=replication_factor,
                       **broker_kwargs)
@@ -74,7 +75,7 @@ class TestFollowerPlacement:
         assert rank[0] == rendezvous_shard("key", shards)
 
     def test_followers_exclude_home_and_respect_factor(self, tmp_path):
-        network, mesh, publisher = make_world(tmp_path, shard_count=4,
+        network, mesh, publisher = make_world(tmp_path, shards=4,
                                               replication_factor=2)
         for shard in mesh.shards:
             followers = shard.followers
@@ -85,13 +86,14 @@ class TestFollowerPlacement:
     def test_replication_needs_logs(self):
         network = SimulatedNetwork()
         with pytest.raises(ValueError):
-            BrokerMesh(network, shard_count=2, replication_factor=1)
+            BrokerMesh(network, topology=Topology.sized(2),
+                       replication_factor=1)
 
     def test_factor_must_leave_home_out(self, tmp_path):
         network = SimulatedNetwork()
         with pytest.raises(ValueError):
-            BrokerMesh(network, shard_count=2, replication_factor=2,
-                       log_root=str(tmp_path / "x"))
+            BrokerMesh(network, topology=Topology.sized(2),
+                       replication_factor=2, log_root=str(tmp_path / "x"))
 
 
 class TestPushReplication:
@@ -115,7 +117,7 @@ class TestPushReplication:
     def test_forwarded_in_records_are_not_rereplicated(self, tmp_path):
         """A shard's log holds forwarded-in copies too; only the records
         it is home to stream to its followers."""
-        network, mesh, publisher = make_world(tmp_path, shard_count=2,
+        network, mesh, publisher = make_world(tmp_path, shards=2,
                                               replication_factor=1)
         home = mesh.shard_for("publisher")
         other = next(s for s in mesh.shard_ids if s != home)
@@ -245,7 +247,7 @@ class TestMeshWideBacklog:
         """What replication already pulled here survives the origin shard
         being unreachable: the late subscriber still gets those records
         from the local replica log."""
-        network, mesh, publisher = make_world(tmp_path, shard_count=3,
+        network, mesh, publisher = make_world(tmp_path, shards=3,
                                               replication_factor=2)
         names = publish_spread(mesh, publisher, per_shard=2)
         attach_at = mesh.shard_ids[0]
@@ -266,7 +268,7 @@ class TestMeshWideBacklog:
     def test_forwarded_copies_not_delivered_twice(self, tmp_path):
         """Events forwarded here at publish time replay through the local
         log; replica replay and fetch must skip them by home id."""
-        network, mesh, publisher = make_world(tmp_path, shard_count=2,
+        network, mesh, publisher = make_world(tmp_path, shards=2,
                                               replication_factor=1)
         home = mesh.shard_for("publisher")
         other = next(s for s in mesh.shard_ids if s != home)
@@ -358,7 +360,7 @@ class TestMeshWideBacklog:
         cursor fetched them are a real loss — surfaced in
         ``retention_lost_records``, never silently skipped."""
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2,
+        mesh = BrokerMesh(network, topology=Topology.sized(2),
                           log_root=str(tmp_path / "logs"),
                           log_kwargs={"segment_max_bytes": 256,
                                       "max_segments": 1})
@@ -412,7 +414,7 @@ class TestBacklogFetchFiltering:
     def test_fetch_returns_only_conforming_records(self, tmp_path):
         """Satellite unit: the serving side filters through RoutingStage —
         only records conforming to the requested description cross."""
-        network, mesh, publisher = make_world(tmp_path, shard_count=2)
+        network, mesh, publisher = make_world(tmp_path, shards=2)
         publisher.host_assembly(Assembly("bank", [account_csharp()]))
         home = mesh.shard_ids[0]
         for index in range(2):
@@ -449,7 +451,7 @@ class TestBacklogFetchFiltering:
         frame headers — a backlog with nothing conforming replays with
         zero value-level decodes, and a mixed backlog decodes only the
         records that actually travel."""
-        network, mesh, publisher = make_world(tmp_path, shard_count=1)
+        network, mesh, publisher = make_world(tmp_path, shards=1)
         publisher.host_assembly(Assembly("bank", [account_csharp()]))
         home = mesh.shard_ids[0]
         for index in range(3):
@@ -486,7 +488,7 @@ class TestBacklogFetchFiltering:
     def test_fetch_skips_forwarded_in_records(self, tmp_path):
         """Only records a shard is home to are served — forwarded-in
         copies are the home shard's to serve."""
-        network, mesh, publisher = make_world(tmp_path, shard_count=2)
+        network, mesh, publisher = make_world(tmp_path, shards=2)
         home = mesh.shard_for("publisher")
         other = next(s for s in mesh.shard_ids if s != home)
         live = []
@@ -555,7 +557,7 @@ class TestChaosReplication:
     def test_chaos_lossy_fabric_converges(self, tmp_path):
         seed = int(os.environ.get("REPLICATION_CHAOS_SEED", "13"))
         network, mesh, publisher = make_world(
-            tmp_path, shard_count=3, replication_factor=1,
+            tmp_path, shards=3, replication_factor=1,
             drop_rate=0.15, seed=seed, max_retries=20)
         home = mesh.shard_ids[0]
         got = []

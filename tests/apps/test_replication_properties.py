@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.tps import BrokerMesh, TpsPeer
+from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair
 from repro.net.network import SimulatedNetwork
 from repro.serialization.envelope import envelope_home
@@ -48,7 +49,7 @@ def test_follower_superset_of_origin_up_to_watermark(ops, factor):
     tmp = tempfile.mkdtemp(prefix="repl-prop-")
     try:
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=N_SHARDS,
+        mesh = BrokerMesh(network, topology=Topology.sized(N_SHARDS),
                           log_root=tmp + "/logs",
                           replication_factor=factor)
         publisher = TpsPeer("publisher", network)

@@ -2,6 +2,7 @@
 the unified construction surface of the three mesh runners."""
 
 import inspect
+import os
 
 import pytest
 
@@ -100,14 +101,19 @@ class TestTopology:
 
 
 class TestMeshConfig:
-    def test_topology_and_shard_count_are_exclusive(self):
-        with pytest.raises(ValueError):
-            MeshConfig(topology=Topology.sized(2), shard_count=2)
-
-    def test_shard_count_is_deprecated_but_works(self):
-        with pytest.warns(DeprecationWarning):
-            config = MeshConfig(shard_count=3, name="m")
-        assert config.shard_ids == Topology.sized(3, "m").shard_ids
+    def test_shard_count_is_gone(self, tmp_path):
+        """``topology=`` is the only way to size a mesh: every runner
+        and MeshConfig reject the removed ``shard_count=`` outright —
+        ProcessMesh in the driver, before any shard process starts."""
+        from repro.apps.tps.procmesh import ProcessMesh, SocketMesh
+        with pytest.raises(TypeError):
+            MeshConfig(shard_count=2)
+        with pytest.raises(TypeError):
+            BrokerMesh(SimulatedNetwork(), shard_count=2)
+        for runner in (SocketMesh, ProcessMesh):
+            with pytest.raises(TypeError):
+                runner(shard_count=2, sock_dir=str(tmp_path))
+        assert os.listdir(str(tmp_path)) == []
 
     def test_accepts_wire_shape(self):
         topology = Topology.sized(2, "m")
@@ -135,7 +141,7 @@ class TestMeshConfig:
         from repro.apps.tps.procmesh import ProcessMesh, SocketMesh
         for runner in (BrokerMesh, SocketMesh, ProcessMesh):
             parameters = inspect.signature(runner.__init__).parameters
-            for keyword in ("topology", "shard_count", "name", "log_root",
+            for keyword in ("topology", "name", "log_root",
                             "replication_factor"):
                 assert keyword in parameters, \
                     "%s.__init__ lost %s=" % (runner.__name__, keyword)
@@ -149,7 +155,32 @@ class TestMeshConfig:
         finally:
             mesh.close()
 
-    def test_broker_mesh_shard_count_warns(self):
-        with pytest.warns(DeprecationWarning):
-            mesh = BrokerMesh(SimulatedNetwork(), shard_count=2)
+
+
+class TestSocketDirectoryLifetime:
+    """A socket runner removes the socket directory it created when it
+    closes, and leaves a caller's directory alone."""
+
+    def test_socket_mesh(self, tmp_path):
+        from repro.apps.tps.procmesh import SocketMesh
+        mesh = SocketMesh(topology=Topology.sized(2))
+        created = mesh.sock_dir
+        assert os.path.isdir(created)
         mesh.close()
+        assert not os.path.exists(created)
+        mesh = SocketMesh(topology=Topology.sized(2),
+                          sock_dir=str(tmp_path))
+        mesh.close()
+        assert os.path.isdir(str(tmp_path))
+
+    def test_process_mesh(self, tmp_path):
+        from repro.apps.tps.procmesh import ProcessMesh
+        mesh = ProcessMesh(topology=Topology.sized(1), http=False)
+        created = mesh.sock_dir
+        assert os.path.isdir(created)
+        mesh.stop()
+        assert not os.path.exists(created)
+        mesh = ProcessMesh(topology=Topology.sized(1), http=False,
+                           sock_dir=str(tmp_path))
+        mesh.stop()
+        assert os.path.isdir(str(tmp_path))

@@ -22,6 +22,7 @@ from repro.apps.tps.procmesh import (
     ProcessMesh,
     SocketMesh,
 )
+from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.obs.metrics import parse_exposition
 
@@ -61,7 +62,7 @@ def metric_groups(samples):
 
 @pytest.fixture
 def socket_mesh(tmp_path):
-    mesh = SocketMesh(shard_count=3, name="obssock",
+    mesh = SocketMesh(topology=Topology.sized(3, "obssock"),
                       log_root=str(tmp_path / "logs"), replication_factor=1)
     driver = mesh.client_network("obssock-driver")
     publisher = TpsPeer("publisher", driver)
@@ -187,7 +188,7 @@ class TestSocketMeshHttp:
                    for value in delivered)
 
     def test_compact_without_log_is_400(self, tmp_path):
-        mesh = SocketMesh(shard_count=2, name="obsnolog")
+        mesh = SocketMesh(topology=Topology.sized(2, "obsnolog"))
         try:
             server = mesh.serve_http()
             status, payload = mesh_get(mesh, server.address + "/admin/compact",
@@ -200,7 +201,7 @@ class TestSocketMeshHttp:
 
 class TestProcessMeshObservability:
     def test_cross_process_trace_http_and_admin(self, tmp_path):
-        mesh = ProcessMesh(shard_count=4, name="obsproc",
+        mesh = ProcessMesh(topology=Topology.sized(4, "obsproc"),
                            log_root=str(tmp_path / "logs"),
                            replication_factor=1)
         try:

@@ -11,6 +11,8 @@ import pytest
 
 from repro.apps.tps import BrokerMesh, TpsPeer
 from repro.apps.tps.broker import LocalBroker, TpsBroker
+from repro.apps.tps.procmesh import SocketMesh
+from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
 from repro.net.socket_transport import SocketNetwork
@@ -57,10 +59,15 @@ TRANSPORT_SNAPSHOT_KEYS = {"node", "epoch", "peer_epochs",
 WATERMARK_KEYS = {"sent", "acked", "queued", "lag"}
 
 
-def durable_mesh(tmp_path, **kwargs):
-    network = SimulatedNetwork()
-    mesh = BrokerMesh(network, shard_count=2, log_root=str(tmp_path / "log"),
-                      **kwargs)
+def durable_mesh(tmp_path, sockets=False, **kwargs):
+    if sockets:
+        mesh = SocketMesh(topology=Topology.sized(2),
+                          log_root=str(tmp_path / "log"), **kwargs)
+        network = mesh.client_network("clients")
+    else:
+        network = SimulatedNetwork()
+        mesh = BrokerMesh(network, topology=Topology.sized(2),
+                          log_root=str(tmp_path / "log"), **kwargs)
     publisher = TpsPeer("publisher", network)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)
@@ -115,6 +122,14 @@ class TestStatsKeySets:
 
     def test_broker_mesh(self, tmp_path):
         _, mesh = durable_mesh(tmp_path)
+        snapshot = mesh.stats()
+        assert set(snapshot) == BROKER_MESH_KEYS
+        assert set(snapshot["shards"]) == set(mesh.shard_ids)
+        mesh.close()
+
+    def test_socket_mesh(self, tmp_path):
+        """One mesh stats schema for both in-process runners."""
+        _, mesh = durable_mesh(tmp_path, sockets=True)
         snapshot = mesh.stats()
         assert set(snapshot) == BROKER_MESH_KEYS
         assert set(snapshot["shards"]) == set(mesh.shard_ids)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.tps import BrokerMesh, TpsPeer
+from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
 
@@ -31,8 +32,9 @@ _publishes = st.lists(st.integers(0, N_SHARDS - 1), min_size=1, max_size=10)
 
 def build_world(root, trace_capacity=512):
     network = SimulatedNetwork()
-    mesh = BrokerMesh(network, shard_count=N_SHARDS, log_root=root,
-                      replication_factor=1, trace_capacity=trace_capacity)
+    mesh = BrokerMesh(network, topology=Topology.sized(N_SHARDS),
+                      log_root=root, replication_factor=1,
+                      trace_capacity=trace_capacity)
     publisher = TpsPeer("publisher", network)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)

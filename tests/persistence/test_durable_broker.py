@@ -358,8 +358,9 @@ class TestFanOutIsolation:
         """Mesh variant: an exploding local handler on the home shard must
         not swallow cross-shard forwards."""
         from repro.apps.tps import BrokerMesh
+        from repro.apps.tps.topology import Topology
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2,
+        mesh = BrokerMesh(network, topology=Topology.sized(2),
                           log_root=str(tmp_path / "mesh"))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()

@@ -7,6 +7,7 @@ duplicate is covered by the existing at-least-once delivery contract.
 """
 
 from repro.apps.tps import BrokerMesh, TpsBroker, TpsPeer
+from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
 
@@ -97,7 +98,7 @@ class TestPublishDurable:
 
     def test_mesh_shard_acks_durable_publishes(self, tmp_path):
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=2,
+        mesh = BrokerMesh(network, topology=Topology.sized(2),
                           log_root=str(tmp_path / "mesh"))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.tps import BrokerMesh, TpsBroker, TpsPeer
+from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
 from repro.serialization.binary import BinarySerializer
@@ -52,7 +53,7 @@ def run_mesh(root, ops, lazy):
     delivered value bytes.  Caller must ``close()`` the mesh."""
     network = SimulatedNetwork()
     kwargs = {} if lazy else {"lazy_admission": False}
-    mesh = BrokerMesh(network, shard_count=N_SHARDS,
+    mesh = BrokerMesh(network, topology=Topology.sized(N_SHARDS),
                       log_root=os.path.join(root, "logs"),
                       replication_factor=1, **kwargs)
     publisher = TpsPeer("publisher", network)
@@ -343,7 +344,7 @@ def test_replicas_stay_byte_identical_under_loss(ops, drop_percent, seed):
     mesh = None
     try:
         network = SimulatedNetwork(drop_rate=drop_percent / 100.0, seed=seed)
-        mesh = BrokerMesh(network, shard_count=N_SHARDS,
+        mesh = BrokerMesh(network, topology=Topology.sized(N_SHARDS),
                           log_root=os.path.join(root, "logs"),
                           replication_factor=2)
         publisher = TpsPeer("publisher", network)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.apps.tps import BrokerMesh, TpsPeer
 from repro.apps.tps.procmesh import SocketMesh
+from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
 from repro.serialization.binary import BinarySerializer
@@ -44,13 +45,14 @@ class _World:
     def __init__(self, root, socket_fabric):
         self.socket_fabric = socket_fabric
         if socket_fabric:
-            self.mesh = SocketMesh(shard_count=N_SHARDS,
+            self.mesh = SocketMesh(topology=Topology.sized(N_SHARDS),
                                    log_root=os.path.join(root, "logs"),
                                    replication_factor=1)
             self.network = self.mesh.client_network("clients")
         else:
             self.network = SimulatedNetwork()
-            self.mesh = BrokerMesh(self.network, shard_count=N_SHARDS,
+            self.mesh = BrokerMesh(self.network,
+                                   topology=Topology.sized(N_SHARDS),
                                    log_root=os.path.join(root, "logs"),
                                    replication_factor=1)
         self.publisher = TpsPeer("publisher", self.network)

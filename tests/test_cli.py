@@ -159,11 +159,12 @@ class TestLogReplicas:
     @pytest.fixture
     def mesh_log_root(self, tmp_path):
         from repro.apps.tps import BrokerMesh, TpsPeer
+        from repro.apps.tps.topology import Topology
         from repro.fixtures import person_assembly_pair, person_java
         from repro.net.network import SimulatedNetwork
 
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, shard_count=3,
+        mesh = BrokerMesh(network, topology=Topology.sized(3),
                           log_root=str(tmp_path / "logs"),
                           replication_factor=1)
         publisher = TpsPeer("pub", network)
