@@ -101,13 +101,21 @@ class TestTopology:
 
 
 class TestMeshConfig:
-    def test_shard_count_is_gone(self, tmp_path):
-        """``topology=`` is the only way to size a mesh: every runner
-        and MeshConfig reject the removed ``shard_count=`` outright —
+    def test_topology_with_shard_count_is_rejected(self):
+        """``shard_count=`` is gone, so passing it beside ``topology=``
+        is an unknown keyword, not a conflict to resolve."""
+        with pytest.raises(TypeError):
+            MeshConfig(topology=Topology.sized(2), shard_count=2)
+
+    def test_mesh_config_rejects_shard_count(self):
+        """``topology=`` is the only way to size a mesh."""
+        with pytest.raises(TypeError):
+            MeshConfig(shard_count=3, name="m")
+
+    def test_runners_reject_shard_count(self, tmp_path):
+        """Every runner rejects the removed ``shard_count=`` outright —
         ProcessMesh in the driver, before any shard process starts."""
         from repro.apps.tps.procmesh import ProcessMesh, SocketMesh
-        with pytest.raises(TypeError):
-            MeshConfig(shard_count=2)
         with pytest.raises(TypeError):
             BrokerMesh(SimulatedNetwork(), shard_count=2)
         for runner in (SocketMesh, ProcessMesh):
