@@ -1,10 +1,14 @@
-"""Legacy setup shim.
+"""Package metadata for the ``repro`` library (sources under ``src/``).
 
-The offline environment lacks the ``wheel`` package, so PEP 517 editable
-installs fail; this shim lets ``pip install -e .`` use the classic
-``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+A classic ``setup.py`` with no ``pyproject.toml``: ``pip install -e .``
+installs it where the ``wheel`` package is available, and
+``python setup.py develop`` needs only setuptools (offline hosts).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -49,8 +49,7 @@ from ...obs.bridge import (
 from ...obs.metrics import MetricsRegistry
 from ...obs.tracing import TraceBuffer, TraceIdSource
 from ...persistence import CursorStore, EventLog
-from ...serialization.envelope import EnvelopeCodec
-from ...serialization.errors import WireFormatError
+from ...serialization.envelope import EnvelopeCodec, split_frames
 from ...transport.protocol import (
     KIND_DELIVERY_ACK,
     KIND_PUBLISH_ACK,
@@ -65,6 +64,7 @@ from .pipeline import (
     LocalDelivery,
     PipelineStats,
     RoutingStage,
+    ValueBatch,
 )
 from .routing import RoutingIndex
 
@@ -166,17 +166,16 @@ class LocalBroker:
         moment a matching handler actually receives it — a no-match
         publish touches the header and nothing else.  Frames whose type
         section does not resolve locally (foreign guids, soap payloads,
-        legacy all-XML frames) fall back to eager materialization.
+        legacy all-XML frames) are decoded whole first.
         """
         if self.codec is None:
             raise TypeError("publish_frame requires LocalBroker(runtime=...)")
         envelope = self.codec.parse(payload)
         batch = self.codec.lazy_batch(envelope)
+        if not batch.types_known():
+            batch = ValueBatch(self.codec.unwrap_batch(envelope))
         self.published += len(batch)
-        if batch.types_known():
-            return self.pipeline.process(batch, origin=None).deliveries
-        return self.pipeline.process(
-            self.codec.unwrap_batch(envelope), origin=None).deliveries
+        return self.pipeline.process(batch, origin=None).deliveries
 
     @property
     def delivered(self) -> int:
@@ -214,7 +213,8 @@ class LocalBroker:
             raise TypeError("event %r does not expose a CTS type" % (event,))
         type_getter()  # events must carry a resolvable CTS type
         self.published += 1
-        return self.pipeline.process([event], origin=None).deliveries
+        return self.pipeline.process(ValueBatch([event]),
+                                     origin=None).deliveries
 
 
 class TpsBroker(InteropPeer):
@@ -232,16 +232,9 @@ class TpsBroker(InteropPeer):
                  log_kwargs: Optional[dict] = None,
                  cursor_sync_every: int = 1,
                  retain_unacked: bool = False,
-                 lazy_admission: bool = True,
                  tracing: bool = True,
                  trace_capacity: int = 512, **kwargs):
         kwargs.setdefault("options", ConformanceOptions.pragmatic())
-        #: The zero-copy hot path (shared with the mesh shard): admit
-        #: publishes header-only and route/log/ack on the frame bytes,
-        #: decoding values only at local dispatch.
-        #: ``lazy_admission=False`` restores the eager
-        #: materialize-everything path (the benchmark baseline).
-        self._lazy_admission = bool(lazy_admission)
         super().__init__(peer_id, network, **kwargs)
         self.index = RoutingIndex(self.checker, self.runtime.registry)
         self._next_id = 1
@@ -286,7 +279,6 @@ class TpsBroker(InteropPeer):
         self.on(KIND_TPS_UNSUBSCRIBE, self._handle_unsubscribe)
         self.on(KIND_TPS_SUBSCRIBE_DURABLE, self._handle_subscribe_durable)
         self.on(KIND_DELIVERY_ACK, self._handle_delivery_ack)
-        self.on_receive(self._route)
         #: The queryable metrics tree (every ``stats()`` key has a
         #: sampled family here; see :mod:`repro.obs.bridge`).
         self.metrics = MetricsRegistry()
@@ -356,11 +348,6 @@ class TpsBroker(InteropPeer):
 
     def _forget_cursor_tokens(self, cursor_name: str) -> None:
         self.durability.forget_cursor(cursor_name)
-
-    def _append_to_log(self, values: List[Any], origin: str) -> Optional[int]:
-        """Durably log one admitted batch before any fan-out; returns the
-        record's offset (``None`` when the broker has no log)."""
-        return self.durability.append_values(values, origin)
 
     # -- subscription management ------------------------------------------
 
@@ -591,105 +578,50 @@ class TpsBroker(InteropPeer):
         super().close()
         self.durability.close()
 
-    # -- routing ------------------------------------------------------------
-
-    def _route(self, received: ReceivedObject) -> None:
-        if received.value is None:
-            return
-        value = received.value
-        payload: Optional[bytes] = None
-        envelope = None
-        if self.event_log is not None:
-            #: One batch envelope serves both the log append and every
-            #: durable live delivery — the RBS2B frame is serialized once;
-            #: only the XML shell is re-rendered per ack token.
-            envelope = self.codec.wrap_batch([value], origin=received.sender)
-            if self._trace_ids is not None:
-                envelope.trace = self._trace_ids.next()
-            payload = self.codec.envelope_to_bytes(envelope)
-            if self.tracer is not None:
-                self.tracer.record(envelope.trace, "admit",
-                                   {"src": received.sender,
-                                    "origin": received.sender,
-                                    "bytes": len(payload)})
-        self.pipeline.process([value], received.sender,
-                              payload=payload, envelope=envelope,
-                              forward=True)
-
-    # -- publish admission (the zero-copy hot path) -------------------------
+    # -- publish admission ---------------------------------------------------
 
     def _handle_object(self, payload: bytes, src: str) -> bytes:
-        if self._lazy_admission and self._admit_frame(payload, src,
-                                                      batch=False):
-            return b"OK"
-        return super()._handle_object(payload, src)
-
-    def _handle_object_batch(self, payload: bytes, src: str) -> bytes:
-        """Broker-side batch admission: header-only (lazy) whenever the
-        frame's type section resolves locally; otherwise a batch carrying
-        a ``publish_ack`` token is a *durable publish* — the whole batch
-        is appended as ONE log record and fanned out through the
-        pipeline, and the token is acknowledged back to the publisher
-        only after the append returned (extending at-least-once to the
-        publisher).  Plain batches fall through to the ordinary per-value
-        delivery path."""
-        if self._lazy_admission and self._admit_frame(payload, src,
-                                                      batch=True):
-            return b"OK"
-        try:
-            envelope = self.codec.parse(payload)
-        except WireFormatError:
-            # A coalesced multi-frame container (which never carries a
-            # publish token): the base handler splits and admits it.
-            return super()._handle_object_batch(payload, src)
-        if envelope.publish_ack is None:
-            return super()._handle_object_batch(payload, src)
-        token = envelope.publish_ack
-        envelope.publish_ack = None  # never propagates to subscribers
-        # Strip the token from the frame bytes too: the stored frame must
-        # stay byte-equivalent to the envelope, so ack stamping can splice
-        # it and neither the log nor a replay re-carries the token.
-        payload = self.codec.reframe(payload, publish_ack=None)
-        self.transport_stats.batches_received += 1
-        values = self.pipeline.admission.materialize(envelope, src)
-        self.pipeline.process(values, src, payload=payload,
-                              envelope=envelope, forward=True)
-        try:
-            self.post_async(src, KIND_PUBLISH_ACK, token.encode("utf-8"))
-            self.transport_stats.publish_acks_sent += 1
-            self.pipeline.stats.publish_acks_sent += 1
-        except UnknownPeerError:
-            self.network.stats.record_drop()  # publisher left the fabric
+        self._admit_frame(payload, src, batch=False)
         return b"OK"
 
-    def _admit_frame(self, payload: bytes, src: str, batch: bool) -> bool:
-        """Header-only publish admission: when the frame's type section
-        resolves locally, the record is routed, logged (and, on a mesh
-        shard, forwarded and replicated) as its *frame* — values decode
-        only at final local delivery.
+    def _handle_object_batch(self, payload: bytes, src: str) -> bytes:
+        """Broker-side batch admission: every frame of a (possibly
+        multi-frame) message is admitted as its own record."""
+        for frame in split_frames(payload):
+            self._admit_frame(frame, src, batch=True)
+        return b"OK"
 
-        Returns ``False`` to defer to the eager base handlers: unknown
-        types (the one-time code-fetch path), soap payloads, legacy
-        frames, or ack-bearing deliveries.
+    def _admit_frame(self, payload: Any, src: str, batch: bool) -> None:
+        """Admit one publish frame as one record.
+
+        The record is routed on its header's root types and logged (and,
+        on a mesh shard, forwarded and replicated) as its *frame* —
+        values decode only at final local delivery.  A frame whose types
+        are unknown here, or whose payload is soap, first takes the
+        paper's code fetch (:meth:`AdmissionStage.materialize`) and
+        enters the pipeline as a :class:`ValueBatch` of the values it
+        decoded; it is still logged and relayed as its frame.
+
+        A ``publish_ack`` token marks a *durable publish*: it is
+        acknowledged back to the publisher only after the append
+        returned (extending at-least-once to the publisher).  A delivery
+        ``ack`` token on a batch frame is echoed like any receiver
+        echoes it.  Neither token stays in the stored frame.
         """
-        try:
-            envelope = self.codec.parse(payload)
-        except WireFormatError:
-            return False  # let the eager path raise the real error
-        if envelope.ack is not None:
-            return False  # delivery acks ride the base handler
-        lazy = self.pipeline.admission.lazy(envelope)
-        if lazy is None:
-            return False
-        token = envelope.publish_ack
+        envelope = self.codec.parse(payload)
+        admission = self.pipeline.admission
+        admitted = admission.lazy(envelope)
+        if admitted is None:
+            admitted = ValueBatch(admission.materialize(envelope, src))
+        token, delivery_ack = envelope.publish_ack, envelope.ack
         origin = envelope.origin or src
         # ONE header rewrite: the stored/forwarded frame names its
-        # publisher and never carries the publisher's ack token.  The
-        # trace id is minted here, in the same rewrite — it then travels
-        # inside the frame bytes through every forward/replicate/replay
-        # hop at zero extra cost.
+        # publisher and carries neither token.  The trace id is minted
+        # here, in the same rewrite — it then travels inside the frame
+        # bytes through every forward/replicate/replay hop at zero extra
+        # cost.
         envelope.origin = origin
-        envelope.publish_ack = None
+        envelope.publish_ack = envelope.ack = None
         if envelope.trace is None and self._trace_ids is not None:
             envelope.trace = self._trace_ids.next()
         stored = self.codec.envelope_to_bytes(envelope)
@@ -697,11 +629,11 @@ class TpsBroker(InteropPeer):
             self.tracer.record(envelope.trace, "admit",
                                {"src": src, "origin": origin,
                                 "bytes": len(stored)})
-        self.transport_stats.objects_received += len(lazy)
+        self.transport_stats.objects_received += len(admitted)
         if batch:
             self.transport_stats.batches_received += 1
-        self.pipeline.process(lazy, origin, payload=stored,
-                              envelope=envelope, forward=True)
+        self.pipeline.process(admitted, origin, payload=stored, forward=True,
+                              trace=envelope.trace)
         if token is not None:
             try:
                 self.post_async(src, KIND_PUBLISH_ACK,
@@ -710,7 +642,8 @@ class TpsBroker(InteropPeer):
                 self.pipeline.stats.publish_acks_sent += 1
             except UnknownPeerError:
                 self.network.stats.record_drop()  # publisher left
-        return True
+        if batch and delivery_ack is not None:
+            self._echo_ack(delivery_ack, src)
 
 
 class TpsSubscriberMixin:

@@ -17,13 +17,12 @@ envelope each time.  The mesh refactors that data plane:
   over the summaries, so the forward decision reuses the same cached
   conformance verdicts as local routing.  An event nobody else wants
   crosses zero shard boundaries.
-- **Batched, queue-driven delivery** — routing an event *buffers* it per
-  destination; nothing is sent inside the publisher's call stack.
-  Draining the mesh encodes, per destination, ONE batch envelope (a
-  shared-intern-table ``RBS2B`` frame) and enqueues ONE network message,
-  however many events and matching subscriptions it covers.  Identical
-  batches bound for different peers are encoded once and reuse the same
-  bytes.
+- **Batched, queue-driven delivery** — routing a record *buffers* its
+  frame per destination; nothing is sent inside the publisher's call
+  stack.  Draining the mesh joins, per destination, the buffered frames
+  into ONE network message, however many records and matching
+  subscriptions it covers; the frames travel verbatim, never decoded or
+  re-encoded.
 
 A shard is the same :class:`~repro.apps.tps.pipeline.DeliveryPipeline`
 as the single broker with exactly two stage swaps: dispatch is
@@ -51,12 +50,7 @@ from ...net.network import (
 from ...obs.bridge import register_mesh_shard_metrics
 from ...persistence import EventLog
 from ...persistence.log import LogRecord
-from ...serialization.envelope import (
-    LazyBatch,
-    decode_home,
-    envelope_home,
-    split_frames,
-)
+from ...serialization.envelope import decode_home, envelope_home, split_frames
 from ...serialization.errors import WireFormatError
 from ...transport.protocol import (
     KIND_BACKLOG_FETCH,
@@ -73,6 +67,7 @@ from .pipeline import (
     PipelineStats,
     ReplicationStage,
     RoutingStage,
+    ValueBatch,
     foreign_cursor_name,
 )
 from .routing import RoutingIndex
@@ -190,8 +185,6 @@ class MeshShard(TpsBroker):
             ReplicaSet(os.path.join(log_dir, "replicas"))
             if log_dir is not None else None)
         self.replication: Optional[ReplicationStage] = None
-        #: ``lazy_admission`` (the zero-copy hot path, default on) is
-        #: inherited from :class:`TpsBroker` and flows through ``kwargs``.
         super().__init__(peer_id, network, **kwargs)
         self._siblings: List[str] = []
         #: The membership epoch this shard last committed (see
@@ -530,43 +523,28 @@ class MeshShard(TpsBroker):
 
     # -- routing (buffered by the pipeline's dispatch stage) ---------------
 
-    def _buffer_forwards(self, values: Any, origin: Optional[str],
-                         log_offset: Optional[int] = None,
-                         payload: Optional[bytes] = None) -> None:
-        """The pipeline's forwarder hook: buffer one copy of the record
-        per sibling shard hosting at least one conforming subscriber
-        (routed over the gossip summaries, so the decision reuses cached
-        conformance verdicts).  ``log_offset`` — the record's offset here
-        — travels as the forward's ``home`` id, keeping the receiving
-        shard's copy attributable to this shard's log.
-
-        A lazily-admitted record (``values`` is a
-        :class:`~repro.serialization.envelope.LazyBatch` with its frame in
-        ``payload``) is buffered as the frame itself, targeted on the
-        header's root types — forwarding costs zero value decodes.  The
-        eager path buffers per value, exactly as before.
+    def _buffer_forwards(self, batch: Any, origin: Optional[str],
+                         log_offset: Optional[int],
+                         payload: bytes) -> None:
+        """The pipeline's forwarder hook: buffer the record's frame once
+        per sibling shard hosting at least one conforming subscriber,
+        targeted on the record's root types over the gossip summaries
+        (so the decision reuses cached conformance verdicts) — forwarding
+        costs zero value decodes.  ``log_offset`` — the record's offset
+        here — travels as the forward's ``home`` id, keeping the
+        receiving shard's copy attributable to this shard's log.
         """
-        if payload is not None and isinstance(values, LazyBatch):
-            targets = set()
-            for index in range(len(values)):
-                event_type = values.root_type(index)
-                if event_type is None:
-                    continue
-                for entry, summaries in self.summary_index.route(event_type):
-                    for summary in summaries:
-                        targets.add(summary.peer_id)
-            for shard_id in sorted(targets):
-                self.delivery.buffer_forward_frame(shard_id, payload,
-                                                   len(values), log_offset)
-            return
-        for value in values:
-            targets = set()
-            for entry, summaries in self.summary_index.route(value.type_info):
+        targets = set()
+        for index in range(len(batch)):
+            event_type = batch.root_type(index)
+            if event_type is None:
+                continue
+            for entry, summaries in self.summary_index.route(event_type):
                 for summary in summaries:
                     targets.add(summary.peer_id)
-            for shard_id in sorted(targets):
-                self.delivery.buffer_forward(shard_id, origin or "", value,
-                                             log_offset)
+        for shard_id in sorted(targets):
+            self.delivery.buffer_forward(shard_id, payload, len(batch),
+                                         log_offset)
 
     def _handle_forward(self, payload: bytes, src: str) -> bytes:
         for frame in split_frames(payload):
@@ -600,14 +578,14 @@ class MeshShard(TpsBroker):
                     key = (decoded[0], offset)
                     if self._home_ids.get(key, -1) < log_offset:
                         self._home_ids[key] = log_offset
-        values: Any = None
-        if self._lazy_admission:
-            # Zero-copy ingest: route on the header, deliver the frame.
-            values = self.pipeline.admission.lazy(envelope)
-        if values is None:
-            values = self.pipeline.admission.materialize(envelope, src)
+        # Zero-copy ingest: route on the header, deliver the frame; a
+        # type unknown here is fetched first (the paper's protocol).
+        admission = self.pipeline.admission
+        batch = admission.lazy(envelope)
+        if batch is None:
+            batch = ValueBatch(admission.materialize(envelope, src))
         # Never re-forwarded: an event crosses at most one shard boundary.
-        self.pipeline.process(values, origin, payload=payload,
+        self.pipeline.process(batch, origin, payload=payload,
                               log_offset=log_offset,
                               pre_logged=True, forward=False,
                               trace=envelope.trace)
@@ -713,20 +691,20 @@ class MeshShard(TpsBroker):
         common case — this shard admitted it): the decision runs on the
         header's root types through the same cached routing verdicts as
         live publish, without decoding a single value.  Otherwise the
-        eager fallback materializes; ``None`` = unservable right now.
+        record is materialized, fetching its code; ``None`` = unservable
+        right now.
         """
-        if self._lazy_admission:
-            try:
-                envelope = self.codec.parse(record.payload)
-            except WireFormatError:
-                envelope = None
-            if envelope is not None:
-                batch = self.pipeline.admission.lazy(envelope)
-                if batch is not None:
-                    index = self.pipeline.routing.index
-                    return any(
-                        index.lookup(batch.root_type(i), expected) is not None
-                        for i in range(len(batch)))
+        try:
+            envelope = self.codec.parse(record.payload)
+        except WireFormatError:
+            envelope = None
+        if envelope is not None:
+            batch = self.pipeline.admission.lazy(envelope)
+            if batch is not None:
+                index = self.pipeline.routing.index
+                return any(
+                    index.lookup(batch.root_type(i), expected) is not None
+                    for i in range(len(batch)))
         values = self.pipeline.admission.materialize_record(
             record, record.origin or src)
         if values is None:

@@ -1,30 +1,39 @@
 """The unified delivery pipeline shared by every TPS broker flavour.
 
-Before this module existed, :class:`~repro.apps.tps.broker.LocalBroker`,
+:class:`~repro.apps.tps.broker.LocalBroker`,
 :class:`~repro.apps.tps.broker.TpsBroker` and
-:class:`~repro.apps.tps.mesh.MeshShard` each re-implemented the same
-sequence inline: admit/decode the incoming envelope, run the
+:class:`~repro.apps.tps.mesh.MeshShard` all run the same sequence: admit
+the incoming envelope, run the
 :class:`~repro.apps.tps.routing.RoutingIndex` conformance check, append
-the admitted batch to the durable log, fan out to matching subscriptions
-(inline, per-message, or buffered per destination), and track delivery
-acknowledgements against replay cursors.  The pipeline extracts that
-sequence into explicit, individually testable stages:
+the record to the durable log, fan out to matching subscriptions
+(inline, or buffered per destination), and track delivery
+acknowledgements against replay cursors.  Each step is a stage:
 
 - :class:`AdmissionStage` — envelope parse + on-demand code-fetching
   materialization (the optimistic protocol's steps 2-5 for batches);
 - :class:`RoutingStage` — conformance-checked fan-out targets via a
   shared :class:`RoutingIndex`;
-- :class:`DurabilityStage` — durable append (with per-value compaction
-  keys), capped cursor advancement, retention-floor maintenance, and the
-  :class:`AckTracker` sliding windows of in-flight deliveries;
+- :class:`DurabilityStage` — durable append, capped cursor advancement,
+  retention-floor maintenance, and the :class:`AckTracker` sliding
+  windows of in-flight deliveries;
 - :class:`DirectDelivery` / :class:`BufferedDelivery` — the two dispatch
-  disciplines: one network post per matching subscription (the honest
-  single-broker baseline) versus per-destination batch buffers drained
-  into one message per destination (the mesh data plane);
+  disciplines: one network post per matching peer (the honest
+  single-broker baseline) versus per-destination buffers drained into
+  one message per destination (the mesh data plane);
 - :class:`DeliveryPipeline` — the composition: one ``process()`` call is
   one admitted record travelling every stage, and one ``replay()`` call
   is one durable subscription's backlog travelling the same conformance
   and ack machinery as live traffic.
+
+A record enters ``process()`` in one shape: a batch exposing ``len``,
+``root_type(i)`` and ``value(i)`` — a
+:class:`~repro.serialization.envelope.LazyBatch` over the received
+frame, or a :class:`ValueBatch` over values already in hand (an
+in-process publish, or the values the code-fetch fallback just
+decoded).  Routing runs on root types; a value is decoded only when an
+in-process handler receives it.  On a network broker the record's frame
+bytes come along, and logging, replication, forwarding and remote
+delivery all carry those bytes, never re-encoded values.
 
 The brokers are thin adapters over one pipeline each: they own the
 subscription control plane (subscribe/unsubscribe, gossip, recovery) and
@@ -152,6 +161,26 @@ class Processed:
         )
 
 
+class ValueBatch:
+    """The batch shape of :class:`~repro.serialization.envelope.LazyBatch`
+    over values already materialized, so they route by root type and
+    are never decoded a second time."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Sequence[Any]):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def root_type(self, index: int):
+        return self.values[index].type_info
+
+    def value(self, index: int) -> Any:
+        return self.values[index]
+
+
 # ---------------------------------------------------------------------------
 # admission / decode
 # ---------------------------------------------------------------------------
@@ -181,8 +210,9 @@ class AdmissionStage:
 
     def lazy(self, envelope: Any) -> Optional[LazyBatch]:
         """A header-driven batch over ``envelope`` — or ``None`` when the
-        lazy path is not safe: a type entry this runtime cannot resolve
-        (the eager path must fetch code) or a non-binary payload."""
+        header alone cannot route it: a type entry this runtime cannot
+        resolve (:meth:`materialize` must fetch code) or a non-binary
+        payload."""
         batch = self.host.codec.lazy_batch(envelope)
         if not batch.types_known():
             return None
@@ -444,13 +474,6 @@ class DurabilityStage:
         if self.event_log is None:
             return None
         return self.event_log.append(payload, origin=origin)
-
-    def append_values(self, values: List[Any], origin: str) -> Optional[int]:
-        if self.event_log is None:
-            return None
-        return self.event_log.append(
-            self.host.codec.encode_batch(values, origin=origin),
-            origin=origin)
 
     # -- cursor advancement ------------------------------------------------
 
@@ -760,11 +783,11 @@ class ReplicationStage:
 
 
 class DirectDelivery:
-    """One network message per matching remote subscription — the honest
-    single-broker baseline.  Non-durable subscribers share one encoded
-    single-object envelope per value; durable subscribers receive the
-    whole record's batch envelope once, personalised with an ack token
-    (the binary frame is serialized once, only the XML shell differs)."""
+    """One network message per matching remote peer — the honest
+    single-broker baseline.  Non-durable subscribers get the record's
+    frame relayed verbatim, once per peer; durable subscribers get it
+    once per subscription, personalised with an ack token (a header
+    splice — the payload bytes are never re-encoded)."""
 
     #: Direct dispatch isolates local handler failures from the fan-out.
     isolate_failures = True
@@ -773,24 +796,24 @@ class DirectDelivery:
         self.host = host
         self.durability = durability
 
-    def begin(self, values: Any, origin: Optional[str],
-              log_offset: Optional[int], envelope: Any,
-              payload: Optional[bytes] = None) -> dict:
+    def begin(self, batch: Any, origin: Optional[str],
+              log_offset: Optional[int], payload: Optional[bytes],
+              trace: Optional[str]) -> dict:
         return {
-            "values": values,
-            "envelope": envelope,
-            "payload": payload,   # the record's stored frame, if it has one
-            "payloads": {},       # id(value) -> encoded single envelope
+            "payload": payload,   # the record's frame
+            "trace": trace,
             "durable_sent": set(),  # subscription ids already sent the record
             "frame_sent": set(),  # peers already relayed the record frame
         }
 
-    def remote(self, ctx: dict, subscription: Any, value: Any,
+    def remote(self, ctx: dict, subscription: Any, batch: Any, index: int,
                log_offset: Optional[int]) -> bool:
+        """Send the record's frame to one remote subscription.  The
+        receiver's own admission gate filters per value, header-only, so
+        the whole record travels however many of its values match."""
         cursor = cursor_name_of(subscription)
-        if log_offset is not None and cursor is not None \
-                and ctx["envelope"] is not None:
-            # Durable live delivery: the record's batch envelope under one
+        if log_offset is not None and cursor is not None:
+            # Durable live delivery: the record's frame under one
             # cumulative ack token that advances the subscriber's cursor.
             if subscription.subscription_id in ctx["durable_sent"]:
                 return False  # the record already travelled to this peer
@@ -802,22 +825,11 @@ class DirectDelivery:
                 return False
             token = tracker.issue(subscription.peer_id,
                                   ((cursor, log_offset, log_offset + 1),))
-            envelope = ctx["envelope"]
-            stored = ctx["payload"]
             try:
-                if stored is not None:
-                    # The record's stored frame exists: personalising it
-                    # with the ack token is a header byte splice, not a
-                    # full XML re-render.
-                    frame = self.host.codec.reframe(stored, ack=token)
-                else:
-                    envelope.ack = token
-                    try:
-                        frame = self.host.codec.envelope_to_bytes(envelope)
-                    finally:
-                        envelope.ack = None
                 self.host.send_payload_batch(
-                    subscription.peer_id, frame, len(ctx["values"]))
+                    subscription.peer_id,
+                    self.host.codec.reframe(ctx["payload"], ack=token),
+                    len(batch))
             except UnknownPeerError:
                 # The durable subscriber is offline: its record stays
                 # unacked (replayed when it returns) and the rest of the
@@ -826,48 +838,25 @@ class DirectDelivery:
                 self.host.network.stats.record_drop()
                 return False
             ctx["durable_sent"].add(subscription.subscription_id)
-            if envelope.trace is not None:
-                tracker.tag(token, (envelope.trace,))
-        else:
-            payload = ctx["payloads"].get(id(value))
-            if payload is None:
-                # Encode once per event, not once per subscriber.
-                payload = ctx["payloads"][id(value)] = \
-                    self.host.codec.encode(value)
-            self.host.send_payload(subscription.peer_id, payload)
-        return True
-
-    def remote_frame(self, ctx: dict, subscription: Any, batch: Any,
-                     index: int, log_offset: Optional[int]) -> bool:
-        """Lazy-batch dispatch, value decodes avoided wherever the bytes
-        already exist.  A durable live delivery sends the record's batch
-        envelope under an ack token (only the XML shell re-renders); a
-        non-durable one relays the record's stored frame verbatim, once
-        per peer — the receiver's own admission gate filters per value,
-        header-only.  Only a record that never had a frame (value-level
-        publish from the eager path) falls back to per-value encoding."""
-        if log_offset is not None and ctx["envelope"] is not None \
-                and cursor_name_of(subscription) is not None:
-            return self.remote(ctx, subscription, None, log_offset)
-        payload = ctx["payload"]
-        if payload is not None:
-            if subscription.peer_id in ctx["frame_sent"]:
-                # The record already travelled to this peer; its dispatch
-                # there serves this subscription too, so it still counts.
-                return True
-            # Inline post, like send_payload: DirectDelivery dispatches in
-            # this call stack, it never leaves traffic for a later drain.
-            try:
-                self.host.post(subscription.peer_id, KIND_OBJECT_BATCH,
-                               payload, retries=self.host.max_retries)
-            except UnknownPeerError:
-                self.host.network.stats.record_drop()
-                return False
-            self.host.transport_stats.objects_sent += len(batch)
-            self.host.transport_stats.batches_sent += 1
-            ctx["frame_sent"].add(subscription.peer_id)
+            if ctx["trace"] is not None:
+                tracker.tag(token, (ctx["trace"],))
             return True
-        return self.remote(ctx, subscription, batch.value(index), log_offset)
+        if subscription.peer_id in ctx["frame_sent"]:
+            # The record already travelled to this peer; its dispatch
+            # there serves this subscription too, so it still counts.
+            return True
+        # Inline post, like send_payload: DirectDelivery dispatches in
+        # this call stack, it never leaves traffic for a later drain.
+        try:
+            self.host.post(subscription.peer_id, KIND_OBJECT_BATCH,
+                           ctx["payload"], retries=self.host.max_retries)
+        except UnknownPeerError:
+            self.host.network.stats.record_drop()
+            return False
+        self.host.transport_stats.objects_sent += len(batch)
+        self.host.transport_stats.batches_sent += 1
+        ctx["frame_sent"].add(subscription.peer_id)
+        return True
 
     def finish(self, ctx: dict) -> None:
         pass
@@ -880,12 +869,13 @@ class DirectDelivery:
 
 
 class BufferedDelivery:
-    """Per-destination batch buffers drained into ONE message each — the
-    mesh data plane.  Routing an event only appends it to a buffer;
-    :meth:`flush` encodes, per destination, one batch envelope (a shared
-    intern-table ``RBS2B`` frame) and enqueues one network message,
-    however many events and matching subscriptions it covers.  Identical
-    batches bound for different destinations share the encoded bytes."""
+    """Per-destination frame buffers drained into ONE message each — the
+    mesh data plane.  Routing a record only queues its frame for each
+    destination peer (and, via :meth:`buffer_forward`, each sibling
+    shard); :meth:`flush` joins every destination's frames into one
+    network message, however many records and matching subscriptions it
+    covers.  Frames travel verbatim: no value decode, no re-encode; only
+    an ack token or a ``home`` stamp rewrites a header."""
 
     isolate_failures = True
 
@@ -894,41 +884,36 @@ class BufferedDelivery:
         self.host = host
         self.durability = durability
         self.forward_kind = forward_kind
-        #: Buffered deliveries: destination peer -> events, in arrival order.
-        self._outgoing: Dict[str, List[Any]] = {}
-        #: Durable-cursor high-water marks covered by the buffered events,
-        #: per destination: peer -> {cursor name -> [start, end] offsets}.
-        self._outgoing_acks: Dict[str, Dict[str, List[int]]] = {}
-        #: Buffered forwards: (sibling shard, origin publisher) ->
-        #: (event, home-record offset) pairs — the offsets travel as the
-        #: envelope's ``home`` attribute so the receiving shard's stored
-        #: copy stays attributable to this shard's log record.
-        self._forward_out: Dict[Tuple[str, str],
-                                List[Tuple[Any, Optional[int]]]] = {}
-        #: Frame-relay deliveries (the zero-copy path): destination peer
-        #: -> (frame bytes, value count, ack ranges, trace id) per
-        #: record.  The frame travels as-is — no value decode, no
-        #: re-encode; only an ack token re-renders the header.
-        self._frame_out: Dict[str, List[Tuple[bytes, int,
-                                              Dict[str, List[int]],
-                                              Optional[str]]]] = {}
-        #: Frame-relay forwards: sibling shard -> (frame bytes, value
-        #: count, home-record offset) per record.
-        self._forward_frames: Dict[str, List[Tuple[bytes, int,
-                                                   Optional[int]]]] = {}
+        #: Destination peer -> (frame bytes, value count, ack ranges,
+        #: trace id) per record; the ack ranges are the durable-cursor
+        #: ``[start, end)`` offsets the record covers for that peer.
+        self._outgoing: Dict[str, List[Tuple[bytes, int,
+                                             Dict[str, List[int]],
+                                             Optional[str]]]] = {}
+        #: Sibling shard -> (frame bytes, value count, home-record
+        #: offset) per record — the offset travels as the envelope's
+        #: ``home`` attribute so the receiving shard's stored copy stays
+        #: attributable to this shard's log record.
+        self._forwards: Dict[str, List[Tuple[bytes, int,
+                                             Optional[int]]]] = {}
         self.batch_events = 0
         self.forwards_sent = 0
         self.forward_events = 0
 
-    def begin(self, values: Any, origin: Optional[str],
-              log_offset: Optional[int], envelope: Any,
-              payload: Optional[bytes] = None) -> dict:
-        return {"payload": payload, "count": len(values),
-                "frame_acks": None,
-                "trace": getattr(envelope, "trace", None)}
+    def begin(self, batch: Any, origin: Optional[str],
+              log_offset: Optional[int], payload: Optional[bytes],
+              trace: Optional[str]) -> dict:
+        return {"payload": payload, "count": len(batch),
+                "frame_acks": None, "trace": trace}
 
-    def remote(self, ctx: dict, subscription: Any, value: Any,
+    def remote(self, ctx: dict, subscription: Any, batch: Any, index: int,
                log_offset: Optional[int]) -> bool:
+        """Queue the record's frame for a destination peer, verbatim.
+
+        The whole record travels once per peer however many of its values
+        (or the peer's subscriptions) match — the receiver's own admission
+        gate filters per value, header-only.
+        """
         cursor = cursor_name_of(subscription)
         if log_offset is not None and cursor is not None \
                 and self.durability is not None \
@@ -940,38 +925,6 @@ class BufferedDelivery:
             # log, so the blocked-cursor replay redelivers it in order
             # instead (see MeshShard.retry_stalled_replays).
             return False
-        self._outgoing.setdefault(subscription.peer_id, []).append(value)
-        if log_offset is not None and cursor is not None:
-            acks = self._outgoing_acks.setdefault(subscription.peer_id, {})
-            window = acks.get(cursor)
-            if window is None:
-                acks[cursor] = [log_offset, log_offset + 1]
-            else:
-                window[0] = min(window[0], log_offset)
-                window[1] = max(window[1], log_offset + 1)
-        return True
-
-    def remote_frame(self, ctx: dict, subscription: Any, batch: Any,
-                     index: int, log_offset: Optional[int]) -> bool:
-        """Queue the record's *frame* for a destination peer, verbatim.
-
-        The whole record travels once per peer however many of its values
-        (or the peer's subscriptions) match — the receiver's own admission
-        gate filters per value, header-only.  Without a frame (no payload
-        reached the pipeline) the value path is used instead.
-        """
-        cursor = cursor_name_of(subscription)
-        if log_offset is not None and cursor is not None \
-                and self.durability is not None \
-                and self.durability.tracker.blocks.get(cursor) is not None:
-            # Same blocked-cursor suppression as the value path: the
-            # replay that lifts the block redelivers this record from
-            # the log in order.
-            return False
-        payload = ctx["payload"]
-        if payload is None:
-            return self.remote(ctx, subscription, batch.value(index),
-                               log_offset)
         frame_acks = ctx["frame_acks"]
         if frame_acks is None:
             frame_acks = ctx["frame_acks"] = {}
@@ -994,85 +947,43 @@ class BufferedDelivery:
         payload = ctx["payload"]
         count = ctx["count"]
         for peer_id, acks in frame_acks.items():
-            self._frame_out.setdefault(peer_id, []).append(
+            self._outgoing.setdefault(peer_id, []).append(
                 (payload, count, acks, ctx["trace"]))
 
-    def buffer_forward(self, shard_id: str, origin: str, value: Any,
+    def buffer_forward(self, shard_id: str, payload: bytes, count: int,
                        log_offset: Optional[int] = None) -> None:
-        self._forward_out.setdefault((shard_id, origin), []).append(
-            (value, log_offset))
-
-    def buffer_forward_frame(self, shard_id: str, payload: bytes, count: int,
-                             log_offset: Optional[int] = None) -> None:
         """Queue one record's frame for a sibling shard — forwarded
         verbatim (plus a ``home`` stamp at flush), zero value decodes."""
-        self._forward_frames.setdefault(shard_id, []).append(
+        self._forwards.setdefault(shard_id, []).append(
             (payload, count, log_offset))
 
     def pending(self) -> int:
-        return (sum(len(events) for events in self._outgoing.values())
-                + sum(len(events) for events in self._forward_out.values())
-                + sum(len(frames) for frames in self._frame_out.values())
-                + sum(len(frames)
-                      for frames in self._forward_frames.values()))
+        return (sum(len(frames) for frames in self._outgoing.values())
+                + sum(len(frames) for frames in self._forwards.values()))
 
     def flush(self) -> int:
-        """Encode and enqueue ONE message per buffered destination.
+        """Enqueue ONE message per buffered destination.
 
         Returns the number of network messages enqueued.  A destination
-        with both value-path events (the eager fallback) and frame-relay
-        records gets them joined into a single multi-frame container —
-        record frames travel verbatim (zero value decodes), and the
-        one-message-per-destination batching economy is preserved.  One
-        ack token covers every durable window in the message; stamping it
-        re-renders a single frame's header, never a payload.  Identical
-        event lists bound for different peers share one encoding.
+        with several buffered records gets their frames joined into a
+        single multi-frame container.  One ack token covers every
+        durable window in the message; stamping it re-renders a single
+        frame's header, never a payload.
         """
-        #: Wrapped (binary-serialized) envelopes by content; the XML shell
-        #: is shared across destinations — ack tokens are stamped on one
-        #: frame of the outgoing container, not rendered per batch.
-        wrapped: Dict[Tuple[Optional[str], Tuple[int, ...]], Any] = {}
-        encoded: Dict[Tuple[Optional[str], Tuple[int, ...]], bytes] = {}
         codec = self.host.codec
-
-        def encode(values: List[Any], origin: Optional[str]) -> bytes:
-            key = (origin, tuple(id(value) for value in values))
-            envelope = wrapped.get(key)
-            if envelope is None:
-                envelope = wrapped[key] = codec.wrap_batch(values,
-                                                           origin=origin)
-            payload = encoded.get(key)
-            if payload is None:
-                payload = encoded[key] = codec.envelope_to_bytes(envelope)
-            return payload
-
         sent = 0
         tracker = self.durability.tracker if self.durability else None
-        #: Per peer: frames to join, total event count, merged ack
-        #: windows, trace ids of the covered records.
-        relay: Dict[str, Tuple[List[bytes], List[int],
-                               Dict[str, List[int]], List[str]]] = {}
-
-        def relay_slot(dst: str):
-            slot = relay.get(dst)
-            if slot is None:
-                slot = relay[dst] = ([], [0], {}, [])
-            return slot
-
-        for dst, values in self._outgoing.items():
-            frames, events, acks, _ = relay_slot(dst)
-            frames.append(encode(values, None))
-            events[0] += len(values)
-            _merge_ack_windows(acks, self._outgoing_acks.get(dst))
-        for dst, buffered in self._frame_out.items():
-            frames, events, acks, traces = relay_slot(dst)
+        for dst, buffered in self._outgoing.items():
+            frames: List[bytes] = []
+            events = 0
+            acks: Dict[str, List[int]] = {}
+            traces: List[str] = []
             for payload, count, record_acks, trace in buffered:
                 frames.append(payload)
-                events[0] += count
+                events += count
                 _merge_ack_windows(acks, record_acks)
                 if trace is not None:
                     traces.append(trace)
-        for dst, (frames, events, acks, traces) in relay.items():
             token: Optional[str] = None
             if acks and tracker is not None:
                 # The message covers durable subscriptions: its ack
@@ -1081,54 +992,24 @@ class BufferedDelivery:
                     (name, window[0], window[1])
                     for name, window in sorted(acks.items())))
                 tracker.tag(token, traces)
-            if token is not None:
-                frames = frames[:-1] + [codec.reframe(frames[-1], ack=token)]
+                frames[-1] = codec.reframe(frames[-1], ack=token)
             try:
                 self.host.send_payload_batch(dst, codec.join_frames(frames),
-                                             events[0])
+                                             events)
             except UnknownPeerError:
                 if token is not None:
                     tracker.discard(token)
                 self.host.network.stats.record_drop()  # destination left
                 continue
-            self.batch_events += events[0]
+            self.batch_events += events
             sent += 1
         self._outgoing.clear()
-        self._outgoing_acks.clear()
-        self._frame_out.clear()
-        #: Forward payloads by content: the same events bound for several
-        #: sibling shards share one encoding (home ids included — they
-        #: name this shard's records, not the destination).
-        forward_encoded: Dict[Tuple[str, Tuple[int, ...]], bytes] = {}
-        #: Per sibling shard: frames to join and total event count — one
-        #: mesh-forward message per destination shard per flush.
-        forward_msgs: Dict[str, Tuple[List[bytes], List[int]]] = {}
-
-        def forward_slot(shard_id: str):
-            slot = forward_msgs.get(shard_id)
-            if slot is None:
-                slot = forward_msgs[shard_id] = ([], [0])
-            return slot
-
-        for (shard_id, origin), pairs in self._forward_out.items():
-            key = (origin, tuple(id(value) for value, _ in pairs))
-            payload = forward_encoded.get(key)
-            if payload is None:
-                values = [value for value, _ in pairs]
-                envelope = codec.wrap_batch(values, origin=origin)
-                offsets = [offset for _, offset in pairs]
-                if any(offset is not None for offset in offsets):
-                    envelope.home = encode_home(self.host.peer_id, offsets)
-                payload = forward_encoded[key] = \
-                    codec.envelope_to_bytes(envelope)
-            frames, events = forward_slot(shard_id)
-            frames.append(payload)
-            events[0] += len(pairs)
-        # Frame forwards: one home-stamped copy per record (a pure header
-        # rewrite), shared across sibling shards.
+        # One home-stamped copy per record (a pure header rewrite),
+        # shared across sibling shards.
         stamped: Dict[int, bytes] = {}
-        for shard_id, buffered in self._forward_frames.items():
-            frames, events = forward_slot(shard_id)
+        for shard_id, buffered in self._forwards.items():
+            frames = []
+            events = 0
             for payload, count, log_offset in buffered:
                 out = stamped.get(id(payload))
                 if out is None:
@@ -1139,8 +1020,7 @@ class BufferedDelivery:
                         out = payload
                     stamped[id(payload)] = out
                 frames.append(out)
-                events[0] += count
-        for shard_id, (frames, events) in forward_msgs.items():
+                events += count
             try:
                 self.host.post_async(shard_id, self.forward_kind,
                                      codec.join_frames(frames))
@@ -1148,10 +1028,9 @@ class BufferedDelivery:
                 self.host.network.stats.record_drop()
                 continue
             self.forwards_sent += 1
-            self.forward_events += events[0]
+            self.forward_events += events
             sent += 1
-        self._forward_out.clear()
-        self._forward_frames.clear()
+        self._forwards.clear()
         return sent
 
 
@@ -1162,16 +1041,10 @@ class LocalDelivery:
 
     isolate_failures = False
 
-    def begin(self, values, origin, log_offset, envelope,
-              payload=None) -> dict:
+    def begin(self, batch, origin, log_offset, payload, trace) -> dict:
         return {}
 
-    def remote(self, ctx, subscription, value, log_offset) -> bool:
-        raise NetworkError("local pipeline cannot deliver to remote "
-                           "subscription %r" % (subscription,))
-
-    def remote_frame(self, ctx, subscription, batch, index,
-                     log_offset) -> bool:
+    def remote(self, ctx, subscription, batch, index, log_offset) -> bool:
         raise NetworkError("local pipeline cannot deliver to remote "
                            "subscription %r" % (subscription,))
 
@@ -1220,58 +1093,44 @@ class DeliveryPipeline:
         self.replication = replication
         #: Optional per-shard span ring (:class:`repro.obs.tracing
         #: .TraceBuffer`); spans are recorded only for records whose
-        #: envelope carries a trace id, so the eager/untraced paths pay
-        #: one attribute read.
+        #: envelope carries a trace id, so untraced records pay one
+        #: attribute read.
         self.tracer = tracer
 
     # -- live path --------------------------------------------------------
 
-    def process(self, values: Any, origin: Optional[str],
+    def process(self, batch: Any, origin: Optional[str],
                 payload: Optional[bytes] = None,
-                envelope: Any = None,
                 log_offset: Optional[int] = None,
                 pre_logged: bool = False,
                 forward: bool = False,
                 trace: Optional[str] = None) -> Processed:
         """Run one admitted record through every stage.
 
-        ``values`` is either a materialized list or a
-        :class:`~repro.serialization.envelope.LazyBatch` — the zero-copy
-        path, which routes on header types and decodes a value only when
-        an in-process handler actually receives it.  ``payload`` (the
-        encoded batch envelope) is appended to the log when durability is
-        enabled — unless ``pre_logged`` marks it already appended (the
-        forward path logs *before* materialization, so a transient
-        code-fetch failure cannot lose the record) with ``log_offset``
-        carrying the record's offset.  ``envelope`` is the wrapped form
-        reused by direct durable deliveries.  ``forward`` routes the
-        record through the pipeline's forwarder hook (the mesh shard's
-        summary-gated cross-shard buffering).
+        ``batch`` exposes ``len``, ``root_type(i)`` and ``value(i)``
+        (a :class:`~repro.serialization.envelope.LazyBatch` or a
+        :class:`ValueBatch`): targets come from the root types, and a
+        value is materialized only when an in-process handler receives
+        it.  ``payload`` is the record's frame, which a network broker
+        always has: it is appended to the log when durability is enabled
+        — unless ``pre_logged`` marks it already appended (the forward
+        path logs *before* materialization, so a transient code-fetch
+        failure cannot lose the record) with ``log_offset`` carrying the
+        record's offset — and it is what replication, forwarding and
+        remote delivery send.  ``forward`` routes the record through the
+        pipeline's forwarder hook (the mesh shard's summary-gated
+        cross-shard buffering).  ``trace`` is the record's trace id.
         """
-        lazy = isinstance(values, LazyBatch)
         tracer = self.tracer
-        if envelope is not None:
-            trace = getattr(envelope, "trace", None)
         if tracer is None:
             trace = None
         if not pre_logged and self.durability is not None:
-            if payload is None and self.replication is not None \
-                    and self.durability.event_log is not None:
-                # Replication needs the encoded record bytes anyway:
-                # encode once here instead of appending values and
-                # re-reading the record off the log on the hot path.
-                payload = self.host.codec.encode_batch(list(values),
-                                                       origin=origin or "")
-            if payload is not None:
-                log_offset = self.durability.append_payload(
-                    payload, origin or "")
-            else:
-                log_offset = self.durability.append_values(
-                    list(values), origin or "")
+            log_offset = self.durability.append_payload(payload,
+                                                        origin or "")
         if trace is not None and log_offset is not None:
             tracer.record(trace, "append", {"offset": log_offset})
         if not pre_logged and log_offset is not None \
-                and self.replication is not None and payload is not None:
+                and self.replication is not None:
             # Replication covers exactly the records this shard is the
             # home of — forwarded-in copies arrive ``pre_logged`` and are
             # some other shard's responsibility.  The payload bytes go as
@@ -1285,69 +1144,30 @@ class DeliveryPipeline:
                 })
         self.stats.records_processed += 1
         if trace is not None:
-            tracer.record(trace, "route", {"records": len(values)})
+            tracer.record(trace, "route", {"records": len(batch)})
         local_acks: Dict[str, bool] = {}
-        ctx = self.delivery.begin(values, origin, log_offset, envelope,
-                                  payload)
-        if trace is not None and ctx.get("trace") is None:
-            # Forward-hop records reach the pipeline pre-parsed (no
-            # envelope object); hand the delivery stage the trace id so
-            # buffered relay deliveries still tag their ack tokens.
-            ctx["trace"] = trace
+        ctx = self.delivery.begin(batch, origin, log_offset, payload, trace)
         deliveries = 0
-        if lazy:
-            for index in range(len(values)):
-                deliveries += self._fan_out_lazy(ctx, values, index, origin,
-                                                 log_offset, local_acks)
-        else:
-            for value in values:
-                deliveries += self._fan_out(ctx, value, origin, log_offset,
-                                            local_acks)
+        for index in range(len(batch)):
+            deliveries += self._fan_out_lazy(ctx, batch, index, origin,
+                                             log_offset, local_acks)
         if trace is not None:
             tracer.record(trace, "dispatch", {"deliveries": deliveries})
         if forward and self.forwarder is not None:
-            self.forwarder(values, origin, log_offset, payload)
+            self.forwarder(batch, origin, log_offset, payload)
         self.delivery.finish(ctx)
         if self.durability is not None:
             self.durability.settle_local(local_acks, log_offset)
         return Processed(log_offset, deliveries)
 
-    def _fan_out(self, ctx: dict, value: Any, origin: Optional[str],
-                 log_offset: Optional[int],
-                 local_acks: Dict[str, bool]) -> int:
-        """Route one value to every conforming subscription (the single
-        fan-out loop all three brokers share)."""
-        deliveries = 0
-        views: Dict[int, Any] = {}  # id(entry) -> shared translated view
-        for entry, subscriptions in self.routing.targets(value.type_info):
-            for subscription in subscriptions:
-                if origin is not None and subscription.peer_id == origin:
-                    continue  # do not echo events back to their publisher
-                if subscription.handler is not None:
-                    ok = self._deliver_local(subscription, entry, value,
-                                             log_offset, views)
-                    cursor = cursor_name_of(subscription)
-                    if log_offset is not None and cursor is not None:
-                        local_acks[cursor] = (local_acks.get(cursor, True)
-                                              and ok)
-                    if not ok:
-                        continue  # failures must not abort the fan-out
-                else:
-                    if not self.delivery.remote(ctx, subscription, value,
-                                                log_offset):
-                        continue
-                subscription.delivered += 1
-                self.stats.events_routed += 1
-                deliveries += 1
-        return deliveries
-
-    def _fan_out_lazy(self, ctx: dict, batch: LazyBatch, index: int,
+    def _fan_out_lazy(self, ctx: dict, batch: Any, index: int,
                       origin: Optional[str], log_offset: Optional[int],
                       local_acks: Dict[str, bool]) -> int:
-        """Route one *undecoded* value: targets come from the header's
-        root type; the value itself is materialized only for in-process
-        handlers (final local delivery — the one paid decode).  Remote
-        subscribers get the record's frame relayed verbatim."""
+        """Route one value of a record to every conforming subscription
+        (the single fan-out loop all three brokers share): targets come
+        from the value's root type; the value itself is materialized
+        only for in-process handlers (final local delivery — the one
+        paid decode).  Remote subscribers get the record's frame."""
         event_type = batch.root_type(index)
         if event_type is None:
             return 0  # admission guarantees resolvability; defensive
@@ -1370,9 +1190,8 @@ class DeliveryPipeline:
                     if not ok:
                         continue  # failures must not abort the fan-out
                 else:
-                    if not self.delivery.remote_frame(ctx, subscription,
-                                                      batch, index,
-                                                      log_offset):
+                    if not self.delivery.remote(ctx, subscription, batch,
+                                                index, log_offset):
                         continue
                 subscription.delivered += 1
                 self.stats.events_routed += 1
@@ -1453,7 +1272,7 @@ class DeliveryPipeline:
         filter runs on the header's root types through the cached routing
         verdicts and only the values that will actually travel are
         decoded.  A record with nothing conforming costs zero value
-        decodes.  Falls back to eager materialization for unknown types
+        decodes.  Falls back to materialization for unknown types
         (the code-fetch path) and legacy payloads; ``None`` (after
         counting the failure) = unservable right now, halt the pass.
         """

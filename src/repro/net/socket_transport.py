@@ -57,7 +57,7 @@ import os
 import socket
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..serialization.envelope import CodecStats, _BufferPool
 from .network import Handler, NetworkError, NetworkStats, UnknownPeerError
@@ -174,8 +174,8 @@ class _WireFrame:
     prefix + flags + req id + field table, ~20 bytes steady-state) plus
     the payload carried **by reference** — encoding a send allocates the
     header only, never a payload-sized buffer.  ``len()`` is the total
-    wire size, so every byte-accounting site (``tx_bytes``, high-water,
-    the backpressure bound) works unchanged on either frame shape.
+    wire size, which every byte-accounting site (``tx_bytes``,
+    high-water, the backpressure bound) reads.
     """
 
     __slots__ = ("segments", "size")
@@ -186,11 +186,6 @@ class _WireFrame:
 
     def __len__(self) -> int:
         return self.size
-
-
-#: What a link's send queue holds: scatter-gather frames on the default
-#: path, flat ``bytes`` on the ``scatter_send=False`` baseline path.
-_OutFrame = Union[bytes, _WireFrame]
 
 
 class _Inbound:
@@ -225,7 +220,7 @@ class _Link(asyncio.Protocol):
         self._draining = False
         self._joining_writelines = True
         #: Outbound frames not yet written to the transport.
-        self.tx: Deque[_OutFrame] = deque()
+        self.tx: Deque[_WireFrame] = deque()
         self.tx_bytes = 0
         self.tx_high_water = 0
         #: Pooled receive buffer; ``scan`` is the parse position.
@@ -240,7 +235,7 @@ class _Link(asyncio.Protocol):
 
     # -- sending -----------------------------------------------------------
 
-    def send_frame(self, frame: _OutFrame) -> None:
+    def send_frame(self, frame: _WireFrame) -> None:
         self.tx.append(frame)
         self.tx_bytes += len(frame)
         if self.tx_bytes > self.tx_high_water:
@@ -263,18 +258,15 @@ class _Link(asyncio.Protocol):
             while self.tx and not self.paused and transport is not None:
                 frame = self.tx.popleft()
                 self.tx_bytes -= len(frame)
-                if type(frame) is _WireFrame:
-                    # writev-style flush: header + payload go down as
-                    # separate segments, no joined payload-sized copy.
-                    segments = frame.segments
-                    if (self._joining_writelines
-                            and len(segments[-1]) >= _SEGMENT_WRITE_MIN):
-                        for segment in segments:
-                            transport.write(segment)
-                    else:
-                        transport.writelines(segments)
+                # writev-style flush: header + payload go down as
+                # separate segments, no joined payload-sized copy.
+                segments = frame.segments
+                if (self._joining_writelines
+                        and len(segments[-1]) >= _SEGMENT_WRITE_MIN):
+                    for segment in segments:
+                        transport.write(segment)
                 else:
-                    transport.write(frame)
+                    transport.writelines(segments)
         finally:
             self._draining = False
 
@@ -419,16 +411,11 @@ class SocketNetwork:
                  request_timeout: float = 30.0,
                  backpressure_timeout: float = 30.0,
                  zero_copy_kinds=DEFAULT_ZERO_COPY_KINDS,
-                 recv_pool_stats: Optional[CodecStats] = None,
-                 scatter_send: bool = True):
+                 recv_pool_stats: Optional[CodecStats] = None):
         self.node_id = node_id
         #: The topology epoch this node advertises in its greetings (0 =
         #: not membership-aware); see :meth:`set_epoch`.
         self.epoch = 0
-        #: Encode sends as scatter-gather segment lists (header + payload
-        #: by reference); False restores the flat per-send bytes copy
-        #: (benchmark baseline).
-        self.scatter_send = bool(scatter_send)
         self._owns_loop = loop is None
         self._loop = loop if loop is not None else asyncio.new_event_loop()
         self.max_queue_bytes = max_queue_bytes
@@ -809,7 +796,7 @@ class SocketNetwork:
         asyncio.ensure_future(_open(), loop=self._loop)
         return link
 
-    def _hello_frame(self) -> _OutFrame:
+    def _hello_frame(self) -> _WireFrame:
         lines = [self.node_id]
         if self.epoch:
             lines.append("!epoch=%d" % self.epoch)
@@ -918,7 +905,7 @@ class SocketNetwork:
     # -- sending machinery -------------------------------------------------
 
     def _encode_frame(self, flags: int, req_id: int, src: str, dst: str,
-                      kind: str, payload: bytes) -> _OutFrame:
+                      kind: str, payload: bytes) -> _WireFrame:
         if not isinstance(payload, bytes):
             # A queued frame can outlive the caller's buffer (a paused
             # link, a blocked peer, a receive buffer about to compact) —
@@ -926,19 +913,6 @@ class SocketNetwork:
             # accounted so the zero-copy claim stays checkable.
             payload = bytes(payload)
             self.bytes_copied += len(payload)
-        if not self.scatter_send:
-            body = bytearray()
-            body.append(flags)
-            _write_varint(body, req_id)
-            for field in (src, dst, kind):
-                raw = field.encode("utf-8")
-                _write_varint(body, len(raw))
-                body += raw
-            body += payload
-            frame = bytearray()
-            _write_varint(frame, len(body))
-            frame += body
-            return bytes(frame)
         memo = self._field_memo
         entries = []
         body_len = 1 + _varint_size(req_id) + len(payload)
@@ -971,7 +945,7 @@ class SocketNetwork:
             self._header_pool.release(header)
 
     def _send_with_backpressure(self, link: _Link,
-                                frame: _OutFrame) -> None:
+                                frame: _WireFrame) -> None:
         if link.tx_bytes + len(frame) > self.max_queue_bytes \
                 and not link.dead:
             # Block the publisher: pump I/O (never dispatch — handlers

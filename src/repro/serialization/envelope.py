@@ -868,10 +868,6 @@ class EnvelopeCodec:
             raise ValueError("encoding must be 'binary' or 'soap'")
         self.encoding = encoding
         self.stats = CodecStats()
-        # Single-attribute re-stamps (ack/home/trace/origin) patch the
-        # header bytes in place instead of re-rendering the XML; False
-        # forces the full parse + re-render path (benchmark baseline).
-        self.splice_enabled = True
         self._pool = _BufferPool(self.stats)
         self._binary = BinarySerializer(runtime)
         self._soap = SoapSerializer(runtime)
@@ -1088,7 +1084,7 @@ class EnvelopeCodec:
             changes["keys"] = keys
         if trace is not _UNSET:
             changes["trace"] = trace
-        if self.splice_enabled and len(changes) == 1:
+        if len(changes) == 1:
             (name, value), = changes.items()
             if name in _SPLICE_ATTRS and isinstance(value, str):
                 patched = self._splice_attr(data, name, value)

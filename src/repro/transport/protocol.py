@@ -299,14 +299,16 @@ class InteropPeer(Peer):
             for value in values:
                 self._deliver(self._admit_value(value, src))
         if envelope.ack is not None:
-            # The batch carried a durable-delivery token: acknowledge it on
-            # the queued one-way path, so cursor advancement flows through
-            # the same deterministic scheduler as the delivery itself.
-            try:
-                self.post_async(src, KIND_DELIVERY_ACK,
-                                envelope.ack.encode("utf-8"))
-            except UnknownPeerError:
-                self.network.stats.record_drop()  # sender left the fabric
+            self._echo_ack(envelope.ack, src)
+
+    def _echo_ack(self, token: str, src: str) -> None:
+        """Acknowledge a batch's durable-delivery token on the queued
+        one-way path, so cursor advancement flows through the same
+        deterministic scheduler as the delivery itself."""
+        try:
+            self.post_async(src, KIND_DELIVERY_ACK, token.encode("utf-8"))
+        except UnknownPeerError:
+            self.network.stats.record_drop()  # sender left the fabric
 
     def _admit_batch_lazy(self, envelope: ObjectEnvelope, src: str) -> bool:
         """Header-only batch admission; ``False`` defers to the eager path

@@ -18,6 +18,7 @@ from repro.apps.tps.pipeline import (
     DurabilityStage,
     LocalDelivery,
     RoutingStage,
+    ValueBatch,
 )
 from repro.apps.tps.routing import RoutingIndex
 from repro.core.context import ConformanceOptions
@@ -26,7 +27,7 @@ from repro.fixtures import account_csharp, person_assembly_pair, person_java
 from repro.net.network import NetworkStats, UnknownPeerError
 from repro.persistence import CursorStore, EventLog
 from repro.runtime.loader import Runtime
-from repro.serialization.envelope import EnvelopeCodec
+from repro.serialization.envelope import EnvelopeCodec, encode_home, split_frames
 from repro.transport.protocol import ProtocolError
 
 
@@ -146,11 +147,16 @@ class TestDurabilityStage:
                                 retain_unacked=retain_unacked)
         return stage, runtime
 
+    def append(self, stage, runtime, name):
+        frame = stage.host.codec.encode_batch([person(runtime, name)],
+                                              origin="pub")
+        return stage.append_payload(frame, "pub")
+
     def test_settle_local_requires_every_value_handled(self, tmp_path):
         stage, runtime = self.make(tmp_path)
         stage.cursors.register("good")
         stage.cursors.register("bad")
-        offset = stage.append_values([person(runtime, "x")], "pub")
+        offset = self.append(stage, runtime, "x")
         stage.settle_local({"good": True, "bad": False}, offset)
         assert stage.cursors.get("good") == offset + 1
         assert stage.cursors.get("bad") == 0
@@ -169,7 +175,7 @@ class TestDurabilityStage:
         stage.cursors.register("slow")
         stage.cursors.register("fast")
         for index in range(4):
-            stage.append_values([person(runtime, "e%d" % index)], "pub")
+            self.append(stage, runtime, "e%d" % index)
         stage.advance("fast", 4)
         assert stage.event_log.retention_floor == 0  # slow pins the floor
         stage.advance("slow", 2)
@@ -180,7 +186,7 @@ class TestDurabilityStage:
         stage, runtime = self.make(tmp_path, segment_max_bytes=600)
         stage.cursors.register("c")
         for index in range(12):
-            stage.append_values([person(runtime, "same-key")], "pub")
+            self.append(stage, runtime, "same-key")
         stage.advance("c", 5)  # records >= 5 are unacked
         stage.compact()
         surviving = [record.offset for record in stage.event_log.replay()]
@@ -241,37 +247,51 @@ class TestBufferedDelivery:
     def sub(self, sid, peer):
         return Subscription(person_java(), None, sid, peer_id=peer)
 
+    def route(self, delivery, frame, *subscriptions):
+        """Route one record's frame to ``subscriptions`` as process() does."""
+        batch = delivery.host.codec.lazy_batch(
+            delivery.host.codec.parse(frame))
+        ctx = delivery.begin(batch, "pub", None, frame, None)
+        for subscription in subscriptions:
+            assert delivery.remote(ctx, subscription, batch, 0, None)
+        delivery.finish(ctx)
+
     def test_one_message_per_destination(self):
         runtime, host, delivery = self.make()
-        a, b = person(runtime, "a"), person(runtime, "b")
-        ctx = delivery.begin([a, b], "pub", None, None)
-        delivery.remote(ctx, self.sub(1, "east"), a, None)
-        delivery.remote(ctx, self.sub(1, "east"), b, None)
-        delivery.remote(ctx, self.sub(2, "west"), a, None)
-        delivery.remote(ctx, self.sub(2, "west"), b, None)
+        frames = [host.codec.encode_batch([person(runtime, name)])
+                  for name in ("a", "b")]
+        for frame in frames:
+            self.route(delivery, frame, self.sub(1, "east"),
+                       self.sub(2, "west"))
         assert delivery.pending() == 4
+        renders = host.codec.stats.header_renders
         assert delivery.flush() == 2
         assert delivery.pending() == 0
         assert [(dst, count) for dst, _, count in host.batches] == \
             [("east", 2), ("west", 2)]
-        # Identical batches bound for different peers share encoded bytes.
-        assert host.batches[0][1] is host.batches[1][1]
+        # Both destinations get the same record frames, verbatim: the
+        # flush joins them and encodes nothing.
+        for _, payload, _ in host.batches:
+            assert [bytes(frame) for frame in split_frames(payload)] == \
+                frames
+        assert host.codec.stats.header_renders == renders
 
     def test_forward_flow_shares_the_encoder(self):
         runtime, host, delivery = self.make()
-        value = person(runtime, "f")
-        delivery.buffer_forward("shard-2", "pub", value)
+        frame = host.codec.encode_batch([person(runtime, "f")], origin="pub")
+        delivery.buffer_forward("shard-2", frame, 1, 3)
         assert delivery.pending() == 1
         assert delivery.flush() == 1
         (dst, kind, payload), = host.posts
         assert (dst, kind) == ("shard-2", "mesh_forward")
         envelope = host.codec.parse(payload)
         assert envelope.origin == "pub"
+        assert envelope.home == encode_home("stub", [3])
 
     def test_departed_destination_is_a_counted_drop(self):
         runtime, host, delivery = self.make()
-        ctx = delivery.begin([], "pub", None, None)
-        delivery.remote(ctx, self.sub(1, "ghost"), person(runtime, "x"), None)
+        self.route(delivery, host.codec.encode_batch([person(runtime, "x")]),
+                   self.sub(1, "ghost"))
         host.gone.add("ghost")
         assert delivery.flush() == 0
         assert host.network.stats.dropped == 1
@@ -293,7 +313,8 @@ class TestPipelineProcess:
         echo = Subscription(person_java(), got.append, 2, peer_id="pub")
         echo.handler = got.append
         index.add(echo)
-        result = pipeline.process([person(runtime, "n")], origin="pub")
+        result = pipeline.process(ValueBatch([person(runtime, "n")]),
+                                  origin="pub")
         assert result.deliveries == 1  # the publisher's own sub is skipped
         assert pipeline.stats.events_routed == 1
         assert len(got) == 1
@@ -305,7 +326,8 @@ class TestPipelineProcess:
         views = []
         index.add(Subscription(person_java(), views.append, 1))
         index.add(Subscription(person_java(), views.append, 2))
-        pipeline.process([person(runtime, "shared")], origin=None)
+        pipeline.process(ValueBatch([person(runtime, "shared")]),
+                         origin=None)
         assert len(views) == 2
         assert views[0] is views[1]
 
@@ -317,7 +339,8 @@ class TestPipelineProcess:
 
         index.add(Subscription(person_java(), explode, 1))
         with pytest.raises(RuntimeError):
-            pipeline.process([person(runtime, "n")], origin=None)
+            pipeline.process(ValueBatch([person(runtime, "n")]),
+                             origin=None)
 
 
 class TestAckSpliceCounters:
@@ -335,16 +358,17 @@ class TestAckSpliceCounters:
         delivery = DirectDelivery(host, durability)
         frame = host.codec.encode_batch([person(runtime, "d")])
         envelope = host.codec.parse(frame)
+        batch = host.codec.lazy_batch(envelope)
         stats = host.codec.stats
         stats.header_renders = 0
         stats.header_splices = 0
-        ctx = delivery.begin([None], "pub", 5, envelope, payload=frame)
+        ctx = delivery.begin(batch, "pub", 5, frame, None)
         subs = [DurableSubscription(person_java(), None, index,
                                     peer_id="peer-%d" % index,
                                     cursor_name="c%d" % index)
                 for index in range(3)]
         for sub in subs:
-            assert delivery.remote(ctx, sub, None, 5)
+            assert delivery.remote(ctx, sub, batch, 0, 5)
         assert stats.header_renders == 0
         assert stats.header_splices == len(subs)
         # Every stamped frame carries its own live token over the SAME
@@ -364,11 +388,10 @@ class TestAckSpliceCounters:
                                     forward_kind="mesh_forward")
         frame = host.codec.encode_batch([person(runtime, "b")])
         batch = host.codec.lazy_batch(host.codec.parse(frame))
-        ctx = delivery.begin([None], "pub", 9, batch.envelope,
-                             payload=frame)
+        ctx = delivery.begin(batch, "pub", 9, frame, None)
         sub = DurableSubscription(person_java(), None, 1, peer_id="east",
                                   cursor_name="c-east")
-        assert delivery.remote_frame(ctx, sub, batch, 0, 9)
+        assert delivery.remote(ctx, sub, batch, 0, 9)
         delivery.finish(ctx)
         stats = host.codec.stats
         stats.header_renders = 0

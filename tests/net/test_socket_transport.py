@@ -15,7 +15,6 @@ from repro.net.socket_transport import (
     SocketHub,
     SocketNetwork,
     _Link,
-    _WireFrame,
     _write_varint,
     format_address,
     parse_address,
@@ -286,9 +285,7 @@ def test_dead_link_counts_queued_frames_as_lost():
 
 def wire_bytes(frame):
     """Flatten a queued frame to the bytes the kernel would see."""
-    if type(frame) is _WireFrame:
-        return b"".join(frame.segments)
-    return bytes(frame)
+    return b"".join(frame.segments)
 
 
 class _ReentrantTransport:
@@ -353,31 +350,31 @@ def test_send_frame_under_reentrant_transport_is_exactly_once():
 
 
 def test_scatter_frame_matches_flat_encoding_and_counts_copies():
-    fast = SocketNetwork("fast-node")
-    flat = SocketNetwork("flat-node", scatter_send=False)
+    network = SocketNetwork("fast-node")
     try:
         payload = b"p" * 513
-        wire = fast._encode_frame(2, 77, "a-node", "b-node", "object",
-                                  payload)
-        baseline = flat._encode_frame(2, 77, "a-node", "b-node", "object",
-                                      payload)
+        wire = network._encode_frame(2, 77, "a-node", "b-node", "object",
+                                     payload)
         reference = encode_frame("a-node", "b-node", "object", payload,
                                  flags=2, req_id=77)
-        # Same bytes on the wire, whichever path built them.
-        assert wire_bytes(wire) == baseline == reference
-        assert len(wire) == len(baseline)
+        # The scatter frame puts the flat reference encoding on the wire.
+        assert wire_bytes(wire) == reference
+        assert len(wire) == len(reference)
         # The payload segment is the caller's object, by reference.
         assert wire.segments[1] is payload
-        assert fast.bytes_copied == 0
+        assert network.bytes_copied == 0
         # A non-bytes payload must be snapshotted (queued frames outlive
         # receive buffers) — and the copy is accounted.
-        fast._encode_frame(0, 0, "a-node", "b-node", "object",
-                           memoryview(payload)[:100])
-        assert fast.bytes_copied == 100
-        assert flat.bytes_copied == 0
+        network._encode_frame(0, 0, "a-node", "b-node", "object",
+                              memoryview(payload)[:100])
+        assert network.bytes_copied == 100
     finally:
-        fast.close()
-        flat.close()
+        network.close()
+
+
+def test_scatter_send_switch_is_gone():
+    with pytest.raises(TypeError):
+        SocketNetwork("flat-node", scatter_send=False)
 
 
 class _RecordingTransport:

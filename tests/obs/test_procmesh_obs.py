@@ -214,10 +214,9 @@ class TestProcessMeshObservability:
             home = mesh.shard_for("sub0")
             subscriber.subscribe_remote(home, person_java(),
                                         delivered.append)
-            # Warm every shard: the first record of a type rides the
-            # eager code-fetch path, whose per-value forward re-encode
-            # does not carry the trace id.  Every later record is
-            # admitted header-only and the id travels in the frame bytes.
+            # Warm every shard: the first record of a type pays the code
+            # fetch.  Every later record is admitted header-only, and the
+            # trace id travels in the frame bytes.
             for shard_id in mesh.shard_ids:
                 publisher.publish_async(
                     shard_id,

@@ -690,7 +690,9 @@ class TestRetentionAndReplayEdges:
                 # retention-drop the segment replay is about to read.
                 value = runtime.new_instance(
                     "demo.a.Person", ["derived-%d" % len(got)])
-                broker._append_to_log([value], "broker")
+                broker.durability.append_payload(
+                    broker.codec.encode_batch([value], origin="broker"),
+                    "broker")
 
         broker.subscribe_durable(person_java(), republish, cursor="re-c")
         assert len(got) >= 1  # replay survived whatever retention dropped

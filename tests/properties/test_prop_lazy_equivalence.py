@@ -1,18 +1,23 @@
-"""Lazy (zero-copy) admission is an optimisation, not a behaviour change.
+"""The frame path delivers exactly what was published.
 
-Two meshes — one on the default lazy hot path, one with
-``lazy_admission=False`` (the eager materialize-everything baseline) —
-are driven through identical hypothesis-generated interleavings of
-publishes, durable batch publishes, subscriber attachments and drains.
-The properties:
+Every record crosses a broker as a batch over its frame: routed on the
+header's root types, logged, forwarded and replicated as the frame bytes,
+decoded only by the final receiver.  Meshes and single brokers are driven
+through hypothesis-generated interleavings of publishes, durable batch
+publishes, subscriber attachments and drains, and checked against a
+golden oracle — the publishers' own serialization of what they published:
 
-- every subscriber receives the byte-identical value sequence on both
-  meshes (values re-serialized through :class:`BinarySerializer`);
-- replica logs are byte-identical to their origin shard's log records
-  at the same offsets (both meshes);
-- after a per-shard warm-up publish, the lazy mesh's shard codecs
-  perform ZERO value-level decodes — forwarded, relayed and replicated
-  records cross shard boundaries header-only.
+- every delivered value is byte-identical to one published value
+  (re-serialized through :class:`BinarySerializer`), with no duplicates
+  and nothing unpublished;
+- each publisher's values arrive in the order it published them;
+- every value published after the first drain that follows a
+  subscriber's attachment reaches that subscriber;
+- replica logs are byte-identical to their origin shard's log records at
+  the same offsets;
+- after a per-shard warm-up publish, shard codecs perform ZERO
+  value-level decodes — forwarded, relayed and replicated records cross
+  shard boundaries header-only.
 """
 
 import os
@@ -27,6 +32,7 @@ from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
 from repro.serialization.binary import BinarySerializer
+from repro.serialization.envelope import EnvelopeCodec
 
 N_SHARDS = 3
 
@@ -48,36 +54,58 @@ _ops = st.lists(
 )
 
 
-def run_mesh(root, ops, lazy):
-    """Drive one mesh through ``ops``; returns it plus the per-subscriber
-    delivered value bytes.  Caller must ``close()`` the mesh."""
-    network = SimulatedNetwork()
-    kwargs = {} if lazy else {"lazy_admission": False}
-    mesh = BrokerMesh(network, topology=Topology.sized(N_SHARDS),
-                      log_root=os.path.join(root, "logs"),
-                      replication_factor=1, **kwargs)
-    publisher = TpsPeer("publisher", network)
-    asm_a, _ = person_assembly_pair()
-    publisher.host_assembly(asm_a)
+class World:
+    """Publishers and subscribers around one broker fabric, recording
+    the golden oracle: each publisher's serialized values in publish
+    order, and the values each subscriber must receive."""
 
-    # Warm-up: the first publish a shard sees triggers the eager
-    # code-fetch path (the type is still unknown there).  One publish
-    # homed on every shard teaches the whole mesh the type, after which
-    # the measured phase must stay decode-free on the lazy mesh.
-    for shard_id in mesh.shard_ids:
-        publisher.publish_async(
-            shard_id, publisher.new_instance("demo.a.Person", ["warm"]))
-    mesh.run_until_idle()
-    for shard in mesh.shards:
-        shard.codec.stats.decodes = 0
+    def __init__(self, network, brokers, pump):
+        self.network = network
+        self.brokers = brokers
+        self.pump = pump
+        #: One publisher per broker: publisher i always publishes to
+        #: broker i, so its values form one ordered stream.
+        self.publishers = []
+        asm_a, _ = person_assembly_pair()
+        for index in range(len(brokers)):
+            publisher = TpsPeer("pub%d" % index, network)
+            publisher.host_assembly(asm_a)
+            self.publishers.append(publisher)
+        self.published = {}   # publisher id -> serialized values, in order
+        self.delivered = {}   # subscriber id -> serialized values received
+        self.required = {}    # subscriber id -> values it must receive
+        self._armed = []      # subscribers attached since the last drain
+        self._seq = 0
 
-    delivered = {}
-    subscribers = []
+    def warm_up(self):
+        """Teach every broker the type: its first publish is the one that
+        fetches code; the measured phase must stay decode-free."""
+        for index, publisher in enumerate(self.publishers):
+            publisher.publish_async(
+                self.brokers[index],
+                publisher.new_instance("demo.a.Person", ["warm%d" % index]))
+        self.drain()
 
-    def add_subscriber(shard_index):
-        name = "sub%02d" % len(subscribers)
-        peer = TpsPeer(name, network)
-        captured = delivered.setdefault(name, [])
+    def publish(self, index, count=None):
+        publisher = self.publishers[index]
+        names = ["v%d-%d" % (self._seq, j) for j in range(count or 1)]
+        self._seq += 1
+        values = [publisher.new_instance("demo.a.Person", [name])
+                  for name in names]
+        serializer = BinarySerializer(publisher.runtime)
+        encoded = [serializer.serialize(value) for value in values]
+        self.published.setdefault(publisher.peer_id, []).extend(encoded)
+        for required in self.required.values():
+            required.extend(encoded)
+        if count is None:
+            publisher.publish_async(self.brokers[index], values[0])
+        else:
+            publisher.publish_durable(self.brokers[index], values)
+
+    def subscribe(self, index):
+        name = "sub%02d" % len(self.delivered)
+        peer = TpsPeer(name, self.network)
+        captured = self.delivered.setdefault(name, [])
 
         def capture(received, peer=peer, captured=captured):
             if received.accepted:
@@ -85,32 +113,58 @@ def run_mesh(root, ops, lazy):
                     BinarySerializer(peer.runtime).serialize(received.value))
 
         peer.on_receive(capture)
-        peer.subscribe_remote(mesh.shard_ids[shard_index], person_java(),
+        peer.subscribe_remote(self.brokers[index], person_java(),
                               lambda view: None)
-        subscribers.append(peer)
+        self._armed.append(name)
 
-    seq = 0
-    for op in ops:
-        kind = op[0]
-        if kind == "pub":
-            publisher.publish_async(
-                mesh.shard_ids[op[1]],
-                publisher.new_instance("demo.a.Person", ["p%d" % seq]))
-            seq += 1
-        elif kind == "batch":
-            events = [
-                publisher.new_instance("demo.a.Person",
-                                       ["b%d-%d" % (seq, j)])
-                for j in range(op[2])
-            ]
-            seq += 1
-            publisher.publish_durable(mesh.shard_ids[op[1]], events)
-        elif kind == "sub":
-            add_subscriber(op[1])
-        else:
-            mesh.run_until_idle()
-    mesh.run_until_idle()
-    return mesh, delivered
+    def drain(self):
+        self.pump()
+        for name in self._armed:
+            self.required[name] = []
+        self._armed = []
+
+    def run(self, ops):
+        for op in ops:
+            if op[0] == "pub":
+                self.publish(op[1] % len(self.brokers))
+            elif op[0] == "batch":
+                self.publish(op[1] % len(self.brokers), count=op[2])
+            elif op[0] == "sub":
+                self.subscribe(op[1] % len(self.brokers))
+            else:
+                self.drain()
+        self.drain()
+
+    def assert_matches_oracle(self):
+        published = {value for values in self.published.values()
+                     for value in values}
+        for name, got in self.delivered.items():
+            # Byte-identical to published values; no duplicates.
+            assert set(got) <= published, name
+            assert len(got) == len(set(got)), name
+            # Each publisher's stream keeps its order.
+            for stream in self.published.values():
+                position = {value: at for at, value in enumerate(stream)}
+                seen = [position[value] for value in got
+                        if value in position]
+                assert seen == sorted(seen), name
+            # Everything published once the subscription settled arrives.
+            missing = set(self.required.get(name, ())) - set(got)
+            assert not missing, (name, len(missing))
+
+
+def run_mesh(root, ops):
+    """Drive one mesh through ``ops``; caller must ``close()`` it."""
+    network = SimulatedNetwork()
+    mesh = BrokerMesh(network, topology=Topology.sized(N_SHARDS),
+                      log_root=os.path.join(root, "logs"),
+                      replication_factor=1)
+    world = World(network, mesh.shard_ids, mesh.run_until_idle)
+    world.warm_up()
+    for shard in mesh.shards:
+        shard.codec.stats.decodes = 0
+    world.run(ops)
+    return mesh, world
 
 
 def assert_replicas_match_origins(mesh):
@@ -131,125 +185,59 @@ def assert_replicas_match_origins(mesh):
 
 @settings(max_examples=15, deadline=None)
 @given(ops=_ops)
-def test_lazy_mesh_equals_eager_mesh(ops):
+def test_mesh_frame_path_matches_oracle(ops):
     root = tempfile.mkdtemp()
-    meshes = []
+    mesh = None
     try:
-        lazy_mesh, lazy_delivered = run_mesh(
-            os.path.join(root, "lazy"), ops, lazy=True)
-        meshes.append(lazy_mesh)
-        eager_mesh, eager_delivered = run_mesh(
-            os.path.join(root, "eager"), ops, lazy=False)
-        meshes.append(eager_mesh)
+        mesh, world = run_mesh(root, ops)
+        world.assert_matches_oracle()
 
-        # Byte-identical delivery, subscriber by subscriber, in order.
-        assert lazy_delivered == eager_delivered
-
-        # The zero-copy guarantee: after warm-up, no shard on the lazy
-        # mesh decodes a single value — publishes are admitted from the
-        # header, forwards/relays travel as frames, replication streams
-        # payload bytes verbatim.
-        for shard in lazy_mesh.shards:
+        # The zero-copy guarantee: after warm-up, no shard decodes a
+        # single value — publishes are admitted from the header,
+        # forwards/relays travel as frames, replication streams payload
+        # bytes verbatim.
+        for shard in mesh.shards:
             assert shard.codec.stats.decodes == 0, shard.peer_id
 
-        # Replication is byte-exact on both meshes.
-        assert_replicas_match_origins(lazy_mesh)
-        assert_replicas_match_origins(eager_mesh)
+        assert_replicas_match_origins(mesh)
     finally:
-        for mesh in meshes:
+        if mesh is not None:
             mesh.close()
         shutil.rmtree(root, ignore_errors=True)
 
 
-def run_broker(root, ops, lazy):
-    """Drive ONE non-mesh :class:`TpsBroker` through ``ops`` — the same
-    alphabet as :func:`run_mesh` with the shard index collapsed to the
-    single broker.  Returns (broker, delivered bytes per subscriber);
-    caller must ``close()`` the broker."""
-    network = SimulatedNetwork()
-    broker = TpsBroker("broker", network, log_dir=os.path.join(root, "log"),
-                       lazy_admission=lazy)
-    publisher = TpsPeer("publisher", network)
-    asm_a, _ = person_assembly_pair()
-    publisher.host_assembly(asm_a)
-
-    publisher.publish_async(
-        "broker", publisher.new_instance("demo.a.Person", ["warm"]))
-    network.run_until_idle()
-    broker.codec.stats.decodes = 0
-
-    delivered = {}
-    subscribers = []
-
-    def add_subscriber():
-        name = "sub%02d" % len(subscribers)
-        peer = TpsPeer(name, network)
-        captured = delivered.setdefault(name, [])
-
-        def capture(received, peer=peer, captured=captured):
-            if received.accepted:
-                captured.append(
-                    BinarySerializer(peer.runtime).serialize(received.value))
-
-        peer.on_receive(capture)
-        peer.subscribe_remote("broker", person_java(), lambda view: None)
-        subscribers.append(peer)
-
-    seq = 0
-    for op in ops:
-        kind = op[0]
-        if kind == "pub":
-            publisher.publish_async(
-                "broker",
-                publisher.new_instance("demo.a.Person", ["p%d" % seq]))
-            seq += 1
-        elif kind == "batch":
-            events = [
-                publisher.new_instance("demo.a.Person",
-                                       ["b%d-%d" % (seq, j)])
-                for j in range(op[2])
-            ]
-            seq += 1
-            publisher.publish_durable("broker", events)
-        elif kind == "sub":
-            add_subscriber()
-        else:
-            network.run_until_idle()
-    network.run_until_idle()
-    return broker, delivered
-
-
 @settings(max_examples=15, deadline=None)
 @given(ops=_ops)
-def test_lazy_broker_equals_eager_broker(ops):
-    """The non-mesh broker now shares the mesh's lazy admission: the
-    same interleavings deliver byte-identical sequences on the lazy
-    default and the ``lazy_admission=False`` eager baseline, and the
-    lazy broker performs zero value-level decodes after warm-up."""
+def test_broker_frame_path_matches_oracle(ops):
+    """The same alphabet against ONE non-mesh :class:`TpsBroker` (shard
+    indices collapse onto it): deliveries match the oracle, the broker
+    decodes nothing after warm-up, and its log holds one record per
+    publish whose values are the published bytes, in order."""
     root = tempfile.mkdtemp()
-    brokers = []
+    broker = None
     try:
-        lazy_broker, lazy_delivered = run_broker(
-            os.path.join(root, "lazy"), ops, lazy=True)
-        brokers.append(lazy_broker)
-        eager_broker, eager_delivered = run_broker(
-            os.path.join(root, "eager"), ops, lazy=False)
-        brokers.append(eager_broker)
+        network = SimulatedNetwork()
+        broker = TpsBroker("broker", network,
+                           log_dir=os.path.join(root, "log"))
+        world = World(network, ["broker"], network.run_until_idle)
+        world.warm_up()
+        broker.codec.stats.decodes = 0
+        world.run(ops)
+        world.assert_matches_oracle()
+        assert broker.codec.stats.decodes == 0
 
-        assert lazy_delivered == eager_delivered
-        assert lazy_broker.codec.stats.decodes == 0
-
-        # Same durable history, record for record.  (The wrapper can
-        # differ — lazy admission persists a single-object envelope as
-        # received where the eager path re-encodes it as a batch of one
-        # — so the comparison is offsets, not raw bytes.)
-        lazy_offsets = [record.offset
-                        for record in lazy_broker.event_log.replay()]
-        eager_offsets = [record.offset
-                         for record in eager_broker.event_log.replay()]
-        assert lazy_offsets == eager_offsets
+        codec = EnvelopeCodec(broker.runtime)
+        serializer = BinarySerializer(broker.runtime)
+        records = list(broker.event_log.replay())
+        assert len(records) == 1 + sum(op[0] in ("pub", "batch")
+                                       for op in ops)
+        logged = [serializer.serialize(value)
+                  for record in records[1:]
+                  for value in codec.unwrap_batch(
+                      codec.parse(record.payload))]
+        assert logged == world.published.get("pub0", [])
     finally:
-        for broker in brokers:
+        if broker is not None:
             broker.close()
         shutil.rmtree(root, ignore_errors=True)
 
@@ -266,44 +254,38 @@ _local_ops = st.lists(
 
 @settings(max_examples=20, deadline=None)
 @given(ops=_local_ops)
-def test_local_broker_frame_publish_equals_eager(ops):
-    """The in-process broker's frame-publish path is the same
-    optimisation contract: a ``publish_frame`` on the lazy header-driven
-    broker delivers the byte-identical value sequence the eager
-    decode-everything baseline delivers, and a publish that matches no
-    local subscription decodes ZERO values."""
+def test_local_broker_frame_publish_matches_unwrap_batch(ops):
+    """The in-process broker's frame publish delivers what
+    ``codec.unwrap_batch`` of the same frame holds: every matching value,
+    once per subscription, in frame order — and a publish that matches
+    no local subscription decodes ZERO values."""
     from repro.apps.tps.broker import LocalBroker
     from repro.fixtures import account_csharp
     from repro.cts.assembly import Assembly
     from repro.runtime.loader import Runtime
-    from repro.serialization.envelope import EnvelopeCodec
 
     runtime = Runtime()
     asm_a, _ = person_assembly_pair()
     runtime.load_assembly(asm_a)
     runtime.load_assembly(Assembly("bank", [account_csharp()]))
     encoder = EnvelopeCodec(runtime)
+    oracle = EnvelopeCodec(runtime)
 
-    lazy = LocalBroker(runtime=runtime)
-    eager = LocalBroker(runtime=runtime)
-    lazy_delivered, eager_delivered = [], []
-
-    def subscribe():
-        # Subscriptions match Person only — Account publishes are the
-        # no-match traffic that must stay decode-free on the lazy side.
-        # Handlers receive conformance proxies; the proxied name is the
-        # observable value identity.
-        lazy.subscribe(person_java(),
-                       lambda event: lazy_delivered.append(
-                           event.getPersonName()))
-        eager.subscribe(person_java(),
-                        lambda event: eager_delivered.append(
-                            event.getPersonName()))
+    broker = LocalBroker(runtime=runtime)
+    delivered, expected = [], []
+    subscriptions = 0
+    published = 0
 
     seq = 0
     for op in ops:
         if op[0] == "sub":
-            subscribe()
+            # Subscriptions match Person only — Account publishes are the
+            # no-match traffic.  Handlers receive conformance proxies;
+            # the proxied name is the observable value identity.
+            broker.subscribe(person_java(),
+                             lambda event: delivered.append(
+                                 event.getPersonName()))
+            subscriptions += 1
             continue
         type_name = ("demo.a.Person" if op[0] == "person"
                      else "demo.bank.Account")
@@ -315,15 +297,17 @@ def test_local_broker_frame_publish_equals_eager(ops):
         ]
         seq += 1
         frame = encoder.encode_batch(values)
-        counted = lazy.publish_frame(frame)
-        # Eager baseline: materialize every value up front, publish one
-        # by one — the pre-frame-publish behaviour.
-        decoded = eager.codec.unwrap_batch(eager.codec.parse(frame))
-        eager_count = sum(eager.publish(value) for value in decoded)
-        assert counted == eager_count
+        counted = broker.publish_frame(frame)
+        published += len(values)
+        matching = [value.GetName()
+                    for value in oracle.unwrap_batch(oracle.parse(frame))
+                    if op[0] == "person"]
+        assert counted == len(matching) * subscriptions
+        for name in matching:
+            expected.extend([name] * subscriptions)
 
-    assert lazy_delivered == eager_delivered
-    assert lazy.published == eager.published
+    assert delivered == expected
+    assert broker.published == published
 
     # The zero-decode claim, isolated: with subscriptions attached that
     # cannot match, a fresh no-match publish touches the header only.
