@@ -1,14 +1,18 @@
 """Scrape a live soak's HTTP endpoints mid-run (the CI soak-smoke job).
 
 The soak harness serves its registry over HTTP when ``SOAK_HTTP_FILE``
-is set, writing the endpoint map (driver + per-shard addresses) to that
-path once the servers are listening.  This script waits for the map,
-curls ``/metrics`` and ``/stats`` from the driver and ``/metrics`` from
-every shard node while the soak is still publishing, asserts the
-Prometheus exposition parses, the loss-oracle gauges
-(``repro_soak_lost``, ``repro_soak_duplicates``) read zero, and the
-zero-copy oracle (``repro_transport_bytes_copied``) is flat on every
-node mid-forwarding, and writes the scraped snapshot to ``--emit`` for
+is set, writing the endpoint map to that path once the servers are
+listening: ``driver``, ``mesh`` (an endpoint answering ``/mesh/*`` for
+every shard — one shard node of a process mesh, the one endpoint of an
+in-process mesh) and, for a process mesh, every shard node's address
+under ``shards``.  This script waits for the map, curls ``/metrics`` and
+``/stats`` from the driver and ``/metrics`` from every shard node while
+the soak is still publishing, asserts the Prometheus exposition parses,
+the loss-oracle gauges (``repro_soak_lost``, ``repro_soak_duplicates``)
+read zero, and the zero-copy oracle (``repro_transport_bytes_copied``)
+is flat on every node mid-forwarding.  It then reads ``/mesh/stats``
+from the mesh endpoint and fails unless every shard of the committed
+topology answered, and writes the scraped snapshot to ``--emit`` for
 the artifact upload.
 
 Usage:
@@ -74,7 +78,7 @@ def main(argv=None):
                         help="write the scraped snapshot here")
     parser.add_argument("--timeout", type=float, default=60.0)
     parser.add_argument("--expect-epoch", type=int, default=None,
-                        help="membership soak: poll the mesh /topology "
+                        help="membership soak: poll the /mesh/topology "
                              "view until its epoch reaches this value "
                              "(the elastic-smoke job's mid-run gate), and "
                              "require the replication watermark-lag "
@@ -113,13 +117,28 @@ def main(argv=None):
                              % shard_id)
         snapshot["shards"][shard_id] = page
 
+    # One endpoint answers for every shard: on a process mesh the node
+    # reads its peers over the control plane, so each shard must answer.
+    base = endpoints["mesh"]
+    while True:
+        view = json.loads(fetch(base + "/mesh/topology", deadline))
+        stats = json.loads(fetch(base + "/mesh/stats", deadline))
+        if stats["epoch"] == view["epoch"]:
+            break  # no membership change between the two reads
+        if time.monotonic() > deadline:
+            raise SystemExit("mesh epoch kept moving under /mesh/stats")
+    missing = set(view["topology"]["shards"]) - set(stats["shards"])
+    if missing:
+        raise SystemExit("/mesh/stats missing shard(s) %s"
+                         % ", ".join(sorted(missing)))
+    snapshot["mesh_stats"] = stats
+
     if args.expect_epoch is not None:
         # The expansion fires while the soak is still publishing: poll
         # the membership view until every scheduled join has committed.
-        base = endpoints.get("mesh") or driver
         view = {}
         while time.monotonic() < deadline:
-            view = json.loads(fetch(base + "/topology", deadline))
+            view = json.loads(fetch(base + "/mesh/topology", deadline))
             if int(view.get("epoch", 0)) >= args.expect_epoch:
                 break
             time.sleep(0.5)
@@ -130,7 +149,7 @@ def main(argv=None):
         # Replication health is what makes an eventual removal safe:
         # the aggregated mesh page must expose the per-follower
         # watermark-lag gauges mid-migration.
-        page = fetch(base + "/metrics", deadline)
+        page = fetch(base + "/mesh/metrics", deadline)
         if "repro_replication_watermark_lag" not in parse_exposition(page):
             raise SystemExit("watermark-lag gauges missing from the "
                              "mesh /metrics page")
@@ -140,9 +159,9 @@ def main(argv=None):
         with open(args.emit, "w", encoding="utf-8") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    print("scraped driver + %d shard(s): lost=0 duplicates=0 "
-          "bytes_copied=0 published=%s"
-          % (len(snapshot["shards"]),
+    print("scraped driver + %d shard node(s) + /mesh/stats over %d "
+          "shard(s): lost=0 duplicates=0 bytes_copied=0 published=%s"
+          % (len(snapshot["shards"]), len(snapshot["mesh_stats"]["shards"]),
              snapshot["driver_stats"].get("published")))
     return 0
 

@@ -51,7 +51,6 @@ from ...obs.bridge import register_mesh_shard_metrics
 from ...persistence import EventLog
 from ...persistence.log import LogRecord
 from ...serialization.envelope import decode_home, envelope_home, split_frames
-from ...serialization.errors import WireFormatError
 from ...transport.protocol import (
     KIND_BACKLOG_FETCH,
     KIND_PUBLISH_ACK,
@@ -89,17 +88,13 @@ __all__ = [
     "KIND_MESH_FORWARD",
     "KIND_MESH_SUMMARY",
     "KIND_MESH_SYNC",
-    "KIND_MESH_TOPOLOGY",
     "KIND_MESH_HANDOFF",
+    "mesh_stats",
 ]
 
 KIND_MESH_FORWARD = "mesh_forward"
 KIND_MESH_SUMMARY = "mesh_summary"
 KIND_MESH_SYNC = "mesh_sync"
-#: Membership announcement/query: payload carries a serialized
-#: :class:`Topology`; the shard commits it (epoch-gated) and answers
-#: with the topology it now holds.  An empty payload is a pure query.
-KIND_MESH_TOPOLOGY = "mesh_topology"
 #: Durable-subscription migration: the leaving shard asks the new home
 #: to adopt one subscription (cursor name, owner, type description, and
 #: the per-origin cursor position vector).
@@ -225,7 +220,6 @@ class MeshShard(TpsBroker):
         self.on(KIND_MESH_FORWARD, self._handle_forward)
         self.on(KIND_MESH_SUMMARY, self._handle_summary)
         self.on(KIND_MESH_SYNC, self._handle_sync)
-        self.on(KIND_MESH_TOPOLOGY, self._handle_topology)
         self.on(KIND_MESH_HANDOFF, self._handle_handoff)
         self.on(KIND_REPLICATE, self._handle_replicate)
         self.on(KIND_REPLICATE_ACK, self._handle_replicate_ack)
@@ -668,7 +662,8 @@ class MeshShard(TpsBroker):
         for record in log.replay(request["from"], upto):
             if own_only and envelope_home(record.payload) is not None:
                 continue  # some other shard's record, forwarded here
-            match = self._record_conforms(record, expected, src)
+            match = self.pipeline.conforming_from_record(
+                record, src, expected, decode=False)
             if match is None:
                 # Unservable right now (code unavailable): stop the scan
                 # short of it so the requester retries later instead of
@@ -682,34 +677,6 @@ class MeshShard(TpsBroker):
         self.fetch_records_served += len(records)
         return self._wire_codec.serialize({"upto": upto, "first": first,
                                            "records": records})
-
-    def _record_conforms(self, record: LogRecord, expected: Any,
-                         src: str) -> Optional[bool]:
-        """Does any value of one stored record conform to ``expected``?
-
-        Header-only when the record's type section resolves locally (the
-        common case — this shard admitted it): the decision runs on the
-        header's root types through the same cached routing verdicts as
-        live publish, without decoding a single value.  Otherwise the
-        record is materialized, fetching its code; ``None`` = unservable
-        right now.
-        """
-        try:
-            envelope = self.codec.parse(record.payload)
-        except WireFormatError:
-            envelope = None
-        if envelope is not None:
-            batch = self.pipeline.admission.lazy(envelope)
-            if batch is not None:
-                index = self.pipeline.routing.index
-                return any(
-                    index.lookup(batch.root_type(i), expected) is not None
-                    for i in range(len(batch)))
-        values = self.pipeline.admission.materialize_record(
-            record, record.origin or src)
-        if values is None:
-            return None
-        return bool(self.pipeline.routing.conforming(values, expected))
 
     def _handle_replica_pull(self, payload: bytes, src: str) -> bytes:
         """Serve the replicated copy of ``src``'s own records back to it —
@@ -909,28 +876,6 @@ class MeshShard(TpsBroker):
         return total
 
     # -- elastic membership (handoff / adoption) ---------------------------
-
-    def _handle_topology(self, payload: bytes, src: str) -> bytes:
-        """Commit a membership announcement — or, on an empty payload,
-        answer with the currently committed view (the query form the
-        operational API's ``GET /topology`` rides)."""
-        if not payload:
-            return self._wire_codec.serialize({
-                "ok": True, "epoch": self.epoch,
-                "topology": self.topology.as_dict()
-                if self.topology is not None else None,
-            })
-        message = self._wire_codec.deserialize(payload)
-        committed = self.set_topology(Topology.from_dict(message["topology"]))
-        if committed:
-            self.ensure_replica_coverage()
-            if message.get("resync"):
-                # A joining shard asks its new siblings to re-serve their
-                # summaries right after they learn of it, closing the race
-                # where gossip sent before the join was unroutable.
-                self._sync_summaries()
-        return self._wire_codec.serialize({
-            "ok": True, "committed": committed, "epoch": self.epoch})
 
     def _handle_handoff(self, payload: bytes, src: str) -> bytes:
         message = self._wire_codec.deserialize(payload)
@@ -1312,6 +1257,27 @@ class MeshShard(TpsBroker):
             self.replicas.close()
 
 
+#: The counters a mesh's ``stats()`` totals over its shards' ``stats()``
+#: (a key a shard does not report — no log, no replica store — counts 0).
+_MESH_TOTALS = ("events_routed", "forwards_sent", "forward_events",
+                "batch_events", "gossip_failures", "events_replayed",
+                "replay_failures", "events_fetched", "replica_records",
+                "healed_records")
+
+
+def mesh_stats(epoch: int, per_shard: Dict[str, dict]) -> dict:
+    """The mesh-wide stats snapshot from per-shard ``stats()`` dicts —
+    one aggregation for every runner, whether it reads its shards in
+    place or over the control plane."""
+    snapshot: Dict[str, Any] = {"shards": per_shard, "epoch": epoch}
+    for key in _MESH_TOTALS:
+        snapshot[key] = sum(stats.get(key, 0) for stats in per_shard.values())
+    snapshot["records_replicated"] = sum(
+        (stats.get("replication") or {}).get("records_replicated", 0)
+        for stats in per_shard.values())
+    return snapshot
+
+
 class BrokerMesh:
     """N broker shards cooperating as one logical TPS broker.
 
@@ -1569,26 +1535,16 @@ class BrokerMesh:
     def events_routed(self) -> int:
         return sum(shard.events_routed for shard in self.shards)
 
+    def all_idle(self) -> bool:
+        """No queued fabric message and no buffered delivery anywhere."""
+        return self._fabric_idle() and not any(
+            shard.pending_deliveries() for shard in self.shards)
+
     def stats(self) -> dict:
         """Aggregate + per-shard observability snapshot."""
-        per_shard = {shard.peer_id: shard.stats() for shard in self.shards}
-        return {
-            "shards": per_shard,
-            "epoch": self.topology.epoch,
-            "events_routed": self.events_routed(),
-            "forwards_sent": sum(s.forwards_sent for s in self.shards),
-            "forward_events": sum(s.forward_events for s in self.shards),
-            "batch_events": sum(s.batch_events for s in self.shards),
-            "gossip_failures": sum(s.gossip_failures for s in self.shards),
-            "events_replayed": sum(s.events_replayed for s in self.shards),
-            "replay_failures": sum(s.replay_failures for s in self.shards),
-            "events_fetched": sum(
-                s.pipeline.stats.events_fetched for s in self.shards),
-            "records_replicated": sum(
-                s.pipeline.stats.records_replicated for s in self.shards),
-            "replica_records": sum(s.replica_records for s in self.shards),
-            "healed_records": sum(s.healed_records for s in self.shards),
-        }
+        return mesh_stats(self.topology.epoch,
+                          {shard.peer_id: shard.stats()
+                           for shard in self.shards})
 
     def close(self) -> None:
         for shard in self.shards:

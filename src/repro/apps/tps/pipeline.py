@@ -1264,15 +1264,19 @@ class DeliveryPipeline:
             return replayed
         return self._replay_remote(subscription, start, upto)
 
-    def _conforming_from_record(self, record: Any, fallback_src: str,
-                                expected: Any) -> Optional[List[Tuple[Any, Any]]]:
+    def conforming_from_record(self, record: Any, fallback_src: str,
+                               expected: Any, decode: bool = True
+                               ) -> Optional[List[Tuple[Any, Any]]]:
         """Conformance-filter one stored record for replay, header-only
         where per-value roots suffice: when the record's type section
         resolves locally (the common case — this broker admitted it), the
         filter runs on the header's root types through the cached routing
         verdicts and only the values that will actually travel are
         decoded.  A record with nothing conforming costs zero value
-        decodes.  Falls back to materialization for unknown types
+        decodes; with ``decode=False`` (the backlog-fetch server, which
+        ships the stored frame verbatim) a header-routable record costs
+        none at all, each match carrying its value index instead of its
+        value.  Falls back to materialization for unknown types
         (the code-fetch path) and legacy payloads; ``None`` (after
         counting the failure) = unservable right now, halt the pass.
         """
@@ -1289,7 +1293,8 @@ class DeliveryPipeline:
                         entry = self.routing.index.lookup(
                             batch.root_type(index), expected)
                         if entry is not None:
-                            matched.append((batch.value(index), entry))
+                            matched.append((batch.value(index) if decode
+                                            else index, entry))
                 except SerializationError:
                     # The header promised a value the body cannot yield —
                     # a corrupt record is unservable, exactly like a
@@ -1315,7 +1320,7 @@ class DeliveryPipeline:
             # the cursor pinned below them either.
             durability.advance(cursor, record.offset + 1, touch=False)
             return 0
-        conforming = self._conforming_from_record(
+        conforming = self.conforming_from_record(
             record, subscription.peer_id or self.host.peer_id,
             subscription.expected)
         if conforming is None:
@@ -1433,7 +1438,7 @@ class DeliveryPipeline:
             if record.origin and record.origin == subscription.peer_id:
                 consume(record.offset)  # own events are never echoed
                 continue
-            conforming = self._conforming_from_record(
+            conforming = self.conforming_from_record(
                 record, subscription.peer_id or host.peer_id,
                 subscription.expected)
             if conforming is None:

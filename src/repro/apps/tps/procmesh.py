@@ -3,33 +3,32 @@
 Two deployment shapes of the very same :class:`~repro.apps.tps.mesh.MeshShard`:
 
 - :class:`SocketMesh` — every shard on its own :class:`SocketNetwork`
-  node of one shared-loop :class:`SocketHub`, all in this process.  The
-  cheapest way to put the whole mesh protocol on real sockets: tests and
-  benchmarks drive it deterministically (pump, then inspect), yet every
-  publish, forward, replica batch and ack crosses a Unix-domain socket.
-  It *is* a :class:`~repro.apps.tps.mesh.BrokerMesh` with a socket
-  fabric: membership (:meth:`add_shard` / :meth:`remove_shard` /
-  :meth:`rebalance` / :meth:`restart_shard`), draining and ``stats()``
-  are the simulator mesh's code, not a copy of it.
-- :class:`ProcessMesh` — one shard per OS process, each pumping its own
-  event loop, the control plane (ping / stats / metrics / trace / admin
-  / stop) riding the same length-prefixed socket protocol as the data
-  plane.  This is the soak harness's substrate: real processes, real
-  kernel buffers, real backpressure.  Its driver orchestrates the same
-  membership surface over the control plane; the leaving shard's half
-  of a removal is the shared :meth:`MeshShard.retire`, and the removal
-  pre-check is the shared :func:`~repro.apps.tps.topology.removal_topology`.
+  node of one shared-loop :class:`SocketHub`, all in this process, so
+  tests and benchmarks drive it deterministically (pump, then inspect)
+  while every publish, forward, replica batch and ack crosses a real
+  socket.  It *is* a :class:`~repro.apps.tps.mesh.BrokerMesh` with a
+  socket fabric: membership, draining and ``stats()`` are the simulator
+  mesh's code, not a copy of it.
+- :class:`ProcessMesh` — one shard per OS process (the soak harness's
+  substrate), its control plane (``proc_ping`` / ``proc_read`` /
+  ``proc_admin`` / ``proc_stop``) riding the data plane's socket
+  protocol.  The driver orchestrates membership over that control
+  plane; the leaving shard's half of a removal is the shared
+  :meth:`MeshShard.retire`, the pre-check the shared
+  :func:`~repro.apps.tps.topology.removal_topology`.
 
-Both expose the :class:`~repro.apps.tps.mesh.BrokerMesh` addressing
-surface (``shard_ids``/``shard_for``) over the same epoch-versioned
-:class:`~repro.apps.tps.topology.Topology`, so client code moves between
-the simulator and the socket fabrics unchanged.  Admin operations live
-in one table (:data:`ADMIN_REGISTRY`) shared by the HTTP routes, the
-socket ``proc_admin`` kind and the CLI, and every admin response carries
-the uniform ``{ok, op, shard, epoch, result}`` envelope.  Mutating
-control operations are guarded by a shared bearer token minted at mesh
-construction.  A socket directory either runner created itself is
-removed when the runner closes.
+One operational surface serves both.  Each per-shard read is one entry
+of :data:`VIEWS`; :class:`MeshViews` reads a view over any set of shards
+— in place on a :class:`SocketMesh`, over ``proc_read`` from the
+:class:`ProcessMesh` driver, and both ways from a shard process (itself
+in place, its peers over ``proc_read``).  :func:`install_routes` is the
+one HTTP route table, served by :meth:`SocketMesh.serve_http` and by
+every shard process.  Admin operations live in one table
+(:data:`ADMIN_REGISTRY`) shared by the HTTP routes, ``proc_admin`` and
+the CLI; every admin response carries the uniform ``{ok, op, shard,
+epoch, result}`` envelope, and mutating operations need the bearer token
+minted at mesh construction.  A socket directory either runner created
+itself is removed when the runner closes.
 """
 
 from __future__ import annotations
@@ -42,74 +41,64 @@ import shutil
 import socket
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from ...net.network import NetworkError
 from ...net.socket_transport import SocketHub, SocketNetwork
 from ...obs.bridge import register_network_metrics
 from ...obs.http import HttpError, ObsHttpServer, json_body
 from ...obs.tracing import render_timeline, stitch
-from .mesh import BrokerMesh, MeshShard
+from .mesh import BrokerMesh, MeshShard, mesh_stats
 from .topology import MeshConfig, Topology, removal_topology
 
 __all__ = [
     "KIND_PROC_PING",
-    "KIND_PROC_STATS",
+    "KIND_PROC_READ",
     "KIND_PROC_STOP",
-    "KIND_PROC_METRICS",
-    "KIND_PROC_TRACE",
     "KIND_PROC_ADMIN",
     "ADMIN_OPS",
     "ADMIN_REGISTRY",
     "AdminOp",
     "run_admin_op",
+    "VIEWS",
+    "MeshViews",
+    "install_routes",
     "ProcessMesh",
     "SocketMesh",
     "shard_addresses",
 ]
 
 KIND_PROC_PING = "proc_ping"
-KIND_PROC_STATS = "proc_stats"
+#: One view of one shard: ``{"view", "query"}`` -> ``{"value"}``.
+KIND_PROC_READ = "proc_read"
 KIND_PROC_STOP = "proc_stop"
-KIND_PROC_METRICS = "proc_metrics"
-KIND_PROC_TRACE = "proc_trace"
 KIND_PROC_ADMIN = "proc_admin"
 
 _EXPOSITION_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def shard_addresses(sock_dir: str, shard_ids: List[str],
-                    scheme: str = "unix",
-                    ports: Optional[Dict[str, int]] = None) -> Dict[str, str]:
-    """The deterministic address book: every shard listens on a Unix
-    socket named after it, so each process computes the full directory
-    from (dir, shard ids) alone — no discovery round.  The ``tcp``
-    scheme needs driver-picked ``ports`` (port 0 would resolve
-    differently in every process, breaking the recomputation property),
-    so TCP meshes pass the resolved book to each shard instead."""
-    if scheme == "tcp":
-        if ports is None:
-            raise ValueError("tcp shard addresses need pre-picked ports")
-        return {shard_id: "tcp:127.0.0.1:%d" % ports[shard_id]
+                    scheme: str = "unix") -> Dict[str, str]:
+    """The address book.  Unix shards listen on a socket named after
+    them, so each process computes the full directory from (dir, shard
+    ids) alone — no discovery round.  ``tcp`` shards get one free
+    loopback port each, picked by binding port 0 and releasing it
+    (SO_REUSEADDR keeps it bindable by the shard that inherits it); that
+    book differs on every call, so TCP meshes pass the driver's resolved
+    book to each shard instead of recomputing it."""
+    if scheme != "tcp":
+        return {shard_id: "unix:%s/%s.sock" % (sock_dir, shard_id)
                 for shard_id in shard_ids}
-    return {shard_id: "unix:%s/%s.sock" % (sock_dir, shard_id)
-            for shard_id in shard_ids}
-
-
-def _allocate_tcp_ports(shard_ids: List[str]) -> Dict[str, int]:
-    """One free loopback port per shard, picked by binding port 0 and
-    releasing it (the standard ephemeral-port trick; SO_REUSEADDR keeps
-    the just-released port bindable by the shard that inherits it)."""
-    ports: Dict[str, int] = {}
+    book: Dict[str, str] = {}
     for shard_id in shard_ids:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             sock.bind(("127.0.0.1", 0))
-            ports[shard_id] = sock.getsockname()[1]
+            book[shard_id] = "tcp:127.0.0.1:%d" % sock.getsockname()[1]
         finally:
             sock.close()
-    return ports
+    return book
 
 
 def _jsonable(value: Any) -> Any:
@@ -145,7 +134,7 @@ def merge_expositions(pages: List[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class AdminOp:
+class AdminOp(NamedTuple):
     """One table entry of the shared admin-operation registry.
 
     ``scope`` places the implementation: ``"shard"`` ops run against one
@@ -155,16 +144,11 @@ class AdminOp:
     membership protocol — reachable over ``proc_admin`` but never
     published on the public surface (:data:`ADMIN_OPS`)."""
 
-    __slots__ = ("name", "scope", "run", "needs_shard", "help")
-
-    def __init__(self, name: str, scope: str,
-                 run: Optional[Callable[..., Any]] = None,
-                 needs_shard: bool = False, help: str = ""):
-        self.name = name
-        self.scope = scope
-        self.run = run
-        self.needs_shard = needs_shard
-        self.help = help
+    name: str
+    scope: str
+    run: Optional[Callable[..., Any]] = None
+    needs_shard: bool = False
+    help: str = ""
 
 
 def _op_compact(shard: MeshShard, args: dict) -> Any:
@@ -258,7 +242,193 @@ def run_admin_op(mesh: Any, op: str, shard_id: Optional[str] = None,
             "epoch": mesh.epoch, "result": result}
 
 
-class SocketMesh(BrokerMesh):
+# ---------------------------------------------------------------------------
+# the per-shard view table and the one route table
+# ---------------------------------------------------------------------------
+
+
+def _by_shard(topology: Topology, values: dict, query: dict) -> dict:
+    return values
+
+
+class View(NamedTuple):
+    """One per-shard read of the operational surface: ``read(shard,
+    query)`` is one shard's value, ``render(topology, values, query)``
+    turns ``{shard id: value}`` into the response body."""
+
+    read: Callable[[MeshShard, dict], Any]
+    render: Callable[[Topology, dict, dict], Any] = _by_shard
+
+
+def _read_metrics(shard: MeshShard, query: dict) -> dict:
+    return {"snapshot": shard.metrics.snapshot(),
+            "exposition": shard.metrics.exposition(
+                extra_labels=(("shard", shard.peer_id),))}
+
+
+def _render_metrics(topology: Topology, pages: dict, query: dict):
+    page = merge_expositions([entry["exposition"]
+                              for entry in pages.values()])
+    return (_EXPOSITION_TYPE, page.encode("utf-8"))
+
+
+def _read_transport(shard: MeshShard, query: dict) -> dict:
+    network = shard.network
+    return dict(network.transport_snapshot(),
+                idle=network.idle() and not shard.pending_deliveries())
+
+
+def _render_trace(topology: Topology, span_lists: dict, query: dict) -> dict:
+    trace = query.get("id")
+    spans = stitch(list(span_lists.values()), trace)
+    body: Dict[str, Any] = {"spans": spans}
+    if trace is not None:
+        body["trace"] = trace
+        body["timeline"] = render_timeline(spans, trace)
+    else:
+        body["traces"] = list(dict.fromkeys(span["trace"] for span in spans))
+    return body
+
+
+#: The per-shard reads every runner serves, keyed by route name.  A read
+#: a shard cannot answer (no log, no replica store) is ``None``.
+VIEWS: Dict[str, View] = {
+    "stats": View(lambda shard, query: shard.stats(),
+                  lambda topology, values, query:
+                  mesh_stats(topology.epoch, values)),
+    "metrics": View(_read_metrics, _render_metrics),
+    "log": View(lambda shard, query: shard.event_log.stats()
+                if shard.event_log is not None else None),
+    "cursors": View(lambda shard, query: shard.cursors.as_dict()
+                    if shard.event_log is not None else None),
+    "replicas": View(lambda shard, query: shard.replicas.stats()
+                     if shard.replicas is not None else None),
+    "transport": View(_read_transport),
+    "topology": View(lambda shard, query: shard.epoch,
+                     lambda topology, epochs, query: {
+                         "epoch": topology.epoch,
+                         "topology": topology.as_dict(),
+                         "shard_epochs": epochs}),
+    "trace": View(lambda shard, query: shard.tracer.events(query.get("id"))
+                  if shard.tracer is not None else [], _render_trace),
+}
+
+
+def _read_shard(view: str, shard: MeshShard, query: dict) -> Any:
+    """One shard's JSON-safe value of one view."""
+    return _jsonable(VIEWS[view].read(shard, query))
+
+
+class MeshViews:
+    """The operational reads of a socket runner, all built on
+    :meth:`_read_one` (one view of one shard), so every runner answers
+    them in the same shapes.  Subclasses provide ``topology``,
+    ``shard_ids``, :attr:`hosted_ids` and :meth:`_read_one`."""
+
+    def _read_one(self, view: str, shard_id: str, query: dict) -> Any:
+        raise NotImplementedError
+
+    @property
+    def hosted_ids(self) -> List[str]:
+        """The shards ``GET /<view>`` answers for on this endpoint."""
+        return self.shard_ids
+
+    def read(self, view: str, shard_ids: Optional[List[str]] = None,
+             query: Optional[dict] = None) -> Dict[str, Any]:
+        """``{shard id: value}`` of one view (default: every shard)."""
+        query = dict(query or {})
+        return {shard_id: self._read_one(view, shard_id, query)
+                for shard_id in (self.shard_ids if shard_ids is None
+                                 else shard_ids)}
+
+    def render(self, view: str, shard_ids: Optional[List[str]] = None,
+               query: Optional[dict] = None) -> Any:
+        """One view's response body over ``shard_ids`` (default: every
+        shard) — exactly what ``GET /mesh/<view>`` serves."""
+        query = dict(query or {})
+        return VIEWS[view].render(self.topology,
+                                  self.read(view, shard_ids, query), query)
+
+    def stats(self) -> dict:
+        """The :meth:`BrokerMesh.stats` aggregate over every shard."""
+        return self.render("stats")
+
+    def metrics_snapshots(self) -> Dict[str, dict]:
+        """Every shard's metrics ``snapshot()`` tree, keyed by shard id."""
+        return {shard_id: page["snapshot"]
+                for shard_id, page in self.read("metrics").items()}
+
+    def metrics_exposition(self) -> str:
+        """One exposition page covering every shard (``shard`` label)."""
+        return self.render("metrics")[1].decode("utf-8")
+
+    def transport_stats(self) -> Dict[str, dict]:
+        """Every shard node's transport snapshot, keyed by shard id."""
+        return self.read("transport")
+
+    def all_idle(self) -> bool:
+        """Every shard reports an empty delivery buffer and an idle node."""
+        return all(node["idle"] for node in self.transport_stats().values())
+
+    def trace_events(self, trace: Optional[str] = None) -> List[dict]:
+        """Span events from every shard's ring, stitched into one
+        wall-clock timeline (optionally filtered to one trace id)."""
+        query = {"id": trace} if trace else None
+        return stitch(self.read("trace", query=query).values(), trace)
+
+    def render_trace(self, trace: str) -> str:
+        """The ``repro trace`` view: the stitched cross-shard timeline."""
+        return render_timeline(self.trace_events(trace), trace)
+
+    def admin_op(self, op: str, shard_id: Optional[str] = None,
+                 args: Optional[dict] = None) -> dict:
+        """Run one public admin operation (see :func:`run_admin_op`);
+        shard-scope ops with no ``shard_id`` run against every shard."""
+        return run_admin_op(self, op, shard_id, args)
+
+
+def install_routes(server: ObsHttpServer, endpoint: MeshViews) -> None:
+    """The one operational route table.  ``GET /<view>`` answers for the
+    shards ``endpoint`` hosts, ``GET /mesh/<view>`` for every shard of
+    its committed topology, ``?shard=`` narrows either (404 for a shard
+    outside that set); ``POST /admin/<op>`` is token-guarded and runs
+    through :func:`run_admin_op`.  A peer that cannot answer is a 502."""
+
+    def read_route(view: str, mesh_wide: bool):
+        def handler(query: dict, body: bytes):
+            shard_ids = endpoint.topology.shard_ids if mesh_wide \
+                else endpoint.hosted_ids
+            target = query.get("shard")
+            if target is not None:
+                if target not in shard_ids:
+                    raise HttpError(404, "no shard %r here" % target)
+                shard_ids = [target]
+            try:
+                return endpoint.render(view, shard_ids, query)
+            except NetworkError as error:
+                raise HttpError(502, str(error))
+        return handler
+
+    def admin_route(op: str):
+        def handler(query: dict, body: bytes):
+            args = json_body(body)
+            shard_id = args.pop("shard", None)
+            try:
+                return _jsonable(endpoint.admin_op(op, shard_id, args))
+            except ValueError as error:
+                raise HttpError(400, str(error))
+            except NetworkError as error:
+                raise HttpError(502, str(error))
+        return handler
+
+    for view in VIEWS:
+        server.route("GET", "/" + view, read_route(view, False))
+        server.route("GET", "/mesh/" + view, read_route(view, True))
+    for op in ADMIN_OPS:
+        server.route("POST", "/admin/" + op, admin_route(op), auth=True)
+
+
+class SocketMesh(BrokerMesh, MeshViews):
     """N mesh shards on one :class:`SocketHub` — real sockets, one process.
 
     A :class:`~repro.apps.tps.mesh.BrokerMesh` that differs only in its
@@ -317,10 +487,8 @@ class SocketMesh(BrokerMesh):
     def _spawn_shard(self, shard_id: str,
                      network: Optional[Any] = None) -> MeshShard:
         if network is None:
-            address = shard_addresses(
-                self.sock_dir, [shard_id], scheme=self.scheme,
-                ports=_allocate_tcp_ports([shard_id])
-                if self.scheme == "tcp" else None)[shard_id]
+            address = shard_addresses(self.sock_dir, [shard_id],
+                                      self.scheme)[shard_id]
             network = self.hub.network(shard_id + "-node")
             network.listen(address)
             network.add_routes(self.addresses)
@@ -367,42 +535,20 @@ class SocketMesh(BrokerMesh):
     def _fabric_nodes(self) -> List[Any]:
         return self.hub.nodes
 
-    # -- observability -----------------------------------------------------
+    # -- the operational surface -------------------------------------------
 
-    def transport_stats(self) -> Dict[str, dict]:
-        return {node.node_id: node.transport_snapshot()
-                for node in self.nodes}
-
-    def metrics_exposition(self) -> str:
-        """One exposition page covering every shard (``shard`` label)."""
-        return merge_expositions([
-            shard.metrics.exposition(
-                extra_labels=(("shard", shard.peer_id),))
-            for shard in self.shards])
-
-    def trace_events(self, trace: Optional[str] = None) -> List[dict]:
-        """Span events from every shard's ring, stitched into one
-        wall-clock timeline (optionally filtered to one trace id)."""
-        return stitch([shard.tracer.events(trace)
-                       for shard in self.shards
-                       if shard.tracer is not None], trace)
-
-    def render_trace(self, trace: str) -> str:
-        return render_timeline(self.trace_events(trace), trace)
-
-    # -- HTTP operational API ----------------------------------------------
+    def _read_one(self, view: str, shard_id: str, query: dict) -> Any:
+        return _read_shard(view, self._by_id[shard_id], query)
 
     def serve_http(self, host: str = "127.0.0.1",
                    port: int = 0) -> ObsHttpServer:
         """Open the mesh-wide HTTP endpoint (idempotent).  The server is
         polled from :meth:`flush`, so handlers run on the mesh's own
         pump thread."""
-        if self.http is not None:
-            return self.http
-        server = ObsHttpServer(host, port, token=self.auth_token)
-        _install_mesh_routes(server, self)
-        self.http = server
-        return server
+        if self.http is None:
+            self.http = ObsHttpServer(host, port, token=self.auth_token)
+            install_routes(self.http, self)
+        return self.http
 
     def run_shard_op(self, shard_id: str, op: str, args: dict) -> Any:
         """Run one shard-scope registry op against one local shard."""
@@ -410,12 +556,6 @@ class SocketMesh(BrokerMesh):
         if shard is None:
             raise ValueError("no shard %r in this mesh" % shard_id)
         return ADMIN_REGISTRY[op].run(shard, args)
-
-    def admin_op(self, op: str, shard_id: Optional[str] = None,
-                 args: Optional[dict] = None) -> dict:
-        """Run one admin operation (see :func:`run_admin_op`); shard-scope
-        ops with no ``shard_id`` run against every shard."""
-        return run_admin_op(self, op, shard_id, args)
 
     def close(self) -> None:
         if self.http is not None:
@@ -428,97 +568,6 @@ class SocketMesh(BrokerMesh):
             self._tmp_dir = False
 
 
-def _install_mesh_routes(server: ObsHttpServer, mesh: SocketMesh) -> None:
-    """The whole-mesh route table: every read endpoint takes an optional
-    ``?shard=`` filter; admin POSTs are token-guarded."""
-
-    def target(query: dict) -> Optional[MeshShard]:
-        shard_id = query.get("shard")
-        if shard_id is None:
-            return None
-        shard = mesh._by_id.get(shard_id)
-        if shard is None:
-            raise HttpError(404, "no shard %r" % shard_id)
-        return shard
-
-    def metrics_route(query: dict, body: bytes):
-        shard = target(query)
-        if shard is not None:
-            page = shard.metrics.exposition(
-                extra_labels=(("shard", shard.peer_id),))
-        else:
-            page = mesh.metrics_exposition()
-        return (_EXPOSITION_TYPE, page.encode("utf-8"))
-
-    def stats_route(query: dict, body: bytes):
-        shard = target(query)
-        return _jsonable(shard.stats() if shard is not None
-                         else mesh.stats())
-
-    def per_shard(query: dict, pick) -> dict:
-        shard = target(query)
-        shards = [shard] if shard is not None else mesh.shards
-        return _jsonable({s.peer_id: pick(s) for s in shards})
-
-    def log_route(query: dict, body: bytes):
-        return per_shard(query, lambda s: s.event_log.stats()
-                         if s.event_log is not None else None)
-
-    def cursors_route(query: dict, body: bytes):
-        return per_shard(query, lambda s: s.cursors.as_dict()
-                         if s.event_log is not None else None)
-
-    def replicas_route(query: dict, body: bytes):
-        return per_shard(query, lambda s: s.replicas.stats()
-                         if s.replicas is not None else None)
-
-    def topology_route(query: dict, body: bytes):
-        return _jsonable({
-            "epoch": mesh.epoch,
-            "topology": mesh.topology.as_dict(),
-            "shard_epochs": {shard.peer_id: shard.epoch
-                             for shard in mesh.shards},
-        })
-
-    def trace_route(query: dict, body: bytes):
-        trace = query.get("id")
-        spans = mesh.trace_events(trace)
-        result = {"spans": spans}
-        if trace is not None:
-            result["trace"] = trace
-            result["timeline"] = render_timeline(spans, trace)
-        else:
-            seen: List[str] = []
-            for span in spans:
-                if span["trace"] not in seen:
-                    seen.append(span["trace"])
-            result["traces"] = seen
-        return _jsonable(result)
-
-    def admin_route(op: str):
-        def handler(query: dict, body: bytes):
-            args = json_body(body)
-            shard_id = args.pop("shard", None)
-            try:
-                return _jsonable(mesh.admin_op(op, shard_id, args))
-            except ValueError as error:
-                raise HttpError(400, str(error))
-            except NetworkError as error:
-                raise HttpError(502, str(error))
-        return handler
-
-    server.route("GET", "/metrics", metrics_route)
-    server.route("GET", "/stats", stats_route)
-    server.route("GET", "/mesh/stats", stats_route)
-    server.route("GET", "/log", log_route)
-    server.route("GET", "/cursors", cursors_route)
-    server.route("GET", "/replicas", replicas_route)
-    server.route("GET", "/topology", topology_route)
-    server.route("GET", "/trace", trace_route)
-    for op in ADMIN_OPS:
-        server.route("POST", "/admin/" + op, admin_route(op), auth=True)
-
-
 # ---------------------------------------------------------------------------
 # one shard per OS process
 # ---------------------------------------------------------------------------
@@ -526,6 +575,275 @@ def _install_mesh_routes(server: ObsHttpServer, mesh: SocketMesh) -> None:
 #: Pump rounds a retiring shard grants its followers to acknowledge the
 #: replication watermark before the removal aborts.
 _RETIRE_COVERAGE_ROUNDS = 5000
+
+
+class _ControlClient(MeshViews):
+    """The client half of the process control plane, shared by the
+    :class:`ProcessMesh` driver and every shard process: views and admin
+    ops of shard processes, read over ``proc_read`` and run over
+    ``proc_admin`` from the ``_src`` address on :attr:`network`."""
+
+    @property
+    def shard_ids(self) -> List[str]:
+        return self.topology.shard_ids
+
+    @property
+    def epoch(self) -> int:
+        return self.topology.epoch
+
+    def _ask(self, shard_id: str, kind: str, request: dict) -> dict:
+        """One JSON request to one shard; an ``error`` reply raises."""
+        reply = json.loads(self.network.request(
+            self._src, shard_id, kind,
+            json.dumps(request).encode("utf-8")).decode("utf-8"))
+        if "error" in reply:
+            raise NetworkError("%s on %s failed: %s"
+                               % (request.get("op") or request.get("view"),
+                                  shard_id, reply["error"]))
+        return reply
+
+    def _read_one(self, view: str, shard_id: str, query: dict) -> Any:
+        return self._ask(shard_id, KIND_PROC_READ,
+                         {"view": view, "query": query})["value"]
+
+    def admin(self, op: str, shard_id: str,
+              args: Optional[dict] = None) -> dict:
+        """Run a token-authenticated admin operation on one shard; the
+        reply is the wire envelope (``{ok, op, shard, epoch, result}``)."""
+        return self._ask(shard_id, KIND_PROC_ADMIN,
+                         {"token": self.auth_token, "op": op,
+                          "args": dict(args or {})})
+
+    def run_shard_op(self, shard_id: str, op: str, args: dict) -> Any:
+        """One shard-scope registry op over the wire (the
+        :func:`run_admin_op` fan-out hook)."""
+        if shard_id not in self.topology:
+            raise ValueError("no shard %r in this mesh" % shard_id)
+        return self.admin(op, shard_id, args).get("result")
+
+    def restart_shard(self, shard_id: str) -> dict:
+        """Ask one shard process to crash-restart its shard in place (the
+        rebuild happens on the shard's next pump tick)."""
+        return self.admin("restart_shard", shard_id)
+
+
+class _ShardProcess(_ControlClient):
+    """One shard process: the shard on its own socket node, the four
+    control kinds, and the HTTP route table — reading and administering
+    this shard in place and its peers over the control plane."""
+
+    def __init__(self, shard_id: str, topology: Topology,
+                 network: SocketNetwork, auth_token: Optional[str],
+                 replication_factor: int, broker_kwargs: dict):
+        self.shard_id = shard_id
+        self.topology = topology
+        self.network = network
+        self.auth_token = auth_token
+        self._src = shard_id + "-obs"  # reply address for peer requests
+        self._replication_factor = replication_factor
+        self._broker_kwargs = broker_kwargs
+        self.stopping = False
+        self.restart_pending = False
+        #: Deferred membership jobs (retire / rebalance).  They must run
+        #: at pump-loop top level: a job settles subscriber ack windows,
+        #: and running it inside a blocking driver request would leave the
+        #: driver pumping requests-only — its hosted subscribers' acks
+        #: would stall and the settle could never drain.
+        self.jobs: List[tuple] = []
+        self.job_state: Dict[str, Any] = {"done": True, "error": None,
+                                          "value": None}
+        self.unauthorized = 0
+        self.restarts = 0
+        self.http: Optional[ObsHttpServer] = None
+        self.shard = self._build_shard()
+
+    def _build_shard(self) -> MeshShard:
+        shard = MeshShard(self.shard_id, self.network,
+                          replication_factor=self._replication_factor,
+                          **self._broker_kwargs)
+        register_network_metrics(shard.metrics, self.network)
+        shard.metrics.gauge("control.unauthorized",
+                            "rejected control-plane requests",
+                            sample=lambda: self.unauthorized)
+        shard.metrics.gauge("control.restarts",
+                            "in-place shard restarts served",
+                            sample=lambda: self.restarts)
+        shard.metrics.gauge("control.http_unauthorized",
+                            "rejected HTTP admin requests",
+                            sample=lambda: self.http.unauthorized
+                            if self.http is not None else 0)
+        shard.on(KIND_PROC_PING, lambda payload, src: b"PONG")
+        shard.on(KIND_PROC_READ, self._handle_read)
+        shard.on(KIND_PROC_ADMIN, self._handle_admin)
+        shard.on(KIND_PROC_STOP, self._handle_stop)
+        return shard
+
+    def _authorized(self, token: bytes) -> bool:
+        # A mesh built without a token is explicitly unsecured.
+        return self.auth_token is None \
+            or token == self.auth_token.encode("utf-8")
+
+    def _pump_once(self) -> None:
+        self.network.poll(0.002)
+        self.shard.flush_delivery()
+
+    # -- this shard, in place ------------------------------------------------
+
+    @property
+    def hosted_ids(self) -> List[str]:
+        return [self.shard_id]
+
+    def _read_one(self, view: str, shard_id: str, query: dict) -> Any:
+        if shard_id == self.shard_id:
+            return _read_shard(view, self.shard, query)
+        return super()._read_one(view, shard_id, query)
+
+    def admin(self, op: str, shard_id: str,
+              args: Optional[dict] = None) -> dict:
+        if shard_id == self.shard_id:
+            # HTTP handlers run from server.poll() at pump-loop top
+            # level, so a membership job may run right here.
+            return self._envelope(op, self._do_admin(op, dict(args or {}),
+                                                     inline=True))
+        return super().admin(op, shard_id, args)
+
+    def add_shard(self, shard_id: Optional[str] = None) -> Any:
+        raise ValueError("a shard process cannot spawn or reap shards; "
+                         "ask the ProcessMesh driver")
+
+    remove_shard = add_shard
+
+    def rebalance(self) -> Dict[str, Any]:
+        """Hand this shard's re-homed durable subscriptions off (the
+        driver's :meth:`ProcessMesh.rebalance` runs this on every shard)."""
+        moved = self._run_job("rebalance", {})["handed_off"]
+        return {"epoch": self.epoch,
+                "moved": {self.shard_id: moved} if moved else {}}
+
+    def _envelope(self, op: str, result: Any) -> dict:
+        return {"ok": True, "op": op, "shard": self.shard_id,
+                "epoch": self.epoch, "result": result}
+
+    # -- control-plane handlers --------------------------------------------
+
+    def _handle_read(self, payload: bytes, src: str) -> bytes:
+        try:
+            request = json.loads(payload.decode("utf-8"))
+            reply = {"value": _read_shard(request["view"], self.shard,
+                                         request.get("query") or {})}
+        except Exception as error:
+            reply = {"error": "bad read: %r" % (error,)}
+        return json.dumps(reply).encode("utf-8")
+
+    def _handle_stop(self, payload: bytes, src: str) -> bytes:
+        if not self._authorized(payload):
+            self.unauthorized += 1
+            return b"DENIED"
+        self.stopping = True
+        return b"OK"
+
+    def _handle_admin(self, payload: bytes, src: str) -> bytes:
+        try:
+            request = json.loads(payload.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            return json.dumps({"error": "bad admin request"}).encode("utf-8")
+        token = request.get("token") or ""
+        op = request.get("op")
+        if not self._authorized(token.encode("utf-8")):
+            self.unauthorized += 1
+            reply: dict = {"error": "unauthorized"}
+        elif op not in ADMIN_REGISTRY:
+            reply = {"error": "unknown admin op %r" % (op,)}
+        else:
+            try:
+                reply = self._envelope(op, self._do_admin(
+                    op, request.get("args") or {}))
+            except Exception as error:
+                reply = {"error": str(error)}
+        return json.dumps(_jsonable(reply)).encode("utf-8")
+
+    def _run_job(self, op: str, args: dict) -> Any:
+        if op == "retire":
+            survivors = Topology.from_dict(args["topology"])
+            return {"handed_off": self.shard.retire(
+                survivors, self._pump_once, _RETIRE_COVERAGE_ROUNDS)}
+        if op == "rebalance":
+            moved = self.shard.handoff_durable_subscriptions(
+                self.topology, pump=self._pump_once)
+            return {"handed_off": moved}
+        raise ValueError("unknown membership job %r" % op)
+
+    def _do_admin(self, op: str, args: dict, inline: bool = False) -> Any:
+        shard = self.shard
+        if op == "restart_shard":
+            # Deferred to the pump loop: rebuilding the shard from inside
+            # a dispatch handler would re-enter the network mid-poll.
+            self.restart_pending = True
+            return {"restarting": self.shard_id}
+        if op == "set_topology":
+            topology = Topology.from_dict(args["topology"])
+            extra = {sid: addr
+                     for sid, addr in (args.get("addresses") or {}).items()
+                     if sid != self.shard_id}
+            if extra:
+                self.network.add_routes(extra)
+            committed = shard.set_topology(topology)
+            if committed:
+                self.topology = topology
+                self.network.set_epoch(topology.epoch)
+                shard.ensure_replica_coverage()
+            return {"committed": committed, "epoch": shard.epoch}
+        if op == "resync":
+            return {"synced": shard._sync_summaries()}
+        if op == "job_status":
+            return dict(self.job_state)
+        if op in ("retire", "rebalance"):
+            if inline:
+                return self._run_job(op, args)
+            if not self.job_state["done"]:
+                raise ValueError("a membership job is already running")
+            self.job_state.update(done=False, error=None, value=None)
+            self.jobs.append((op, dict(args)))
+            return {"queued": op}
+        spec = ADMIN_REGISTRY.get(op)
+        if spec is None or spec.scope != "shard" or spec.run is None:
+            raise ValueError("op %r is not a shard-process operation" % op)
+        return spec.run(shard, args)
+
+    # -- the pump loop -----------------------------------------------------
+
+    def run(self) -> None:
+        """Pump until told to stop, running deferred jobs and restarts
+        at top level, then tear down."""
+        while not self.stopping:
+            self.network.poll(0.005)
+            if self.jobs:
+                op, args = self.jobs.pop(0)
+                try:
+                    value = self._run_job(op, args)
+                except Exception as error:
+                    self.job_state.update(done=True, error=str(error),
+                                          value=None)
+                else:
+                    self.job_state.update(done=True, error=None, value=value)
+            if self.restart_pending:
+                self.restart_pending = False
+                self.shard.close()
+                self.shard = self._build_shard()
+                self.shard.set_topology(self.topology)
+                self.shard.recover()
+                self.restarts += 1
+            self.shard.flush_delivery()
+            if self.http is not None:
+                self.http.poll()
+        # One farewell pump so the stop response and any buffered
+        # deliveries reach the wire before teardown.
+        for _ in range(10):
+            self._pump_once()
+        if self.http is not None:
+            self.http.close()
+        self.shard.close()
+        self.network.close()
 
 
 def _shard_process_main(shard_id: str, topology: Dict[str, Any],
@@ -550,401 +868,35 @@ def _shard_process_main(shard_id: str, topology: Dict[str, Any],
     kwargs = dict(broker_kwargs)
     if log_root is not None:
         kwargs["log_dir"] = os.path.join(log_root, shard_id)
-    stopping: List[bool] = []
-    restart_queue: List[bool] = []
-    #: Deferred membership jobs (retire / rebalance).  They must run at
-    #: pump-loop top level: a job settles subscriber ack windows, and
-    #: running it inside a blocking driver request would leave the
-    #: driver pumping requests-only — its hosted subscribers' acks
-    #: would stall and the settle could never drain.
-    jobs: List[tuple] = []
-    job_state: Dict[str, Any] = {"done": True, "error": None, "value": None}
-    control = {"unauthorized": 0, "restarts": 0}
-    state: Dict[str, Any] = {"topology": topo}
-    server_box: Dict[str, ObsHttpServer] = {}  # filled once http binds
-    probe = shard_id + "-obs"  # reply address for fan-out requests
-
-    def http_unauthorized() -> int:
-        server = server_box.get("server")
-        return server.unauthorized if server is not None else 0
-
-    def authorized(token_bytes: bytes) -> bool:
-        if auth_token is None:
-            return True  # explicitly unsecured mesh
-        return token_bytes == auth_token.encode("utf-8")
-
-    def pump_once() -> None:
-        network.poll(0.002)
-        state["shard"].flush_delivery()
-
-    # -- control-plane handlers (closures over the mutable shard slot) ---
-
-    def handle_ping(payload: bytes, src: str) -> bytes:
-        return b"PONG"
-
-    def node_snapshot() -> dict:
-        shard = state["shard"]
-        return {
-            "shard": shard_id,
-            "epoch": shard.epoch,
-            "pending_deliveries": shard.pending_deliveries(),
-            "network_pending": network.pending(),
-            "idle": network.idle() and not shard.pending_deliveries(),
-            "stats": shard.stats(),
-            "transport": network.transport_snapshot(),
-            "unauthorized": control["unauthorized"],
-            "http_unauthorized": http_unauthorized(),
-            "restarts": control["restarts"],
-        }
-
-    def handle_stats(payload: bytes, src: str) -> bytes:
-        return json.dumps(_jsonable(node_snapshot())).encode("utf-8")
-
-    def handle_metrics(payload: bytes, src: str) -> bytes:
-        shard = state["shard"]
-        body = {
-            "shard": shard_id,
-            "snapshot": shard.metrics.snapshot(),
-            "exposition": shard.metrics.exposition(
-                extra_labels=(("shard", shard_id),)),
-        }
-        return json.dumps(_jsonable(body)).encode("utf-8")
-
-    def handle_trace(payload: bytes, src: str) -> bytes:
-        shard = state["shard"]
-        trace = payload.decode("utf-8") or None
-        if shard.tracer is None:
-            body = {"node": shard_id, "spans": [], "traces": []}
-        else:
-            body = {"node": shard_id,
-                    "spans": shard.tracer.events(trace),
-                    "traces": shard.tracer.trace_ids()}
-        return json.dumps(_jsonable(body)).encode("utf-8")
-
-    def handle_stop(payload: bytes, src: str) -> bytes:
-        if not authorized(payload):
-            control["unauthorized"] += 1
-            return b"DENIED"
-        stopping.append(True)
-        return b"OK"
-
-    def run_job(op: str, args: dict) -> Any:
-        if op == "retire":
-            survivors = Topology.from_dict(args["topology"])
-            return {"handed_off": state["shard"].retire(
-                survivors, pump_once, _RETIRE_COVERAGE_ROUNDS)}
-        if op == "rebalance":
-            moved = state["shard"].handoff_durable_subscriptions(
-                state["topology"], pump=pump_once)
-            return {"handed_off": moved}
-        raise ValueError("unknown membership job %r" % op)
-
-    def do_admin(op: str, args: dict, inline: bool = False) -> Any:
-        shard = state["shard"]
-        if op == "restart_shard":
-            # Deferred to the pump loop: rebuilding the shard from inside
-            # a dispatch handler would re-enter the network mid-poll.
-            restart_queue.append(True)
-            return {"restarting": shard_id}
-        if op == "set_topology":
-            topo = Topology.from_dict(args["topology"])
-            extra = {sid: addr
-                     for sid, addr in (args.get("addresses") or {}).items()
-                     if sid != shard_id}
-            if extra:
-                network.add_routes(extra)
-            committed = shard.set_topology(topo)
-            if committed:
-                state["topology"] = topo
-                network.set_epoch(topo.epoch)
-                shard.ensure_replica_coverage()
-            return {"committed": committed, "epoch": shard.epoch}
-        if op == "resync":
-            return {"synced": shard._sync_summaries()}
-        if op == "job_status":
-            return dict(job_state)
-        if op in ("retire", "rebalance"):
-            if inline:
-                # HTTP handlers run from server.poll() at pump-loop top
-                # level, so the job may run right here.
-                return run_job(op, args)
-            if not job_state["done"]:
-                raise ValueError("a membership job is already running")
-            job_state.update(done=False, error=None, value=None)
-            jobs.append((op, dict(args)))
-            return {"queued": op}
-        spec = ADMIN_REGISTRY.get(op)
-        if spec is None or spec.scope != "shard" or spec.run is None:
-            raise ValueError("op %r is not a shard-process operation" % op)
-        return spec.run(shard, args)
-
-    def admin_envelope(op: str, result: Any) -> dict:
-        return {"ok": True, "op": op, "shard": shard_id,
-                "epoch": state["shard"].epoch, "result": result}
-
-    def handle_admin(payload: bytes, src: str) -> bytes:
-        try:
-            request = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return json.dumps({"error": "bad admin request"}).encode("utf-8")
-        token = request.get("token") or ""
-        if not authorized(token.encode("utf-8")):
-            control["unauthorized"] += 1
-            return json.dumps({"error": "unauthorized"}).encode("utf-8")
-        op = request.get("op")
-        if op not in ADMIN_REGISTRY:
-            return json.dumps(
-                {"error": "unknown admin op %r" % (op,)}).encode("utf-8")
-        try:
-            result = do_admin(op, request.get("args") or {})
-        except Exception as error:
-            return json.dumps({"error": str(error)}).encode("utf-8")
-        return json.dumps(
-            _jsonable(admin_envelope(op, result))).encode("utf-8")
-
-    def build_shard() -> MeshShard:
-        shard = MeshShard(shard_id, network,
-                          replication_factor=replication_factor, **kwargs)
-        register_network_metrics(shard.metrics, network)
-        shard.metrics.gauge("control.unauthorized",
-                            "rejected control-plane requests",
-                            sample=lambda: control["unauthorized"])
-        shard.metrics.gauge("control.restarts",
-                            "in-place shard restarts served",
-                            sample=lambda: control["restarts"])
-        shard.metrics.gauge("control.http_unauthorized",
-                            "rejected HTTP admin requests",
-                            sample=http_unauthorized)
-        shard.on(KIND_PROC_PING, handle_ping)
-        shard.on(KIND_PROC_STATS, handle_stats)
-        shard.on(KIND_PROC_METRICS, handle_metrics)
-        shard.on(KIND_PROC_TRACE, handle_trace)
-        shard.on(KIND_PROC_ADMIN, handle_admin)
-        shard.on(KIND_PROC_STOP, handle_stop)
-        state["shard"] = shard
-        return shard
-
-    build_shard()
+    node = _ShardProcess(shard_id, topo, network, auth_token,
+                         replication_factor, kwargs)
     network.add_routes({sid: addr for sid, addr in addresses.items()
                         if sid != shard_id})
-    state["shard"].set_topology(topo)
+    node.shard.set_topology(topo)
     network.set_epoch(topo.epoch)
-
-    # -- HTTP API: any node answers for itself and (via the control
-    # plane) for the whole mesh -------------------------------------------
-    server: Optional[ObsHttpServer] = None
     if http:
-        server = ObsHttpServer(token=auth_token)
-        server_box["server"] = server
-        _install_node_routes(server, state, shard_id, network,
-                             probe, auth_token, do_admin)
+        node.http = ObsHttpServer(token=auth_token)
+        install_routes(node.http, node)
         # The address file appears before the first poll answers a ping,
         # so a shard that responds to ping is already scrapable.
         with open(os.path.join(sock_dir, shard_id + ".http"), "w") as handle:
-            handle.write(server.address)
-
-    while not stopping:
-        network.poll(0.005)
-        if jobs:
-            op, args = jobs.pop(0)
-            try:
-                value = run_job(op, args)
-            except Exception as error:
-                job_state.update(done=True, error=str(error), value=None)
-            else:
-                job_state.update(done=True, error=None, value=value)
-        if restart_queue:
-            del restart_queue[:]
-            state["shard"].close()
-            shard = build_shard()
-            shard.set_topology(state["topology"])
-            shard.recover()
-            control["restarts"] += 1
-        state["shard"].flush_delivery()
-        if server is not None:
-            server.poll()
-    # One farewell pump so the stop response and any buffered deliveries
-    # reach the wire before teardown.
-    for _ in range(10):
-        network.poll(0.002)
-        state["shard"].flush_delivery()
-    if server is not None:
-        server.close()
-    state["shard"].close()
-    network.close()
+            handle.write(node.http.address)
+    node.run()
 
 
-def _install_node_routes(server: ObsHttpServer, state: Dict[str, Any],
-                         shard_id: str,
-                         network: SocketNetwork, probe: str,
-                         auth_token: Optional[str],
-                         do_admin) -> None:
-    """The per-process route table.  ``/metrics``..``/trace`` read this
-    node; the ``/mesh/*`` routes fan out over the ``proc_*`` control
-    plane so any one node answers for the whole mesh; ``/admin/*``
-    POSTs (token-guarded) run locally or forward to the named shard."""
-
-    def shard_ids() -> List[str]:
-        return state["topology"].shard_ids
-
-    def metrics_route(query: dict, body: bytes):
-        page = state["shard"].metrics.exposition(
-            extra_labels=(("shard", shard_id),))
-        return (_EXPOSITION_TYPE, page.encode("utf-8"))
-
-    def stats_route(query: dict, body: bytes):
-        shard = state["shard"]
-        return _jsonable({
-            "shard": shard_id,
-            "epoch": shard.epoch,
-            "pending_deliveries": shard.pending_deliveries(),
-            "stats": shard.stats(),
-            "transport": network.transport_snapshot(),
-        })
-
-    def log_route(query: dict, body: bytes):
-        shard = state["shard"]
-        if shard.event_log is None:
-            raise HttpError(404, "shard has no event log")
-        return _jsonable(shard.event_log.stats())
-
-    def cursors_route(query: dict, body: bytes):
-        shard = state["shard"]
-        if shard.event_log is None:
-            raise HttpError(404, "shard has no event log")
-        return _jsonable(shard.cursors.as_dict())
-
-    def replicas_route(query: dict, body: bytes):
-        shard = state["shard"]
-        if shard.replicas is None:
-            return {}
-        return _jsonable(shard.replicas.stats())
-
-    def topology_route(query: dict, body: bytes):
-        shard = state["shard"]
-        snapshot = network.transport_snapshot()
-        return _jsonable({
-            "shard": shard_id,
-            "epoch": shard.epoch,
-            "topology": state["topology"].as_dict(),
-            "peer_epochs": snapshot.get("peer_epochs", {}),
-        })
-
-    def trace_route(query: dict, body: bytes):
-        shard = state["shard"]
-        if shard.tracer is None:
-            raise HttpError(404, "tracing disabled on this shard")
-        trace = query.get("id")
-        return _jsonable({"node": shard_id,
-                          "spans": shard.tracer.events(trace),
-                          "traces": shard.tracer.trace_ids()})
-
-    def fan_out(kind: str, payload: bytes):
-        """(shard_id, decoded JSON | None) for every *other* shard."""
-        for sid in shard_ids():
-            if sid == shard_id:
-                continue
-            try:
-                response = network.request(probe, sid, kind, payload)
-                yield sid, json.loads(response.decode("utf-8"))
-            except (NetworkError, ValueError) as error:
-                yield sid, {"error": str(error)}
-
-    def mesh_stats_route(query: dict, body: bytes):
-        snapshots = {shard_id: stats_route(query, body)}
-        for sid, snapshot in fan_out(KIND_PROC_STATS, b""):
-            snapshots[sid] = snapshot
-        return {"mesh": _jsonable(snapshots)}
-
-    def mesh_metrics_route(query: dict, body: bytes):
-        pages = [state["shard"].metrics.exposition(
-            extra_labels=(("shard", shard_id),))]
-        for sid, result in fan_out(KIND_PROC_METRICS, b""):
-            page = result.get("exposition") if isinstance(result, dict) \
-                else None
-            if page:
-                pages.append(page)
-        return (_EXPOSITION_TYPE, merge_expositions(pages).encode("utf-8"))
-
-    def mesh_trace_route(query: dict, body: bytes):
-        trace = query.get("id")
-        shard = state["shard"]
-        span_lists = []
-        if shard.tracer is not None:
-            span_lists.append(shard.tracer.events(trace))
-        for sid, result in fan_out(KIND_PROC_TRACE,
-                                   (trace or "").encode("utf-8")):
-            if isinstance(result, dict) and "spans" in result:
-                span_lists.append(result["spans"])
-        spans = stitch(span_lists, trace)
-        result = {"spans": spans}
-        if trace is not None:
-            result["trace"] = trace
-            result["timeline"] = render_timeline(spans, trace)
-        else:
-            seen: List[str] = []
-            for span in spans:
-                if span["trace"] not in seen:
-                    seen.append(span["trace"])
-            result["traces"] = seen
-        return _jsonable(result)
-
-    def admin_route(op: str):
-        def handler(query: dict, body: bytes):
-            args = json_body(body)
-            target = args.pop("shard", None)
-            if target in (None, shard_id):
-                try:
-                    result = do_admin(op, args, inline=True)
-                except ValueError as error:
-                    raise HttpError(400, str(error))
-                return _jsonable({"ok": True, "op": op, "shard": shard_id,
-                                  "epoch": state["shard"].epoch,
-                                  "result": result})
-            if target not in shard_ids():
-                raise HttpError(404, "no shard %r" % target)
-            payload = json.dumps({"token": auth_token, "op": op,
-                                  "args": args}).encode("utf-8")
-            try:
-                response = network.request(probe, target, KIND_PROC_ADMIN,
-                                           payload)
-            except NetworkError as error:
-                raise HttpError(502, str(error))
-            result = json.loads(response.decode("utf-8"))
-            if "error" in result:
-                raise HttpError(502, str(result["error"]))
-            return _jsonable(result)
-        return handler
-
-    server.route("GET", "/metrics", metrics_route)
-    server.route("GET", "/stats", stats_route)
-    server.route("GET", "/log", log_route)
-    server.route("GET", "/cursors", cursors_route)
-    server.route("GET", "/replicas", replicas_route)
-    server.route("GET", "/topology", topology_route)
-    server.route("GET", "/trace", trace_route)
-    server.route("GET", "/mesh/stats", mesh_stats_route)
-    server.route("GET", "/mesh/metrics", mesh_metrics_route)
-    server.route("GET", "/mesh/trace", mesh_trace_route)
-    for op in ADMIN_OPS:
-        # Driver-level ops (add_shard/remove_shard) answer 400 here: a
-        # node cannot spawn or reap its peers' processes.
-        server.route("POST", "/admin/" + op, admin_route(op), auth=True)
-
-
-class ProcessMesh:
+class ProcessMesh(_ControlClient):
     """A mesh of shard *processes* plus a driver-side socket node.
 
     Spawns one OS process per shard (each running
     :func:`_shard_process_main`), waits for every shard to answer a ping,
     and exposes :attr:`network` — a :class:`SocketNetwork` in the calling
     process, routed to every shard — for client peers to register on.
-    The control plane (:meth:`ping`, :meth:`shard_stats`,
-    :meth:`shard_metrics`, :meth:`trace_events`, :meth:`admin`,
-    :meth:`stop`) rides the same socket protocol as publishes and
-    deliveries; mutating operations carry :attr:`auth_token`, minted
-    here and shared with every shard at spawn.  Each shard also serves
-    the HTTP API; :meth:`http_address` reads the advertised URL.
+    The control plane (:meth:`ping`, the :class:`MeshViews` reads over
+    ``proc_read``, :meth:`admin`, :meth:`stop`) rides the same socket
+    protocol as publishes and deliveries; mutating operations carry
+    :attr:`auth_token`, minted here and shared with every shard at
+    spawn.  Each shard also serves the HTTP API; :meth:`http_address`
+    reads the advertised URL.
 
     Membership changes are driver-orchestrated: :meth:`add_shard`
     spawns a process, resynchronises it, and pushes the new epoch to
@@ -983,10 +935,8 @@ class ProcessMesh:
         self._replication_factor = config.replication_factor
         self._broker_kwargs = config.broker_kwargs
         self._start_timeout = start_timeout
-        self.addresses = shard_addresses(
-            self.sock_dir, config.shard_ids, scheme=scheme,
-            ports=_allocate_tcp_ports(config.shard_ids) if scheme == "tcp"
-            else None)
+        self.addresses = shard_addresses(self.sock_dir, config.shard_ids,
+                                         scheme)
         # fork (where available) keeps startup cheap and works however the
         # parent was launched; the child builds its event loop and sockets
         # from scratch, so no live I/O state crosses the fork.
@@ -998,7 +948,7 @@ class ProcessMesh:
             self._spawn_process(shard_id, self.topology)
         self.network = SocketNetwork(name + "-driver")
         self.network.add_routes(self.addresses)
-        self._admin = name + "-admin"
+        self._src = name + "-admin"
         self._stopped = False
         try:
             self._wait_ready(start_timeout)
@@ -1035,16 +985,14 @@ class ProcessMesh:
                             % (shard_id, timeout))
                     time.sleep(0.05)
 
-    @property
-    def shard_ids(self) -> List[str]:
-        return self.topology.shard_ids
-
-    @property
-    def epoch(self) -> int:
-        return self.topology.epoch
-
     def shard_for(self, peer_id: str) -> str:
         return self.topology.shard_for(peer_id)
+
+    def ping(self, shard_id: str) -> None:
+        response = self.network.request(self._src, shard_id,
+                                        KIND_PROC_PING, b"")
+        if response != b"PONG":
+            raise NetworkError("unexpected ping response %r" % response)
 
     # -- elastic membership ------------------------------------------------
 
@@ -1070,10 +1018,8 @@ class ProcessMesh:
         proposed = self.topology.with_shard(shard_id)
         new_id = [sid for sid in proposed.shard_ids
                   if sid not in self.topology][0]
-        address = shard_addresses(
-            self.sock_dir, [new_id], scheme=self.scheme,
-            ports=_allocate_tcp_ports([new_id]) if self.scheme == "tcp"
-            else None)[new_id]
+        address = shard_addresses(self.sock_dir, [new_id],
+                                  self.scheme)[new_id]
         self.addresses[new_id] = address
         process = self._spawn_process(new_id, proposed)
         self.network.add_route(new_id, address)
@@ -1105,18 +1051,7 @@ class ProcessMesh:
         self._run_job(shard_id, "retire",
                       {"topology": proposed.as_dict()}, timeout=timeout)
         self._broadcast_topology(proposed, proposed.shard_ids)
-        token = (self.auth_token or "").encode("utf-8")
-        try:
-            self.network.request(self._admin, shard_id, KIND_PROC_STOP,
-                                 token)
-        except NetworkError:
-            pass  # already gone; the join below settles it
-        process = self.processes.pop(shard_id, None)
-        if process is not None:
-            process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - stuck-shard safety
-                process.terminate()
-                process.join(timeout=5.0)
+        self._stop_processes([shard_id])
         self.network.remove_route(shard_id)
         self.addresses.pop(shard_id, None)
         self.topology = proposed
@@ -1153,89 +1088,7 @@ class ProcessMesh:
                 raise NetworkError("%s on %s did not finish in %.0fs"
                                    % (op, shard_id, timeout))
 
-    # -- control plane -----------------------------------------------------
-
-    def ping(self, shard_id: str) -> None:
-        response = self.network.request(self._admin, shard_id,
-                                        KIND_PROC_PING, b"")
-        if response != b"PONG":
-            raise NetworkError("unexpected ping response %r" % response)
-
-    def shard_stats(self, shard_id: str) -> dict:
-        response = self.network.request(self._admin, shard_id,
-                                        KIND_PROC_STATS, b"")
-        return json.loads(response.decode("utf-8"))
-
-    def shard_metrics(self, shard_id: str) -> dict:
-        """One shard's registry: ``{"snapshot": tree, "exposition": text}``."""
-        response = self.network.request(self._admin, shard_id,
-                                        KIND_PROC_METRICS, b"")
-        return json.loads(response.decode("utf-8"))
-
-    def metrics_snapshots(self) -> Dict[str, dict]:
-        """Every shard's ``snapshot()`` tree, keyed by shard id — the
-        soak report embeds this."""
-        return {shard_id: self.shard_metrics(shard_id).get("snapshot", {})
-                for shard_id in self.shard_ids}
-
-    def metrics_exposition(self) -> str:
-        """One exposition page covering every shard."""
-        return merge_expositions([
-            self.shard_metrics(shard_id).get("exposition", "")
-            for shard_id in self.shard_ids])
-
-    def trace_events(self, trace: Optional[str] = None) -> List[dict]:
-        """Collect every shard's span ring over ``proc_trace`` and stitch
-        them into one wall-clock timeline."""
-        payload = (trace or "").encode("utf-8")
-        span_lists = []
-        for shard_id in self.shard_ids:
-            response = self.network.request(self._admin, shard_id,
-                                            KIND_PROC_TRACE, payload)
-            span_lists.append(
-                json.loads(response.decode("utf-8")).get("spans", []))
-        return stitch(span_lists, trace)
-
-    def render_trace(self, trace: str) -> str:
-        """The ``repro trace`` view: the stitched cross-process timeline."""
-        return render_timeline(self.trace_events(trace), trace)
-
-    def admin(self, op: str, shard_id: str,
-              args: Optional[dict] = None) -> dict:
-        """Run a token-authenticated admin operation on one shard; the
-        reply is the wire envelope (``{ok, op, shard, epoch, result}``)."""
-        payload = json.dumps({"token": self.auth_token, "op": op,
-                              "args": dict(args or {})}).encode("utf-8")
-        response = self.network.request(self._admin, shard_id,
-                                        KIND_PROC_ADMIN, payload)
-        result = json.loads(response.decode("utf-8"))
-        if "error" in result:
-            raise NetworkError("admin %s on %s failed: %s"
-                               % (op, shard_id, result["error"]))
-        return result
-
-    def run_shard_op(self, shard_id: str, op: str, args: dict) -> Any:
-        """One shard-scope registry op over the wire (the
-        :func:`run_admin_op` fan-out hook)."""
-        if shard_id not in self.topology:
-            raise ValueError("no shard %r in this mesh" % shard_id)
-        return self.admin(op, shard_id, args).get("result")
-
-    def admin_op(self, op: str, shard_id: Optional[str] = None,
-                 args: Optional[dict] = None) -> dict:
-        """Run one public admin operation (see :func:`run_admin_op`)."""
-        return run_admin_op(self, op, shard_id, args)
-
-    def restart_shard(self, shard_id: str) -> dict:
-        """Ask one shard process to crash-restart its shard in place (the
-        rebuild happens on the shard's next pump tick)."""
-        return self.admin("restart_shard", shard_id)
-
-    def topology_view(self, shard_id: str) -> dict:
-        """One shard's committed membership view (epoch + topology),
-        read over ``proc_stats``."""
-        snapshot = self.shard_stats(shard_id)
-        return {"shard": shard_id, "epoch": snapshot.get("epoch")}
+    # -- HTTP endpoints and lifecycle --------------------------------------
 
     def http_address(self, shard_id: str) -> str:
         """The ``http://host:port`` base URL one shard advertised."""
@@ -1251,30 +1104,28 @@ class ProcessMesh:
         return {shard_id: self.http_address(shard_id)
                 for shard_id in self.shard_ids}
 
-    def all_idle(self) -> bool:
-        """Every shard reports an empty delivery buffer and an idle node
-        — the cross-process quiescence check (the driver's own queues are
-        its caller's to drain)."""
-        return all(self.shard_stats(shard_id).get("idle")
-                   for shard_id in self.shard_ids)
+    def _stop_processes(self, shard_ids: List[str],
+                        timeout: float = 10.0) -> None:
+        """Ask each shard process to stop (token-guarded), then reap it."""
+        token = (self.auth_token or "").encode("utf-8")
+        for shard_id in shard_ids:
+            try:
+                self.network.request(self._src, shard_id, KIND_PROC_STOP,
+                                     token)
+            except NetworkError:
+                pass  # already gone; the join below settles it
+        for shard_id in shard_ids:
+            process = self.processes.pop(shard_id)
+            process.join(timeout=timeout)
+            if process.is_alive():  # pragma: no cover - stuck-shard safety
+                process.terminate()
+                process.join(timeout=5.0)
 
     def stop(self, timeout: float = 10.0) -> None:
         if self._stopped:
             return
         self._stopped = True
-        token = (self.auth_token or "").encode("utf-8")
-        for shard_id in list(self.processes):
-            try:
-                self.network.request(self._admin, shard_id, KIND_PROC_STOP,
-                                     token)
-            except NetworkError:
-                pass  # already gone; the join below settles it
-        for process in self.processes.values():
-            process.join(timeout=timeout)
-        for process in self.processes.values():
-            if process.is_alive():  # pragma: no cover - stuck-shard safety
-                process.terminate()
-                process.join(timeout=5.0)
+        self._stop_processes(list(self.processes), timeout)
         self.network.close()
         if self._tmp_dir:
             shutil.rmtree(self.sock_dir, ignore_errors=True)

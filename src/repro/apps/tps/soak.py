@@ -40,12 +40,10 @@ from ...obs.bridge import register_network_metrics
 from ...obs.http import ObsHttpServer
 from ...obs.metrics import MetricsRegistry
 from .broker import TpsPeer
-from .procmesh import ProcessMesh, SocketMesh, _jsonable
+from .procmesh import _EXPOSITION_TYPE, ProcessMesh, SocketMesh, _jsonable
 from .topology import Topology
 
 __all__ = ["latency_percentiles", "run_soak"]
-
-_EXPOSITION_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _DRAIN_TIMEOUT_S = 60.0
 _IDLE_CHECK_EVERY_S = 0.05
@@ -293,9 +291,12 @@ def run_soak(shards: int = 4,
                     "duplicates": sum(s.duplicates for s in stable),
                     "churn_ops": churn_ops,
                 }))
+            # "mesh" answers /mesh/* for every shard: any shard node of a
+            # process mesh, the one endpoint of an in-process mesh.
             endpoints: Dict[str, Any] = {"driver": http_server.address}
             if processes:
                 endpoints["shards"] = mesh.http_addresses()
+                endpoints["mesh"] = endpoints["shards"][shard_ids[0]]
             else:
                 endpoints["mesh"] = mesh.serve_http().address
             with open(http_file, "w", encoding="utf-8") as handle:
@@ -417,12 +418,7 @@ def run_soak(shards: int = 4,
                 now = time.monotonic()
                 if now - last_idle_check >= _IDLE_CHECK_EVERY_S:
                     last_idle_check = now
-                    if processes:
-                        if mesh.all_idle() and driver.idle():
-                            break
-                    elif mesh.hub.idle() and not any(
-                            shard.pending_deliveries()
-                            for shard in mesh.shards):
+                    if mesh.all_idle() and driver.idle():
                         break
             if time.monotonic() > deadline:
                 break  # report the loss instead of raising
@@ -431,18 +427,8 @@ def run_soak(shards: int = 4,
         delivered = sum(subscriber.received for subscriber in stable)
         expected = published * len(stable)
         lost_gauge.set(max(0, expected - delivered))
-        if processes:
-            shard_reports = {shard_id: mesh.shard_stats(shard_id)
-                             for shard_id in shard_ids}
-            transport = {"driver": driver.transport_snapshot()}
-            transport.update({shard_id: entry["transport"]
-                              for shard_id, entry in shard_reports.items()})
-            shard_metrics = mesh.metrics_snapshots()
-        else:
-            transport = {"driver": driver.transport_snapshot()}
-            transport.update(mesh.transport_stats())
-            shard_metrics = {shard.peer_id: shard.metrics.snapshot()
-                             for shard in mesh.shards}
+        transport = {"driver": driver.transport_snapshot()}
+        transport.update(mesh.transport_stats())
         report.update({
             "published": published,
             "expected_deliveries": expected,
@@ -475,15 +461,12 @@ def run_soak(shards: int = 4,
             "transport": transport,
             "metrics": _jsonable({
                 "driver": registry.snapshot(),
-                "shards": shard_metrics,
+                "shards": mesh.metrics_snapshots(),
             }),
         })
         return report
     finally:
-        if processes:
-            mesh.stop()
-        else:
-            mesh.close()
+        mesh.close()
         if own_log_root is not None:
             import shutil
 

@@ -346,14 +346,12 @@ def cmd_mesh(args, out) -> int:
         departed = topology.get("departed") or []
         if departed:
             out.write("departed  %s\n" % " ".join(departed))
-        # Driver nodes report every shard's committed epoch; process
-        # nodes report the epochs their live peers announced.
-        for key in ("shard_epochs", "peer_epochs"):
-            entries = data.get(key) or {}
-            if entries:
-                out.write("%s\n" % key.replace("_", " "))
-                for peer, epoch in sorted(entries.items()):
-                    out.write("  %-24s %s\n" % (peer, epoch))
+        # The committed epoch of every shard the endpoint hosts.
+        entries = data.get("shard_epochs") or {}
+        if entries:
+            out.write("shard epochs\n")
+            for shard_id, epoch in sorted(entries.items()):
+                out.write("  %-24s %s\n" % (shard_id, epoch))
         return 0
 
     op = ADMIN_REGISTRY.get(args.action)

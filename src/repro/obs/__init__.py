@@ -14,10 +14,10 @@ Three pieces, all stdlib-only:
   through forward/replicate/replay hops, with per-stage span events
   recorded into a bounded ring buffer per shard and a cross-shard
   timeline stitcher (``repro trace``).
-- :mod:`repro.obs.http` — the HTTP operational API (``/metrics``,
-  ``/stats``, ``/log``, ``/cursors``, ``/replicas``, ``/trace`` and
-  token-gated admin POSTs) served per ``ProcessMesh`` node and by
-  ``SocketMesh``.
+- :mod:`repro.obs.http` — the polled HTTP server behind the
+  operational API: one route table (``/<view>``, ``/mesh/<view>`` and
+  token-gated admin POSTs, see ``repro.apps.tps.procmesh``) served by
+  ``SocketMesh`` and by every ``ProcessMesh`` node.
 """
 
 from .http import HttpError, ObsHttpServer, json_body  # noqa: F401

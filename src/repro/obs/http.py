@@ -1,8 +1,9 @@
 """The HTTP operational API: a polled, single-threaded stdlib server.
 
-Every mesh node serves a small route table (``/metrics``, ``/stats``,
-``/log``, ``/cursors``, ``/replicas``, ``/trace``, plus admin POSTs)
-over :class:`http.server.HTTPServer` — no threads, no new dependencies.
+Every mesh endpoint serves one small route table (a ``GET`` per shard
+view, its ``/mesh/*`` twin, plus admin POSTs; see
+``repro.apps.tps.procmesh.install_routes``) over
+:class:`http.server.HTTPServer` — no threads, no new dependencies.
 The server never runs its own loop: the owning pump calls :meth:`poll`
 once per tick, which handles at most one ready request on the caller's
 thread.  Handlers therefore read broker state with the same

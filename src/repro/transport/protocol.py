@@ -326,6 +326,16 @@ class InteropPeer(Peer):
         the lazy twin of :meth:`_admit_value`."""
         self.transport_stats.objects_received += 1
         provider_info = batch.root_type(index)
+        return self._admit(src, provider_info.full_name, provider_info,
+                           lambda: batch.value(index))
+
+    def _admit(self, src: str, name: str, provider_info: TypeInfo,
+               value_of: Callable[[], Any]) -> ReceivedObject:
+        """The interest check every admission path shares: pick the first
+        declared interest ``provider_info`` conforms to, and only then ask
+        ``value_of`` for the value — a rejected object is never decoded
+        (nor its code fetched).  With no interests declared, everything
+        is admitted unwrapped."""
         interest: Optional[TypeInfo] = None
         result: Optional[ConformanceResult] = None
         if self.interests:
@@ -338,16 +348,12 @@ class InteropPeer(Peer):
                         break
             if interest is None:
                 self.transport_stats.objects_rejected += 1
-                return ReceivedObject(
-                    src, provider_info.full_name, None, None, None, result
-                )
-        value = batch.value(index)
+                return ReceivedObject(src, name, None, None, None, None)
+        value = value_of()
         view: Any = value
-        if interest is not None and result is not None:
+        if interest is not None:
             view = wrap_with_result(value, interest, result, self.checker)
-        return ReceivedObject(
-            src, provider_info.full_name, value, view, interest, result
-        )
+        return ReceivedObject(src, name, value, view, interest, result)
 
     def _deliver(self, received: ReceivedObject) -> None:
         self.inbox.append(received)
@@ -370,31 +376,11 @@ class InteropPeer(Peer):
             provider_info = description.to_type_info()
 
         # Rules check against declared interests, on the *description* —
-        # before any code is transferred.
-        interest: Optional[TypeInfo] = None
-        result: Optional[ConformanceResult] = None
-        if self.interests:
-            with self._fetching_from(src):
-                for candidate in self.interests:
-                    verdict = self.checker.conforms(provider_info, candidate)
-                    if verdict.ok:
-                        interest = candidate
-                        result = verdict
-                        break
-            if interest is None:
-                # Optimistic win: non-conformant objects never cost a code
-                # download.
-                self.transport_stats.objects_rejected += 1
-                return ReceivedObject(src, root.name, None, None, None, result)
-
-        # Step 4-5: types conform (or no interest filter) — fetch the code
-        # and deserialize.
-        value = self._materialize(envelope, src)
-
-        view: Any = value
-        if interest is not None and result is not None:
-            view = wrap_with_result(value, interest, result, self.checker)
-        return ReceivedObject(src, root.name, value, view, interest, result)
+        # before any code is transferred: non-conformant objects never
+        # cost a code download.  Step 4-5: types conform (or no interest
+        # filter) — fetch the code and deserialize.
+        return self._admit(src, root.name, provider_info,
+                           lambda: self._materialize(envelope, src))
 
     def _admit_value(self, value: Any, src: str) -> ReceivedObject:
         """Interest check + view construction for an already-materialized
@@ -402,27 +388,8 @@ class InteropPeer(Peer):
         batch path where the whole frame decodes up front)."""
         self.transport_stats.objects_received += 1
         provider_info = value.type_info
-        interest: Optional[TypeInfo] = None
-        result: Optional[ConformanceResult] = None
-        if self.interests:
-            with self._fetching_from(src):
-                for candidate in self.interests:
-                    verdict = self.checker.conforms(provider_info, candidate)
-                    if verdict.ok:
-                        interest = candidate
-                        result = verdict
-                        break
-            if interest is None:
-                self.transport_stats.objects_rejected += 1
-                return ReceivedObject(
-                    src, provider_info.full_name, None, None, None, result
-                )
-        view: Any = value
-        if interest is not None and result is not None:
-            view = wrap_with_result(value, interest, result, self.checker)
-        return ReceivedObject(
-            src, provider_info.full_name, value, view, interest, result
-        )
+        return self._admit(src, provider_info.full_name, provider_info,
+                           lambda: value)
 
     # -- step 2-3 helpers ---------------------------------------------------
 

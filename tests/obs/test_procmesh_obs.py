@@ -1,13 +1,16 @@
 """Operational-API integration tests: SocketMesh and ProcessMesh.
 
-The in-process :class:`SocketMesh` tests cover the HTTP route table,
-auth and admin plumbing cheaply; the single :class:`ProcessMesh` test is
-the PR's acceptance path — a record published through real OS processes
-leaves a stitched cross-shard trace timeline, every node serves a
-parseable ``/metrics`` page, one node answers ``/mesh/*`` for the whole
-mesh, and admin operations are token-guarded end to end.
+The route-schema test runs one set of assertions against a
+:class:`SocketMesh` endpoint and a :class:`ProcessMesh` shard node: both
+serve the one route table, so every path answers in the same shape.
+The in-process :class:`SocketMesh` tests cover auth and admin plumbing
+cheaply; the :class:`ProcessMesh` acceptance test publishes a record
+through real OS processes and checks the stitched cross-shard trace
+timeline, every node's parseable ``/metrics`` page, one node answering
+``/mesh/*`` for the whole mesh, and token-guarded admin end to end.
 """
 
+import io
 import json
 import threading
 import urllib.error
@@ -19,12 +22,15 @@ from repro.apps.tps import TpsPeer
 from repro.apps.tps.procmesh import (
     ADMIN_OPS,
     KIND_PROC_STOP,
+    VIEWS,
     ProcessMesh,
     SocketMesh,
 )
 from repro.apps.tps.topology import Topology
+from repro.cli import main
 from repro.fixtures import person_assembly_pair, person_java
 from repro.obs.metrics import parse_exposition
+from test_stats_schema import BROKER_MESH_KEYS, TRANSPORT_SNAPSHOT_KEYS
 
 
 def get(url, token=None, method="GET", body=None, timeout=20):
@@ -38,21 +44,23 @@ def get(url, token=None, method="GET", body=None, timeout=20):
         return error.code, error.read()
 
 
-def mesh_get(mesh, url, **kwargs):
-    """Fetch from an in-process SocketMesh node.  The mesh's polled HTTP
-    server only answers while the mesh is pumped, so the request runs on
-    a helper thread while this thread drives :meth:`SocketMesh.flush`."""
+def pumped(pump, call):
+    """Run ``call`` on a helper thread while this thread drives
+    ``pump`` — an in-process SocketMesh's polled HTTP server only
+    answers while the mesh is pumped."""
     box = {}
-
-    def fetch():
-        box["result"] = get(url, **kwargs)
-
-    thread = threading.Thread(target=fetch, daemon=True)
+    thread = threading.Thread(target=lambda: box.update(result=call()),
+                              daemon=True)
     thread.start()
     while thread.is_alive():
-        mesh.flush()
+        pump()
         thread.join(timeout=0.001)
     return box["result"]
+
+
+def mesh_get(mesh, url, **kwargs):
+    """Fetch from an in-process SocketMesh node."""
+    return pumped(mesh.flush, lambda: get(url, **kwargs))
 
 
 def metric_groups(samples):
@@ -116,7 +124,9 @@ class TestSocketMeshHttp:
         shard_id = mesh.shard_ids[0]
         status, payload = mesh_get(mesh, server.address + "/stats?shard=" + shard_id)
         assert status == 200
-        assert "events_routed" in json.loads(payload)
+        narrowed = json.loads(payload)
+        assert "events_routed" in narrowed
+        assert set(narrowed["shards"]) == {shard_id}
         assert mesh_get(mesh, server.address + "/metrics?shard=nope")[0] == 404
 
     def test_log_cursors_replicas_pages(self, socket_mesh):
@@ -264,7 +274,7 @@ class TestProcessMeshObservability:
             # -- one node answers for the whole mesh --
             status, payload = get(address + "/mesh/stats")
             assert status == 200
-            assert set(json.loads(payload)["mesh"]) == set(mesh.shard_ids)
+            assert set(json.loads(payload)["shards"]) == set(mesh.shard_ids)
             status, payload = get(address + "/mesh/metrics")
             assert status == 200
             merged = parse_exposition(payload.decode("utf-8"))
@@ -290,18 +300,21 @@ class TestProcessMeshObservability:
             # 401 above is counted on its own gauge.
             assert driver.request("nosy", target, KIND_PROC_STOP,
                                   b"wrong-token") == b"DENIED"
-            node = mesh.shard_stats(target)
-            assert node["unauthorized"] >= 1
-            assert node["http_unauthorized"] >= 1
+            control = mesh.metrics_snapshots()[target]["control"]
+            assert control["unauthorized"] >= 1
+            assert control["http_unauthorized"] >= 1
 
             # -- in-place restart keeps the shard serving --
             restart = mesh.restart_shard(target)
             assert restart["ok"] and restart["result"]["restarting"] == target
+            def restarts():
+                return mesh.metrics_snapshots()[target]["control"]["restarts"]
+
             for _ in range(200):
                 driver.poll(0.01)
-                if mesh.shard_stats(target).get("restarts"):
+                if restarts():
                     break
-            assert mesh.shard_stats(target)["restarts"] == 1
+            assert restarts() == 1
             before_restart = len(delivered)
             publisher.publish_async(
                 target, publisher.new_instance("demo.a.Person", ["again"]))
@@ -312,3 +325,151 @@ class TestProcessMeshObservability:
             assert len(delivered) > before_restart
         finally:
             mesh.stop()
+
+
+# ---------------------------------------------------------------------------
+# one route schema: the same assertions against both runners
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def process_mesh(tmp_path_factory):
+    mesh = ProcessMesh(topology=Topology.sized(2, "routeproc"),
+                       log_root=str(tmp_path_factory.mktemp("routeproc")),
+                       replication_factor=1)
+    try:
+        yield mesh
+    finally:
+        mesh.stop()
+
+
+class Endpoint:
+    """One HTTP endpoint under test.  ``GET /<view>`` answers for the
+    ``hosted`` shards, ``GET /mesh/<view>`` for ``every`` shard;
+    ``unauthorized`` reads the endpoint's rejected-admin count, and
+    ``pump`` (in-process meshes only) keeps its server answering."""
+
+    def __init__(self, base, hosted, every, token, unauthorized, pump=None):
+        self.base = base
+        self.hosted = list(hosted)
+        self.every = list(every)
+        self.token = token
+        self.unauthorized = unauthorized
+        self.pump = pump
+
+    def call(self, fn):
+        return fn() if self.pump is None else pumped(self.pump, fn)
+
+    def fetch(self, path, **kwargs):
+        return self.call(lambda: get(self.base + path, **kwargs))
+
+    def json(self, path):
+        status, payload = self.fetch(path)
+        assert status == 200, (path, payload)
+        return json.loads(payload)
+
+
+@pytest.fixture(params=["socket", "process"])
+def endpoint(request, tmp_path):
+    if request.param == "socket":
+        mesh = SocketMesh(topology=Topology.sized(2, "routesock"),
+                          log_root=str(tmp_path / "logs"),
+                          replication_factor=1)
+        server = mesh.serve_http()
+        try:
+            yield Endpoint(server.address, mesh.shard_ids, mesh.shard_ids,
+                           mesh.auth_token, lambda: server.unauthorized,
+                           pump=mesh.flush)
+        finally:
+            mesh.close()
+        return
+    mesh = request.getfixturevalue("process_mesh")
+    node = mesh.shard_ids[0]
+    yield Endpoint(mesh.http_address(node), [node], mesh.shard_ids,
+                   mesh.auth_token,
+                   lambda: mesh.metrics_snapshots()[node]["control"]
+                   ["http_unauthorized"])
+
+
+class TestOneRouteSchema:
+    def test_every_path_answers_in_one_shape(self, endpoint):
+        assert set(VIEWS) == {"stats", "metrics", "log", "cursors",
+                              "replicas", "transport", "topology", "trace"}
+        for prefix, shards in (("", endpoint.hosted),
+                               ("/mesh", endpoint.every)):
+            stats = endpoint.json(prefix + "/stats")
+            assert set(stats) == BROKER_MESH_KEYS
+            assert set(stats["shards"]) == set(shards)
+            for view in ("log", "cursors", "replicas"):
+                pages = endpoint.json(prefix + "/" + view)
+                assert set(pages) == set(shards), view
+                assert all(page is not None for page in pages.values())
+            transport = endpoint.json(prefix + "/transport")
+            assert set(transport) == set(shards)
+            for snapshot in transport.values():
+                assert set(snapshot) == TRANSPORT_SNAPSHOT_KEYS | {"idle"}
+            topology = endpoint.json(prefix + "/topology")
+            assert set(topology) == {"epoch", "topology", "shard_epochs"}
+            assert topology["topology"]["shards"] == endpoint.every
+            assert topology["shard_epochs"] == {sid: topology["epoch"]
+                                                for sid in shards}
+            assert set(endpoint.json(prefix + "/trace")) == \
+                {"spans", "traces"}
+            assert set(endpoint.json(prefix + "/trace?id=t-none")) == \
+                {"spans", "trace", "timeline"}
+            status, payload = endpoint.fetch(prefix + "/metrics")
+            assert status == 200
+            samples = parse_exposition(payload.decode("utf-8"))
+            labels = {dict(pairs).get("shard")
+                      for pairs in samples["repro_pipeline_events_routed"]}
+            assert labels == set(shards)
+
+    def test_shard_filter_narrows_and_404s(self, endpoint):
+        target = endpoint.hosted[0]
+        for prefix in ("", "/mesh"):
+            narrowed = endpoint.json(prefix + "/stats?shard=" + target)
+            assert set(narrowed["shards"]) == {target}
+            assert set(endpoint.json(prefix + "/log?shard=" + target)) == \
+                {target}
+            assert endpoint.fetch(prefix + "/stats?shard=nope")[0] == 404
+            assert endpoint.fetch(prefix + "/metrics?shard=nope")[0] == 404
+        for peer in set(endpoint.every) - set(endpoint.hosted):
+            # A shard node answers for its peers only under /mesh/*.
+            assert endpoint.fetch("/cursors?shard=" + peer)[0] == 404
+            assert set(endpoint.json("/mesh/cursors?shard=" + peer)) == \
+                {peer}
+
+    def test_admin_routes_share_auth_ops_and_envelope(self, endpoint):
+        before = endpoint.unauthorized()
+        assert endpoint.fetch("/admin/compact", method="POST",
+                              body=b"")[0] == 401
+        assert endpoint.unauthorized() == before + 1
+        assert endpoint.fetch("/admin/explode", token=endpoint.token,
+                              method="POST", body=b"")[0] == 404
+        status, payload = endpoint.fetch("/admin/compact",
+                                         token=endpoint.token,
+                                         method="POST", body=b"")
+        assert status == 200
+        envelope = json.loads(payload)
+        assert set(envelope) == {"ok", "op", "shard", "epoch", "result"}
+        assert envelope["ok"] and envelope["op"] == "compact"
+        assert set(envelope["result"]) == set(endpoint.every)
+        status, _ = endpoint.fetch(
+            "/admin/prune", token=endpoint.token, method="POST",
+            body=json.dumps({"shard": "nope"}).encode("utf-8"))
+        assert status == 400
+
+    def test_cli_reads_both_runners_alike(self, endpoint):
+        out = io.StringIO()
+        assert endpoint.call(lambda: main(
+            ["mesh", "topology", "--url", endpoint.base], out=out)) == 0
+        listed = out.getvalue()
+        assert "epoch     1" in listed
+        assert "shards    " + " ".join(endpoint.every) in listed
+        epochs = listed.split("shard epochs\n", 1)[1]
+        assert sorted(line.split()[0] for line in epochs.splitlines()) == \
+            sorted(endpoint.hosted)
+        out = io.StringIO()
+        assert endpoint.call(lambda: main(
+            ["trace", "--list", "--url", endpoint.base], out=out)) == 0
+        assert out.getvalue() == "(no spans)\n"

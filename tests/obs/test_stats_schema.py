@@ -11,7 +11,7 @@ import pytest
 
 from repro.apps.tps import BrokerMesh, TpsPeer
 from repro.apps.tps.broker import LocalBroker, TpsBroker
-from repro.apps.tps.procmesh import SocketMesh
+from repro.apps.tps.procmesh import ProcessMesh, SocketMesh
 from repro.apps.tps.topology import Topology
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
@@ -134,6 +134,38 @@ class TestStatsKeySets:
         assert set(snapshot) == BROKER_MESH_KEYS
         assert set(snapshot["shards"]) == set(mesh.shard_ids)
         mesh.close()
+
+    def test_process_mesh(self, tmp_path):
+        """One mesh stats schema for all three runners: the driver reads
+        every shard's stats over the control plane and totals them with
+        the aggregation BrokerMesh.stats() uses."""
+        mesh = ProcessMesh(topology=Topology.sized(2, "schemaproc"),
+                           log_root=str(tmp_path / "log"))
+        try:
+            publisher = TpsPeer("publisher", mesh.network)
+            asm_a, _ = person_assembly_pair()
+            publisher.host_assembly(asm_a)
+            delivered = []
+            subscriber = TpsPeer("sub0", mesh.network)
+            subscriber.subscribe_remote(mesh.shard_for("sub0"),
+                                        person_java(), delivered.append)
+            publisher.publish_async(
+                mesh.shard_for("publisher"),
+                publisher.new_instance("demo.a.Person", ["x"]))
+            for _ in range(2000):
+                mesh.network.poll(0.01)
+                if delivered:
+                    break
+            assert delivered
+            snapshot = mesh.stats()
+            assert set(snapshot) == BROKER_MESH_KEYS
+            assert set(snapshot["shards"]) == set(mesh.shard_ids)
+            assert snapshot["epoch"] == mesh.epoch
+            assert snapshot["events_routed"] == sum(
+                shard["events_routed"]
+                for shard in snapshot["shards"].values()) >= 1
+        finally:
+            mesh.stop()
 
     def test_socket_transport_snapshot(self):
         network = SocketNetwork("schema-node")
