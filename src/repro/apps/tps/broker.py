@@ -54,7 +54,6 @@ from ...transport.protocol import (
     KIND_DELIVERY_ACK,
     KIND_PUBLISH_ACK,
     InteropPeer,
-    ReceivedObject,
 )
 from .pipeline import (
     AdmissionStage,
@@ -659,14 +658,15 @@ class TpsSubscriberMixin:
                       replace_key=None) -> int:
         """Shared subscribe machinery: declare the interest, send the
         description (plus any ``extra`` request fields) under ``kind``,
-        and install the interest-gated delivery callback.  Both the plain
-        and the durable subscribe paths route through here, so delivery
-        gating can never silently diverge between them.
+        and register ``handler`` in the peer's dispatch table under the
+        interests it accepts.  Both the plain and the durable subscribe
+        paths route through here, so delivery gating can never silently
+        diverge between them.
 
-        ``replace_key`` deduplicates the delivery callback: a reconnect
+        ``replace_key`` makes a reconnect a table update: a subscribe
         under the same key (the durable path uses ``(broker, cursor)``)
-        swaps the old closure out instead of stacking a second one that
-        would run the application handler twice per event.
+        moves the earlier handler's entries to this one instead of
+        stacking a second handler that would run twice per event.
         """
         self.declare_interest(expected)
         description = TypeDescription.from_type_info(expected)
@@ -683,25 +683,17 @@ class TpsSubscriberMixin:
         # The admission check credits the FIRST declared interest an event
         # conforms to, so a reconnect's gate must keep accepting the
         # interest objects its earlier incarnations declared.
+        key = (broker_id, subscription_id)
         gate = [expected]
-        registry = None
         if replace_key is not None:
-            registry = self.__dict__.setdefault("_deliver_callbacks", {})
-            old = registry.get(replace_key)
-            if old is not None:
-                old_deliver, old_gate = old
-                if old_deliver in self._receive_callbacks:
-                    self._receive_callbacks.remove(old_deliver)
+            reconnects = self.__dict__.setdefault("_reconnect_gates", {})
+            previous = reconnects.get(replace_key)
+            if previous is not None:
+                old_key, old_gate = previous
+                self.remove_interest_handler(old_key)
                 gate.extend(old_gate)
-
-        def deliver(received: ReceivedObject) -> None:
-            if received.accepted and any(received.interest is candidate
-                                         for candidate in gate):
-                handler(received.view)
-
-        if registry is not None:
-            registry[replace_key] = (deliver, gate)
-        self.on_receive(deliver)
+            reconnects[replace_key] = (key, gate)
+        self.add_interest_handler(key, gate, handler)
         return subscription_id
 
     def subscribe_remote(self, broker_id: str, expected: TypeInfo,
@@ -737,12 +729,15 @@ class TpsSubscriberMixin:
                                   replace_key=(broker_id, cursor))
 
     def unsubscribe_remote(self, broker_id: str, subscription_id: int) -> None:
+        """Cancel a subscription at its broker and drop its handler.  The
+        declared interest stays: admission still credits it first."""
         self.request(
             broker_id,
             KIND_TPS_UNSUBSCRIBE,
             self._wire_codec.serialize({"id": subscription_id}),
             retries=self.max_retries,
         )
+        self.remove_interest_handler((broker_id, subscription_id))
 
     def publish(self, broker_id: str, event: Any) -> None:
         self.send(broker_id, event)

@@ -56,6 +56,9 @@ class ConformanceChecker:
         self._cache: Dict[_Pair, ConformanceResult] = {}
         self._assumptions: Set[_Pair] = set()
         self.stats = CheckerStats()
+        #: Bumped by :meth:`clear_cache`, so memos built on this checker's
+        #: verdicts (a peer's admission memo) know to drop theirs too.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # public API
@@ -83,6 +86,7 @@ class ConformanceChecker:
 
     def clear_cache(self) -> None:
         self._cache.clear()
+        self.generation += 1
 
     @property
     def cache_size(self) -> int:

@@ -7,10 +7,10 @@ then on the peer can deserialize and invoke instances of the new types.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cts.assembly import Assembly
-from ..cts.members import TypeRef, Visibility
+from ..cts.members import MethodInfo, TypeRef, Visibility
 from ..cts.registry import TypeNotFoundError, TypeRegistry
 from ..cts.types import BOOL, DOUBLE, FLOAT, INT, LONG, STRING, TypeInfo
 from ..il.instructions import MethodBody
@@ -77,6 +77,11 @@ def default_field_value(type_ref: Optional[TypeRef]) -> Any:
     return _FIELD_DEFAULTS.get(type_ref.full_name)
 
 
+#: Bound on each per-type plan memo (types are few; unregistered TypeInfo
+#: objects built per call must not grow it without limit).
+_MAX_PLANS = 1024
+
+
 class Runtime:
     """Owns a type registry and executes IL or native method bodies."""
 
@@ -84,6 +89,15 @@ class Runtime:
         self.registry = registry if registry is not None else TypeRegistry()
         self._interpreter = Interpreter(_RuntimeEnvironment(self), max_steps=max_steps)
         self._loaded_assemblies: Dict[str, Assembly] = {}
+        #: Per-type runtime plans, keyed by TypeInfo identity (each entry
+        #: holds its TypeInfo, so the id stays its own): method lookups
+        #: ``(id, name, arity)`` and field-defaults templates ``id``.
+        #: Superclass resolution depends on what is registered, so both
+        #: are dropped whenever the registry's version moves.
+        self._methods: Dict[Tuple[int, str, Optional[int]],
+                            Tuple[TypeInfo, Optional[MethodInfo]]] = {}
+        self._defaults: Dict[int, Tuple[TypeInfo, Dict[str, Any]]] = {}
+        self._plans_version = -1
 
     # -- loading ------------------------------------------------------------
 
@@ -119,12 +133,28 @@ class Runtime:
             current = parent
         return chain
 
+    def _drop_stale_plans(self) -> None:
+        version = self.registry.version
+        if version != self._plans_version:
+            self._methods.clear()
+            self._defaults.clear()
+            self._plans_version = version
+
     def find_method(self, info: TypeInfo, name: str, arity: Optional[int] = None):
+        self._drop_stale_plans()
+        key = (id(info), name, arity)
+        hit = self._methods.get(key)
+        if hit is not None:
+            return hit[1]
+        method = None
         for holder in self._type_chain(info):
             method = holder.find_method(name, arity)
             if method is not None:
-                return method
-        return None
+                break
+        if len(self._methods) >= _MAX_PLANS:
+            self._methods.clear()
+        self._methods[key] = (info, method)
+        return method
 
     def has_method(self, info: TypeInfo, name: str) -> bool:
         return self.find_method(info, name) is not None
@@ -139,6 +169,20 @@ class Runtime:
                     fields.append(field)
         return fields
 
+    def _field_defaults(self, info: TypeInfo) -> Dict[str, Any]:
+        """The per-type template every new instance's fields start from
+        (callers copy it)."""
+        self._drop_stale_plans()
+        hit = self._defaults.get(id(info))
+        if hit is not None:
+            return hit[1]
+        template = {f.name: default_field_value(f.type_ref)
+                    for f in self.all_fields(info)}
+        if len(self._defaults) >= _MAX_PLANS:
+            self._defaults.clear()
+        self._defaults[id(info)] = (info, template)
+        return template
+
     # -- instantiation ------------------------------------------------------------
 
     def new_instance(self, type_name: str, args: Optional[List[Any]] = None) -> CtsInstance:
@@ -148,8 +192,7 @@ class Runtime:
 
     def instantiate(self, info: TypeInfo, args: Optional[List[Any]] = None) -> CtsInstance:
         args = args if args is not None else []
-        fields = {f.name: default_field_value(f.type_ref) for f in self.all_fields(info)}
-        instance = CtsInstance(info, self, fields)
+        instance = CtsInstance(info, self, self._field_defaults(info).copy())
         ctor = None
         for holder in self._type_chain(info):
             ctor = holder.find_constructor(len(args))
@@ -166,7 +209,7 @@ class Runtime:
 
     def raw_instance(self, info: TypeInfo, fields: Dict[str, Any]) -> CtsInstance:
         """Create an instance without running a constructor (deserialization)."""
-        base = {f.name: default_field_value(f.type_ref) for f in self.all_fields(info)}
+        base = self._field_defaults(info).copy()
         base.update(fields)
         return CtsInstance(info, self, base)
 

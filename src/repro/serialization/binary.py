@@ -113,11 +113,20 @@ class _Reader:
         return chunk
 
     def read_byte(self) -> int:
-        return self.read(1)[0]
+        pos = self.pos
+        try:
+            byte = self.data[pos]
+        except IndexError:
+            raise WireFormatError("truncated binary payload")
+        self.pos = pos + 1
+        return byte
 
     def read_varint(self) -> int:
-        shift = 0
-        value = 0
+        byte = self.read_byte()
+        if not byte & 0x80:
+            return byte  # the common case: one byte
+        value = byte & 0x7F
+        shift = 7
         while True:
             byte = self.read_byte()
             value |= (byte & 0x7F) << shift

@@ -16,7 +16,7 @@ from ..cts.assembly import Assembly
 from ..describe.description import TypeDescription
 from ..describe.xml_codec import serialize_description_bytes
 from ..serialization.graph import collect_types
-from .protocol import InteropPeer, ReceivedObject
+from .protocol import InteropPeer
 
 KIND_OBJECT_EAGER = "object_eager"
 
@@ -74,8 +74,5 @@ class EagerPeer(InteropPeer):
             if not self.runtime.has_assembly(assembly.name):
                 self.runtime.load_assembly(assembly)
         envelope = self.codec.parse(bundle["envelope"])
-        received = self.receive_envelope(envelope, src)
-        self.inbox.append(received)
-        for callback in self._receive_callbacks:
-            callback(received)
+        self._deliver(self.receive_envelope(envelope, src))
         return b"OK"

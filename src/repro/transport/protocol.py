@@ -19,7 +19,8 @@ assemblies for the types it hosts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from collections.abc import Hashable
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cts.assembly import Assembly
 from ..cts.identity import Guid
@@ -79,6 +80,14 @@ KIND_REPLICA_PULL = "replica_pull"
 
 #: Safety bound on the materialisation loop (one fetch per unknown type).
 _MAX_CODE_FETCHES = 64
+
+#: Bound on the admission memo.  Registered types are few; a provider type
+#: rebuilt from a fetched description per receipt would otherwise grow it.
+_MAX_VERDICTS = 512
+
+#: What the admission memo holds for an accepted provider type: the first
+#: declared interest it conforms to, and that check's result.
+_Verdict = Tuple[TypeInfo, ConformanceResult]
 
 
 class ProtocolError(Exception):
@@ -192,6 +201,18 @@ class InteropPeer(Peer):
         self.code_source = code_source  # fallback repository peer id
         self._hosted: Dict[str, Assembly] = {}
         self._receive_callbacks: List[Callable[[ReceivedObject], None]] = []
+        #: The dispatch table: ``id(interest)`` -> (the interest, its
+        #: handlers, their registration keys), in registration order.
+        #: Keyed by identity, not by the TypeInfo's guid-based equality:
+        #: two declared copies of one type are two distinct interests.
+        self._interest_handlers: Dict[
+            int, Tuple[TypeInfo, List[Callable[[Any], None]], List[Hashable]]
+        ] = {}
+        self._handler_gates: Dict[Hashable, List[TypeInfo]] = {}
+        #: Admission memo: ``id(provider type)`` -> (that type, its verdict
+        #: or ``None`` for a rejection), valid for :attr:`_verdicts_stamp`.
+        self._verdicts: Dict[int, Tuple[TypeInfo, Optional[_Verdict]]] = {}
+        self._verdicts_stamp: Tuple[int, int] = (-1, -1)
         #: Shared wire serializer for assembly transfer and control
         #: messages (e.g. TPS subscribe/unsubscribe).  Long-lived and
         #: buffer-reusing: no request path allocates a fresh serializer.
@@ -216,9 +237,40 @@ class InteropPeer(Peer):
         conform to it are delivered as that type."""
         self.runtime.registry.register(info)
         self.interests.append(info)
+        self._verdicts.clear()
 
     def on_receive(self, callback: Callable[[ReceivedObject], None]) -> None:
+        """Run ``callback`` for every received object, accepted or not,
+        before any interest handler."""
         self._receive_callbacks.append(callback)
+
+    def add_interest_handler(self, key: Hashable, gate: Sequence[TypeInfo],
+                             handler: Callable[[Any], None]) -> None:
+        """Run ``handler(view)`` for every object accepted as one of the
+        declared interests in ``gate`` (matched by identity).  ``key``
+        names the registration for :meth:`remove_interest_handler`."""
+        unique = list({id(interest): interest for interest in gate}.values())
+        for interest in unique:
+            entry = self._interest_handlers.get(id(interest))
+            if entry is None:
+                entry = self._interest_handlers[id(interest)] = (
+                    interest, [], [])
+            entry[1].append(handler)
+            entry[2].append(key)
+        self._handler_gates[key] = unique
+
+    def remove_interest_handler(self, key: Hashable) -> List[TypeInfo]:
+        """Drop the handler registered under ``key``; returns the
+        interests it was registered for (empty when none was)."""
+        gate = self._handler_gates.pop(key, [])
+        for interest in gate:
+            _, handlers, keys = self._interest_handlers[id(interest)]
+            index = keys.index(key)
+            del handlers[index]
+            del keys[index]
+            if not keys:
+                del self._interest_handlers[id(interest)]
+        return gate
 
     def new_instance(self, type_name: str, args: Optional[List[Any]] = None):
         return self.runtime.new_instance(type_name, args)
@@ -336,29 +388,60 @@ class InteropPeer(Peer):
         ``value_of`` for the value — a rejected object is never decoded
         (nor its code fetched).  With no interests declared, everything
         is admitted unwrapped."""
-        interest: Optional[TypeInfo] = None
-        result: Optional[ConformanceResult] = None
-        if self.interests:
-            with self._fetching_from(src):
-                for candidate in self.interests:
-                    verdict = self.checker.conforms(provider_info, candidate)
-                    if verdict.ok:
-                        interest = candidate
-                        result = verdict
-                        break
-            if interest is None:
-                self.transport_stats.objects_rejected += 1
-                return ReceivedObject(src, name, None, None, None, None)
+        if not self.interests:
+            value = value_of()
+            return ReceivedObject(src, name, value, value, None, None)
+        verdict = self._verdict(src, provider_info)
+        if verdict is None:
+            self.transport_stats.objects_rejected += 1
+            return ReceivedObject(src, name, None, None, None, None)
+        interest, result = verdict
         value = value_of()
-        view: Any = value
-        if interest is not None:
-            view = wrap_with_result(value, interest, result, self.checker)
+        view = wrap_with_result(value, interest, result, self.checker)
         return ReceivedObject(src, name, value, view, interest, result)
 
+    def _verdict(self, src: str, provider_info: TypeInfo) -> Optional[_Verdict]:
+        """First-conforming-wins over the declared interests, memoized per
+        provider type (by identity).  The memo is dropped when an interest
+        is declared, when the registry changes (a newly registered type
+        can change a verdict) and when the checker's cache is cleared."""
+        memo = self._valid_verdicts()
+        hit = memo.get(id(provider_info))
+        if hit is not None:
+            return hit[1]
+        verdict: Optional[_Verdict] = None
+        with self._fetching_from(src):
+            for candidate in self.interests:
+                result = self.checker.conforms(provider_info, candidate)
+                if result.ok:
+                    verdict = (candidate, result)
+                    break
+        # The check may have registered fetched types: re-validate first.
+        memo = self._valid_verdicts()
+        if len(memo) >= _MAX_VERDICTS:
+            memo.clear()
+        memo[id(provider_info)] = (provider_info, verdict)
+        return verdict
+
+    def _valid_verdicts(self) -> Dict[int, Tuple[TypeInfo, Optional[_Verdict]]]:
+        stamp = (self.runtime.registry.version, self.checker.generation)
+        if stamp != self._verdicts_stamp:
+            self._verdicts.clear()
+            self._verdicts_stamp = stamp
+        return self._verdicts
+
     def _deliver(self, received: ReceivedObject) -> None:
+        """Inbox, then every ``on_receive`` callback, then the handlers
+        registered for the accepted interest: one table lookup, however
+        many subscriptions and interests the peer holds."""
         self.inbox.append(received)
         for callback in self._receive_callbacks:
             callback(received)
+        entry = self._interest_handlers.get(id(received.interest))
+        if entry is not None:
+            view = received.view
+            for handler in entry[1]:
+                handler(view)
 
     def receive_envelope(self, envelope: ObjectEnvelope, src: str) -> ReceivedObject:
         self.transport_stats.objects_received += 1

@@ -130,6 +130,23 @@ class TestDistributedTps:
         publisher.publish("broker", publisher.new_instance("demo.a.Person", ["x"]))
         assert events == []
 
+    def test_unsubscribe_remote_drops_the_handler(self, world):
+        """The broker stops forwarding, and the peer forgets the handler
+        too: an object sent straight to the peer is still admitted (the
+        interest stays declared) but reaches no cancelled subscription,
+        while a live one on the same interest still runs."""
+        network, broker, publisher, subscriber = world
+        expected = person_java()
+        gone, kept = [], []
+        sid = subscriber.subscribe_remote("broker", expected, gone.append)
+        subscriber.subscribe_remote("broker", expected, kept.append)
+        subscriber.unsubscribe_remote("broker", sid)
+        publisher.send(subscriber.peer_id,
+                       publisher.new_instance("demo.a.Person", ["direct"]))
+        assert subscriber.inbox[-1].accepted
+        assert gone == []
+        assert [view.getPersonName() for view in kept] == ["direct"]
+
     def test_publisher_not_echoed(self, world):
         """A peer that both publishes and subscribes does not receive its
         own events back."""

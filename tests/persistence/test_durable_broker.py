@@ -599,8 +599,8 @@ class TestAckWindowOrdering:
 class TestReconnectHandlerReplacement:
     def test_reconnect_does_not_double_deliver(self, tmp_path):
         """Re-subscribing under the same cursor swaps the client-side
-        delivery callback — the application handler runs once per event,
-        not once per historical subscribe call."""
+        handler in the peer's dispatch table — the application handler
+        runs once per event, not once per historical subscribe call."""
         network, broker, publisher = make_world(tmp_path)
         first, second = [], []
         subscriber = TpsPeer("sub", network)
