@@ -72,6 +72,10 @@ REPLAY_BATCH_RECORDS = 64
 _EPOCH = itertools.count(1)
 
 
+#: A route entry's view not yet built for the record being fanned out.
+_UNBUILT = object()
+
+
 def cursor_name_of(subscription: Any) -> Optional[str]:
     """The replay-cursor name of a durable subscription (``None`` for a
     plain one).  Duck-typed so the pipeline needs no import of the broker
@@ -1172,21 +1176,25 @@ class DeliveryPipeline:
         if event_type is None:
             return 0  # admission guarantees resolvability; defensive
         deliveries = 0
-        views: Dict[int, Any] = {}
         value: Any = None
         for entry, subscriptions in self.routing.targets(event_type):
+            view: Any = _UNBUILT
             for subscription in subscriptions:
                 if origin is not None and subscription.peer_id == origin:
                     continue  # do not echo events back to their publisher
                 if subscription.handler is not None:
-                    if value is None:
-                        value = batch.value(index)
-                    ok = self._deliver_local(subscription, entry, value,
-                                             log_offset, views)
-                    cursor = cursor_name_of(subscription)
-                    if log_offset is not None and cursor is not None:
-                        local_acks[cursor] = (local_acks.get(cursor, True)
-                                              and ok)
+                    if view is _UNBUILT:
+                        # Built once per entry and shared by its whole
+                        # group: proxies are stateless translators.
+                        if value is None:
+                            value = batch.value(index)
+                        view = entry.view(value, self.routing.checker)
+                    ok = self._deliver_local(subscription, view, log_offset)
+                    if log_offset is not None:
+                        cursor = cursor_name_of(subscription)
+                        if cursor is not None:
+                            local_acks[cursor] = (local_acks.get(cursor, True)
+                                                  and ok)
                     if not ok:
                         continue  # failures must not abort the fan-out
                 else:
@@ -1198,32 +1206,20 @@ class DeliveryPipeline:
                 deliveries += 1
         return deliveries
 
-    def _shared_view(self, entry: RouteEntry, value: Any,
-                     views: Optional[Dict[int, Any]]) -> Any:
-        """The translated view, built once per (entry, value) and shared
-        by the whole group — proxies are stateless translators."""
-        view = views.get(id(entry)) if views is not None else None
-        if view is None:
-            view = entry.view(value, self.routing.checker)
-            if views is not None:
-                views[id(entry)] = view
-        return view
-
-    def _deliver_local(self, subscription: Any, entry: RouteEntry,
-                       value: Any, log_offset: Optional[int],
-                       views: Optional[Dict[int, Any]] = None,
+    def _deliver_local(self, subscription: Any, view: Any,
+                       log_offset: Optional[int],
                        cursor: Optional[str] = None) -> bool:
-        """Run one in-process handler.  With ``isolate_failures`` the
+        """Run one in-process handler on ``view``.  With ``isolate_failures`` the
         handler's exceptions are counted and contained — and, for durable
         subscriptions, the cursor is pinned below the failed record until
         a replay succeeds.  ``cursor`` overrides which cursor the failure
         block lands on (foreign replay pins the fetch cursor, whose
         offset space ``log_offset`` then belongs to)."""
         if not self.delivery.isolate_failures:
-            subscription.handler(self._shared_view(entry, value, views))
+            subscription.handler(view)
             return True
         try:
-            subscription.handler(self._shared_view(entry, value, views))
+            subscription.handler(view)
             return True
         except Exception:
             self.stats.delivery_failures += 1
@@ -1330,8 +1326,9 @@ class DeliveryPipeline:
             durability.advance(cursor, record.offset + 1, touch=False)
             return 0
         for value, entry in conforming:
-            if not self._deliver_local(subscription, entry, value,
-                                       record.offset, {}, cursor=cursor):
+            view = entry.view(value, self.routing.checker)
+            if not self._deliver_local(subscription, view, record.offset,
+                                       cursor=cursor):
                 return None  # unacked: this pass stops at the failure
             subscription.delivered += 1
             self.stats.events_replayed += 1

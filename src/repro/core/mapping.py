@@ -8,7 +8,7 @@ proxies consume mappings to translate invocations at runtime.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cts.members import ConstructorInfo, FieldInfo, MethodInfo
 
@@ -93,6 +93,9 @@ class TypeMapping:
         self._methods: Dict[Tuple[str, int], MethodMatch] = {}
         self._fields: Dict[str, FieldMatch] = {}
         self._ctors: Dict[int, CtorMatch] = {}
+        #: How a dynamic proxy forwards each ``(name, arity)`` call,
+        #: memoized by ``repro.remoting.dynamic``.
+        self.call_plans: Dict[Tuple[str, int], Any] = {}
 
     # -- population --------------------------------------------------------
 

@@ -58,6 +58,8 @@ class ConformanceResult:
         "aspects",
         "failures",
         "warnings",
+        "ok",
+        "needs_proxy",
     )
 
     def __init__(
@@ -77,23 +79,20 @@ class ConformanceResult:
         self.aspects = aspects if aspects is not None else {}
         self.failures = failures if failures is not None else []
         self.warnings = warnings if warnings is not None else []
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict is not Verdict.FAILED
+        # A result does not change once the checker returns it, so the two
+        # per-object questions are answered here, once.
+        #: True for any succeeding verdict.
+        self.ok = verdict is not Verdict.FAILED
+        #: True when using the provider as the expected type requires a
+        #: translating dynamic proxy (names/permutations differ).
+        self.needs_proxy = (
+            verdict not in (Verdict.EQUAL, Verdict.EQUIVALENT, Verdict.EXPLICIT)
+            and mapping is not None
+            and not mapping.is_identity()
+        )
 
     def __bool__(self) -> bool:
         return self.ok
-
-    @property
-    def needs_proxy(self) -> bool:
-        """True when using the provider as the expected type requires a
-        translating dynamic proxy (names/permutations differ)."""
-        if self.verdict in (Verdict.EQUAL, Verdict.EQUIVALENT, Verdict.EXPLICIT):
-            return False
-        if self.mapping is None:
-            return False
-        return not self.mapping.is_identity()
 
     def explain(self) -> str:
         """Human-readable multi-line account of the decision."""

@@ -13,11 +13,12 @@ direct invocation.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
+from ..cts.members import TypeRef
 from ..cts.types import TypeInfo
 from ..core.mapping import TypeMapping
-from ..core.result import ConformanceResult, Verdict
+from ..core.result import ConformanceResult
 from ..core.rules import ConformanceChecker
 
 
@@ -27,6 +28,40 @@ class ProxyError(Exception):
 
 class NotConformantError(ProxyError):
     """Attempted to build a proxy from a failed conformance result."""
+
+
+#: How a proxy forwards one call: the provider method's name, the
+#: argument reorder (``None`` for the identity), and the expected return
+#: type when the result may need deep wrapping (``None`` when it never
+#: does: a primitive return type).
+_CallPlan = Tuple[str, Optional[Callable[[Sequence[Any]], list]], Optional[TypeRef]]
+
+_UNPLANNED = object()
+
+
+def _call_plan(mapping: TypeMapping, name: str, arity: int) -> Optional[_CallPlan]:
+    """The plan for ``name`` with ``arity`` arguments, memoized on the
+    mapping (a mapping does not change once the checker returns it);
+    ``None`` for a call the mapping does not cover (the pass-through)."""
+    plans = mapping.call_plans
+    key = (name, arity)
+    plan = plans.get(key, _UNPLANNED)
+    if plan is not _UNPLANNED:
+        return plan
+    match = mapping.method(name, arity)
+    if match is None:
+        match = mapping.method_by_name(name)
+    plan = None
+    if match is not None:
+        identity = (match.is_identity_permutation
+                    and len(match.permutation) == arity)
+        return_ref: Optional[TypeRef] = match.expected.return_type
+        if return_ref.resolved is not None and return_ref.resolved.is_primitive:
+            return_ref = None
+        plan = (match.provider.name, None if identity else match.reorder,
+                return_ref)
+    plans[key] = plan
+    return plan
 
 
 class DynamicProxy:
@@ -56,27 +91,33 @@ class DynamicProxy:
     # -- protocol --------------------------------------------------------
 
     def _repro_invoke(self, method_name: str, args: Sequence[Any]) -> Any:
-        match = self._mapping.method(method_name, len(args))
-        if match is None:
-            match = self._mapping.method_by_name(method_name)
-        if match is None:
-            # Pass-through: a caller holding the provider's own surface
-            # (e.g. provider-side code receiving its object back through a
-            # proxy) still reaches the target directly.
-            target_type = _type_of(self._target)
-            if target_type is not None and any(
-                m.name == method_name for m in target_type.methods
-            ):
-                return self._target._repro_invoke(
-                    method_name, [_unwrap(a) for a in args]
-                )
-            raise AttributeError(
-                "%s (as %s) has no method %r"
-                % (self._provider_name(), self._expected.full_name, method_name)
+        plan = _call_plan(self._mapping, method_name, len(args))
+        if plan is None:
+            return self._pass_through(method_name, args)
+        provider_name, reorder, return_ref = plan
+        call_args = [_unwrap(a) for a in args]
+        if reorder is not None:
+            call_args = reorder(call_args)
+        result = self._target._repro_invoke(provider_name, call_args)
+        if return_ref is None:
+            return result
+        return self._wrap_return(result, return_ref)
+
+    def _pass_through(self, method_name: str, args: Sequence[Any]) -> Any:
+        """A caller holding the provider's own surface (e.g. provider-side
+        code receiving its object back through a proxy) still reaches the
+        target directly."""
+        target_type = _type_of(self._target)
+        if target_type is not None and any(
+            m.name == method_name for m in target_type.methods
+        ):
+            return self._target._repro_invoke(
+                method_name, [_unwrap(a) for a in args]
             )
-        call_args = match.reorder([_unwrap(a) for a in args])
-        result = self._target._repro_invoke(match.provider.name, call_args)
-        return self._wrap_return(result, match.expected.return_type)
+        raise AttributeError(
+            "%s (as %s) has no method %r"
+            % (self._provider_name(), self._expected.full_name, method_name)
+        )
 
     def _repro_type(self) -> TypeInfo:
         """A proxy presents the *expected* type."""

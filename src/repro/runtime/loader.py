@@ -7,7 +7,7 @@ then on the peer can deserialize and invoke instances of the new types.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cts.assembly import Assembly
 from ..cts.members import MethodInfo, TypeRef, Visibility
@@ -34,7 +34,10 @@ class _RuntimeEnvironment(ExecutionEnvironment):
 
     def get_field(self, receiver: Any, name: str) -> Any:
         if isinstance(receiver, CtsInstance):
-            return receiver.get_field(name)
+            try:
+                return receiver.fields[name]
+            except KeyError:
+                return receiver.get_field(name)  # raises UnknownFieldError
         if receiver is None:
             raise UnknownFieldError("null reference: cannot read field %r" % name)
         if isinstance(receiver, (list, str, dict)) and name in ("Length", "Count"):
@@ -77,6 +80,9 @@ def default_field_value(type_ref: Optional[TypeRef]) -> Any:
     return _FIELD_DEFAULTS.get(type_ref.full_name)
 
 
+#: A compiled member body: ``call(receiver, args)``.
+_Call = Callable[[Any, Sequence[Any]], Any]
+
 #: Bound on each per-type plan memo (types are few; unregistered TypeInfo
 #: objects built per call must not grow it without limit).
 _MAX_PLANS = 1024
@@ -91,11 +97,17 @@ class Runtime:
         self._loaded_assemblies: Dict[str, Assembly] = {}
         #: Per-type runtime plans, keyed by TypeInfo identity (each entry
         #: holds its TypeInfo, so the id stays its own): method lookups
-        #: ``(id, name, arity)`` and field-defaults templates ``id``.
-        #: Superclass resolution depends on what is registered, so both
-        #: are dropped whenever the registry's version moves.
+        #: ``(id, name, arity)``; invocation plans ``(id, name)``, each a
+        #: dict from call arity to the compiled body to run (``None`` when
+        #: the type has no method of that name); constructor calls
+        #: ``(id, arity)``; field-defaults templates ``id``.  Superclass
+        #: resolution depends on what is registered, so all of them are
+        #: dropped whenever the registry's version moves.
         self._methods: Dict[Tuple[int, str, Optional[int]],
                             Tuple[TypeInfo, Optional[MethodInfo]]] = {}
+        self._calls: Dict[Tuple[int, str],
+                          Tuple[TypeInfo, Optional[Dict[int, _Call]]]] = {}
+        self._ctors: Dict[Tuple[int, int], Tuple[TypeInfo, Optional[_Call]]] = {}
         self._defaults: Dict[int, Tuple[TypeInfo, Dict[str, Any]]] = {}
         self._plans_version = -1
 
@@ -137,6 +149,8 @@ class Runtime:
         version = self.registry.version
         if version != self._plans_version:
             self._methods.clear()
+            self._calls.clear()
+            self._ctors.clear()
             self._defaults.clear()
             self._plans_version = version
 
@@ -156,9 +170,6 @@ class Runtime:
         self._methods[key] = (info, method)
         return method
 
-    def has_method(self, info: TypeInfo, name: str) -> bool:
-        return self.find_method(info, name) is not None
-
     def all_fields(self, info: TypeInfo):
         fields = []
         seen = set()
@@ -169,9 +180,9 @@ class Runtime:
                     fields.append(field)
         return fields
 
-    def _field_defaults(self, info: TypeInfo) -> Dict[str, Any]:
+    def field_defaults(self, info: TypeInfo) -> Dict[str, Any]:
         """The per-type template every new instance's fields start from
-        (callers copy it)."""
+        (callers copy it; valid for the registry's current version)."""
         self._drop_stale_plans()
         hit = self._defaults.get(id(info))
         if hit is not None:
@@ -183,6 +194,83 @@ class Runtime:
         self._defaults[id(info)] = (info, template)
         return template
 
+    # -- compiled member bodies --------------------------------------------------
+
+    def _body_call(self, body: Any, owner: TypeInfo, member: str) -> _Call:
+        """The callable running ``body``; ``Type.member`` is formatted only
+        when it raises."""
+        if isinstance(body, MethodBody):
+            return self._interpreter.compile(body)
+        if body is not None and callable(body):
+            def native(self_obj: Any, args: Sequence[Any]) -> Any:
+                return body(self_obj, *args)
+            return native
+
+        def fail(self_obj: Any, args: Sequence[Any]) -> Any:
+            what = "%s.%s" % (owner.full_name, member)
+            if body is None:
+                raise AbstractMethodError("%s has no body" % what)
+            raise TypeError("unsupported body kind for %s: %r" % (what, type(body)))
+        return fail
+
+    def _method_plan(self, info: TypeInfo, name: str) -> Optional[Dict[int, _Call]]:
+        """Arity -> compiled body for ``info.name`` (filled on demand), or
+        ``None`` when the type has no method of that name."""
+        self._drop_stale_plans()
+        key = (id(info), name)
+        hit = self._calls.get(key)
+        if hit is not None:
+            return hit[1]
+        plan = {} if self.find_method(info, name) is not None else None
+        if len(self._calls) >= _MAX_PLANS:
+            self._calls.clear()
+        self._calls[key] = (info, plan)
+        return plan
+
+    def _plan_call(self, info: TypeInfo, name: str, arity: int,
+                   plan: Dict[int, _Call]) -> _Call:
+        """Compile the body a call of ``arity`` arguments runs: the method
+        of that arity, else the one by name alone."""
+        method = self.find_method(info, name, arity=arity)
+        if method is None:
+            method = self.find_method(info, name)
+        call = plan[arity] = self._body_call(method.body, info, name)
+        return call
+
+    def bound_method(self, receiver: CtsInstance, name: str) -> Optional[Callable[..., Any]]:
+        """``receiver.name`` as a Python callable, resolved now (``None``
+        when the type has no method of that name)."""
+        info = receiver.type_info
+        plan = self._method_plan(info, name)
+        if plan is None:
+            return None
+
+        def bound(*args: Any) -> Any:
+            call = plan.get(len(args))
+            if call is None:
+                call = self._plan_call(info, name, len(args), plan)
+            return call(receiver, args)
+
+        bound.__name__ = name
+        return bound
+
+    def _ctor_call(self, info: TypeInfo, arity: int) -> Optional[_Call]:
+        self._drop_stale_plans()
+        key = (id(info), arity)
+        hit = self._ctors.get(key)
+        if hit is not None:
+            return hit[1]
+        ctor = None
+        for holder in self._type_chain(info):
+            ctor = holder.find_constructor(arity)
+            if ctor is not None:
+                break
+        call = self._body_call(ctor.body, info, ".ctor") if ctor is not None else None
+        if len(self._ctors) >= _MAX_PLANS:
+            self._ctors.clear()
+        self._ctors[key] = (info, call)
+        return call
+
     # -- instantiation ------------------------------------------------------------
 
     def new_instance(self, type_name: str, args: Optional[List[Any]] = None) -> CtsInstance:
@@ -192,47 +280,38 @@ class Runtime:
 
     def instantiate(self, info: TypeInfo, args: Optional[List[Any]] = None) -> CtsInstance:
         args = args if args is not None else []
-        instance = CtsInstance(info, self, self._field_defaults(info).copy())
-        ctor = None
-        for holder in self._type_chain(info):
-            ctor = holder.find_constructor(len(args))
-            if ctor is not None:
-                break
+        instance = CtsInstance(info, self, self.field_defaults(info).copy())
+        ctor = self._ctor_call(info, len(args))
         if ctor is None:
             if args:
                 raise ConstructorNotFoundError(
                     "%s has no constructor of arity %d" % (info.full_name, len(args))
                 )
             return instance  # implicit default constructor
-        self._run_body(ctor.body, instance, args, "%s..ctor" % info.full_name)
+        ctor(instance, args)
         return instance
 
     def raw_instance(self, info: TypeInfo, fields: Dict[str, Any]) -> CtsInstance:
         """Create an instance without running a constructor (deserialization)."""
-        base = self._field_defaults(info).copy()
+        base = self.field_defaults(info).copy()
         base.update(fields)
         return CtsInstance(info, self, base)
 
     # -- invocation ------------------------------------------------------------
 
-    def invoke(self, receiver: CtsInstance, method_name: str, args: Optional[List[Any]] = None) -> Any:
-        args = args if args is not None else []
+    def invoke(self, receiver: CtsInstance, method_name: str, args: Optional[Sequence[Any]] = None) -> Any:
+        if args is None:
+            args = []
         info = receiver.type_info
-        method = self.find_method(info, method_name, arity=len(args))
-        if method is None:
-            method = self.find_method(info, method_name)
-        if method is None:
+        if self.registry.version != self._plans_version:
+            self._drop_stale_plans()
+        hit = self._calls.get((id(info), method_name))
+        plan = hit[1] if hit is not None else self._method_plan(info, method_name)
+        if plan is None:
             raise UnknownMethodError(
                 "%s has no method %r" % (info.full_name, method_name)
             )
-        qualified = "%s.%s" % (info.full_name, method_name)
-        return self._run_body(method.body, receiver, args, qualified)
-
-    def _run_body(self, body: Any, self_obj: Any, args: List[Any], what: str) -> Any:
-        if body is None:
-            raise AbstractMethodError("%s has no body" % what)
-        if isinstance(body, MethodBody):
-            return self._interpreter.execute(body, self_obj, args)
-        if callable(body):
-            return body(self_obj, *args)
-        raise TypeError("unsupported body kind for %s: %r" % (what, type(body)))
+        call = plan.get(len(args))
+        if call is None:
+            call = self._plan_call(info, method_name, len(args), plan)
+        return call(receiver, args)

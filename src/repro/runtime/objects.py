@@ -65,7 +65,7 @@ class CtsInstance:
         return self._runtime.invoke(self, method_name, list(args))
 
     def _repro_invoke(self, method_name: str, args: Sequence[Any]) -> Any:
-        return self._runtime.invoke(self, method_name, list(args))
+        return self._runtime.invoke(self, method_name, args)
 
     def _repro_type(self) -> "TypeInfo":
         return self.type_info
@@ -75,17 +75,15 @@ class CtsInstance:
     def __getattr__(self, name: str) -> Any:
         if name.startswith("_"):
             raise AttributeError(name)
-        if name in self.fields:
-            return self.fields[name]
-        if self._runtime.has_method(self.type_info, name):
-            def bound(*args: Any) -> Any:
-                return self._runtime.invoke(self, name, list(args))
-
-            bound.__name__ = name
-            return bound
-        raise UnknownMethodError(
-            "%s has no field or method %r" % (self.type_info.full_name, name)
-        )
+        fields = self.fields
+        if name in fields:
+            return fields[name]
+        bound = self._runtime.bound_method(self, name)
+        if bound is None:
+            raise UnknownMethodError(
+                "%s has no field or method %r" % (self.type_info.full_name, name)
+            )
+        return bound
 
     def __setattr__(self, name: str, value: Any) -> None:
         if name in CtsInstance.__slots__:

@@ -154,12 +154,20 @@ class _InternTables:
         self.types: Dict[Guid, int] = {}
 
 
+#: A decoded type literal: the local type and its field-defaults template.
+_TypePlan = Tuple[TypeInfo, Dict[str, Any]]
+
+#: Bound on a serializer's type-literal memo (types are few; a peer fed
+#: ever-new GUIDs must not grow it without limit).
+_MAX_TYPE_PLANS = 1024
+
+
 class _DecodeTables:
     __slots__ = ("strings", "types")
 
     def __init__(self):
         self.strings: List[str] = []
-        self.types: List[TypeInfo] = []
+        self.types: List[_TypePlan] = []
 
 
 class BinarySerializer:
@@ -188,6 +196,10 @@ class BinarySerializer:
         self.version = version
         self.last_schema_drift: List[Tuple[str, str]] = []
         self._buf: Optional[bytearray] = bytearray()
+        #: Type literal ``(16 GUID bytes, type name)`` -> plan, valid for
+        #: one registry version (:attr:`_type_plans_version`).
+        self._type_plans: Dict[Tuple[bytes, str], _TypePlan] = {}
+        self._type_plans_version = -1
 
     # -- encode ------------------------------------------------------------
 
@@ -366,6 +378,11 @@ class BinarySerializer:
     def _decode(self, reader: _Reader, objects: List[CtsInstance],
                 tables: Optional[_DecodeTables]) -> Any:
         tag = reader.read_byte()
+        # Objects and strings first: they are most of every payload.
+        if tag == _T_OBJ:
+            return self._decode_object(reader, objects, tables)
+        if tag == _T_STR:
+            return self._read_str(reader, tables)
         if tag == _T_NULL:
             return None
         if tag == _T_TRUE:
@@ -376,8 +393,6 @@ class BinarySerializer:
             return _unzigzag(reader.read_varint())
         if tag == _T_FLOAT:
             return struct.unpack(">d", reader.read(8))[0]
-        if tag == _T_STR:
-            return self._read_str(reader, tables)
         if tag == _T_BYTES:
             return reader.read(reader.read_varint())
         if tag == _T_LIST:
@@ -390,8 +405,6 @@ class BinarySerializer:
                 key = self._read_str(reader, tables)
                 out[key] = self._decode(reader, objects, tables)
             return out
-        if tag == _T_OBJ:
-            return self._decode_object(reader, objects, tables)
         if tag == _T_REF:
             index = reader.read_varint()
             if index >= len(objects):
@@ -409,10 +422,17 @@ class BinarySerializer:
             if index >= len(tables.strings):
                 raise WireFormatError("dangling string reference %d" % index)
             return tables.strings[index]
+        # reader.read, inlined: field names and string values are most of
+        # what a payload holds.
+        data, start = reader.data, reader.pos
+        end = start + (code >> 1)
+        if end > len(data):
+            raise WireFormatError("truncated binary payload")
         try:
-            text = reader.read(code >> 1).decode("utf-8")
+            text = data[start:end].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireFormatError("invalid UTF-8 in string: %s" % exc)
+        reader.pos = end
         tables.strings.append(text)
         return text
 
@@ -423,31 +443,30 @@ class BinarySerializer:
                 "payload contains objects but no runtime was provided"
             )
         if tables is None:
-            guid = Guid(reader.read(16))
-            type_name = reader.read_str()
-            info = self._lookup_type(guid, type_name)
+            info, template = self._type_plan(reader.read(16), reader.read_str())
         else:
             code = reader.read_varint()
             if code & 1:
                 index = code >> 1
                 if index >= len(tables.types):
                     raise WireFormatError("dangling type reference %d" % index)
-                info = tables.types[index]
+                info, template = tables.types[index]
             elif code == 0:
-                guid = Guid(reader.read(16))
-                type_name = self._read_str(reader, tables)
-                info = self._lookup_type(guid, type_name)
-                tables.types.append(info)
+                raw = reader.read(16)
+                plan = self._type_plan(raw, self._read_str(reader, tables))
+                tables.types.append(plan)
+                info, template = plan
             else:
                 raise WireFormatError("malformed type literal marker %d" % code)
         # Allocate first so cyclic back-references resolve.
-        instance = self.runtime.raw_instance(info, {})
+        instance = CtsInstance(info, self.runtime, template.copy())
         objects.append(instance)
         fields = instance.fields
         count = reader.read_varint()
+        read_str, decode = self._read_str, self._decode
         for _ in range(count):
-            name = self._read_str(reader, tables)
-            value = self._decode(reader, objects, tables)
+            name = read_str(reader, tables)
+            value = decode(reader, objects, tables)
             if name not in fields:
                 # Field present on the wire but absent locally: keep it
                 # (conformance mapping may still address it) and record the
@@ -455,6 +474,26 @@ class BinarySerializer:
                 self.last_schema_drift.append((info.full_name, name))
             fields[name] = value
         return instance
+
+    def _type_plan(self, raw: bytes, type_name: str) -> _TypePlan:
+        """The local type a literal names, with its field-defaults
+        template, memoized per ``(GUID bytes, name)`` for the registry's
+        current version.  A miss resolves exactly as an unmemoized decode
+        would; an unknown type is never memoized."""
+        version = self.runtime.registry.version
+        plans = self._type_plans
+        if version != self._type_plans_version:
+            plans.clear()
+            self._type_plans_version = version
+        key = (raw, type_name)
+        plan = plans.get(key)
+        if plan is None:
+            info = self._lookup_type(Guid(raw), type_name)
+            plan = (info, self.runtime.field_defaults(info))
+            if len(plans) >= _MAX_TYPE_PLANS:
+                plans.clear()
+            plans[key] = plan
+        return plan
 
     def _lookup_type(self, guid: Guid, type_name: str) -> TypeInfo:
         info = self.runtime.registry.get_by_guid(guid)
@@ -492,25 +531,27 @@ class BatchDecoder:
                  "_values", "_single")
 
     def __init__(self, serializer: BinarySerializer, data: Any):
-        if not isinstance(data, (bytes, bytearray)):
+        if not isinstance(data, bytes):
             # memoryview payloads (zero-copy frame slices) are snapshotted
             # once here: value decode is the paid path by definition.
             data = bytes(data)
         self._serializer = serializer
         self._values: List[Any] = []
+        self._reader = _Reader(data)
+        self._objects: List[CtsInstance] = []
         if data.startswith(_MAGIC_BATCH):
             self._single = False
-            self._reader = _Reader(bytes(data))
             self._reader.pos = len(_MAGIC_BATCH)
             self.count = self._reader.read_varint()
-            self._tables = _DecodeTables()
-            self._objects: List[CtsInstance] = []
-        elif data.startswith(_MAGIC_V2) or data.startswith(_MAGIC_V1):
+            self._tables: Optional[_DecodeTables] = _DecodeTables()
+        elif data.startswith(_MAGIC_V2):
             self._single = True
-            self._reader = _Reader(bytes(data))
+            self.count = 1
+            self._tables = _DecodeTables()
+        elif data.startswith(_MAGIC_V1):
+            self._single = True
             self.count = 1
             self._tables = None
-            self._objects = []
         else:
             raise WireFormatError("bad magic: not a binary payload")
 
@@ -535,8 +576,7 @@ class BatchDecoder:
 
     def _decode_next(self) -> None:
         if self._single:
-            self._values.append(self._serializer.deserialize(
-                bytes(self._reader.data)))
+            self._decode_single()
             return
         reader = self._reader
         tables = self._tables
@@ -557,4 +597,20 @@ class BatchDecoder:
         if (len(self._values) + 1 == self.count
                 and reader.pos != len(reader.data)):
             raise WireFormatError("trailing bytes after batch payload")
+        self._values.append(value)
+
+    def _decode_single(self) -> None:
+        """A plain ``RBS2``/``RBS1`` frame, decoded in place as
+        :meth:`BinarySerializer.deserialize` would; a retry after a failed
+        attempt starts from scratch."""
+        serializer = self._serializer
+        reader = self._reader
+        reader.pos = len(_MAGIC_V1)
+        tables = self._tables
+        if tables is not None and (tables.strings or tables.types):
+            tables = self._tables = _DecodeTables()  # an attempt failed
+        serializer.last_schema_drift = []
+        value = serializer._decode(reader, [], tables)
+        if reader.pos != len(reader.data):
+            raise WireFormatError("trailing bytes after payload")
         self._values.append(value)

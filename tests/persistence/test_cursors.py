@@ -106,11 +106,11 @@ class TestCursorGC:
         assert CursorStore(path).incarnation == 2
 
     def test_readonly_open_does_not_rewrite(self, tmp_path):
-        path = str(tmp_path / "cursors.json")
-        CursorStore(path).advance("c", 1)
-        before = open(path, "rb").read()
-        CursorStore(path)  # inspect-style open: no mutation
-        assert open(path, "rb").read() == before
+        path = tmp_path / "cursors.json"
+        CursorStore(str(path)).advance("c", 1)
+        before = path.read_bytes()
+        CursorStore(str(path))  # inspect-style open: no mutation
+        assert path.read_bytes() == before
 
     def test_prune_expires_idle_cursors_only(self, tmp_path):
         path = str(tmp_path / "cursors.json")

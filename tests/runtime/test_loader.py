@@ -5,6 +5,7 @@ import pytest
 from repro.cts.assembly import Assembly
 from repro.cts.builder import TypeBuilder
 from repro.fixtures import person_assembly_pair
+from repro.il.interp import MAX_CALL_DEPTH, IlLimitExceeded
 from repro.langs.csharp import compile_source
 from repro.runtime.loader import (
     AbstractMethodError,
@@ -159,3 +160,56 @@ class TestInvocationErrors:
         obj = runtime.instantiate(info)
         with pytest.raises(TypeError):
             obj.invoke("M")
+
+    def test_error_messages_name_the_member(self):
+        runtime = Runtime()
+        info = (TypeBuilder("x.A").method("M", [], "void")
+                .method("B", [], "void", body="not runnable").build())
+        runtime.load_type(info)
+        obj = runtime.instantiate(info)
+        with pytest.raises(AbstractMethodError, match=r"^x\.A\.M has no body$"):
+            obj.M()
+        with pytest.raises(TypeError, match=r"unsupported body kind for x\.A\.B"):
+            obj.invoke("B")
+
+
+class TestCallDepth:
+    """Nothing bounds IL recursion but the call-depth cap: a runaway must
+    surface as an IlError, never as Python's RecursionError."""
+
+    @pytest.mark.parametrize("source,entry", [
+        ("class R { public int F(int n) { return this.F(n + 1); } }", "F"),
+        ("class R { public R Next; public R(int n) { this.Next = new R(n + 1); } }",
+         None),
+    ])
+    def test_runaway_recursion_raises_il_limit(self, source, entry):
+        runtime = Runtime()
+        info = compile_source(source, namespace="t")[0]
+        runtime.load_type(info)
+        with pytest.raises(IlLimitExceeded, match="call depth"):
+            if entry is None:
+                runtime.instantiate(info, [0])
+            else:
+                runtime.instantiate(info).invoke(entry, 0)
+
+    def test_bounded_recursion_runs_and_the_cap_resets(self):
+        source = """
+        class R {
+            public int Down(int n) {
+                if (n <= 0) { return 0; }
+                return this.Down(n - 1) + 1;
+            }
+            public int Forever(int n) { return this.Forever(n + 1); }
+        }
+        """
+        runtime = Runtime()
+        info = compile_source(source, namespace="t")[0]
+        runtime.load_type(info)
+        obj = runtime.instantiate(info)
+        depth = MAX_CALL_DEPTH - 1
+        assert obj.invoke("Down", depth) == depth
+        with pytest.raises(IlLimitExceeded):
+            obj.invoke("Down", depth + 1)
+        with pytest.raises(IlLimitExceeded):
+            obj.invoke("Forever", 0)
+        assert obj.invoke("Down", depth) == depth  # nothing left counted
