@@ -7,14 +7,11 @@ method calls and construct objects.  ``repro.runtime.loader`` provides the
 production environment; tests can supply minimal fakes.
 
 Method bodies are compiled once into closures, so the opcode switch runs
-at compile time and never per call.  Each basic block becomes one closure:
-a compile-time symbolic stack turns the block's stack code into nested
-expression closures (``load_self; get_field name; return`` becomes one
-closure that reads the field), and the real stack list is touched only
-where a value outlives its block or an instruction reaches below what the
-block itself pushed.  Values are evaluated in instruction order, so every
-environment call, every error and its message happen as the instruction
-sequence says.
+at compile time and never per call.  Each instruction becomes one closure
+over the operand stack with its argument bound; each basic block becomes
+one closure that runs its instructions in order and returns the index of
+the block to run next.  The getter shape (``load_self; get_field name;
+return``) compiles to a single closure that reads the field.
 
 No Python source is generated and nothing is passed to ``exec``: IL
 arrives from remote peers in downloaded assemblies, so its field names,
@@ -25,9 +22,9 @@ values, never as code.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence
 
-from .instructions import MethodBody, Op
+from .instructions import Instr, MethodBody, Op
 
 
 class IlError(Exception):
@@ -44,10 +41,10 @@ class IlLimitExceeded(IlError):
 
 
 #: Deepest nesting of IL invocations (a body calling a method or
-#: constructor whose body calls another, ...) before IlLimitExceeded.  A
-#: level costs about six Python frames (eight through a proxy), so even
-#: two runtimes calling each other stay well inside CPython's default
-#: recursion limit of 1000.
+#: constructor whose body calls another, ...) before IlLimitExceeded,
+#: counted across every runtime in the process.  A level costs about eight
+#: Python frames through a proxy, so the cap stays well inside CPython's
+#: default recursion limit of 1000.
 MAX_CALL_DEPTH = 48
 
 
@@ -185,102 +182,195 @@ def _pop_n(stack: List[Any], count: int) -> List[Any]:
     return values
 
 
-# -- compiled pieces ---------------------------------------------------------
+# -- instructions ------------------------------------------------------------
 #
-# Every compiled piece is a closure of ``(s, a, l, st)``: the receiver
-# (``self``), the argument list, the locals list and the real stack list.
-# Expression pieces return their value; effect pieces return nothing; block
-# pieces return the next block's index, or one of the codes below (after
-# a return, the value is the real stack's top).
+# Each compile step takes the environment and the instruction's argument
+# and returns a closure ``step(st, s, a, l)`` over the operand stack, the
+# receiver (``self``), the argument list and the locals list.  A step does
+# what the instruction does, in the same order, so every environment call,
+# every error and its message happen as the instruction sequence says.
+
+Step = Callable[[List[Any], Any, Sequence[Any], List[Any]], None]
+
+
+def _push_const(env: Any, value: Any) -> Step:
+    def step(st, s, a, l):
+        st.append(value)
+    return step
+
+
+def _load_arg(env: Any, index: Any) -> Step:
+    def step(st, s, a, l):
+        try:
+            st.append(a[index])
+        except IndexError:
+            raise IlRuntimeError(
+                "argument index %r out of range (got %d args)" % (index, len(a))
+            )
+    return step
+
+
+def _load_local(env: Any, slot: Any) -> Step:
+    def step(st, s, a, l):
+        st.append(l[slot])
+    return step
+
+
+def _store_local(env: Any, slot: Any) -> Step:
+    def step(st, s, a, l):
+        l[slot] = st.pop()
+    return step
+
+
+def _load_self(env: Any, arg: Any) -> Step:
+    def step(st, s, a, l):
+        st.append(s)
+    return step
+
+
+def _get_field(env: Any, name: Any) -> Step:
+    get_field = env.get_field
+
+    def step(st, s, a, l):
+        st.append(get_field(st.pop(), name))
+    return step
+
+
+def _set_field(env: Any, name: Any) -> Step:
+    set_field = env.set_field
+
+    def step(st, s, a, l):
+        value = st.pop()
+        set_field(st.pop(), name, value)
+    return step
+
+
+def _call_method(env: Any, arg: Any) -> Step:
+    call_method = env.call_method
+
+    def step(st, s, a, l):
+        name, argc = arg
+        call_args = _pop_n(st, argc)
+        st.append(call_method(st.pop(), name, call_args))
+    return step
+
+
+def _new(env: Any, arg: Any) -> Step:
+    new_instance = env.new_instance
+
+    def step(st, s, a, l):
+        type_name, argc = arg
+        st.append(new_instance(type_name, _pop_n(st, argc)))
+    return step
+
+
+def _bin_op(env: Any, token: Any) -> Step:
+    apply = _operator(_BINARY, token, "binary")
+
+    def step(st, s, a, l):
+        rhs = st.pop()
+        st.append(apply(st.pop(), rhs))
+    return step
+
+
+def _un_op(env: Any, token: Any) -> Step:
+    apply = _operator(_UNARY, token, "unary")
+
+    def step(st, s, a, l):
+        st.append(apply(st.pop()))
+    return step
+
+
+def _new_list(env: Any, count: Any) -> Step:
+    def step(st, s, a, l):
+        st.append(_pop_n(st, count))
+    return step
+
+
+def _index_get_step(env: Any, arg: Any) -> Step:
+    def step(st, s, a, l):
+        index = st.pop()
+        st.append(_index_get(st.pop(), index))
+    return step
+
+
+def _index_set_step(env: Any, arg: Any) -> Step:
+    def step(st, s, a, l):
+        value = st.pop()
+        index = st.pop()
+        _index_set(st.pop(), index, value)
+    return step
+
+
+def _list_len(env: Any, arg: Any) -> Step:
+    def step(st, s, a, l):
+        st.append(_length(st.pop()))
+    return step
+
+
+def _pop(env: Any, arg: Any) -> Step:
+    def step(st, s, a, l):
+        st.pop()
+    return step
+
+
+def _dup(env: Any, arg: Any) -> Step:
+    def step(st, s, a, l):
+        st.append(st[-1])
+    return step
+
+
+#: Opcode -> compile step for every instruction that does not end a block.
+#: Read at compile time only.
+_STEPS: Dict[Op, Callable[[Any, Any], Step]] = {
+    Op.PUSH_CONST: _push_const,
+    Op.LOAD_ARG: _load_arg,
+    Op.LOAD_LOCAL: _load_local,
+    Op.STORE_LOCAL: _store_local,
+    Op.LOAD_SELF: _load_self,
+    Op.GET_FIELD: _get_field,
+    Op.SET_FIELD: _set_field,
+    Op.CALL_METHOD: _call_method,
+    Op.NEW: _new,
+    Op.BIN_OP: _bin_op,
+    Op.UN_OP: _un_op,
+    Op.NEW_LIST: _new_list,
+    Op.INDEX_GET: _index_get_step,
+    Op.INDEX_SET: _index_set_step,
+    Op.LIST_LEN: _list_len,
+    Op.POP: _pop,
+    Op.DUP: _dup,
+}
+
+
+def _unhandled(op: Any) -> Step:
+    def step(st, s, a, l):
+        raise IlRuntimeError("unhandled opcode %s" % op)
+    return step
+
+
+# -- blocks ------------------------------------------------------------------
+#
+# A block closure ``block(st, s, a, l)`` runs its steps and returns the
+# index of the next block, or one of these codes (after a return, the
+# value is the stack's top).
 
 _RETURNED = -1
 _EXITED = -2
 
-#: Kinds of pending (compile-time) stack values.  Constants and ``self``
-#: are *trivial*: evaluating them has no effect and cannot fail, so they
-#: may be evaluated late, twice or never.
-_EXPR = 0
-_CONST = 1
-_SELF = 2
-_SELF_FIELD = 3  # ``get_field(self, name)``: the getter shape
-
-#: Opcodes the compiler's control-flow pass reads (module constants, so no
-#: per-record code ever reads an ``Op`` attribute).
+#: Opcodes the compiler itself reads (module constants, so no per-record
+#: code ever reads an ``Op`` attribute).
 _JUMP = Op.JUMP
 _JUMP_IF_FALSE = Op.JUMP_IF_FALSE
 _RETURN = Op.RETURN
 _RETURN_VOID = Op.RETURN_VOID
-
-Piece = Callable[..., Any]
-#: (kind, constant value or field name, evaluating closure)
-Item = Tuple[int, Any, Piece]
-
-
-def _self(s, a, l, st):
-    return s
+_LOAD_SELF = Op.LOAD_SELF
+_GET_FIELD = Op.GET_FIELD
+_CALL_METHOD = Op.CALL_METHOD
+_NEW = Op.NEW
 
 
-_SELF_ITEM: Item = (_SELF, None, _self)
-
-
-def _const_item(value: Any) -> Item:
-    def const(s, a, l, st):
-        return value
-
-    return (_CONST, value, const)
-
-
-def _apply_item(apply: Callable, operands: List[Item]) -> Item:
-    """``apply`` over the operands' values, evaluated in push order."""
-    fns = [item[2] for item in operands]
-    if len(fns) == 1:
-        f = fns[0]
-
-        def node(s, a, l, st):
-            return apply(f(s, a, l, st))
-    elif len(fns) == 2:
-        f, g = fns
-
-        def node(s, a, l, st):
-            return apply(f(s, a, l, st), g(s, a, l, st))
-    else:
-        def node(s, a, l, st):
-            return apply(*[f(s, a, l, st) for f in fns])
-    return (_EXPR, None, node)
-
-
-def _stack_apply(apply: Callable, arity: int, push: bool) -> Piece:
-    """Stack form of ``apply``: pop its operands (top first, as the
-    instruction does), then apply."""
-    def step(s, a, l, st):
-        operands = [st.pop() for _ in range(arity)]
-        operands.reverse()
-        value = apply(*operands)
-        if push:
-            st.append(value)
-
-    return step
-
-
-def _pusher(fns: List[Piece]) -> Piece:
-    """Evaluate pending values in order onto the real stack."""
-    def push(s, a, l, st):
-        for f in fns:
-            st.append(f(s, a, l, st))
-
-    return push
-
-
-def _evaluator(fns: List[Piece]) -> Piece:
-    """Evaluate pending values in order for their effects only."""
-    def evaluate(s, a, l, st):
-        for f in fns:
-            f(s, a, l, st)
-
-    return evaluate
-
-
-def _raiser(exc: BaseException) -> Callable[..., Any]:
+def _raiser(exc: IlError) -> Callable[..., Any]:
     """Raise (a fresh copy of) ``exc`` when called, not now."""
     kind, args = type(exc), exc.args
 
@@ -290,539 +380,135 @@ def _raiser(exc: BaseException) -> Callable[..., Any]:
     return fail
 
 
-def _seal(effects: List[Piece], term: Piece) -> Piece:
-    """One closure running ``effects`` in order, then ``term``."""
-    if not effects:
-        return term
-    if len(effects) == 1:
-        e = effects[0]
+def _return_none(s: Any, a: Any) -> None:
+    return None
 
-        def block(s, a, l=None, st=None):
-            e(s, a, l, st)
-            return term(s, a, l, st)
-        return block
-    effects = tuple(effects)
 
-    def block(s, a, l=None, st=None):
-        for e in effects:
-            e(s, a, l, st)
-        return term(s, a, l, st)
+def _block(steps: List[Step], next_block: Callable[[List[Any]], int]) -> Callable:
+    steps = tuple(steps)
+
+    def block(st, s, a, l):
+        for step in steps:
+            step(st, s, a, l)
+        return next_block(st)
+
     return block
 
 
-def _constant_term(value: Any) -> Piece:
-    def term(s, a, l=None, st=None):
-        return value
-
-    return term
-
-
-class _BlockCompiler:
-    """Compiles one basic block: a symbolic stack of pending values plus
-    the effects (in order) that must run before the block's terminator.
-
-    Invariant: the real stack holds everything below the pending values,
-    and no effect was emitted while a pending value with an effect (or
-    one reading state an effect may change) sat below it -- such values
-    are *spilled* to the real stack first -- so evaluating pending values
-    later, in push order, is the instruction order.
-    """
-
-    def __init__(self, compiler: "_Compiler"):
-        self.compiler = compiler
-        self.pending: List[Item] = []
-        self.effects: List[Piece] = []
-
-    # -- stack discipline -------------------------------------------------
-
-    def effect(self, piece: Piece) -> None:
-        self.effects.append(piece)
-
-    def spill(self, count: Optional[int] = None) -> None:
-        """Move the bottom ``count`` pending values (all by default) to
-        the real stack."""
-        self.compiler.uses_stack = True
-        pending = self.pending
-        if count is None:
-            count = len(pending)
-        if count:
-            self.effect(_pusher([item[2] for item in pending[:count]]))
-            del pending[:count]
-
-    def take(self, arity: int) -> Optional[List[Item]]:
-        """The top ``arity`` pending values for an expression, or ``None``
-        when the instruction reaches into the real stack (everything
-        pending is then spilled, and the stack form must run)."""
-        pending = self.pending
-        if arity > len(pending):
-            self.spill()
-            return None
-        split = len(pending) - arity
-        operands = pending[split:]
-        del pending[split:]
-        return operands
-
-    def take_for_effect(self, arity: int) -> Optional[List[Item]]:
-        """Like :meth:`take`, for an instruction with an effect: anything
-        non-trivial pending below its operands is spilled first."""
-        pending = self.pending
-        if arity <= len(pending):
-            split = len(pending) - arity
-            if any(item[0] != _CONST and item[0] != _SELF
-                   for item in pending[:split]):
-                self.spill(split)
-        return self.take(arity)
-
-    def drain_effects(self) -> None:
-        """Evaluate (and drop) every non-trivial pending value: what is
-        left on the stack when a method returns is discarded."""
-        fns = [item[2] for item in self.pending
-               if item[0] != _CONST and item[0] != _SELF]
-        if fns:
-            self.effect(_evaluator(fns))
-        self.pending = []
-
-    # -- expressions and effects ------------------------------------------
-
-    def expression(self, arity: int, apply: Callable,
-                   stack_form: Optional[Piece] = None) -> None:
-        """``apply`` over the top ``arity`` values; when they are not all
-        pending, ``stack_form`` (by default: pop them, then apply) runs on
-        the real stack instead."""
-        operands = self.take(arity)
-        if operands is None:
-            self.effect(stack_form or _stack_apply(apply, arity, push=True))
-        else:
-            self.pending.append(_apply_item(apply, operands))
-
-    def statement(self, arity: int, apply: Callable) -> None:
-        operands = self.take_for_effect(arity)
-        if operands is None:
-            self.effect(_stack_apply(apply, arity, push=False))
-        else:
-            node = _apply_item(apply, operands)[2]
-            self.effect(node)
-
-
-def _c_push_const(b: _BlockCompiler, arg: Any) -> None:
-    b.pending.append(_const_item(arg))
-
-
-def _c_load_self(b: _BlockCompiler, arg: Any) -> None:
-    b.pending.append(_SELF_ITEM)
-
-
-def _c_load_arg(b: _BlockCompiler, index: Any) -> None:
-    def load_arg(s, a, l, st):
-        try:
-            return a[index]
-        except IndexError:
-            raise IlRuntimeError(
-                "argument index %r out of range (got %d args)" % (index, len(a))
-            )
-
-    b.pending.append((_EXPR, None, load_arg))
-
-
-def _c_load_local(b: _BlockCompiler, slot: Any) -> None:
-    b.compiler.uses_locals = True
-
-    def load_local(s, a, l, st):
-        return l[slot]
-
-    b.pending.append((_EXPR, None, load_local))
-
-
-def _c_store_local(b: _BlockCompiler, slot: Any) -> None:
-    b.compiler.uses_locals = True
-    operands = b.take_for_effect(1)
-    if operands is None:
-        def store(s, a, l, st):
-            l[slot] = st.pop()
-    else:
-        f = operands[0][2]
-
-        def store(s, a, l, st):
-            l[slot] = f(s, a, l, st)
-    b.effect(store)
-
-
-def _c_get_field(b: _BlockCompiler, name: Any) -> None:
-    get_field = b.compiler.env.get_field
-    if b.pending and b.pending[-1][0] == _SELF:  # the getter shape
-        def self_field(s, a, l, st):
-            return get_field(s, name)
-        b.pending[-1] = (_SELF_FIELD, name, self_field)
-    else:
-        b.expression(1, lambda receiver: get_field(receiver, name))
-
-
-def _c_set_field(b: _BlockCompiler, name: Any) -> None:
-    set_field = b.compiler.env.set_field
-    b.statement(2, lambda receiver, value: set_field(receiver, name, value))
-
-
-def _well_formed_call(arg: Any) -> bool:
-    return (isinstance(arg, tuple) and len(arg) == 2
-            and type(arg[1]) is int and arg[1] >= 0)
-
-
-def _c_call_method(b: _BlockCompiler, arg: Any) -> None:
-    b.compiler.calls = True
-    call_method = b.compiler.env.call_method
-    if _well_formed_call(arg):
-        name = arg[0]
-        b.expression(arg[1] + 1, lambda receiver, *args:
-                     call_method(receiver, name, list(args)))
-        return
-
-    def step(s, a, l, st):  # unpacks (and fails) as the instruction does
-        name, argc = arg
-        call_args = _pop_n(st, argc)
-        receiver = st.pop()
-        st.append(call_method(receiver, name, call_args))
-    b.spill()
-    b.effect(step)
-
-
-def _c_new(b: _BlockCompiler, arg: Any) -> None:
-    b.compiler.calls = True
-    new_instance = b.compiler.env.new_instance
-
-    def step(s, a, l, st):  # takes what the stack holds, as the instruction does
-        type_name, argc = arg
-        st.append(new_instance(type_name, _pop_n(st, argc)))
-    if _well_formed_call(arg):
-        type_name = arg[0]
-        b.expression(arg[1], lambda *args: new_instance(type_name, list(args)),
-                     step)
-    else:
-        b.spill()
-        b.effect(step)
-
-
-def _c_new_list(b: _BlockCompiler, count: Any) -> None:
-    def step(s, a, l, st):  # takes what the stack holds, as the instruction does
-        st.append(_pop_n(st, count))
-    if type(count) is int and count >= 0:
-        b.expression(count, lambda *items: list(items), step)
-    else:
-        b.spill()
-        b.effect(step)
-
-
-def _c_bin_op(b: _BlockCompiler, token: Any) -> None:
-    b.expression(2, _operator(_BINARY, token, "binary"))
-
-
-def _c_un_op(b: _BlockCompiler, token: Any) -> None:
-    b.expression(1, _operator(_UNARY, token, "unary"))
-
-
-def _c_index_get(b: _BlockCompiler, arg: Any) -> None:
-    b.expression(2, _index_get)
-
-
-def _c_index_set(b: _BlockCompiler, arg: Any) -> None:
-    b.statement(3, _index_set)
-
-
-def _c_list_len(b: _BlockCompiler, arg: Any) -> None:
-    b.expression(1, _length)
-
-
-def _c_pop(b: _BlockCompiler, arg: Any) -> None:
-    operands = b.take_for_effect(1)
-    if operands is None:
-        def step(s, a, l, st):
-            st.pop()
-        b.effect(step)
-    elif operands[0][0] != _CONST and operands[0][0] != _SELF:
-        b.effect(operands[0][2])
-
-
-def _c_dup(b: _BlockCompiler, arg: Any) -> None:
-    pending = b.pending
-    if pending and (pending[-1][0] == _CONST or pending[-1][0] == _SELF):
-        pending.append(pending[-1])
-        return
-    b.spill()
-
-    def step(s, a, l, st):
-        st.append(st[-1])
-    b.effect(step)
-
-
-#: Opcode -> compile step for every non-control-flow instruction.  Read at
-#: compile time only.
-_COMPILE: Dict[Op, Callable[[_BlockCompiler, Any], None]] = {
-    Op.PUSH_CONST: _c_push_const,
-    Op.LOAD_ARG: _c_load_arg,
-    Op.LOAD_LOCAL: _c_load_local,
-    Op.STORE_LOCAL: _c_store_local,
-    Op.LOAD_SELF: _c_load_self,
-    Op.GET_FIELD: _c_get_field,
-    Op.SET_FIELD: _c_set_field,
-    Op.CALL_METHOD: _c_call_method,
-    Op.NEW: _c_new,
-    Op.BIN_OP: _c_bin_op,
-    Op.UN_OP: _c_un_op,
-    Op.NEW_LIST: _c_new_list,
-    Op.INDEX_GET: _c_index_get,
-    Op.INDEX_SET: _c_index_set,
-    Op.LIST_LEN: _c_list_len,
-    Op.POP: _c_pop,
-    Op.DUP: _c_dup,
-}
-
-
-def _unhandled(b: _BlockCompiler, op: Any) -> None:
-    b.spill()
-    b.effect(_raiser(IlRuntimeError("unhandled opcode %s" % op)))
-
-
-class _Compiler:
-    """Compiles one :class:`MethodBody` into a ``run(self_obj, args)``
-    closure.
-
-    Control flow follows the instruction list exactly, including its
-    corner cases: a jump past the end returns ``None``; a negative jump
-    target ``t`` runs ``instructions[t:]`` and then, like the pc it
-    models, continues at 0 rather than returning (*wrapped* blocks); any
-    other target fails the way indexing the instruction list with it
-    does.
-    """
-
-    def __init__(self, env: Any, body: MethodBody):
-        self.env = env
-        self.body = body
-        self.uses_locals = False
-        self.uses_stack = False
-        self.calls = False
-
-    # -- control flow -----------------------------------------------------
-
-    def _layout(self) -> None:
-        instructions = self.body.instructions
-        n = len(instructions)
-        leaders = {0}
-        wrapped_from = n
-        for pc, instr in enumerate(instructions):
-            op = instr.op
-            if op is _JUMP or op is _JUMP_IF_FALSE:
-                target = instr.arg
-                if isinstance(target, int):
-                    if 0 <= target < n:
-                        leaders.add(target)
-                    elif -n <= target < 0:
-                        leaders.add(n + target)
-                        wrapped_from = min(wrapped_from, n + target)
-            if op is _JUMP or op is _JUMP_IF_FALSE or op is _RETURN \
-                    or op is _RETURN_VOID:
-                leaders.add(pc + 1)
-        starts = sorted(pc for pc in leaders if pc < n)
-        self.starts = starts
-        self.ends = starts[1:] + [n]
-        self.index_of = {start: i for i, start in enumerate(starts)}
-        #: Wrapped twins of the blocks at or after the lowest negative
-        #: jump target, indexed after the ordinary blocks.
-        self.wrapped = [i for i, start in enumerate(starts)
-                        if start >= wrapped_from]
-        self.twin_of = {i: len(starts) + k for k, i in enumerate(self.wrapped)}
-        self.odd: List[Tuple[Any, int]] = []  # (target, block index)
-
-    def _successor(self, pc: int, wrapped: bool) -> int:
-        """Block index execution falls through to at ``pc``."""
-        if pc >= len(self.body.instructions):
-            return 0 if wrapped else _EXITED
-        index = self.index_of[pc]
-        return self.twin_of[index] if wrapped else index
-
-    def _target(self, target: Any) -> int:
-        """Block index a jump to ``target`` continues at."""
-        n = len(self.body.instructions)
-        if isinstance(target, int):
-            if 0 <= target < n:
-                return self.index_of[target]
-            if target >= n:
-                return _EXITED
-            if target >= -n:
-                return self.twin_of[self.index_of[n + target]]
-        index = len(self.starts) + len(self.wrapped) + len(self.odd)
-        self.odd.append((target, index))
+def _goto(index: int) -> Callable[[List[Any]], int]:
+    def next_block(st):
         return index
+    return next_block
 
-    def _odd_block(self, target: Any) -> Piece:
-        """A jump to a target no block starts at: the pc test and the
-        instruction fetch fail (or exit) exactly as they would."""
-        instructions = self.body.instructions
-        n = len(instructions)
 
-        def odd(s, a, l, st):
-            if not target < n:
-                return _EXITED
-            instructions[target]
-            return _EXITED  # pragma: no cover - the fetch above raises
+def _branch(taken: int, fallthrough: int) -> Callable[[List[Any]], int]:
+    def next_block(st):
+        return taken if not st.pop() else fallthrough
+    return next_block
 
-        return odd
 
-    # -- blocks -------------------------------------------------------------
+def _bad_program(body: MethodBody) -> Any:
+    """Why ``body`` cannot run (its locals count, or a jump target that is
+    not an instruction index or the end), or ``None``."""
+    if type(body.n_locals) is not int:
+        return "locals count must be an integer, got %r" % (body.n_locals,)
+    n = len(body.instructions)
+    for pc, instr in enumerate(body.instructions):
+        if instr.op is _JUMP or instr.op is _JUMP_IF_FALSE:
+            target = instr.arg
+            if type(target) is not int or not 0 <= target <= n:
+                return "jump target %r at %d outside 0..%d" % (target, pc, n)
+    return None
 
-    def _block(self, start: int, end: int, wrapped: bool,
-               direct: bool) -> Piece:
-        """Compile ``instructions[start:end]``.  A *direct* block is the
-        whole method: it returns the method's value instead of a block
-        index."""
-        b = _BlockCompiler(self)
-        instructions = self.body.instructions
-        for pc in range(start, end):
-            instr = instructions[pc]
+
+def _compile(env: Any, body: MethodBody, max_steps: int) -> Callable:
+    """``body`` as a ``run(self_obj, args)`` closure."""
+    problem = _bad_program(body)
+    if problem is not None:
+        return _raiser(IlRuntimeError(problem))
+    instructions: List[Instr] = body.instructions
+    n = len(instructions)
+    if n == 0:
+        return _return_none
+    if (n == 3 and max_steps >= 3 and instructions[0].op is _LOAD_SELF
+            and instructions[1].op is _GET_FIELD and instructions[2].op is _RETURN):
+        get_field, name = env.get_field, instructions[1].arg
+
+        def getter(s, a):
+            return get_field(s, name)
+        return getter
+
+    leaders = {0}
+    for pc, instr in enumerate(instructions):
+        op = instr.op
+        if op is _JUMP or op is _JUMP_IF_FALSE:
+            leaders.add(instr.arg)
+            leaders.add(pc + 1)
+        elif op is _RETURN or op is _RETURN_VOID:
+            leaders.add(pc + 1)
+    starts = sorted(pc for pc in leaders if pc < n)
+    index_of = {start: i for i, start in enumerate(starts)}
+    index_of[n] = _EXITED
+
+    blocks = []
+    for start, end in zip(starts, starts[1:] + [n]):
+        steps = []
+        next_block = _goto(index_of[end])
+        for instr in instructions[start:end]:
             op = instr.op
-            if op is _RETURN:
-                return self._return(b, direct)
-            if op is _RETURN_VOID:
-                b.drain_effects()
-                return _seal(b.effects, _constant_term(None if direct else _EXITED))
             if op is _JUMP:
-                b.spill()
-                return _seal(b.effects, _constant_term(self._target(instr.arg)))
-            if op is _JUMP_IF_FALSE:
-                return self._branch(b, self._target(instr.arg),
-                                    self._successor(pc + 1, wrapped))
-            compile_step = _COMPILE.get(op) if isinstance(op, Op) else None
-            if compile_step is None:
-                _unhandled(b, op)
+                next_block = _goto(index_of[instr.arg])
+            elif op is _JUMP_IF_FALSE:
+                next_block = _branch(index_of[instr.arg], index_of[end])
+            elif op is _RETURN:
+                next_block = _goto(_RETURNED)
+            elif op is _RETURN_VOID:
+                next_block = _goto(_EXITED)
             else:
-                compile_step(b, instr.arg)
-        if end == len(instructions) and not wrapped:  # off the end
-            b.drain_effects()
-            return _seal(b.effects, _constant_term(None if direct else _EXITED))
-        b.spill()
-        return _seal(b.effects, _constant_term(self._successor(end, wrapped)))
+                make_step = _STEPS.get(op) if isinstance(op, Op) else None
+                steps.append(make_step(env, instr.arg) if make_step
+                             else _unhandled(op))
+        blocks.append((end - start, _block(steps, next_block)))
+    blocks = tuple(blocks)
+    n_locals = max(body.n_locals, 0)
+    limit = "method exceeded %d instruction steps" % max_steps
 
-    def _return(self, b: _BlockCompiler, direct: bool) -> Piece:
-        operands = b.take_for_effect(1)
-        if operands is None:  # the value is the real stack's top
-            if direct:
-                def term(s, a, l=None, st=None):
-                    return st.pop()
-            else:
-                term = _constant_term(_RETURNED)
-            return _seal(b.effects, term)
-        b.drain_effects()  # what lies below the value is discarded
-        kind, value, f = operands[0]
-        if not direct:
-            def term(s, a, l=None, st=None):
-                st.append(f(s, a, l, st))
-                return _RETURNED
-        elif kind == _CONST:
-            term = _constant_term(value)
-        elif kind == _SELF_FIELD:
-            get_field, name = self.env.get_field, value
+    def run(s, a):
+        st: List[Any] = []
+        l = [None] * n_locals
+        steps = 0
+        i = 0
+        while True:
+            cost, block = blocks[i]
+            steps += cost
+            if steps > max_steps:
+                raise IlLimitExceeded(limit)
+            i = block(st, s, a, l)
+            if i < 0:
+                return st.pop() if i == _RETURNED else None
 
-            def term(s, a, l=None, st=None):
-                return get_field(s, name)
-        else:
-            def term(s, a, l=None, st=None):
-                return f(s, a, l, st)
-        return _seal(b.effects, term)
-
-    def _branch(self, b: _BlockCompiler, taken: int, fallthrough: int) -> Piece:
-        operands = b.take_for_effect(1)
-        b.spill()  # everything below the condition outlives the block
-        if operands is None:
-            def term(s, a, l, st):
-                return taken if not st.pop() else fallthrough
-        else:
-            f = operands[0][2]
-
-            def term(s, a, l, st):
-                return taken if not f(s, a, l, st) else fallthrough
-        return _seal(b.effects, term)
-
-    # -- the method -----------------------------------------------------------
-
-    def compile(self, max_steps: int, interp: "Interpreter") -> Callable:
-        body = self.body
-        try:
-            # The checks allocating the locals list makes, made now and
-            # raised on every call, as an uncompiled run raises them.
-            n_locals = max(body.n_locals, 0)
-            [] * n_locals
-        except TypeError as exc:
-            return _raiser(exc)
-        instructions = body.instructions
-        limit = IlLimitExceeded("method exceeded %d instruction steps" % max_steps)
-        if not instructions:
-            return _constant_term(None)
-        self._layout()
-        first_end = self.ends[0]
-        last = instructions[first_end - 1].op
-        if last is _RETURN or last is _RETURN_VOID or (
-                first_end == len(instructions)
-                and last is not _JUMP and last is not _JUMP_IF_FALSE):
-            run = self._direct(first_end, max_steps, limit, n_locals)
-        else:
-            run = self._blocks(max_steps, limit, n_locals)
-        return _guard_depth(run, interp) if self.calls else run
-
-    def _direct(self, end: int, max_steps: int, limit: IlLimitExceeded,
-                n_locals: Any) -> Callable:
-        """A method that is one block: no loop, no step counting (its cost
-        is known here)."""
-        block = self._block(0, end, wrapped=False, direct=True)
-        if end > max_steps:
-            return _raiser(limit)
-        if self.uses_locals or self.uses_stack:
-            with_locals, with_stack = self.uses_locals, self.uses_stack
-
-            def run(s, a):
-                return block(s, a, [None] * n_locals if with_locals else None,
-                             [] if with_stack else None)
-            return run
-        return block
-
-    def _blocks(self, max_steps: int, limit: IlLimitExceeded,
-                n_locals: Any) -> Callable:
-        fns = [self._block(start, end, wrapped=False, direct=False)
-               for start, end in zip(self.starts, self.ends)]
-        fns += [self._block(self.starts[i], self.ends[i], wrapped=True,
-                            direct=False) for i in self.wrapped]
-        # Odd targets are only discovered while compiling blocks.
-        fns += [self._odd_block(target) for target, _ in self.odd]
-        costs = tuple([end - start for start, end in zip(self.starts, self.ends)]
-                      + [self.ends[i] - self.starts[i] for i in self.wrapped]
-                      + [1] * len(self.odd))
-        fns = tuple(fns)
-        limit_args = limit.args
-
-        def run(s, a):
-            l = [None] * n_locals
-            st: List[Any] = []
-            steps = 0
-            i = 0
-            while True:
-                steps += costs[i]
-                if steps > max_steps:
-                    raise IlLimitExceeded(*limit_args)
-                i = fns[i](s, a, l, st)
-                if i < 0:
-                    return st.pop() if i == _RETURNED else None
-
-        return run
+    if any(instr.op is _CALL_METHOD or instr.op is _NEW for instr in instructions):
+        return _guard_depth(run)
+    return run
 
 
-def _guard_depth(run: Callable, interp: "Interpreter") -> Callable:
+#: IL invocations in progress (across every runtime: the runtime runs IL
+#: on one thread).
+_depth = 0
+
+
+def _guard_depth(run: Callable) -> Callable:
     """Count IL invocation depth around a body that can call out."""
     def guarded(s, a):
-        if interp.depth >= MAX_CALL_DEPTH:
+        global _depth
+        if _depth >= MAX_CALL_DEPTH:
             raise IlLimitExceeded(
                 "IL call depth exceeded %d nested invocations" % MAX_CALL_DEPTH)
-        interp.depth += 1
+        _depth += 1
         try:
             return run(s, a)
         finally:
-            interp.depth -= 1
+            _depth -= 1
 
     return guarded
 
@@ -835,20 +521,20 @@ class Interpreter:
     charged per basic block, before the block runs, so a runaway loop
     raises :class:`IlLimitExceeded` (possibly up to one block earlier than
     an instruction-by-instruction count would).  Nested invocations are
-    capped at :data:`MAX_CALL_DEPTH`.
+    capped at :data:`MAX_CALL_DEPTH`.  A body whose locals count is not an
+    integer, or with a jump target that is neither an instruction index
+    nor the end, raises :class:`IlRuntimeError` on every call.
     """
 
     def __init__(self, env: ExecutionEnvironment, max_steps: int = 1_000_000):
         self.env = env
         self.max_steps = max_steps
-        #: Current nesting of invocations of bodies that can call out.
-        self.depth = 0
 
     def compile(self, body: MethodBody) -> Callable[[Any, Sequence[Any]], Any]:
         """``body`` as a ``run(self_obj, args)`` closure.  Compile once and
         keep it: the environment's services and ``max_steps`` are bound
         now."""
-        return _Compiler(self.env, body).compile(self.max_steps, self)
+        return _compile(self.env, body, self.max_steps)
 
     def execute(self, body: MethodBody, self_obj: Any, args: Sequence[Any]) -> Any:
         return self.compile(body)(self_obj, args)

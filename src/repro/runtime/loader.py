@@ -96,15 +96,12 @@ class Runtime:
         self._interpreter = Interpreter(_RuntimeEnvironment(self), max_steps=max_steps)
         self._loaded_assemblies: Dict[str, Assembly] = {}
         #: Per-type runtime plans, keyed by TypeInfo identity (each entry
-        #: holds its TypeInfo, so the id stays its own): method lookups
-        #: ``(id, name, arity)``; invocation plans ``(id, name)``, each a
-        #: dict from call arity to the compiled body to run (``None`` when
-        #: the type has no method of that name); constructor calls
-        #: ``(id, arity)``; field-defaults templates ``id``.  Superclass
-        #: resolution depends on what is registered, so all of them are
-        #: dropped whenever the registry's version moves.
-        self._methods: Dict[Tuple[int, str, Optional[int]],
-                            Tuple[TypeInfo, Optional[MethodInfo]]] = {}
+        #: holds its TypeInfo, so the id stays its own): invocation plans
+        #: ``(id, name)``, each a dict from call arity to the compiled body
+        #: to run (``None`` when the type has no method of that name);
+        #: constructor calls ``(id, arity)``; field-defaults templates
+        #: ``id``.  Superclass resolution depends on what is registered, so
+        #: all of them are dropped whenever the registry's version moves.
         self._calls: Dict[Tuple[int, str],
                           Tuple[TypeInfo, Optional[Dict[int, _Call]]]] = {}
         self._ctors: Dict[Tuple[int, int], Tuple[TypeInfo, Optional[_Call]]] = {}
@@ -148,27 +145,18 @@ class Runtime:
     def _drop_stale_plans(self) -> None:
         version = self.registry.version
         if version != self._plans_version:
-            self._methods.clear()
             self._calls.clear()
             self._ctors.clear()
             self._defaults.clear()
             self._plans_version = version
 
-    def find_method(self, info: TypeInfo, name: str, arity: Optional[int] = None):
-        self._drop_stale_plans()
-        key = (id(info), name, arity)
-        hit = self._methods.get(key)
-        if hit is not None:
-            return hit[1]
-        method = None
+    def find_method(self, info: TypeInfo, name: str,
+                    arity: Optional[int] = None) -> Optional[MethodInfo]:
         for holder in self._type_chain(info):
             method = holder.find_method(name, arity)
             if method is not None:
-                break
-        if len(self._methods) >= _MAX_PLANS:
-            self._methods.clear()
-        self._methods[key] = (info, method)
-        return method
+                return method
+        return None
 
     def all_fields(self, info: TypeInfo):
         fields = []

@@ -1,20 +1,25 @@
 """The compiled IL executor is invisible: reference-loop equivalence.
 
 ``Interpreter`` compiles each method body once into closures (one per
-basic block, expressions folded by a compile-time symbolic stack).  That
-is an optimisation, not a behaviour change: for generated bodies over all
-21 opcodes -- well-formed stack code, loops, calls, ``NEW``, index ops, and
+instruction, run by one closure per basic block).  That is an
+optimisation, not a behaviour change: for generated bodies over all 21
+opcodes -- well-formed stack code, loops, calls, ``NEW``, index ops, and
 ill-formed programs (stack underflow, bad slots and argument indexes,
-malformed call arguments, unknown operators, jumps past the end, negative
-or non-integer jump targets) -- the compiled form must agree with a
-test-local copy of the instruction-by-instruction loop it replaced on the
-return value, the exception type and message, the receiver's fields and
-the environment's call log.
+malformed call arguments, unknown operators) -- the compiled form must
+agree with a test-local copy of the instruction-by-instruction loop it
+replaced on the return value, the exception type and message, the
+receiver's fields and the environment's call log.
 
-The one sanctioned difference is where the step budget bites: it is
-charged per basic block before the block runs, so the compiled form may
-raise ``IlLimitExceeded`` up to one block earlier.  Runaway loops raise it
-on both.
+Two sanctioned differences:
+
+* the step budget is charged per basic block before the block runs, so
+  the compiled form may raise ``IlLimitExceeded`` up to one block earlier.
+  Runaway loops raise it on both;
+* a body whose locals count is not an integer, or with a jump target that
+  is not an int in ``[0, len(instructions)]`` (negative, past the end,
+  ``None``, a float), is rejected: every call raises ``IlRuntimeError``
+  before anything runs, where the old loop ran until it indexed the
+  instruction list with the target.
 
 Also here: the binary decoder's memo from a type literal (GUID + name) to
 its type plan must never outlive what the registry says.
@@ -314,7 +319,24 @@ def _world():
     return env, receiver, args
 
 
+def rejected(body):
+    """Is ``body`` one the compiler refuses (see the module docstring)?"""
+    n = len(body.instructions)
+    return type(body.n_locals) is not int or any(
+        i.op in (Op.JUMP, Op.JUMP_IF_FALSE)
+        and (type(i.arg) is not int or not 0 <= i.arg <= n)
+        for i in body.instructions)
+
+
 def compare(body, max_steps=MAX_STEPS):
+    if rejected(body):
+        env_c, self_c, args_c = _world()
+        compiled = Interpreter(env_c, max_steps=max_steps).compile(body)
+        for _ in range(2):  # on every call, before anything runs
+            got = _outcome(lambda: compiled(self_c, args_c))
+            assert got[:2] == ("raise", "IlRuntimeError"), got
+            assert env_c.log == []
+        return got
     env_r, self_r, args_r = _world()
     reference = ReferenceLoop(env_r, max_steps)
     expected = _outcome(lambda: reference.execute(body, self_r, args_r))
@@ -347,7 +369,7 @@ constants = (st.integers(-3, 5) | st.sampled_from(["", "a", "7"])
 names = st.sampled_from(["x", "y", "items", "missing"])
 methods = st.sampled_from(["f", "bump", "boom", "items", "table"])
 binary_tokens = st.sampled_from(BINARY_OPERATORS + ("**",))
-odd_targets = st.sampled_from([None, 1.5, "x", -100])
+odd_targets = st.sampled_from([None, 1.5, "x", -100, True])
 
 
 def _arg_for(draw, op, n):
@@ -370,7 +392,7 @@ def _arg_for(draw, op, n):
     if op is Op.NEW_LIST:
         return draw(st.integers(-1, 3))
     if op in (Op.JUMP, Op.JUMP_IF_FALSE):
-        return draw(st.integers(-n - 1, n + 1) | odd_targets)
+        return draw(st.integers(0, n) | st.integers(-n - 1, n + 1) | odd_targets)
     return None
 
 
@@ -510,20 +532,8 @@ def test_runaway_loops_raise_on_both(data):
     # a value left on the stack across a join
     [Instr(Op.PUSH_CONST, 1), Instr(Op.LOAD_ARG, 0), Instr(Op.JUMP_IF_FALSE, 5),
      Instr(Op.PUSH_CONST, 2), Instr(Op.BIN_OP, "+"), Instr(Op.RETURN)],
-    # negative jump: runs the tail, then wraps to 0
-    [Instr(Op.LOAD_SELF), Instr(Op.CALL_METHOD, ("bump", 0)),
-     Instr(Op.PUSH_CONST, 3), Instr(Op.BIN_OP, "<"), Instr(Op.JUMP_IF_FALSE, 6),
-     Instr(Op.JUMP, -2), Instr(Op.LOAD_SELF), Instr(Op.GET_FIELD, "x"),
-     Instr(Op.RETURN)],
-    # negative jump: the tail, then on at 0 (returns 9 after two bumps)
-    [Instr(Op.LOAD_SELF), Instr(Op.CALL_METHOD, ("bump", 0)),
-     Instr(Op.PUSH_CONST, 3), Instr(Op.BIN_OP, "<"), Instr(Op.JUMP_IF_FALSE, 7),
-     Instr(Op.JUMP, -1), Instr(Op.RETURN_VOID), Instr(Op.RETURN),
-     Instr(Op.PUSH_CONST, 9)],
-    # jumps past the end, to None and to a float
-    [Instr(Op.JUMP, 9), Instr(Op.PUSH_CONST, 1), Instr(Op.RETURN)],
-    [Instr(Op.JUMP, None)],
-    [Instr(Op.JUMP, 0.5), Instr(Op.RETURN)],
+    # a jump to the end returns
+    [Instr(Op.PUSH_CONST, 1), Instr(Op.JUMP, 3), Instr(Op.RETURN)],
     # stack underflow in each stack form
     [Instr(Op.BIN_OP, "+")], [Instr(Op.RETURN)], [Instr(Op.DUP)],
     [Instr(Op.PUSH_CONST, 1), Instr(Op.CALL_METHOD, ("f", 2)), Instr(Op.RETURN)],
@@ -532,9 +542,25 @@ def test_pinned_examples_match_reference(instrs):
     compare(MethodBody(instrs, n_locals=1))
 
 
-def test_ill_typed_locals_count_fails_per_call():
-    for n_locals in ("2", 1.5, None):
-        compare(MethodBody([Instr(Op.RETURN_VOID)], n_locals=n_locals))
+@pytest.mark.parametrize("instrs,n_locals,message", [
+    ([Instr(Op.RETURN_VOID)], "2", "locals count must be an integer, got '2'"),
+    ([Instr(Op.RETURN_VOID)], 1.5, "locals count must be an integer, got 1.5"),
+    ([Instr(Op.RETURN_VOID)], None, "locals count must be an integer, got None"),
+    # a negative target, a target past the end, None, a float, a bool
+    ([Instr(Op.LOAD_SELF), Instr(Op.CALL_METHOD, ("bump", 0)), Instr(Op.JUMP, -2)],
+     1, "jump target -2 at 2 outside 0..3"),
+    ([Instr(Op.JUMP, 9), Instr(Op.PUSH_CONST, 1), Instr(Op.RETURN)],
+     1, "jump target 9 at 0 outside 0..3"),
+    ([Instr(Op.JUMP, None)], 1, "jump target None at 0 outside 0..1"),
+    ([Instr(Op.PUSH_CONST, 1), Instr(Op.JUMP_IF_FALSE, 0.5), Instr(Op.RETURN)],
+     1, "jump target 0.5 at 1 outside 0..3"),
+    ([Instr(Op.JUMP, True), Instr(Op.RETURN_VOID)],
+     1, "jump target True at 0 outside 0..2"),
+])
+def test_malformed_bodies_are_rejected_on_every_call(instrs, n_locals, message):
+    body = MethodBody(instrs, n_locals=n_locals)
+    assert rejected(body)
+    assert compare(body) == ("raise", "IlRuntimeError", message)
 
 
 # -- decode memo -------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core import ConformanceChecker, ConformanceOptions
 from repro.cts.assembly import Assembly
 from repro.cts.builder import TypeBuilder
 from repro.fixtures import person_assembly_pair
 from repro.il.interp import MAX_CALL_DEPTH, IlLimitExceeded
 from repro.langs.csharp import compile_source
+from repro.remoting.dynamic import DynamicProxy, wrap
 from repro.runtime.loader import (
     AbstractMethodError,
     ConstructorNotFoundError,
@@ -213,3 +215,36 @@ class TestCallDepth:
         with pytest.raises(IlLimitExceeded):
             obj.invoke("Forever", 0)
         assert obj.invoke("Down", depth) == depth  # nothing left counted
+
+    def test_the_cap_counts_across_runtimes_and_proxies(self):
+        """Two runtimes whose objects call each other through dynamic
+        proxies share one cap: the nesting is bounded in total, not per
+        runtime."""
+        source = """
+        class Node {
+            public Node Peer;
+            public int Down(int n) {
+                if (n <= 0) { return 0; }
+                return this.Peer.Down(n - 1) + 1;
+            }
+        }
+        """
+        checker = ConformanceChecker(options=ConformanceOptions.pragmatic())
+        nodes = []
+        # The second side spells the method "down": conformant, but only
+        # through a proxy that renames the call.
+        for namespace, text in (("a", source), ("b", source.replace("Down", "down"))):
+            runtime = Runtime()
+            info = compile_source(text, namespace=namespace)[0]
+            runtime.load_type(info)
+            nodes.append((runtime.instantiate(info), info))
+        (a, a_type), (b, b_type) = nodes
+        a.set_field("Peer", wrap(b, a_type, checker))
+        b.set_field("Peer", wrap(a, b_type, checker))
+        assert isinstance(a.get_field("Peer"), DynamicProxy)
+        assert isinstance(b.get_field("Peer"), DynamicProxy)
+        depth = MAX_CALL_DEPTH - 1
+        assert a.invoke("Down", depth) == depth
+        with pytest.raises(IlLimitExceeded, match="call depth"):
+            a.invoke("Down", depth + 1)
+        assert b.invoke("down", depth) == depth  # nothing left counted
