@@ -155,3 +155,4 @@ class TestDurableSubscriberReplay:
         benchmark.extra_info["backlog_events"] = n_backlog
         benchmark.extra_info["events_replayed"] = \
             mesh.shard(home).events_replayed
+        mesh.close()

@@ -229,7 +229,6 @@ class TpsBroker(InteropPeer):
     def __init__(self, peer_id: str, network: SimulatedNetwork,
                  log_dir: Optional[str] = None,
                  log_kwargs: Optional[dict] = None,
-                 cursor_sync_every: int = 1,
                  retain_unacked: bool = False,
                  tracing: bool = True,
                  trace_capacity: int = 512, **kwargs):
@@ -243,10 +242,10 @@ class TpsBroker(InteropPeer):
         #: ``log_kwargs`` passes rotation/retention/fsync knobs straight
         #: to :class:`~repro.persistence.EventLog` (``segment_max_bytes``,
         #: ``max_segments``, ``max_bytes``, ``fsync_every_n``,
-        #: ``fsync_interval_ms``, ``compact_on_retention``);
-        #: ``cursor_sync_every`` throttles cursor persistence on the ack
-        #: hot path (see :class:`~repro.persistence.CursorStore`), with
-        #: the deferred tail flushed by :meth:`close`.
+        #: ``fsync_interval_ms``, ``compact_on_retention``); the cursor
+        #: journal is group-committed under the same fsync policy (see
+        #: :class:`~repro.persistence.CursorStore`) and checkpointed by
+        #: :meth:`close`.
         #: ``retain_unacked`` gates retention on the slowest cursor: a
         #: segment holding records a durable subscriber has not acked is
         #: pinned instead of dropped (see :meth:`prune_cursors` for how
@@ -257,8 +256,7 @@ class TpsBroker(InteropPeer):
         if log_dir is not None:
             event_log = EventLog(os.path.join(log_dir, "events"),
                                  **(log_kwargs or {}))
-            cursors = CursorStore(os.path.join(log_dir, "cursors.json"),
-                                  sync_every=cursor_sync_every)
+            cursors = CursorStore(os.path.join(log_dir, "cursors.json"))
         stats = PipelineStats()
         #: Per-record tracing (see :mod:`repro.obs.tracing`): ids are
         #: minted at origin publish admission, spans land in a bounded

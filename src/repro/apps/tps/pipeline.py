@@ -449,6 +449,14 @@ class DurabilityStage:
     stage keeps the log's retention floor at the slowest cursor, so
     retention never drops a segment a durable subscriber has not acked
     (pruned cursors stop pinning the floor — see :meth:`prune_cursors`).
+
+    The stage also owns the fsync ordering between the two: the cursor
+    journal is fsynced right after each fsync of the log (group commit
+    under the log's ``fsync_every_n`` / ``fsync_interval_ms`` policy),
+    and the log is synced before a cursor checkpoint.  A cursor in this
+    shard's own offset space is therefore never durable ahead of the log
+    records it covers — after a power loss, new appends must not reuse
+    offsets a recovered cursor already claims as acked.
     """
 
     def __init__(self, host: Any,
@@ -464,6 +472,9 @@ class DurabilityStage:
         self.retain_unacked = retain_unacked
         self.tracker = AckTracker(getattr(host, "peer_id", "pipeline"),
                                   advance=self.advance, cap=ack_cap)
+        if event_log is not None and cursors is not None:
+            event_log.on_fsync = cursors.sync
+            cursors.before_checkpoint = event_log.sync
         self._update_retention_floor()
 
     @property
@@ -597,10 +608,12 @@ class DurabilityStage:
                                       key_of=key_of)
 
     def close(self) -> None:
+        """Checkpoint and close the cursor store (the checkpoint syncs
+        the log first), then close the log."""
+        if self.cursors is not None:
+            self.cursors.close()
         if self.event_log is not None:
             self.event_log.close()
-        if self.cursors is not None:
-            self.cursors.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,8 @@ def cmd_log(args, out) -> int:
     directory = args.directory
     if not os.path.isdir(directory):
         raise CliError("no such directory: %s" % directory)
-    # A broker's log_dir holds events/ + cursors.json; accept either level.
+    # A broker's log_dir holds events/ + cursors.json + cursors.log;
+    # accept either level.
     events_dir = directory
     cursors_dir = directory
     if os.path.isdir(os.path.join(directory, "events")):
@@ -180,25 +181,30 @@ def cmd_log(args, out) -> int:
 
     cursors_path = os.path.join(cursors_dir, "cursors.json")
     if os.path.exists(cursors_path):
-        store = CursorStore(cursors_path)  # read-only until mutated
-        out.write("  cursors       %d\n" % len(store))
-        for name in store.names():
-            entry = store.entry(name)
-            if entry.get("origin"):
-                # A fetch cursor holds a position in a SIBLING shard's
-                # offset space — "behind" the local log is meaningless.
-                out.write("    %-24s fetched below %-6d from %s  peer=%s\n"
-                          % (name, store.get(name), entry["origin"],
+        # Read-only: loads the checkpoint, replays the journal, writes
+        # neither.
+        with CursorStore(cursors_path) as store:
+            out.write("  cursors       %d\n" % len(store))
+            if store.journal_torn:
+                out.write("  TORN JOURNAL  cursors.log ends mid-record "
+                          "(the first mutation truncates it)\n")
+            for name in store.names():
+                entry = store.entry(name)
+                if entry.get("origin"):
+                    # A fetch cursor holds a position in a SIBLING shard's
+                    # offset space — "behind" the local log is meaningless.
+                    out.write("    %-24s fetched below %-6d from %s  peer=%s\n"
+                              % (name, store.get(name), entry["origin"],
+                                 entry.get("peer_id") or "local"))
+                    continue
+                behind = info["next_offset"] - store.get(name)
+                if behind < 0:
+                    state = "AHEAD of log end by %d (tail lost?)" % -behind
+                else:
+                    state = "%d behind" % behind
+                out.write("    %-24s acked below %-8d (%s)  peer=%s\n"
+                          % (name, store.get(name), state,
                              entry.get("peer_id") or "local"))
-                continue
-            behind = info["next_offset"] - store.get(name)
-            if behind < 0:
-                state = "AHEAD of log end by %d (tail lost?)" % -behind
-            else:
-                state = "%d behind" % behind
-            out.write("    %-24s acked below %-8d (%s)  peer=%s\n"
-                      % (name, store.get(name), state,
-                         entry.get("peer_id") or "local"))
     return 1 if info["torn_segments"] else 0
 
 
@@ -238,14 +244,13 @@ def _compact_log(events_dir, cursors_dir, out) -> int:
     retain_from = None
     cursors_path = os.path.join(cursors_dir, "cursors.json")
     if os.path.exists(cursors_path):
-        store = CursorStore(cursors_path)
-        offsets = store.as_dict().values()
-        if offsets:
-            retain_from = min(offsets)
-    log = EventLog(events_dir)  # recovery scan included
-    before_records, before_bytes = log.record_count, log.size_bytes
-    summary = log.compact(retain_from=retain_from)
-    log.close()
+        # The broker's own bound: fetch cursors hold offsets in a sibling
+        # shard's space and must not bound this log.
+        with CursorStore(cursors_path) as store:
+            retain_from = store.min_offset()
+    with EventLog(events_dir) as log:  # recovery scan included
+        before_records, before_bytes = log.record_count, log.size_bytes
+        summary = log.compact(retain_from=retain_from)
     out.write("compacted %s\n" % events_dir)
     out.write("  records       %d -> %d (%d dropped)\n"
               % (before_records, summary["records"],

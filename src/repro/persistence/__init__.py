@@ -5,6 +5,14 @@ fabric into one that survives churn: brokers append admitted event batches
 to an :class:`EventLog` before fan-out, durable subscriptions record their
 replay position in a :class:`CursorStore`, and a restarted (or late)
 subscriber replays the retained backlog before switching to live events.
+
+On disk, a broker's ``log_dir`` holds ``events/`` (the log's segment
+files), ``cursors.json`` (the cursor checkpoint) and ``cursors.log`` (the
+cursor journal: one CRC-framed record per mutation since that
+checkpoint).  Files rewritten whole go through :func:`fsio.atomic_write`.
+The journal is fsynced right after each fsync of the shard's own log, and
+the log is synced before each checkpoint, so a cursor is never durable
+ahead of the log records it covers.
 """
 
 from .cursors import CursorStore

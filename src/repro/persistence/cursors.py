@@ -3,9 +3,9 @@
 A cursor records, per durable subscription, the log offset below which
 every record has been **acknowledged** by the subscriber.  Advancing is
 monotonic (acks are cumulative: acknowledging offset ``n`` acknowledges
-everything below it) and every mutation is persisted atomically — the
-store is the piece of state that makes broker restarts lose nothing that
-was acked and redeliver everything that was not.
+everything below it).  The store is the piece of state that makes broker
+restarts lose nothing that was acked and redeliver everything that was
+not.
 
 Besides the offset, a cursor entry keeps what a restarted broker needs to
 rebuild the subscription itself: the subscriber's peer id and the XML
@@ -20,41 +20,115 @@ it (registration or ack).  :meth:`CursorStore.prune` uses the stamps to
 expire cursors of subscribers that never returned, so an abandoned
 cursor cannot pin the retention floor (the "slowest cursor" gate)
 forever.
+
+On-disk layout — a **checkpoint** plus a **journal**, side by side:
+
+- ``cursors.json``: every entry (and the ``__meta__`` incarnation
+  counter) as one JSON object, replaced whole through
+  :func:`~repro.persistence.fsio.atomic_write`;
+- ``cursors.log``: one record per mutation since that checkpoint, framed
+  like the event log's ``ELR1`` records::
+
+      magic    4 bytes   b"CJR1"
+      length   u32 BE    body byte count
+      crc32    u32 BE    CRC-32 over the body
+      body     length    the mutation as a compact JSON array
+
+Every mutation appends one record and ``flush()``-es it to the operating
+system, so a *process* crash loses nothing.  A checkpoint is written at
+the first mutation of an opening (so the incarnation bump lands on disk),
+every :data:`_CHECKPOINT_EVERY` records, and at :meth:`CursorStore.close`;
+it then empties the journal.  Recovery loads the checkpoint and replays
+the journal over it, stopping at the first torn or bad-CRC record.
+Replay is idempotent — each record *sets* state (an advance takes the
+maximum, a stamp is the recorded incarnation) — because a crash between
+a checkpoint's replace and the journal truncation replays records the
+checkpoint already holds.
+
+Power-loss durability is group-committed by the owner of the shard's event
+log (:class:`~repro.apps.tps.pipeline.DurabilityStage`): :meth:`sync`
+fsyncs the journal right after each fsync of the log, and
+:attr:`CursorStore.before_checkpoint` syncs the log before a checkpoint
+makes offsets durable.  So a cursor in the shard's own offset space is
+never durable ahead of the log records it covers — otherwise, after a
+power loss, new appends would reuse offsets the cursor already claims as
+acked, and those records would be silently skipped.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+import struct
+import zlib
+from typing import Callable, Dict, List, Optional, Tuple
+
+from .fsio import atomic_write, fsync_dir
 
 #: Reserved entry holding store-level metadata (the incarnation counter)
 #: inside the flat name -> entry JSON; never a legal cursor name.
 _META_KEY = "__meta__"
 
+_JOURNAL_MAGIC = b"CJR1"
+_JOURNAL_HEADER = struct.Struct(">4sII")  # magic, body length, crc32
+
+#: Journal records between two checkpoints.
+_CHECKPOINT_EVERY = 512
+
+# Journal record kinds (the first element of each record's JSON array).
+_REGISTER = "r"   # [kind, name, peer_id, description, origin, base, stamp]
+_ADVANCE = "a"    # [kind, name, offset, stamp]
+_ANNOTATE = "n"   # [kind, name, fields]
+_REMOVE = "d"     # [kind, names]
+_RECORD_LENGTH = {_REGISTER: 7, _ADVANCE: 4, _ANNOTATE: 3, _REMOVE: 2}
+
+
+def _read_journal_record(data: bytes, position: int) -> Optional[Tuple[list, int]]:
+    """Decode the journal record at ``position`` as ``(record, end)``;
+    ``None`` marks a torn or corrupt tail (short header or body, bad
+    magic, CRC mismatch, or a body that is not a known record)."""
+    end_header = position + _JOURNAL_HEADER.size
+    if end_header > len(data):
+        return None
+    magic, length, crc = _JOURNAL_HEADER.unpack_from(data, position)
+    end = end_header + length
+    if magic != _JOURNAL_MAGIC or end > len(data):
+        return None
+    body = data[end_header:end]
+    if zlib.crc32(body) != crc:
+        return None
+    try:
+        record = json.loads(body)
+    except ValueError:
+        return None
+    if not isinstance(record, list) or not record \
+            or _RECORD_LENGTH.get(record[0]) != len(record):
+        return None
+    return record, end
+
 
 class CursorStore:
-    """Named replay cursors, persisted as one JSON file.
+    """Named replay cursors: a JSON checkpoint plus a mutation journal.
 
-    Writes go through a temporary file and :func:`os.replace`, so a crash
-    mid-persist leaves either the old state or the new — never a torn
-    file.
+    Opening loads ``path`` and replays the journal next to it (``path``
+    with a ``.log`` extension) and writes nothing; the first mutation
+    checkpoints, which also truncates a torn journal tail.  The journal
+    stays open until :meth:`close` (the store is a context manager).
     """
 
-    def __init__(self, path: str, sync_every: int = 1):
-        """``sync_every`` throttles persistence on the ack hot path: the
-        file is rewritten every N-th advance (registrations and removals
-        always persist).  Values > 1 trade crash-freshness for I/O — a
-        crash loses at most the last N-1 acks, which at-least-once
-        semantics already tolerate (those records are simply redelivered).
-        Call :meth:`flush` at clean shutdown to persist the remainder."""
-        if sync_every < 1:
-            raise ValueError("sync_every must be at least 1")
+    def __init__(self, path: str):
         self.path = path
-        self.sync_every = sync_every
-        self._unsynced = 0
+        self.journal_path = os.path.splitext(path)[0] + ".log"
         self._entries: Dict[str, Dict[str, object]] = {}
         self.advances = 0
+        self.checkpoints = 0
+        #: Called before each checkpoint makes offsets durable (the shard's
+        #: event log installs its ``sync`` here; see the module docstring).
+        self.before_checkpoint: Optional[Callable[[], None]] = None
+        self._journal = None         # append handle, opened on first record
+        self._journaled = 0          # records since the last checkpoint
+        self._unsynced = False       # journal bytes not yet fsynced
+        self._checkpointed = False   # has this opening checkpointed?
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -65,10 +139,65 @@ class CursorStore:
             meta = self._entries.pop(_META_KEY, None)
             if isinstance(meta, dict):
                 stored_incarnation = int(meta.get("incarnation", 0))
+        #: Whether the journal ended in a torn or corrupt record (replay
+        #: stopped there; the first mutation truncates it).
+        self.journal_torn = self._replay_journal()
         #: This opening's incarnation number.  Bumped in memory only — a
         #: read-only open (``repro log inspect``) must not rewrite the
-        #: file; the bump lands on disk with the next mutation.
+        #: file; the bump lands on disk with the first mutation's
+        #: checkpoint.
         self.incarnation = stored_incarnation + 1
+
+    def _replay_journal(self) -> bool:
+        try:
+            with open(self.journal_path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return False
+        position = 0
+        while position < len(data):
+            decoded = _read_journal_record(data, position)
+            if decoded is None:
+                return True
+            record, position = decoded
+            self._apply(record)
+        return False
+
+    def _apply(self, record: list) -> None:
+        """Apply one journal record to the in-memory entries — the live
+        mutation path and recovery replay share this."""
+        kind = record[0]
+        entries = self._entries
+        if kind == _ADVANCE:
+            _, name, offset, stamp = record
+            entry = entries.get(name)
+            if entry is None:
+                entry = entries[name] = {
+                    "offset": 0, "peer_id": None, "description": None,
+                }
+            if stamp is not None:
+                entry["last_active"] = stamp
+            if offset > int(entry["offset"]):
+                entry["offset"] = offset
+        elif kind == _REGISTER:
+            _, name, peer_id, description, origin, base, stamp = record
+            entry = entries.get(name)
+            if entry is None:
+                entry = entries[name] = {"offset": 0}
+            entry["peer_id"] = peer_id
+            entry["description"] = description
+            if origin is not None:
+                entry["origin"] = origin
+                entry["base"] = base
+            if stamp is not None:
+                entry["last_active"] = stamp
+        elif kind == _ANNOTATE:
+            entry = entries.get(record[1])
+            if entry is not None:
+                entry.update(record[2])
+        else:
+            for name in record[1]:
+                entries.pop(name, None)
 
     # -- reading -----------------------------------------------------------
 
@@ -136,29 +265,18 @@ class CursorStore:
         """
         if name == _META_KEY:
             raise ValueError("%r is a reserved cursor name" % name)
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = self._entries[name] = {"offset": 0}
-        entry["peer_id"] = peer_id
-        entry["description"] = description
-        if origin is not None:
-            entry["origin"] = origin
-            entry["base"] = base
-        if touch:
-            entry["last_active"] = self.incarnation
-        self._persist()
-        return int(entry["offset"])
+        self._commit([_REGISTER, name, peer_id, description, origin, base,
+                      self.incarnation if touch else None])
+        return int(self._entries[name]["offset"])
 
     def annotate(self, name: str, **fields: object) -> None:
         """Persist extra JSON fields on an existing cursor entry (e.g.
         an adopted subscription's replay ``floor``, or the ``local`` flag
         marking a self-pass fetch cursor); raises on an unknown name —
         annotations ride a cursor, they never create one."""
-        entry = self._entries.get(name)
-        if entry is None:
+        if name not in self._entries:
             raise KeyError("no cursor %r to annotate" % name)
-        entry.update(fields)
-        self._persist()
+        self._commit([_ANNOTATE, name, fields])
 
     def advance(self, name: str, offset: int, touch: bool = True) -> bool:
         """Monotonically raise ``name`` to ``offset``; returns whether it moved.
@@ -172,32 +290,22 @@ class CursorStore:
         that keeps restarting (and replication catch-up makes recovery
         replays *longer*, widening that window).
         """
+        offset = int(offset)
+        stamp = self.incarnation if touch else None
         entry = self._entries.get(name)
-        if entry is None:
-            entry = self._entries[name] = {
-                "offset": 0, "peer_id": None, "description": None,
-            }
-        if touch:
-            entry["last_active"] = self.incarnation
-        if offset <= int(entry["offset"]):
-            return False
-        entry["offset"] = int(offset)
-        self.advances += 1
-        self._unsynced += 1
-        if self._unsynced >= self.sync_every:
-            self._persist()
-        return True
-
-    def flush(self) -> None:
-        """Persist any advances deferred by ``sync_every``."""
-        if self._unsynced:
-            self._persist()
+        moved = offset > (int(entry["offset"]) if entry is not None else 0)
+        if entry is not None and not moved \
+                and (stamp is None or entry.get("last_active") == stamp):
+            return False  # nothing to record
+        self._commit([_ADVANCE, name, offset, stamp])
+        if moved:
+            self.advances += 1
+        return moved
 
     def remove(self, name: str) -> bool:
         if name not in self._entries:
             return False
-        del self._entries[name]
-        self._persist()
+        self._commit([_REMOVE, [name]])
         return True
 
     def prune(self, max_idle_incarnations: int) -> List[str]:
@@ -216,20 +324,72 @@ class CursorStore:
             if self.incarnation - int(entry.get("last_active", 0))
             >= max_idle_incarnations
         )
-        for name in doomed:
-            del self._entries[name]
         if doomed:
-            self._persist()
+            self._commit([_REMOVE, doomed])
         return doomed
 
-    def _persist(self) -> None:
+    def _commit(self, record: list) -> None:
+        """The one write path: apply ``record``, then journal it — or,
+        at an opening's first mutation and once the journal holds
+        :data:`_CHECKPOINT_EVERY` records, checkpoint instead (the
+        checkpoint already covers this mutation)."""
+        self._apply(record)
+        if not self._checkpointed or self._journaled >= _CHECKPOINT_EVERY:
+            self.checkpoint()
+            return
+        if self._journal is None:
+            created = not os.path.exists(self.journal_path)
+            self._journal = open(self.journal_path, "ab")
+            if created:
+                fsync_dir(os.path.dirname(self.journal_path))
+        body = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        self._journal.write(_JOURNAL_HEADER.pack(
+            _JOURNAL_MAGIC, len(body), zlib.crc32(body)) + body)
+        self._journal.flush()
+        self._journaled += 1
+        self._unsynced = True
+
+    def checkpoint(self) -> None:
+        """Write every entry to ``cursors.json`` (crash-consistently, after
+        :attr:`before_checkpoint`), then empty the journal."""
+        if self.before_checkpoint is not None:
+            self.before_checkpoint()
         on_disk = dict(self._entries)
         on_disk[_META_KEY] = {"incarnation": self.incarnation}
-        temporary = self.path + ".tmp"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(on_disk, handle, indent=0, sort_keys=True)
-        os.replace(temporary, self.path)
-        self._unsynced = 0
+        atomic_write(self.path, json.dumps(on_disk, indent=0,
+                                           sort_keys=True).encode("utf-8"))
+        if self._journal is None and os.path.exists(self.journal_path):
+            self._journal = open(self.journal_path, "ab")
+        if self._journal is not None:
+            # Appends go to the end of an ``ab`` handle: after the
+            # truncation, that is position 0 again.
+            os.ftruncate(self._journal.fileno(), 0)
+            os.fsync(self._journal.fileno())
+        self._journaled = 0
+        self._unsynced = False
+        self._checkpointed = True
+        self.checkpoints += 1
+
+    def sync(self) -> None:
+        """fsync journal records not yet fsynced (the group commit)."""
+        if self._unsynced:
+            os.fsync(self._journal.fileno())
+            self._unsynced = False
+
+    def close(self) -> None:
+        """Checkpoint any journaled mutations and release the journal.
+        A store that never mutated writes nothing."""
+        if self._journaled:
+            self.checkpoint()
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
+
+    def __enter__(self) -> "CursorStore":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def as_dict(self) -> Dict[str, int]:
         """Cursor name -> offset snapshot (the observability surface)."""

@@ -44,10 +44,15 @@ Durability model: appends ``flush()`` to the operating system — a
 *process* crash loses nothing.  Group-commit fsync (``fsync_every_n`` /
 ``fsync_interval_ms``) extends the guarantee to OS/power failure without
 per-record fsync cost: the file is fsynced once every N appends or T
-milliseconds, whichever comes first, and always at rotation and
-:meth:`EventLog.close`.  Without it, a power failure may lose
-page-cache-resident tail records (the recovery scan then truncates
-cleanly and at-least-once replay resumes from the persisted cursors).
+milliseconds, whichever comes first, and always at :meth:`EventLog.close`.
+Without it, a power failure may lose page-cache-resident tail records
+(the recovery scan then truncates cleanly and at-least-once replay
+resumes from the persisted cursors).  Under either model, rotation and
+:meth:`EventLog.sync` fsync any unsynced appends, a new segment's
+directory entry is fsynced, and compaction replaces segments through
+:func:`~repro.persistence.fsio.atomic_write`.  :attr:`EventLog.on_fsync`
+runs after every fsync of the active segment — the hook the broker uses
+to group-commit its cursor journal with the log.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ import struct
 import time
 import zlib
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from .fsio import atomic_write, fsync_dir
 
 _RECORD_MAGIC = b"ELR1"
 _HEADER = struct.Struct(">4sIIQH")  # magic, length, crc32, offset, origin length
@@ -242,6 +249,9 @@ def inspect_log(directory: str) -> Dict[str, object]:
 class EventLog:
     """Durable, segmented, append-only record log with offset replay.
 
+    The log keeps its active segment open until :meth:`close`; it is a
+    context manager.
+
     Parameters
     ----------
     directory:
@@ -260,7 +270,8 @@ class EventLog:
         appends or T milliseconds (whichever comes first), and always at
         rotation and :meth:`close` — power-loss durability without
         per-record fsync cost.  Both ``None`` (the default) keeps the
-        flush-only (process-crash durable) model.
+        flush-only (process-crash durable) model, where only rotation and
+        an explicit :meth:`sync` fsync.
     compact_on_retention:
         When retention is over budget but the victim segment is pinned by
         the retention floor, run a key-aware :meth:`compact` pass (bounded
@@ -304,6 +315,8 @@ class EventLog:
         self.compacted_bytes = 0
         self._unsynced_appends = 0
         self._last_fsync_s = time.monotonic()
+        #: Called after every fsync of the active segment.
+        self.on_fsync: Optional[Callable[[], None]] = None
         self._compact_gate = 0  # appends at the last retention-compact pass
         self._segments: List[_Segment] = []
         self._index: Dict[int, _Segment] = {}  # offset -> owning segment
@@ -431,9 +444,9 @@ class EventLog:
 
     def _maybe_fsync(self, handle) -> None:
         """Group commit: fsync once every N appends / T ms, not per record."""
-        if self.fsync_every_n is None and self.fsync_interval_ms is None:
-            return
         self._unsynced_appends += 1
+        if not self._group_commit:
+            return
         due = (self.fsync_every_n is not None
                and self._unsynced_appends >= self.fsync_every_n)
         if not due and self.fsync_interval_ms is not None:
@@ -442,15 +455,24 @@ class EventLog:
         if due:
             self._fsync_handle(handle)
 
+    @property
+    def _group_commit(self) -> bool:
+        return self.fsync_every_n is not None \
+            or self.fsync_interval_ms is not None
+
     def _fsync_handle(self, handle) -> None:
         handle.flush()
         os.fsync(handle.fileno())
         self.fsyncs += 1
         self._unsynced_appends = 0
         self._last_fsync_s = time.monotonic()
+        if self.on_fsync is not None:
+            self.on_fsync()
 
     def sync(self) -> None:
-        """Force-fsync any unsynced tail appends (clean-shutdown barrier)."""
+        """Force-fsync any unsynced tail appends, under either durability
+        model (the barrier before a cursor checkpoint, or a clean
+        shutdown)."""
         if self._active_handle is not None and self._unsynced_appends:
             self._fsync_handle(self._active_handle)
 
@@ -474,6 +496,7 @@ class EventLog:
         segment = _Segment(path, self.next_offset)
         with open(path, "wb"):
             pass  # the segment exists even before its first record lands
+        fsync_dir(self.directory)
         self._segments.append(segment)
         return segment
 
@@ -545,10 +568,10 @@ class EventLog:
         records are the log's rewrite granularity.  Offsets are never
         renumbered — compaction leaves holes — so replay positions and
         persisted cursors stay valid verbatim.  Each rewritten segment
-        goes through a temporary file and ``os.replace``: a crash
-        mid-compaction leaves either the old segment or the new, never a
-        torn one.  Idempotent: a second pass over an already-compacted
-        log drops nothing.
+        goes through :func:`~repro.persistence.fsio.atomic_write`: a
+        crash or power loss mid-compaction leaves either the old segment
+        or the new, never a torn one.  Idempotent: a second pass over an
+        already-compacted log drops nothing.
         """
         if key_of is None:
             key_of = _default_key_of
@@ -593,7 +616,9 @@ class EventLog:
                 continue
             with open(segment.path, "rb") as handle:
                 data = handle.read()
-            keep: List[Tuple[int, bytes]] = []
+            blobs: List[bytes] = []
+            position = 0
+            new_offsets: Dict[int, int] = {}
             for offset in sorted(segment.offsets):
                 decoded = _read_record_at(data, segment.offsets[offset])
                 if decoded is None:  # pragma: no cover - indexed = intact
@@ -601,22 +626,14 @@ class EventLog:
                         "indexed record %d failed to decode" % offset)
                 record, end = decoded
                 if offset not in doomed:
-                    keep.append((offset, data[segment.offsets[offset]:end]))
-            temporary = segment.path + ".compact"
-            with open(temporary, "wb") as handle:
-                position = 0
-                new_offsets: Dict[int, int] = {}
-                for offset, blob in keep:
-                    handle.write(blob)
+                    blobs.append(data[segment.offsets[offset]:end])
                     new_offsets[offset] = position
-                    position += len(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
+                    position += len(blobs[-1])
             if self._active_handle is not None \
                     and self._active_handle.name == segment.path:
                 self._active_handle.close()  # pragma: no cover - defensive
                 self._active_handle = None
-            os.replace(temporary, segment.path)
+            atomic_write(segment.path, b"".join(blobs))
             reclaimed += segment.size - position
             dropped_records += len(doomed)
             for offset in doomed:
@@ -718,10 +735,16 @@ class EventLog:
 
     def close(self) -> None:
         if self._active_handle is not None:
-            if self._unsynced_appends:
+            if self._unsynced_appends and self._group_commit:
                 self._fsync_handle(self._active_handle)
             self._active_handle.close()
             self._active_handle = None
+
+    def __enter__(self) -> "EventLog":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def stats(self) -> Dict[str, object]:
         return {

@@ -391,11 +391,24 @@ class TestGossipRefcountsWithBufferedEvents:
         assert len(got_b) == 1
 
 
+#: Durable meshes a test opened, closed at teardown so no log segment or
+#: cursor journal handle outlives its test.
+_OPENED = []
+
+
+@pytest.fixture(autouse=True)
+def close_opened():
+    yield
+    while _OPENED:
+        _OPENED.pop().close()
+
+
 def make_durable_world(tmp_path, shards=3, n_subscribers=4,
                        drop_rate=0.0, seed=0, **broker_kwargs):
     network = SimulatedNetwork(drop_rate=drop_rate, seed=seed)
     mesh = BrokerMesh(network, topology=Topology.sized(shards),
                       log_root=str(tmp_path / "mesh-logs"), **broker_kwargs)
+    _OPENED.append(mesh)
     publisher = TpsPeer("publisher", network, **broker_kwargs)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)

@@ -160,6 +160,7 @@ class TestDurabilityStage:
         stage.settle_local({"good": True, "bad": False}, offset)
         assert stage.cursors.get("good") == offset + 1
         assert stage.cursors.get("bad") == 0
+        stage.close()
 
     def test_advance_capped_by_block_and_retired_cursor(self, tmp_path):
         stage, _ = self.make(tmp_path)
@@ -169,6 +170,7 @@ class TestDurabilityStage:
         assert stage.cursors.get("c") == 4  # capped at the block
         stage.advance("ghost", 7)  # never registered: a no-op
         assert "ghost" not in stage.cursors
+        stage.close()
 
     def test_retention_floor_follows_slowest_cursor(self, tmp_path):
         stage, runtime = self.make(tmp_path, retain_unacked=True)
@@ -181,6 +183,7 @@ class TestDurabilityStage:
         stage.advance("slow", 2)
         assert stage.event_log.retention_floor == 2
         assert stage.prune_cursors(10) == []  # both cursors are active
+        stage.close()
 
     def test_compact_bounded_by_slowest_cursor(self, tmp_path):
         stage, runtime = self.make(tmp_path, segment_max_bytes=600)
@@ -191,6 +194,7 @@ class TestDurabilityStage:
         stage.compact()
         surviving = [record.offset for record in stage.event_log.replay()]
         assert [o for o in surviving if o >= 5] == list(range(5, 12))
+        stage.close()
 
 
 class TestAdmissionStage:
@@ -204,6 +208,7 @@ class TestAdmissionStage:
         values = stage.materialize_record(log.read(offset), "pub")
         assert [value.GetName() for value in values] == ["alice"]
         assert stage.stats.replay_failures == 0
+        log.close()
 
     def test_materialize_failure_is_counted_not_raised(self, tmp_path):
         runtime = make_runtime()
@@ -219,6 +224,7 @@ class TestAdmissionStage:
             [person(runtime, "x")], origin="pub"), origin="pub")
         assert stage.materialize_record(log.read(offset), "pub") is None
         assert stage.stats.replay_failures == 1
+        log.close()
 
 
 class TestRoutingStage:

@@ -30,6 +30,17 @@ from repro.fixtures import (
 from repro.net.network import SimulatedNetwork
 from repro.serialization.envelope import envelope_home
 
+#: Meshes a test opened, closed at teardown so no log segment or cursor
+#: journal handle outlives its test.
+_OPENED = []
+
+
+@pytest.fixture(autouse=True)
+def close_opened():
+    yield
+    while _OPENED:
+        _OPENED.pop().close()
+
 
 def make_world(tmp_path, shards=3, replication_factor=0,
                drop_rate=0.0, seed=0, name="mesh", **broker_kwargs):
@@ -38,6 +49,7 @@ def make_world(tmp_path, shards=3, replication_factor=0,
                       log_root=str(tmp_path / "logs"),
                       replication_factor=replication_factor,
                       **broker_kwargs)
+    _OPENED.append(mesh)
     publisher = TpsPeer("publisher", network, **broker_kwargs)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)
@@ -364,6 +376,7 @@ class TestMeshWideBacklog:
                           log_root=str(tmp_path / "logs"),
                           log_kwargs={"segment_max_bytes": 256,
                                       "max_segments": 1})
+        _OPENED.append(mesh)
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)

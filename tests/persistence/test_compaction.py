@@ -13,7 +13,7 @@ from repro.apps.tps import TpsBroker, TpsPeer
 from repro.cli import main as cli_main
 from repro.fixtures import person_assembly_pair, person_java
 from repro.net.network import SimulatedNetwork
-from repro.persistence import EventLog
+from repro.persistence import CursorStore, EventLog
 from repro.serialization.envelope import envelope_record_keys
 
 
@@ -60,6 +60,7 @@ class TestBrokerCompaction:
         assert broker.event_log.size_bytes < before_bytes / 3
         # Idempotent: nothing left to drop.
         assert broker.compact_log()["dropped_records"] == 0
+        broker.close()
 
     def test_active_segment_is_never_rewritten(self, tmp_path):
         network, broker, publisher = make_world(
@@ -68,6 +69,7 @@ class TestBrokerCompaction:
         # Everything lives in the single active segment: untouchable.
         assert broker.compact_log()["dropped_records"] == 0
         assert broker.event_log.record_count == 15
+        broker.close()
 
     def test_never_crosses_slowest_cursor(self, tmp_path):
         network, broker, publisher = make_world(tmp_path)
@@ -85,6 +87,7 @@ class TestBrokerCompaction:
         offsets = [record.offset for record in broker.event_log.replay()]
         assert [o for o in offsets if o >= cursor] == \
             list(range(cursor, broker.event_log.next_offset))
+        broker.close()
 
     def test_reopen_and_replay_over_holes(self, tmp_path):
         """Recovery's monotonic-offset scan accepts compaction holes, and
@@ -118,6 +121,7 @@ class TestEventLogCompactionEdges:
             log.append(b"opaque-%d" % index, origin="pub")  # no envelope
         assert log.compact()["dropped_records"] == 0
         assert log.record_count == 8
+        log.close()
 
     def test_custom_key_of(self, tmp_path):
         log = EventLog(str(tmp_path), segment_max_bytes=80)
@@ -134,6 +138,7 @@ class TestEventLogCompactionEdges:
         # (active segment), k1's is offset 7.
         assert b"k1=7" in payloads and b"k0=8" in payloads
         assert b"k0=0" not in payloads
+        log.close()
 
     def test_emptied_segment_is_removed(self, tmp_path):
         log = EventLog(str(tmp_path), segment_max_bytes=60)
@@ -324,6 +329,24 @@ class TestCompactCli:
         assert [o for o in offsets if o >= cursor] == \
             list(range(cursor, reopened.next_offset))
         reopened.close()
+
+    def test_compact_is_bounded_by_local_cursors_only(self, tmp_path):
+        """A fetch cursor holds an offset in a sibling shard's space: it
+        must not bound this log's compaction (the broker's rule,
+        ``CursorStore.min_offset``)."""
+        with EventLog(str(tmp_path / "broker" / "events")) as log:
+            for index in range(60):
+                log.append(b"r%d" % index, origin="pub")
+        with CursorStore(str(tmp_path / "broker" / "cursors.json")) as store:
+            store.register("c", peer_id="p")
+            store.advance("c", 50)
+            store.register("c@mesh-shard9", peer_id="p",
+                           origin="mesh-shard9", base="c")
+            store.advance("c@mesh-shard9", 3)
+        code, output = self.run_cli(["log", "compact",
+                                     str(tmp_path / "broker")])
+        assert code == 0
+        assert "slowest cursor 50" in output
 
     def test_compact_missing_directory_errors(self):
         code, output = self.run_cli(["log", "compact", "/no/such/dir"])

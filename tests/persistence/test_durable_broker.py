@@ -12,11 +12,27 @@ from repro.fixtures import (
 )
 from repro.net.network import NetworkError, SimulatedNetwork
 
+#: Brokers and meshes a test opened, closed at teardown (last opened
+#: first) so no log segment or cursor journal handle outlives its test.
+_OPENED = []
+
+
+def opened(closeable):
+    _OPENED.append(closeable)
+    return closeable
+
+
+@pytest.fixture(autouse=True)
+def close_opened():
+    yield
+    while _OPENED:
+        _OPENED.pop().close()
+
 
 def make_world(tmp_path, log=True):
     network = SimulatedNetwork()
-    broker = TpsBroker("broker", network,
-                       log_dir=str(tmp_path / "broker") if log else None)
+    broker = opened(TpsBroker(
+        "broker", network, log_dir=str(tmp_path / "broker") if log else None))
     publisher = TpsPeer("pub", network)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)
@@ -188,7 +204,8 @@ class TestBrokerRestart:
         publish(publisher, ["a2"])  # logged + sent, but ack never drains:
         broker.close()              # broker crashes with the ack in flight
 
-        revived = TpsBroker("broker", network, log_dir=str(tmp_path / "broker"))
+        revived = opened(TpsBroker("broker", network,
+                                   log_dir=str(tmp_path / "broker")))
         restored = revived.recover_durable_subscriptions()
         assert [s.cursor_name for s in restored] == ["sub-c"]
         network.run_until_idle()
@@ -220,7 +237,8 @@ class TestBrokerRestart:
             handle.seek(0, 2)
             handle.truncate(handle.tell() - 7)  # tear t1's record
 
-        revived = TpsBroker("broker", network, log_dir=str(tmp_path / "broker"))
+        revived = opened(TpsBroker("broker", network,
+                                   log_dir=str(tmp_path / "broker")))
         assert revived.event_log.torn_tail_truncations == 1
         assert revived.event_log.next_offset == 1  # t0 survived, t1 cut
         revived.recover_durable_subscriptions()
@@ -360,8 +378,8 @@ class TestFanOutIsolation:
         from repro.apps.tps import BrokerMesh
         from repro.apps.tps.topology import Topology
         network = SimulatedNetwork()
-        mesh = BrokerMesh(network, topology=Topology.sized(2),
-                          log_root=str(tmp_path / "mesh"))
+        mesh = opened(BrokerMesh(network, topology=Topology.sized(2),
+                                 log_root=str(tmp_path / "mesh")))
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -420,7 +438,8 @@ class TestCumulativeAckSafety:
         publisher.close()  # origin gone: a fresh broker cannot fetch code
         broker.close()
 
-        revived = TpsBroker("broker", network, log_dir=str(tmp_path / "broker"))
+        revived = opened(TpsBroker("broker", network,
+                                   log_dir=str(tmp_path / "broker")))
         got = []
         subscriber = TpsPeer("sub", network)
         subscriber.subscribe_durable_remote("broker", person_java(),
@@ -434,10 +453,10 @@ class TestCumulativeAckSafety:
 class TestRetentionPlumbing:
     def test_log_kwargs_reach_the_event_log(self, tmp_path):
         network = SimulatedNetwork()
-        broker = TpsBroker("broker", network,
-                           log_dir=str(tmp_path / "broker"),
-                           log_kwargs={"segment_max_bytes": 4096,
-                                       "max_segments": 2})
+        broker = opened(TpsBroker("broker", network,
+                                  log_dir=str(tmp_path / "broker"),
+                                  log_kwargs={"segment_max_bytes": 4096,
+                                              "max_segments": 2}))
         assert broker.event_log.segment_max_bytes == 4096
         assert broker.event_log.max_segments == 2
 
@@ -457,7 +476,8 @@ class TestCursorLifecycleAndOwnership:
 
         publish(publisher, ["while-gone"])
         broker.close()
-        revived = TpsBroker("broker", network, log_dir=str(tmp_path / "broker"))
+        revived = opened(TpsBroker("broker", network,
+                                   log_dir=str(tmp_path / "broker")))
         assert revived.recover_durable_subscriptions() == []
         network.run_until_idle()
         assert got == []  # nothing delivered to the cancelled subscription
@@ -484,7 +504,8 @@ class TestCursorLifecycleAndOwnership:
         peer_a.subscribe_durable_remote("broker", person_java(),
                                         lambda v: None, cursor="mine")
         broker.close()
-        revived = TpsBroker("broker", network, log_dir=str(tmp_path / "broker"))
+        revived = opened(TpsBroker("broker", network,
+                                   log_dir=str(tmp_path / "broker")))
         intruder = TpsPeer("intruder", network)
         with pytest.raises(NetworkError, match="belongs to"):
             intruder.subscribe_durable_remote("broker", person_java(),
@@ -571,7 +592,8 @@ class TestAckWindowOrdering:
         remote.subscribe_durable_remote("broker", person_java(),
                                         lambda v: None, cursor="theirs")
         broker.close()
-        revived = TpsBroker("broker", network, log_dir=str(tmp_path / "broker"))
+        revived = opened(TpsBroker("broker", network,
+                                   log_dir=str(tmp_path / "broker")))
         with pytest.raises(NetworkError, match="belongs to"):
             revived.subscribe_durable(person_java(), lambda v: None,
                                       cursor="theirs")
@@ -622,10 +644,10 @@ class TestRetentionAndReplayEdges:
         """Records dropped by retention below a slow cursor are surfaced
         as retention_lost_records, not silently skipped."""
         network = SimulatedNetwork()
-        broker = TpsBroker("broker", network,
-                           log_dir=str(tmp_path / "broker"),
-                           log_kwargs={"segment_max_bytes": 600,
-                                       "max_segments": 2})
+        broker = opened(TpsBroker("broker", network,
+                                  log_dir=str(tmp_path / "broker"),
+                                  log_kwargs={"segment_max_bytes": 600,
+                                              "max_segments": 2}))
         publisher = TpsPeer("pub", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -668,10 +690,10 @@ class TestRetentionAndReplayEdges:
         can trigger retention mid-replay; replay must skip the dropped
         segment, not crash."""
         network = SimulatedNetwork()
-        broker = TpsBroker("broker", network,
-                           log_dir=str(tmp_path / "broker"),
-                           log_kwargs={"segment_max_bytes": 600,
-                                       "max_segments": 3})
+        broker = opened(TpsBroker("broker", network,
+                                  log_dir=str(tmp_path / "broker"),
+                                  log_kwargs={"segment_max_bytes": 600,
+                                              "max_segments": 3}))
         publisher = TpsPeer("pub", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -702,7 +724,8 @@ class TestRetentionAndReplayEdges:
         network, broker, publisher = make_world(tmp_path)
         token_a = broker._issue_ack_token("p", (("c", 0, 1),))
         broker.close()
-        revived = TpsBroker("broker", network, log_dir=str(tmp_path / "broker"))
+        revived = opened(TpsBroker("broker", network,
+                                   log_dir=str(tmp_path / "broker")))
         token_b = revived._issue_ack_token("p", (("c", 0, 1),))
         assert token_a != token_b  # a stale ack can never match a new token
 

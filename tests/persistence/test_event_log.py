@@ -23,6 +23,7 @@ class TestAppendRead:
         assert log.next_offset == 5
         assert log.first_offset == 0
         assert log.record_count == 5
+        log.close()
 
     def test_read_returns_payload_and_origin(self, tmp_path):
         log = EventLog(str(tmp_path))
@@ -32,12 +33,14 @@ class TestAppendRead:
         assert record.offset == 1
         assert record.origin == "bob"
         assert record.payload == b"second"
+        log.close()
 
     def test_read_missing_offset_raises(self, tmp_path):
         log = EventLog(str(tmp_path))
         log.append(b"x")
         with pytest.raises(KeyError):
             log.read(7)
+        log.close()
 
     def test_replay_range_and_order(self, tmp_path):
         log = EventLog(str(tmp_path))
@@ -45,6 +48,7 @@ class TestAppendRead:
         assert [r.offset for r in log.replay()] == list(range(10))
         assert [r.offset for r in log.replay(4)] == list(range(4, 10))
         assert [r.offset for r in log.replay(4, 7)] == [4, 5, 6]
+        log.close()
 
     def test_replay_snapshots_end_at_call_time(self, tmp_path):
         log = EventLog(str(tmp_path))
@@ -54,11 +58,13 @@ class TestAppendRead:
             seen.append(record.offset)
             log.append(b"during-iteration")
         assert seen == [0, 1, 2]
+        log.close()
 
     def test_empty_origin_allowed(self, tmp_path):
         log = EventLog(str(tmp_path))
         log.append(b"anonymous")
         assert log.read(0).origin == ""
+        log.close()
 
 
 class TestSegmentsAndRetention:
@@ -67,11 +73,13 @@ class TestSegmentsAndRetention:
         fill(log, 6, payload=b"x" * 40)  # ~68-byte records: 1 per segment
         assert len(segment_files(str(tmp_path))) >= 3
         assert [r.offset for r in log.replay()] == list(range(6))
+        log.close()
 
     def test_oversized_record_still_written(self, tmp_path):
         log = EventLog(str(tmp_path), segment_max_bytes=50)
         log.append(b"y" * 500)
         assert log.read(0).payload == b"y" * 500
+        log.close()
 
     def test_retention_max_segments_drops_from_front(self, tmp_path):
         log = EventLog(str(tmp_path), segment_max_bytes=120, max_segments=2)
@@ -83,18 +91,21 @@ class TestSegmentsAndRetention:
         offsets = [r.offset for r in log.replay(0)]
         assert offsets == list(range(log.first_offset, 10))
         assert log.retention_dropped_records == 10 - len(offsets)
+        log.close()
 
     def test_retention_max_bytes(self, tmp_path):
         log = EventLog(str(tmp_path), segment_max_bytes=120, max_bytes=300)
         fill(log, 20, payload=b"x" * 40)
         assert log.size_bytes <= 300
         assert log.next_offset == 20
+        log.close()
 
     def test_active_segment_never_dropped(self, tmp_path):
         log = EventLog(str(tmp_path), segment_max_bytes=10_000, max_bytes=1)
         fill(log, 3)
         # Everything lives in one (active) segment: retention cannot fire.
         assert log.record_count == 3
+        log.close()
 
 
 class TestReopen:
@@ -106,11 +117,13 @@ class TestReopen:
         assert reopened.next_offset == 7
         assert [r.offset for r in reopened.replay()] == list(range(7))
         assert reopened.append(b"more") == 7
+        reopened.close()
 
     def test_reopen_empty_directory(self, tmp_path):
         log = EventLog(str(tmp_path))
         assert log.next_offset == 0
         assert list(log.replay()) == []
+        log.close()
 
 
 class TestRecovery:
@@ -130,6 +143,7 @@ class TestRecovery:
         assert [r.offset for r in recovered.replay()] == [0, 1, 2, 3]
         # The log accepts new appends right where the tear was cut.
         assert recovered.append(b"fresh") == 4
+        recovered.close()
 
     def test_corrupted_crc_truncated(self, tmp_path):
         log = EventLog(str(tmp_path))
@@ -145,6 +159,7 @@ class TestRecovery:
         assert recovered.torn_tail_truncations == 1
         assert recovered.next_offset == 2
         assert [r.payload for r in recovered.replay()] == [b"x" * 64] * 2
+        recovered.close()
 
     def test_corruption_drops_unreachable_later_segments(self, tmp_path):
         """A tear in a middle segment cuts the log there: records past it
@@ -163,6 +178,7 @@ class TestRecovery:
         assert offsets == list(range(offsets[-1] + 1)) if offsets else True
         assert recovered.next_offset == (offsets[-1] + 1 if offsets else 0)
         assert recovered.dropped_segments > 0
+        recovered.close()
 
     def test_recovery_is_idempotent(self, tmp_path):
         log = EventLog(str(tmp_path))
@@ -177,6 +193,7 @@ class TestRecovery:
         second = EventLog(str(tmp_path))
         assert second.torn_tail_truncations == 0  # already repaired
         assert second.next_offset == 3
+        second.close()
 
 
 class TestInspect:
@@ -189,6 +206,7 @@ class TestInspect:
         assert info["next_offset"] == 6
         assert info["segment_count"] == len(segment_files(str(tmp_path)))
         assert info["torn_segments"] == 0
+        log.close()
 
     def test_inspect_reports_tear_without_mutating(self, tmp_path):
         log = EventLog(str(tmp_path))
@@ -218,6 +236,7 @@ class TestStats:
         assert stats["records"] == log.record_count
         assert stats["next_offset"] == 8
         assert stats["segments"] <= 3
+        log.close()
 
 
 class TestOffsetMonotonicityAcrossTotalLoss:
@@ -240,6 +259,7 @@ class TestOffsetMonotonicityAcrossTotalLoss:
         assert recovered.record_count == 0
         assert recovered.next_offset == base  # not 0
         assert recovered.append(b"fresh") == base
+        recovered.close()
 
 
 class TestAppendAt:
@@ -251,6 +271,7 @@ class TestAppendAt:
         assert log.append_at(1, b"b") == 1
         assert log.next_offset == 2
         assert [r.payload for r in log.replay()] == [b"a", b"b"]
+        log.close()
 
     def test_below_high_water_is_skipped(self, tmp_path):
         log = EventLog(str(tmp_path))
@@ -261,6 +282,7 @@ class TestAppendAt:
         assert log.duplicate_appends == 2
         assert [r.payload for r in log.replay()] == [b"a", b"b"]
         assert log.stats()["duplicate_appends"] == 2
+        log.close()
 
     def test_holes_are_legal_and_survive_reopen(self, tmp_path):
         """Origin-side compaction holes reach followers as offset gaps;
@@ -275,6 +297,7 @@ class TestAppendAt:
         assert [r.offset for r in reopened.replay()] == [0, 4]
         assert reopened.read(4).origin == "p"
         assert reopened.next_offset == 5
+        reopened.close()
 
     def test_append_at_interleaves_with_append(self, tmp_path):
         log = EventLog(str(tmp_path))
@@ -282,3 +305,4 @@ class TestAppendAt:
         assert log.append_at(3, b"b") == 3
         assert log.append(b"c") == 4     # continues after the jump
         assert [r.offset for r in log.replay()] == [0, 3, 4]
+        log.close()

@@ -102,3 +102,4 @@ def test_cursor_store_advance_touch_discipline(tmp_path):
     assert store.entry("c")["last_active"] == first
     assert store.advance("c", 9)  # default: subscriber-driven, touches
     assert store.entry("c")["last_active"] == store.incarnation
+    store.close()

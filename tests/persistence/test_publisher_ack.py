@@ -35,6 +35,7 @@ class TestPublishDurable:
         assert publisher.transport_stats.publishes_acked == 1
         assert broker.transport_stats.publish_acks_sent == 1
         assert broker.event_log.record_count == 1
+        broker.close()
 
     def test_batch_publish_is_one_log_record(self, tmp_path):
         network, broker, publisher = make_world(tmp_path)
@@ -44,6 +45,7 @@ class TestPublishDurable:
         network.run_until_idle()
         assert broker.event_log.record_count == 1
         assert publisher.unacked_publishes() == []
+        broker.close()
 
     def test_batch_fans_out_to_subscribers(self, tmp_path):
         network, broker, publisher = make_world(tmp_path)
@@ -64,6 +66,7 @@ class TestPublishDurable:
         assert [v.getPersonName() for v in durable_got] == ["x", "y"]
         # The durable subscriber acked the one record cumulatively.
         assert broker.cursors.get("d-c") == broker.event_log.next_offset
+        broker.close()
 
     def test_lost_publish_republished(self, tmp_path):
         """A publish dropped on the way in stays unacked; republishing
@@ -79,6 +82,7 @@ class TestPublishDurable:
         network.run_until_idle()
         assert publisher.unacked_publishes() == []
         assert broker.event_log.record_count == 1
+        broker.close()
 
     def test_lost_ack_republish_is_at_least_once(self, tmp_path):
         """When only the *ack* is lost the broker logged the batch; a
@@ -95,6 +99,7 @@ class TestPublishDurable:
         network.run_until_idle()
         assert publisher.unacked_publishes() == []
         assert broker.event_log.record_count == 2
+        broker.close()
 
     def test_mesh_shard_acks_durable_publishes(self, tmp_path):
         network = SimulatedNetwork()
@@ -129,6 +134,7 @@ class TestPublishDurable:
             "broker", publisher.new_instance("demo.a.Person", ["nolog"]))
         network.run_until_idle()
         assert publisher.unacked_publishes() == []
+        broker.close()
 
     def test_tokens_are_unique_per_publish(self, tmp_path):
         network, broker, publisher = make_world(tmp_path)
@@ -138,3 +144,4 @@ class TestPublishDurable:
         assert len(tokens) == 5
         network.run_until_idle()
         assert publisher.unacked_publishes() == []
+        broker.close()

@@ -149,6 +149,32 @@ class TestLogInspect:
         assert code == 1
         assert "TORN TAIL" in output
 
+    def test_inspect_shows_journaled_offsets_and_writes_nothing(
+            self, log_dir):
+        import pathlib
+
+        from repro.persistence import CursorStore
+        cursors = pathlib.Path(log_dir) / "cursors.json"
+        journal = pathlib.Path(log_dir) / "cursors.log"
+        with CursorStore(str(cursors)) as store:
+            store.register("journaled-c", peer_id="p")  # checkpointed
+            store.advance("journaled-c", 1)             # journaled
+            store.advance("journaled-c", 2)
+            files = {path: path.read_bytes() for path in (cursors, journal)}
+            assert files[journal]  # the advances are only in the journal
+            code, output = run(["log", "inspect", log_dir])
+            assert code == 0
+            assert "journaled-c" in output
+            assert "acked below 2 " in output
+            assert {path: path.read_bytes() for path in files} == files
+            assert "TORN JOURNAL" not in output
+            # A half-written journal record is reported, not repaired.
+            journal.write_bytes(files[journal] + b"CJR1")
+            code, output = run(["log", "inspect", log_dir])
+            assert "TORN JOURNAL" in output
+            assert "acked below 2 " in output
+            assert journal.read_bytes() == files[journal] + b"CJR1"
+
     def test_inspect_missing_directory(self):
         code, output = run(["log", "inspect", "/no/such/log"])
         assert code == 2
