@@ -453,10 +453,12 @@ class DurabilityStage:
     The stage also owns the fsync ordering between the two: the cursor
     journal is fsynced right after each fsync of the log (group commit
     under the log's ``fsync_every_n`` / ``fsync_interval_ms`` policy),
-    and the log is synced before a cursor checkpoint.  A cursor in this
-    shard's own offset space is therefore never durable ahead of the log
-    records it covers — after a power loss, new appends must not reuse
-    offsets a recovered cursor already claims as acked.
+    and the log is synced before a cursor checkpoint.  Journal records
+    the operating system wrote back early can still outrun the log, so
+    construction clamps every cursor in this shard's own offset space to
+    the recovered log's ``next_offset``: after a power loss, new appends
+    reuse the lost offsets, and a cursor claiming them as acked would
+    silently skip those records.
     """
 
     def __init__(self, host: Any,
@@ -475,6 +477,7 @@ class DurabilityStage:
         if event_log is not None and cursors is not None:
             event_log.on_fsync = cursors.sync
             cursors.before_checkpoint = event_log.sync
+            cursors.clamp(event_log.next_offset)
         self._update_retention_floor()
 
     @property

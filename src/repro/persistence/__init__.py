@@ -11,8 +11,10 @@ files), ``cursors.json`` (the cursor checkpoint) and ``cursors.log`` (the
 cursor journal: one CRC-framed record per mutation since that
 checkpoint).  Files rewritten whole go through :func:`fsio.atomic_write`.
 The journal is fsynced right after each fsync of the shard's own log, and
-the log is synced before each checkpoint, so a cursor is never durable
-ahead of the log records it covers.
+the log is synced before each checkpoint.  Journal bytes the operating
+system writes back early can still outrun the log, so a broker clamps its
+own-space cursors to the recovered log end on open: a cursor never claims
+as acked an offset the log no longer holds.
 """
 
 from .cursors import CursorStore

@@ -36,23 +36,30 @@ On-disk layout — a **checkpoint** plus a **journal**, side by side:
 
 Every mutation appends one record and ``flush()``-es it to the operating
 system, so a *process* crash loses nothing.  A checkpoint is written at
-the first mutation of an opening (so the incarnation bump lands on disk),
-every :data:`_CHECKPOINT_EVERY` records, and at :meth:`CursorStore.close`;
-it then empties the journal.  Recovery loads the checkpoint and replays
-the journal over it, stopping at the first torn or bad-CRC record.
-Replay is idempotent — each record *sets* state (an advance takes the
-maximum, a stamp is the recorded incarnation) — because a crash between
-a checkpoint's replace and the journal truncation replays records the
-checkpoint already holds.
+the first mutation of an opening (so the incarnation bump lands on
+disk), once :data:`_CHECKPOINT_EVERY` records are journaled, and at
+:meth:`CursorStore.close`; it then empties the journal.  A checkpoint
+absorbs only journaled mutations, never the one that triggered it while
+the journal holds records (that one is journaled after the truncation),
+so the journal always holds every mutation since the checkpoint on disk.
+Recovery loads the checkpoint and replays the journal over it, stopping
+at the first torn or bad-CRC record.  Replay is idempotent — each record
+*sets* state (an advance takes the maximum, a clamp the minimum, a stamp
+is the recorded incarnation) — because a crash between a checkpoint's
+replace and the journal truncation replays records the checkpoint
+already holds.
 
 Power-loss durability is group-committed by the owner of the shard's event
 log (:class:`~repro.apps.tps.pipeline.DurabilityStage`): :meth:`sync`
 fsyncs the journal right after each fsync of the log, and
 :attr:`CursorStore.before_checkpoint` syncs the log before a checkpoint
-makes offsets durable.  So a cursor in the shard's own offset space is
-never durable ahead of the log records it covers — otherwise, after a
-power loss, new appends would reuse offsets the cursor already claims as
-acked, and those records would be silently skipped.
+makes offsets durable.  Journal records are ``flush()``-ed between those
+fsyncs, though, and the operating system may write them back before the
+log records they cover reach the disk.  So on open the stage also
+:meth:`~CursorStore.clamp`-s every cursor in the shard's own offset space
+to the recovered log's end: after a power loss, new appends reuse the
+lost offsets, and a cursor still claiming them as acked would silently
+skip those records.
 """
 
 from __future__ import annotations
@@ -80,7 +87,16 @@ _REGISTER = "r"   # [kind, name, peer_id, description, origin, base, stamp]
 _ADVANCE = "a"    # [kind, name, offset, stamp]
 _ANNOTATE = "n"   # [kind, name, fields]
 _REMOVE = "d"     # [kind, names]
-_RECORD_LENGTH = {_REGISTER: 7, _ADVANCE: 4, _ANNOTATE: 3, _REMOVE: 2}
+_CLAMP = "c"      # [kind, names, limit]
+_RECORD_LENGTH = {_REGISTER: 7, _ADVANCE: 4, _ANNOTATE: 3, _REMOVE: 2,
+                  _CLAMP: 3}
+
+
+def _own_space(entry: Dict[str, object]) -> bool:
+    """Whether a cursor's offsets are in the local log's offset space:
+    every cursor but a fetch cursor (``origin``) — unless that fetch
+    cursor is ``local``-flagged (a self-pass over this shard's own log)."""
+    return not entry.get("origin") or bool(entry.get("local"))
 
 
 def _read_journal_record(data: bytes, position: int) -> Optional[Tuple[list, int]]:
@@ -129,6 +145,7 @@ class CursorStore:
         self._journaled = 0          # records since the last checkpoint
         self._unsynced = False       # journal bytes not yet fsynced
         self._checkpointed = False   # has this opening checkpointed?
+        self._journal_empty = True   # does the journal file hold no bytes?
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -154,6 +171,7 @@ class CursorStore:
                 data = handle.read()
         except FileNotFoundError:
             return False
+        self._journal_empty = not data
         position = 0
         while position < len(data):
             decoded = _read_journal_record(data, position)
@@ -195,6 +213,12 @@ class CursorStore:
             entry = entries.get(record[1])
             if entry is not None:
                 entry.update(record[2])
+        elif kind == _CLAMP:
+            _, names, limit = record
+            for name in names:
+                entry = entries.get(name)
+                if entry is not None and int(entry["offset"]) > limit:
+                    entry["offset"] = limit
         else:
             for name in record[1]:
                 entries.pop(name, None)
@@ -224,8 +248,7 @@ class CursorStore:
         is the shard itself, so its offsets are local) — which must pin
         retention until its pass drains."""
         return min((int(entry["offset"])
-                    for entry in self._entries.values()
-                    if not entry.get("origin") or entry.get("local")),
+                    for entry in self._entries.values() if _own_space(entry)),
                    default=None)
 
     def derived(self, base: str) -> List[str]:
@@ -328,13 +351,36 @@ class CursorStore:
             self._commit([_REMOVE, doomed])
         return doomed
 
+    def clamp(self, limit: int) -> List[str]:
+        """Lower every cursor in the local offset space (see
+        :meth:`min_offset`) that is above ``limit`` to ``limit``; returns
+        the lowered names, sorted.  The opposite of :meth:`advance`: it
+        is for recovery only, when the log came back shorter than a
+        cursor's acked position (see the module docstring)."""
+        limit = int(limit)
+        lowered = sorted(name for name, entry in self._entries.items()
+                         if _own_space(entry) and int(entry["offset"]) > limit)
+        if lowered:
+            self._commit([_CLAMP, lowered, limit])
+        return lowered
+
     def _commit(self, record: list) -> None:
-        """The one write path: apply ``record``, then journal it — or,
-        at an opening's first mutation and once the journal holds
-        :data:`_CHECKPOINT_EVERY` records, checkpoint instead (the
-        checkpoint already covers this mutation)."""
+        """The one write path: apply ``record`` and journal it.
+
+        A checkpoint never absorbs a mutation while the journal holds
+        records: a crash between its replace and the journal truncation
+        would replay those records over a state they do not lead to.  So
+        once :data:`_CHECKPOINT_EVERY` records are journaled — or at an
+        opening's first mutation over a non-empty journal — the state
+        *before* this mutation is checkpointed, and the mutation is
+        journaled after the truncation.  An opening's first mutation over
+        an empty journal is checkpointed with the mutation instead.
+        """
+        if self._journaled >= _CHECKPOINT_EVERY \
+                or (not self._checkpointed and not self._journal_empty):
+            self.checkpoint()
         self._apply(record)
-        if not self._checkpointed or self._journaled >= _CHECKPOINT_EVERY:
+        if not self._checkpointed:
             self.checkpoint()
             return
         if self._journal is None:
@@ -347,6 +393,7 @@ class CursorStore:
             _JOURNAL_MAGIC, len(body), zlib.crc32(body)) + body)
         self._journal.flush()
         self._journaled += 1
+        self._journal_empty = False
         self._unsynced = True
 
     def checkpoint(self) -> None:
@@ -366,6 +413,7 @@ class CursorStore:
             os.ftruncate(self._journal.fileno(), 0)
             os.fsync(self._journal.fileno())
         self._journaled = 0
+        self._journal_empty = True
         self._unsynced = False
         self._checkpointed = True
         self.checkpoints += 1

@@ -391,24 +391,12 @@ class TestGossipRefcountsWithBufferedEvents:
         assert len(got_b) == 1
 
 
-#: Durable meshes a test opened, closed at teardown so no log segment or
-#: cursor journal handle outlives its test.
-_OPENED = []
-
-
-@pytest.fixture(autouse=True)
-def close_opened():
-    yield
-    while _OPENED:
-        _OPENED.pop().close()
-
-
-def make_durable_world(tmp_path, shards=3, n_subscribers=4,
+def make_durable_world(opened, tmp_path, shards=3, n_subscribers=4,
                        drop_rate=0.0, seed=0, **broker_kwargs):
     network = SimulatedNetwork(drop_rate=drop_rate, seed=seed)
     mesh = BrokerMesh(network, topology=Topology.sized(shards),
                       log_root=str(tmp_path / "mesh-logs"), **broker_kwargs)
-    _OPENED.append(mesh)
+    opened(mesh)
     publisher = TpsPeer("publisher", network, **broker_kwargs)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)
@@ -418,11 +406,12 @@ def make_durable_world(tmp_path, shards=3, n_subscribers=4,
 class TestDurableMesh:
     """The persistence tentpole, mesh-side: cursor replay + crash recovery."""
 
-    def test_late_durable_subscriber_gets_backlog_then_live(self, tmp_path):
+    def test_late_durable_subscriber_gets_backlog_then_live(self, tmp_path,
+                                                            opened):
         """Acceptance: a subscriber attached after N published events
         receives exactly the conforming backlog in publish order, then
         live events, with no duplicates across the ack boundary."""
-        network, mesh, publisher = make_durable_world(tmp_path)
+        network, mesh, publisher = make_durable_world(opened, tmp_path)
         home = mesh.shard_for("publisher")
         n_backlog = 6
         for index in range(n_backlog):
@@ -450,11 +439,13 @@ class TestDurableMesh:
         assert shard.cursors.get("late-c") == shard.event_log.next_offset
         assert shard.pending_ack_count() == 0
 
-    def test_backlog_includes_events_forwarded_from_other_shards(self, tmp_path):
+    def test_backlog_includes_events_forwarded_from_other_shards(
+            self, tmp_path, opened):
         """A shard logs forwarded-in events too, so a late durable
         subscriber homed there replays events whichever shard admitted
         them first."""
-        network, mesh, publisher = make_durable_world(tmp_path, shards=2)
+        network, mesh, publisher = make_durable_world(opened, tmp_path,
+                                                      shards=2)
         home = mesh.shard_for("publisher")
         other = next(sid for sid in mesh.shard_ids if sid != home)
 
@@ -475,10 +466,10 @@ class TestDurableMesh:
         mesh.run_until_idle()
         assert [e.getPersonName() for e in got] == ["f%d" % i for i in range(4)]
 
-    def test_restart_shard_loses_nothing_acked(self, tmp_path):
+    def test_restart_shard_loses_nothing_acked(self, tmp_path, opened):
         """Acceptance: restarting a shard with a non-empty log loses zero
         acked-past events and the durable subscription keeps working."""
-        network, mesh, publisher = make_durable_world(tmp_path)
+        network, mesh, publisher = make_durable_world(opened, tmp_path)
         home = mesh.shard_for("publisher")
         got = []
         durable = TpsPeer("d-sub", network)
@@ -502,10 +493,11 @@ class TestDurableMesh:
         mesh.run_until_idle()
         assert [e.getPersonName() for e in got][-1] == "a5"
 
-    def test_restart_shard_redelivers_unacked(self, tmp_path):
+    def test_restart_shard_redelivers_unacked(self, tmp_path, opened):
         """Acceptance: unacked events are redelivered after a crash
         (at-least-once); acked ones are never duplicated."""
-        network, mesh, publisher = make_durable_world(tmp_path, shards=2)
+        network, mesh, publisher = make_durable_world(opened, tmp_path,
+                                                      shards=2)
         home = mesh.shard_for("publisher")
         got = []
         durable = TpsPeer("d-sub", network)
@@ -532,10 +524,12 @@ class TestDurableMesh:
             assert names.count(unacked) >= 1  # at-least-once
         assert set(names) == {"k%d" % i for i in range(5)}
 
-    def test_restart_shard_rebuilds_forwarding_summaries(self, tmp_path):
+    def test_restart_shard_rebuilds_forwarding_summaries(self, tmp_path,
+                                                         opened):
         """A restarted shard re-learns sibling subscriptions (and siblings
         re-learn its durable ones), so cross-shard publish still works."""
-        network, mesh, publisher = make_durable_world(tmp_path, shards=3)
+        network, mesh, publisher = make_durable_world(opened, tmp_path,
+                                                      shards=3)
         home = mesh.shard_for("publisher")
         other = next(sid for sid in mesh.shard_ids if sid != home)
         remote_got = []
@@ -551,10 +545,11 @@ class TestDurableMesh:
         mesh.run_until_idle()
         assert [e.getPersonName() for e in remote_got] == ["after"]
 
-    def test_restart_shard_lossy_fabric_eventually_delivers(self, tmp_path):
+    def test_restart_shard_lossy_fabric_eventually_delivers(self, tmp_path,
+                                                            opened):
         """Acceptance: recovery holds on a lossy fabric — unacked events
         survive crashes and repeated replay converges on full delivery."""
-        network, mesh, publisher = make_durable_world(
+        network, mesh, publisher = make_durable_world(opened, 
             tmp_path, shards=2, drop_rate=0.15, seed=23, max_retries=20)
         home = mesh.shard_for("publisher")
         got = []
@@ -591,8 +586,8 @@ class TestDurableMesh:
             peer.subscribe_durable_remote(mesh.shard_ids[0], person_java(),
                                           lambda v: None, cursor="c")
 
-    def test_stats_surface_durability_counters(self, tmp_path):
-        network, mesh, publisher = make_durable_world(tmp_path)
+    def test_stats_surface_durability_counters(self, tmp_path, opened):
+        network, mesh, publisher = make_durable_world(opened, tmp_path)
         home = mesh.shard_for("publisher")
         publisher.publish_async(
             home, publisher.new_instance("demo.a.Person", ["s0"]))
@@ -664,11 +659,13 @@ class TestRunUntilIdleBoundaryOverSockets(TestRunUntilIdleBoundary):
 
 
 class TestMultiValueRecordLocalDurable:
-    def test_partial_handler_failure_leaves_record_unacked(self, tmp_path):
+    def test_partial_handler_failure_leaves_record_unacked(self, tmp_path,
+                                                           opened):
         """Two events forwarded as ONE record: a local durable handler at
         the receiving shard that crashes on the second value must leave
         the WHOLE record unacked, so replay redelivers both values."""
-        network, mesh, publisher = make_durable_world(tmp_path, shards=2)
+        network, mesh, publisher = make_durable_world(opened, tmp_path,
+                                                      shards=2)
         home = mesh.shard_for("publisher")
         other = next(sid for sid in mesh.shard_ids if sid != home)
 

@@ -30,26 +30,14 @@ from repro.fixtures import (
 from repro.net.network import SimulatedNetwork
 from repro.serialization.envelope import envelope_home
 
-#: Meshes a test opened, closed at teardown so no log segment or cursor
-#: journal handle outlives its test.
-_OPENED = []
-
-
-@pytest.fixture(autouse=True)
-def close_opened():
-    yield
-    while _OPENED:
-        _OPENED.pop().close()
-
-
-def make_world(tmp_path, shards=3, replication_factor=0,
+def make_world(opened, tmp_path, shards=3, replication_factor=0,
                drop_rate=0.0, seed=0, name="mesh", **broker_kwargs):
     network = SimulatedNetwork(drop_rate=drop_rate, seed=seed)
     mesh = BrokerMesh(network, topology=Topology.sized(shards, name),
                       log_root=str(tmp_path / "logs"),
                       replication_factor=replication_factor,
                       **broker_kwargs)
-    _OPENED.append(mesh)
+    opened(mesh)
     publisher = TpsPeer("publisher", network, **broker_kwargs)
     asm_a, _ = person_assembly_pair()
     publisher.host_assembly(asm_a)
@@ -86,8 +74,8 @@ class TestFollowerPlacement:
         assert rank == rendezvous_rank("key", list(reversed(shards)))
         assert rank[0] == rendezvous_shard("key", shards)
 
-    def test_followers_exclude_home_and_respect_factor(self, tmp_path):
-        network, mesh, publisher = make_world(tmp_path, shards=4,
+    def test_followers_exclude_home_and_respect_factor(self, tmp_path, opened):
+        network, mesh, publisher = make_world(opened, tmp_path, shards=4,
                                               replication_factor=2)
         for shard in mesh.shards:
             followers = shard.followers
@@ -109,8 +97,10 @@ class TestFollowerPlacement:
 
 
 class TestPushReplication:
-    def test_followers_hold_origin_records_at_origin_offsets(self, tmp_path):
-        network, mesh, publisher = make_world(tmp_path, replication_factor=2)
+    def test_followers_hold_origin_records_at_origin_offsets(self, tmp_path,
+                                                             opened):
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=2)
         publish_spread(mesh, publisher, per_shard=3)
         for shard in mesh.shards:
             origin = origin_offsets(shard)
@@ -126,10 +116,10 @@ class TestPushReplication:
                 watermark = shard.replication.acked[follower_id]
                 assert watermark == shard.event_log.next_offset
 
-    def test_forwarded_in_records_are_not_rereplicated(self, tmp_path):
+    def test_forwarded_in_records_are_not_rereplicated(self, tmp_path, opened):
         """A shard's log holds forwarded-in copies too; only the records
         it is home to stream to its followers."""
-        network, mesh, publisher = make_world(tmp_path, shards=2,
+        network, mesh, publisher = make_world(opened, tmp_path, shards=2,
                                               replication_factor=1)
         home = mesh.shard_for("publisher")
         other = next(s for s in mesh.shard_ids if s != home)
@@ -150,11 +140,12 @@ class TestPushReplication:
         replica = follower.replicas.log_for(other, create=False)
         assert replica is None or replica.record_count == 0
 
-    def test_gap_batch_rejected_and_resent(self, tmp_path):
+    def test_gap_batch_rejected_and_resent(self, tmp_path, opened):
         """A lost replicate batch leaves the follower behind; the next
         batch's ``from`` claim exposes the gap, the follower rejects it
         whole, and the origin re-sends from the acked watermark."""
-        network, mesh, publisher = make_world(tmp_path, replication_factor=1)
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=1)
         home = mesh.shard_ids[0]
         origin = mesh.shard(home)
         follower_id = origin.followers[0]
@@ -180,11 +171,12 @@ class TestPushReplication:
         replica = follower.replicas.log_for(home, create=False)
         assert {r.offset for r in replica.replay()} == origin_offsets(origin)
 
-    def test_stale_reordered_ack_triggers_no_resend(self, tmp_path):
+    def test_stale_reordered_ack_triggers_no_resend(self, tmp_path, opened):
         """One-way acks can reorder on the fabric: a stale ack arriving
         after a newer one must not roll the coverage claim back or
         trigger a spurious full-range resend."""
-        network, mesh, publisher = make_world(tmp_path, replication_factor=1)
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=1)
         home = mesh.shard_ids[0]
         origin = mesh.shard(home)
         follower_id = origin.followers[0]
@@ -199,10 +191,11 @@ class TestPushReplication:
         assert origin.pipeline.stats.replication_resends == 0
         assert stage.pending() == 0
 
-    def test_resent_batches_are_idempotent(self, tmp_path):
+    def test_resent_batches_are_idempotent(self, tmp_path, opened):
         """Re-delivering an already-applied batch must not duplicate
         records (the per-origin high-water absorbs it)."""
-        network, mesh, publisher = make_world(tmp_path, replication_factor=1)
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=1)
         home = mesh.shard_ids[0]
         origin = mesh.shard(home)
         follower = mesh.shard(origin.followers[0])
@@ -223,10 +216,11 @@ class TestPushReplication:
 
 
 class TestMeshWideBacklog:
-    def test_late_subscriber_any_shard_fetch_only(self, tmp_path):
+    def test_late_subscriber_any_shard_fetch_only(self, tmp_path, opened):
         """Acceptance (replication_factor=0): backlog fetch alone makes a
         late durable subscriber's backlog complete on EVERY shard."""
-        network, mesh, publisher = make_world(tmp_path, replication_factor=0)
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=0)
         names = publish_spread(mesh, publisher, per_shard=2)
         for index, shard_id in enumerate(mesh.shard_ids):
             got = []
@@ -236,8 +230,9 @@ class TestMeshWideBacklog:
             mesh.run_until_idle()
             assert sorted(e.getPersonName() for e in got) == sorted(names)
 
-    def test_late_subscriber_complete_with_replication(self, tmp_path):
-        network, mesh, publisher = make_world(tmp_path, replication_factor=2)
+    def test_late_subscriber_complete_with_replication(self, tmp_path, opened):
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=2)
         names = publish_spread(mesh, publisher, per_shard=2)
         got = []
         late = TpsPeer("late-sub", network)
@@ -255,11 +250,11 @@ class TestMeshWideBacklog:
         assert delivered.count("live") == 1
         assert len(delivered) == len(set(delivered))
 
-    def test_replica_logs_serve_when_sibling_is_down(self, tmp_path):
+    def test_replica_logs_serve_when_sibling_is_down(self, tmp_path, opened):
         """What replication already pulled here survives the origin shard
         being unreachable: the late subscriber still gets those records
         from the local replica log."""
-        network, mesh, publisher = make_world(tmp_path, shards=3,
+        network, mesh, publisher = make_world(opened, tmp_path, shards=3,
                                               replication_factor=2)
         names = publish_spread(mesh, publisher, per_shard=2)
         attach_at = mesh.shard_ids[0]
@@ -277,10 +272,10 @@ class TestMeshWideBacklog:
         assert delivered == set(names)
         assert mesh.shard(attach_at).fetch_failures >= 1
 
-    def test_forwarded_copies_not_delivered_twice(self, tmp_path):
+    def test_forwarded_copies_not_delivered_twice(self, tmp_path, opened):
         """Events forwarded here at publish time replay through the local
         log; replica replay and fetch must skip them by home id."""
-        network, mesh, publisher = make_world(tmp_path, shards=2,
+        network, mesh, publisher = make_world(opened, tmp_path, shards=2,
                                               replication_factor=1)
         home = mesh.shard_for("publisher")
         other = next(s for s in mesh.shard_ids if s != home)
@@ -302,10 +297,11 @@ class TestMeshWideBacklog:
         assert sorted(names) == ["d0", "d1", "d2", "d3"]
         assert len(names) == len(set(names))  # exactly once each
 
-    def test_reattach_does_not_refetch(self, tmp_path):
+    def test_reattach_does_not_refetch(self, tmp_path, opened):
         """Fetch cursors persist: a re-attach under the same cursor name
         replays nothing already acknowledged, local or fetched."""
-        network, mesh, publisher = make_world(tmp_path, replication_factor=0)
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=0)
         publish_spread(mesh, publisher, per_shard=2)
         home = mesh.shard_ids[0]
         got = []
@@ -323,10 +319,12 @@ class TestMeshWideBacklog:
         mesh.run_until_idle()
         assert got2 == []
 
-    def test_local_handler_durable_gets_mesh_wide_backlog(self, tmp_path):
+    def test_local_handler_durable_gets_mesh_wide_backlog(self, tmp_path,
+                                                          opened):
         """In-process durable handlers ride the same merge: replica
         replay + fetch deliver directly, advancing the fetch cursors."""
-        network, mesh, publisher = make_world(tmp_path, replication_factor=1)
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=1)
         names = publish_spread(mesh, publisher, per_shard=2)
         got = []
         shard = mesh.shards[0]
@@ -342,8 +340,9 @@ class TestMeshWideBacklog:
         mesh.run_until_idle()
         assert again == []  # everything already consumed
 
-    def test_unsubscribe_retires_fetch_cursors(self, tmp_path):
-        network, mesh, publisher = make_world(tmp_path, replication_factor=0)
+    def test_unsubscribe_retires_fetch_cursors(self, tmp_path, opened):
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=0)
         publish_spread(mesh, publisher, per_shard=1)
         home = mesh.shard_ids[0]
         got = []
@@ -357,17 +356,17 @@ class TestMeshWideBacklog:
         assert "late-c" not in shard.cursors
         assert shard.cursors.derived("late-c") == []
 
-    def test_at_sign_cursor_names_rejected(self, tmp_path):
+    def test_at_sign_cursor_names_rejected(self, tmp_path, opened):
         """'@' is the derived fetch-cursor separator: a user cursor shaped
         like one could be adopted into another cursor's family."""
-        network, mesh, publisher = make_world(tmp_path)
+        network, mesh, publisher = make_world(opened, tmp_path)
         peer = TpsPeer("p", network)
         from repro.net.network import NetworkError
         with pytest.raises((ValueError, NetworkError)):
             peer.subscribe_durable_remote(mesh.shard_ids[0], person_java(),
                                           lambda v: None, cursor="c@evil")
 
-    def test_sibling_retention_gap_is_accounted(self, tmp_path):
+    def test_sibling_retention_gap_is_accounted(self, tmp_path, opened):
         """Records a serving sibling's retention dropped before this
         cursor fetched them are a real loss — surfaced in
         ``retention_lost_records``, never silently skipped."""
@@ -376,7 +375,7 @@ class TestMeshWideBacklog:
                           log_root=str(tmp_path / "logs"),
                           log_kwargs={"segment_max_bytes": 256,
                                       "max_segments": 1})
-        _OPENED.append(mesh)
+        opened(mesh)
         publisher = TpsPeer("publisher", network)
         asm_a, _ = person_assembly_pair()
         publisher.host_assembly(asm_a)
@@ -407,10 +406,11 @@ class TestMeshWideBacklog:
         assert shard.pipeline.stats.retention_lost_records == \
             sibling.event_log.first_offset - fetched_below
 
-    def test_fetch_cursors_do_not_pin_local_retention(self, tmp_path):
+    def test_fetch_cursors_do_not_pin_local_retention(self, tmp_path, opened):
         """A fetch cursor holds a sibling-space offset; it must never
         enter the local retention-floor computation."""
-        network, mesh, publisher = make_world(tmp_path, replication_factor=0)
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=0)
         publish_spread(mesh, publisher, per_shard=2)
         home = mesh.shard_ids[0]
         got = []
@@ -424,10 +424,10 @@ class TestMeshWideBacklog:
 
 
 class TestBacklogFetchFiltering:
-    def test_fetch_returns_only_conforming_records(self, tmp_path):
+    def test_fetch_returns_only_conforming_records(self, tmp_path, opened):
         """Satellite unit: the serving side filters through RoutingStage —
         only records conforming to the requested description cross."""
-        network, mesh, publisher = make_world(tmp_path, shards=2)
+        network, mesh, publisher = make_world(opened, tmp_path, shards=2)
         publisher.host_assembly(Assembly("bank", [account_csharp()]))
         home = mesh.shard_ids[0]
         for index in range(2):
@@ -459,12 +459,12 @@ class TestBacklogFetchFiltering:
             assert not any("Account" in name for name in names)
         assert shard.fetch_records_served == 2
 
-    def test_durable_replay_filter_is_header_only(self, tmp_path):
+    def test_durable_replay_filter_is_header_only(self, tmp_path, opened):
         """Satellite unit: the durable-replay conformance filter runs on
         frame headers — a backlog with nothing conforming replays with
         zero value-level decodes, and a mixed backlog decodes only the
         records that actually travel."""
-        network, mesh, publisher = make_world(tmp_path, shards=1)
+        network, mesh, publisher = make_world(opened, tmp_path, shards=1)
         publisher.host_assembly(Assembly("bank", [account_csharp()]))
         home = mesh.shard_ids[0]
         for index in range(3):
@@ -498,10 +498,10 @@ class TestBacklogFetchFiltering:
         assert len(person_got) == 3
         assert shard.codec.stats.decodes == 3
 
-    def test_fetch_skips_forwarded_in_records(self, tmp_path):
+    def test_fetch_skips_forwarded_in_records(self, tmp_path, opened):
         """Only records a shard is home to are served — forwarded-in
         copies are the home shard's to serve."""
-        network, mesh, publisher = make_world(tmp_path, shards=2)
+        network, mesh, publisher = make_world(opened, tmp_path, shards=2)
         home = mesh.shard_for("publisher")
         other = next(s for s in mesh.shard_ids if s != home)
         live = []
@@ -524,10 +524,12 @@ class TestBacklogFetchFiltering:
 
 
 class TestWipedLogRecovery:
-    def test_restart_heals_full_record_set_from_followers(self, tmp_path):
+    def test_restart_heals_full_record_set_from_followers(self, tmp_path,
+                                                          opened):
         """Acceptance: ``restart_shard()`` on a shard whose log directory
         was wiped recovers its full record set from its followers."""
-        network, mesh, publisher = make_world(tmp_path, replication_factor=2)
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=2)
         publish_spread(mesh, publisher, per_shard=3)
         victim = mesh.shard_ids[1]
         shard = mesh.shard(victim)
@@ -553,8 +555,9 @@ class TestWipedLogRecovery:
         mesh.run_until_idle()
         assert len(got) == 9
 
-    def test_restart_without_wipe_heals_nothing(self, tmp_path):
-        network, mesh, publisher = make_world(tmp_path, replication_factor=1)
+    def test_restart_without_wipe_heals_nothing(self, tmp_path, opened):
+        network, mesh, publisher = make_world(opened, tmp_path,
+                                              replication_factor=1)
         publish_spread(mesh, publisher, per_shard=2)
         victim = mesh.shard_ids[0]
         restarted = mesh.restart_shard(victim)
@@ -567,9 +570,9 @@ class TestChaosReplication:
     ``REPLICATION_CHAOS_SEED``); pytest-timeout guards the CI run so a
     livelocked catch-up fails loudly instead of hanging the runner."""
 
-    def test_chaos_lossy_fabric_converges(self, tmp_path):
+    def test_chaos_lossy_fabric_converges(self, tmp_path, opened):
         seed = int(os.environ.get("REPLICATION_CHAOS_SEED", "13"))
-        network, mesh, publisher = make_world(
+        network, mesh, publisher = make_world(opened, 
             tmp_path, shards=3, replication_factor=1,
             drop_rate=0.15, seed=seed, max_retries=20)
         home = mesh.shard_ids[0]

@@ -65,6 +65,22 @@ def network():
 
 
 @pytest.fixture
+def opened():
+    """``opened(x)`` registers a broker, mesh or store the test opened and
+    returns it; teardown closes them last-opened-first, so no log segment
+    or cursor journal handle outlives its test."""
+    closeables = []
+
+    def register(closeable):
+        closeables.append(closeable)
+        return closeable
+
+    yield register
+    while closeables:
+        closeables.pop().close()
+
+
+@pytest.fixture
 def person_assemblies():
     return fx.person_assembly_pair()
 

@@ -135,10 +135,11 @@ class TestJournal:
             for offset in range(1, 11):
                 store.advance("c", offset)
             # The first mutation, then one checkpoint per 4 journaled
-            # records (the fifth mutation after a checkpoint writes one).
-            assert store.checkpoints == 2
+            # records: the fifth mutation after a checkpoint writes the
+            # state before it, then journals itself.
+            assert store.checkpoints == 3
             with open(path, "r", encoding="utf-8") as handle:
-                assert json.load(handle)["c"]["offset"] == 6
+                assert json.load(handle)["c"]["offset"] == 9
             with CursorStore(path) as reader:
                 assert reader.get("c") == 10
 
@@ -257,7 +258,11 @@ class TestJournalRecovery:
         journal.write_bytes(journal.read_bytes()[:ends[1] + 5])
         with CursorStore(path) as store:
             store.advance("c", 5)
-            assert journal.stat().st_size == 0
+            # The checkpoint took the replayed state; the torn bytes are
+            # gone and the journal holds just this advance.
+            assert json.loads((tmp_path / "crash" / "cursors.json")
+                              .read_text())["c"]["offset"] == 2
+            assert journal.stat().st_size == ends[0]  # one advance record
             store.advance("c", 6)
             with CursorStore(path) as reader:
                 assert not reader.journal_torn
@@ -291,6 +296,115 @@ class TestJournalRecovery:
                     for name in reader.names()} == expected
             assert reader.get("c") == 3
             assert reader.get("gone") == 2
+
+
+class Crash(Exception):
+    pass
+
+
+def state(store):
+    return {name: store.entry(name) for name in store.names()}
+
+
+class TestCrashBeforeTruncation:
+    """A checkpoint replaced ``cursors.json`` and the process died before
+    the journal was truncated.  The checkpoint must hold exactly what the
+    journal leads to — never the mutation that triggered it — or replay
+    over it lands on a state that never existed."""
+
+    def crash_at_truncation(self, tmp_path, monkeypatch, store, mutate):
+        """Run ``mutate(store)``, dying at the journal truncation; return
+        the store reopened from what the crash left on disk."""
+        def die(descriptor, length):
+            raise Crash()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "ftruncate", die)
+            with pytest.raises(Crash):
+                mutate(store)
+            image = crash_image(tmp_path)
+        store.close()
+        return CursorStore(str(image / "cursors.json"))
+
+    @pytest.mark.parametrize("trigger", [
+        lambda store: store.remove("c"),
+        lambda store: store.prune(1),
+        lambda store: store.advance("c", 9),
+        lambda store: store.register("c", peer_id="q"),
+        lambda store: store.annotate("c", floor=3),
+        lambda store: store.clamp(2),
+    ], ids=["remove", "prune", "advance", "register", "annotate", "clamp"])
+    def test_checkpoint_due_after_n_records(self, tmp_path, monkeypatch,
+                                            trigger):
+        monkeypatch.setattr(cursors_module, "_CHECKPOINT_EVERY", 2)
+        path = str(tmp_path / "cursors.json")
+        with CursorStore(path) as store:
+            store.register("c", peer_id="p", description="<d/>")
+        store = CursorStore(path)
+        store.advance("other", 1)  # checkpoints over the empty journal
+        # Mechanical (touch=False) mutations: ``c`` stays idle since
+        # incarnation 1, so ``prune(1)`` removes it.
+        store.register("c", peer_id="p", description="<d/>", touch=False)
+        store.advance("c", 7, touch=False)
+        before = state(store)
+        with self.crash_at_truncation(tmp_path, monkeypatch, store,
+                                      trigger) as recovered:
+            assert state(recovered) == before
+            assert recovered.entry("c")["last_active"] == 1
+
+    def test_first_mutation_after_a_crash(self, tmp_path, monkeypatch):
+        """The old journal's stamps must not overwrite the new opening's:
+        the checkpoint takes the replayed state, then the mutation is
+        journaled with the new stamp."""
+        with CursorStore(str(tmp_path / "cursors.json")) as store:
+            store.register("c", peer_id="p")
+            store.advance("c", 3)
+            image = crash_image(tmp_path)
+        path = str(image / "cursors.json")
+        store = CursorStore(path)  # incarnation 2, journal holds c@3
+        before = state(store)
+        with self.crash_at_truncation(
+                image, monkeypatch, store,
+                lambda store: store.advance("c", 5)) as recovered:
+            assert state(recovered) == before
+        with CursorStore(path) as store:
+            assert store.advance("c", 5)
+            with CursorStore(path) as reader:
+                assert reader.get("c") == 5
+                assert reader.entry("c")["last_active"] == store.incarnation
+
+
+class TestClamp:
+    def test_lowers_own_space_cursors_only(self, tmp_path):
+        path = str(tmp_path / "cursors.json")
+        with CursorStore(path) as store:
+            store.advance("high", 9)
+            store.advance("low", 2)
+            store.register("high@s1", origin="s1", base="high")
+            store.advance("high@s1", 30)
+            store.register("self@s0", origin="s0", base="high")
+            store.advance("self@s0", 8)
+            store.annotate("self@s0", local=True)
+            assert store.clamp(5) == ["high", "self@s0"]
+            assert store.as_dict() == {"high": 5, "high@s1": 30,
+                                       "low": 2, "self@s0": 5}
+            assert store.clamp(5) == []
+            with CursorStore(path) as reader:
+                assert reader.as_dict() == store.as_dict()
+
+    def test_replay_is_idempotent(self, tmp_path):
+        path = str(tmp_path / "cursors.json")
+        with CursorStore(path) as store:
+            store.advance("other", 1)
+            store.advance("c", 9)
+            store.clamp(4)
+            store.advance("c", 6)
+            journal = (tmp_path / "cursors.log").read_bytes()
+            store.checkpoint()
+            image = crash_image(tmp_path)
+        (image / "cursors.log").write_bytes(journal)  # never truncated
+        with CursorStore(str(image / "cursors.json")) as reader:
+            assert reader.get("c") == 6
 
 
 class TestCursorGC:

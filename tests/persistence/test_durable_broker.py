@@ -12,24 +12,7 @@ from repro.fixtures import (
 )
 from repro.net.network import NetworkError, SimulatedNetwork
 
-#: Brokers and meshes a test opened, closed at teardown (last opened
-#: first) so no log segment or cursor journal handle outlives its test.
-_OPENED = []
-
-
-def opened(closeable):
-    _OPENED.append(closeable)
-    return closeable
-
-
-@pytest.fixture(autouse=True)
-def close_opened():
-    yield
-    while _OPENED:
-        _OPENED.pop().close()
-
-
-def make_world(tmp_path, log=True):
+def make_world(opened, tmp_path, log=True):
     network = SimulatedNetwork()
     broker = opened(TpsBroker(
         "broker", network, log_dir=str(tmp_path / "broker") if log else None))
@@ -46,10 +29,10 @@ def publish(publisher, names):
 
 
 class TestLocalDurable:
-    def test_backlog_then_live_in_order_no_duplicates(self, tmp_path):
+    def test_backlog_then_live_in_order_no_duplicates(self, tmp_path, opened):
         """Acceptance: a late subscriber receives exactly the conforming
         backlog in publish order, then live events, no duplicates."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         publish(publisher, ["e0", "e1", "e2"])
 
         got = []
@@ -60,10 +43,10 @@ class TestLocalDurable:
         assert [v.getPersonName() for v in got] == ["e0", "e1", "e2", "e3"]
         assert broker.cursors.get("late") == broker.event_log.next_offset
 
-    def test_replay_honors_conformance(self, tmp_path):
+    def test_replay_honors_conformance(self, tmp_path, opened):
         """Non-conforming backlog records are skipped by the same routing
         check live publish uses — and still advance the cursor."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         publisher.host_assembly(Assembly("bank", [account_csharp()]))
         publish(publisher, ["keep-1"])
         publisher.publish("broker",
@@ -75,8 +58,8 @@ class TestLocalDurable:
         assert [v.getPersonName() for v in got] == ["keep-1", "keep-2"]
         assert broker.cursors.get("picky") == broker.event_log.next_offset
 
-    def test_resume_from_cursor_skips_acked(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path)
+    def test_resume_from_cursor_skips_acked(self, tmp_path, opened):
+        network, broker, publisher = make_world(opened, tmp_path)
         publish(publisher, ["a", "b"])
         first = []
         broker.subscribe_durable(person_java(), first.append, cursor="resume")
@@ -89,19 +72,19 @@ class TestLocalDurable:
         broker.subscribe_durable(person_java(), second.append, cursor="resume")
         assert [v.getPersonName() for v in second] == ["c"]
 
-    def test_requires_log(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path, log=False)
+    def test_requires_log(self, tmp_path, opened):
+        network, broker, publisher = make_world(opened, tmp_path, log=False)
         with pytest.raises(NetworkError):
             broker.subscribe_durable(person_java(), lambda v: None, cursor="x")
 
-    def test_requires_cursor_name(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path)
+    def test_requires_cursor_name(self, tmp_path, opened):
+        network, broker, publisher = make_world(opened, tmp_path)
         with pytest.raises(ValueError):
             broker.subscribe_durable(person_java(), lambda v: None, cursor="")
 
-    def test_same_cursor_replaces_subscription(self, tmp_path):
+    def test_same_cursor_replaces_subscription(self, tmp_path, opened):
         """Re-subscribing under one cursor name must not double-deliver."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         first, second = [], []
         broker.subscribe_durable(person_java(), first.append, cursor="same")
         broker.subscribe_durable(person_vb(), second.append, cursor="same")
@@ -111,8 +94,8 @@ class TestLocalDurable:
 
 
 class TestRemoteDurable:
-    def test_backlog_replay_through_scheduler(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path)
+    def test_backlog_replay_through_scheduler(self, tmp_path, opened):
+        network, broker, publisher = make_world(opened, tmp_path)
         publish(publisher, ["r0", "r1"])
 
         got = []
@@ -130,8 +113,8 @@ class TestRemoteDurable:
         assert broker.cursors.get("sub-c") == broker.event_log.next_offset
         assert broker.pending_ack_count() == 0
 
-    def test_live_durable_delivery_acks_cursor(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path)
+    def test_live_durable_delivery_acks_cursor(self, tmp_path, opened):
+        network, broker, publisher = make_world(opened, tmp_path)
         got = []
         subscriber = TpsPeer("sub", network)
         subscriber.subscribe_durable_remote("broker", person_java(),
@@ -142,12 +125,12 @@ class TestRemoteDurable:
         assert [v.getPersonName() for v in got] == ["live-1", "live-2"]
         assert broker.cursors.get("sub-c") == broker.event_log.next_offset
 
-    def test_live_durable_ack_path_never_rerenders(self, tmp_path):
+    def test_live_durable_ack_path_never_rerenders(self, tmp_path, opened):
         """The acceptance gate end to end: across live durable
         deliveries the broker renders each record's header exactly once
         (admission canonicalises the stored frame) — the per-subscriber
         ack stamp is a header splice, never an XML re-render."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         got = []
         subscriber = TpsPeer("sub", network)
         subscriber.subscribe_durable_remote("broker", person_java(),
@@ -165,10 +148,10 @@ class TestRemoteDurable:
         assert stats.header_renders == 4
         assert stats.header_splices == 4
 
-    def test_no_duplicates_across_replay_live_boundary(self, tmp_path):
+    def test_no_duplicates_across_replay_live_boundary(self, tmp_path, opened):
         """Acceptance: backlog + live with no duplicate across the ack
         boundary, events in publish order."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         publish(publisher, ["b%d" % i for i in range(5)])
         got = []
         subscriber = TpsPeer("sub", network)
@@ -178,9 +161,9 @@ class TestRemoteDurable:
         network.run_until_idle()
         assert [v.getPersonName() for v in got] == ["b%d" % i for i in range(7)]
 
-    def test_publisher_not_echoed_in_replay(self, tmp_path):
+    def test_publisher_not_echoed_in_replay(self, tmp_path, opened):
         """A publisher durable-subscribing never replays its own events."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         publish(publisher, ["mine"])
         got = []
         publisher.declare_interest(person_java())
@@ -191,8 +174,8 @@ class TestRemoteDurable:
 
 
 class TestBrokerRestart:
-    def test_restart_redelivers_unacked_only(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path)
+    def test_restart_redelivers_unacked_only(self, tmp_path, opened):
+        network, broker, publisher = make_world(opened, tmp_path)
         got = []
         subscriber = TpsPeer("sub", network)
         subscriber.subscribe_durable_remote("broker", person_java(),
@@ -216,12 +199,12 @@ class TestBrokerRestart:
         assert names.count("a1") == 1
         assert names.count("a2") >= 1
 
-    def test_restart_with_torn_log_tail(self, tmp_path):
+    def test_restart_with_torn_log_tail(self, tmp_path, opened):
         """A torn final record (crash mid-append) never blocks recovery:
         every record before the tear replays, the tear itself is cut, and
         the revived log appends where the tear was."""
         import os
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         got = []
         subscriber = TpsPeer("sub", network)
         subscriber.subscribe_durable_remote("broker", person_java(),
@@ -258,11 +241,12 @@ class TestBrokerRestart:
 
 
 class TestCursorProgressPastSkippedRecords:
-    def test_nonconforming_tail_does_not_rescan_forever(self, tmp_path):
+    def test_nonconforming_tail_does_not_rescan_forever(self, tmp_path,
+                                                        opened):
         """A remote durable cursor is never pinned below a tail of
         non-conforming records: trailing skips ride the open batch's
         cumulative ack, so ONE pass reaches the log end."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         publisher.host_assembly(Assembly("bank", [account_csharp()]))
         publish(publisher, ["p0", "p1"])
         for _ in range(3):  # non-conforming tail
@@ -283,10 +267,10 @@ class TestCursorProgressPastSkippedRecords:
         network.run_until_idle()
         assert network.stats.by_kind_messages.get("object_batch", 0) == 0
 
-    def test_own_events_do_not_pin_cursor(self, tmp_path):
+    def test_own_events_do_not_pin_cursor(self, tmp_path, opened):
         """A publisher durable-subscribing skips its own backlog without
         leaving the cursor stuck below it."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         publish(publisher, ["mine-0", "mine-1"])
         publisher.declare_interest(person_java())
         publisher.subscribe_durable_remote("broker", person_java(),
@@ -294,11 +278,11 @@ class TestCursorProgressPastSkippedRecords:
         network.run_until_idle()
         assert broker.cursors.get("pub-c") == broker.event_log.next_offset
 
-    def test_skipped_run_advances_cursor_once(self, tmp_path):
+    def test_skipped_run_advances_cursor_once(self, tmp_path, opened):
         """A run of skipped records moves the cursor in one advance (one
         cursor-file write), not one per record: a membership handoff
         replays whole logs of already-seen records this way."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         publish(publisher, ["mine-%d" % i for i in range(40)])
         publisher.declare_interest(person_java())
         before = broker.cursors.advances
@@ -310,12 +294,12 @@ class TestCursorProgressPastSkippedRecords:
 
 
 class TestPendingAckBound:
-    def test_pending_ack_table_is_bounded(self, tmp_path, monkeypatch):
+    def test_pending_ack_table_is_bounded(self, tmp_path, monkeypatch, opened):
         """Orphaned tokens (dropped batches/acks) cannot grow without
         bound: the oldest is evicted once the cap is reached."""
         import repro.apps.tps.broker as broker_module
         monkeypatch.setattr(broker_module, "_MAX_PENDING_ACKS", 5)
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         subscriber = TpsPeer("sub", network)
         subscriber.subscribe_durable_remote("broker", person_java(),
                                             lambda v: None, cursor="sub-c")
@@ -329,10 +313,11 @@ class TestPendingAckBound:
 
 
 class TestFanOutIsolation:
-    def test_offline_durable_subscriber_does_not_abort_fanout(self, tmp_path):
+    def test_offline_durable_subscriber_does_not_abort_fanout(self, tmp_path,
+                                                              opened):
         """A durable subscriber that left the fabric must not break live
         delivery to everyone else — its records stay unacked for replay."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         gone = TpsPeer("gone", network)
         gone.subscribe_durable_remote("broker", person_java(),
                                       lambda v: None, cursor="gone-c")
@@ -349,10 +334,11 @@ class TestFanOutIsolation:
         assert broker.pending_ack_count() == 0
         assert broker.cursors.get("gone-c") < broker.event_log.next_offset
 
-    def test_raising_local_handler_does_not_abort_fanout(self, tmp_path):
+    def test_raising_local_handler_does_not_abort_fanout(self, tmp_path,
+                                                         opened):
         """One broken in-process handler neither stops other deliveries
         nor acks the event it crashed on."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
 
         def broken(view):
             raise RuntimeError("boom")
@@ -372,7 +358,8 @@ class TestFanOutIsolation:
         assert [v.getPersonName() for v in fixed] == ["survives"]
         assert broker.cursors.get("broken-c") == broker.event_log.next_offset
 
-    def test_raising_handler_on_mesh_shard_keeps_forwarding(self, tmp_path):
+    def test_raising_handler_on_mesh_shard_keeps_forwarding(self, tmp_path,
+                                                            opened):
         """Mesh variant: an exploding local handler on the home shard must
         not swallow cross-shard forwards."""
         from repro.apps.tps import BrokerMesh
@@ -403,11 +390,12 @@ class TestFanOutIsolation:
 
 
 class TestCumulativeAckSafety:
-    def test_handler_failure_pins_cursor_below_failed_event(self, tmp_path):
+    def test_handler_failure_pins_cursor_below_failed_event(self, tmp_path,
+                                                            opened):
         """A later successful delivery must not cumulatively ack an event
         whose handler crashed: the cursor stays pinned until a replay
         redelivers the failed event successfully."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         calls = []
 
         def flaky(view):
@@ -430,10 +418,10 @@ class TestCumulativeAckSafety:
         assert redelivered == ["bad", "fine"]
         assert broker.cursors.get("flaky-c") == broker.event_log.next_offset
 
-    def test_materialization_failure_halts_replay_pass(self, tmp_path):
+    def test_materialization_failure_halts_replay_pass(self, tmp_path, opened):
         """A record whose origin cannot serve code anymore stops the pass
         instead of letting later acks skip it."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         publish(publisher, ["m0", "m1"])
         publisher.close()  # origin gone: a fresh broker cannot fetch code
         broker.close()
@@ -451,7 +439,7 @@ class TestCumulativeAckSafety:
 
 
 class TestRetentionPlumbing:
-    def test_log_kwargs_reach_the_event_log(self, tmp_path):
+    def test_log_kwargs_reach_the_event_log(self, tmp_path, opened):
         network = SimulatedNetwork()
         broker = opened(TpsBroker("broker", network,
                                   log_dir=str(tmp_path / "broker"),
@@ -462,10 +450,10 @@ class TestRetentionPlumbing:
 
 
 class TestCursorLifecycleAndOwnership:
-    def test_unsubscribe_retires_cursor(self, tmp_path):
+    def test_unsubscribe_retires_cursor(self, tmp_path, opened):
         """A cancelled durable subscription must not be resurrected by a
         broker restart."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         got = []
         subscriber = TpsPeer("sub", network)
         sid = subscriber.subscribe_durable_remote("broker", person_java(),
@@ -482,9 +470,10 @@ class TestCursorLifecycleAndOwnership:
         network.run_until_idle()
         assert got == []  # nothing delivered to the cancelled subscription
 
-    def test_cursor_cannot_be_taken_over_by_another_peer(self, tmp_path):
+    def test_cursor_cannot_be_taken_over_by_another_peer(self, tmp_path,
+                                                         opened):
         """A cursor name is owned by the peer that registered it."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         got_a = []
         peer_a = TpsPeer("peer-a", network)
         peer_a.subscribe_durable_remote("broker", person_java(),
@@ -498,8 +487,9 @@ class TestCursorLifecycleAndOwnership:
         network.run_until_idle()
         assert [v.getPersonName() for v in got_a] == ["still-mine"]
 
-    def test_persisted_cursor_ownership_survives_restart(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path)
+    def test_persisted_cursor_ownership_survives_restart(self, tmp_path,
+                                                         opened):
+        network, broker, publisher = make_world(opened, tmp_path)
         peer_a = TpsPeer("peer-a", network)
         peer_a.subscribe_durable_remote("broker", person_java(),
                                         lambda v: None, cursor="mine")
@@ -513,9 +503,9 @@ class TestCursorLifecycleAndOwnership:
 
 
 class TestReplayBatching:
-    def test_large_backlog_coalesces_into_few_messages(self, tmp_path):
+    def test_large_backlog_coalesces_into_few_messages(self, tmp_path, opened):
         """An N-record backlog replays in ~N/64 messages, not 2N."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         n_backlog = 150
         publish(publisher, ["b%d" % i for i in range(n_backlog)])
         network.reset_accounting()
@@ -532,10 +522,11 @@ class TestReplayBatching:
         assert network.stats.by_kind_messages["delivery_ack"] == batches
         assert broker.cursors.get("sub-c") == broker.event_log.next_offset
 
-    def test_trailing_nonconforming_records_consumed_by_batch_ack(self, tmp_path):
+    def test_trailing_nonconforming_records_consumed_by_batch_ack(
+            self, tmp_path, opened):
         """Skipped records after deliverable ones ride the open batch's
         cumulative ack — the cursor reaches the log end in ONE pass."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         publisher.host_assembly(Assembly("bank", [account_csharp()]))
         publish(publisher, ["keep"])
         for _ in range(3):
@@ -552,11 +543,12 @@ class TestReplayBatching:
 
 
 class TestAckWindowOrdering:
-    def test_later_ack_does_not_skip_dropped_earlier_batch(self, tmp_path):
+    def test_later_ack_does_not_skip_dropped_earlier_batch(self, tmp_path,
+                                                           opened):
         """An ack for a later delivery must not advance the cursor past an
         earlier in-flight batch the fabric dropped — its records would
         never be redelivered."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         got = []
         subscriber = TpsPeer("sub", network)
         subscriber.subscribe_durable_remote("broker", person_java(),
@@ -586,8 +578,9 @@ class TestAckWindowOrdering:
         assert [v.getPersonName() for v in got] == ["kept"]  # old handler out
         assert broker.cursors.get("sub-c") == broker.event_log.next_offset
 
-    def test_local_handler_cannot_claim_persisted_remote_cursor(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path)
+    def test_local_handler_cannot_claim_persisted_remote_cursor(self, tmp_path,
+                                                                opened):
+        network, broker, publisher = make_world(opened, tmp_path)
         remote = TpsPeer("remote", network)
         remote.subscribe_durable_remote("broker", person_java(),
                                         lambda v: None, cursor="theirs")
@@ -601,10 +594,11 @@ class TestAckWindowOrdering:
         assert [s.cursor_name
                 for s in revived.recover_durable_subscriptions()] == ["theirs"]
 
-    def test_late_ack_after_unsubscribe_leaves_no_zombie_cursor(self, tmp_path):
+    def test_late_ack_after_unsubscribe_leaves_no_zombie_cursor(self, tmp_path,
+                                                                opened):
         """An ack still queued when its subscription is cancelled must not
         re-create the removed cursor entry."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         got = []
         subscriber = TpsPeer("sub", network)
         sid = subscriber.subscribe_durable_remote("broker", person_java(),
@@ -619,11 +613,11 @@ class TestAckWindowOrdering:
 
 
 class TestReconnectHandlerReplacement:
-    def test_reconnect_does_not_double_deliver(self, tmp_path):
+    def test_reconnect_does_not_double_deliver(self, tmp_path, opened):
         """Re-subscribing under the same cursor swaps the client-side
         handler in the peer's dispatch table — the application handler
         runs once per event, not once per historical subscribe call."""
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         first, second = [], []
         subscriber = TpsPeer("sub", network)
         subscriber.subscribe_durable_remote("broker", person_java(),
@@ -640,7 +634,7 @@ class TestReconnectHandlerReplacement:
 
 
 class TestRetentionAndReplayEdges:
-    def test_retention_gap_is_counted_not_silent(self, tmp_path):
+    def test_retention_gap_is_counted_not_silent(self, tmp_path, opened):
         """Records dropped by retention below a slow cursor are surfaced
         as retention_lost_records, not silently skipped."""
         network = SimulatedNetwork()
@@ -674,8 +668,9 @@ class TestRetentionAndReplayEdges:
         # Whatever is still retained was delivered.
         assert len(got) == broker.event_log.record_count
 
-    def test_remote_peer_cannot_claim_detached_local_cursor(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path)
+    def test_remote_peer_cannot_claim_detached_local_cursor(self, tmp_path,
+                                                            opened):
+        network, broker, publisher = make_world(opened, tmp_path)
         broker.subscribe_durable(person_java(), lambda v: None, cursor="app-c")
         broker.index.remove(
             next(s for s in broker.index.subscriptions()
@@ -685,7 +680,8 @@ class TestRetentionAndReplayEdges:
             intruder.subscribe_durable_remote("broker", person_java(),
                                               lambda v: None, cursor="app-c")
 
-    def test_handler_publishing_during_replay_survives_retention(self, tmp_path):
+    def test_handler_publishing_during_replay_survives_retention(
+            self, tmp_path, opened):
         """A local durable handler that publishes back through the broker
         can trigger retention mid-replay; replay must skip the dropped
         segment, not crash."""
@@ -720,8 +716,8 @@ class TestRetentionAndReplayEdges:
         assert len(got) >= 1  # replay survived whatever retention dropped
         assert broker.cursors.get("re-c") <= broker.event_log.next_offset
 
-    def test_ack_tokens_differ_across_incarnations(self, tmp_path):
-        network, broker, publisher = make_world(tmp_path)
+    def test_ack_tokens_differ_across_incarnations(self, tmp_path, opened):
+        network, broker, publisher = make_world(opened, tmp_path)
         token_a = broker._issue_ack_token("p", (("c", 0, 1),))
         broker.close()
         revived = opened(TpsBroker("broker", network,
@@ -731,11 +727,12 @@ class TestRetentionAndReplayEdges:
 
 
 class TestTokenRetirement:
-    def test_reconnect_retires_stale_tokens(self, tmp_path, monkeypatch):
+    def test_reconnect_retires_stale_tokens(self, tmp_path, monkeypatch,
+                                            opened):
         """A reconnect must retire the old incarnation's tokens entirely —
         cap eviction of a leftover must not re-block the cursor."""
         import repro.apps.tps.broker as broker_module
-        network, broker, publisher = make_world(tmp_path)
+        network, broker, publisher = make_world(opened, tmp_path)
         got = []
         subscriber = TpsPeer("sub", network)
         subscriber.subscribe_durable_remote("broker", person_java(),

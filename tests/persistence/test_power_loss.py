@@ -9,6 +9,11 @@ on what is left must hold:
   ``next_offset`` (new appends would reuse offsets the cursor claims as
   acked, and those records would be silently skipped);
 - every advance made before the last log fsync.
+
+Journal records are only ``flush()``-ed between fsyncs, and the
+operating system may write them back early, so a variant keeps the whole
+journal while still cutting the log: the broker must clamp its cursors
+back to the recovered log end.
 """
 
 import os
@@ -47,12 +52,15 @@ class FsyncLengths:
 
         monkeypatch.setattr(os, "fsync", fsync)
 
-    def power_loss_image(self, log_dir, image):
-        """Copy ``log_dir`` to ``image`` as a power loss would leave it."""
+    def power_loss_image(self, log_dir, image, journal_written_back=False):
+        """Copy ``log_dir`` to ``image`` as a power loss would leave it;
+        ``journal_written_back`` keeps every journal byte, as if the
+        operating system had written the journal back before the loss."""
         shutil.copytree(log_dir, image)
         for root, _, names in os.walk(log_dir):
             for name in names:
-                if not (name.endswith(".seg") or name == "cursors.log"):
+                if not (name.endswith(".seg") or name == "cursors.log"
+                        and not journal_written_back):
                     continue
                 original = os.path.realpath(os.path.join(root, name))
                 kept = self.lengths.get(original, 0)
@@ -61,11 +69,13 @@ class FsyncLengths:
                     handle.truncate(min(kept, os.path.getsize(copy)))
 
 
+@pytest.mark.parametrize("journal_written_back", [False, True])
 @pytest.mark.parametrize("fsync_every_n", [4, None])
 @pytest.mark.parametrize("checkpoint_every", [512, 3])
 @pytest.mark.parametrize("publishes", [3, 6, 9, 14])
 def test_acked_cursors_survive_power_loss(tmp_path, monkeypatch, publishes,
-                                          checkpoint_every, fsync_every_n):
+                                          checkpoint_every, fsync_every_n,
+                                          journal_written_back):
     """``fsync_every_n=None`` is the flush-only log: only checkpoints
     (which sync the log first) make anything durable."""
     monkeypatch.setattr(cursors_module, "_CHECKPOINT_EVERY",
@@ -93,7 +103,8 @@ def test_acked_cursors_survive_power_loss(tmp_path, monkeypatch, publishes,
     assert broker.cursors.get("local-c") == publishes  # all acked live
     if fsync_every_n is not None and publishes >= fsync_every_n:
         assert at_last_log_fsync  # the group commit fired
-    shim.power_loss_image(log_dir, str(tmp_path / "image"))
+    shim.power_loss_image(log_dir, str(tmp_path / "image"),
+                          journal_written_back)
     shim.on_log_fsync = None
     broker.close()
 

@@ -1,12 +1,19 @@
 """Property test: the cursor store (checkpoint + journal) matches a dict.
 
-Random ``register``/``advance``/``annotate``/``remove``/``prune``
+Random ``register``/``advance``/``annotate``/``remove``/``prune``/``clamp``
 sequences, with clean reopens and crashes at random points — a crash
 copies the store's files as they are (every mutation is flushed) and cuts
 the journal at a random byte, often mid-record — must leave the store
 equal to a plain dict model of the same operations: after each operation,
 and after each recovery (which must land on the model state of the last
 record wholly before the cut).
+
+A second kind of crash kills the next mutation at the journal truncation
+that follows a checkpoint, if that mutation checkpoints: the checkpoint
+is on disk, the old journal is not yet emptied.  Recovery must land on
+the state before that mutation when the journal held records, and on the
+state after it when the journal was empty (the checkpoint then absorbed
+the mutation, with nothing to replay over it).
 """
 
 import copy
@@ -28,6 +35,8 @@ operations = st.lists(st.one_of(
     st.tuples(st.just("annotate"), names, st.integers(0, 9)),
     st.tuples(st.just("remove"), names),
     st.tuples(st.just("prune"), st.integers(1, 3)),
+    st.tuples(st.just("clamp"), st.integers(0, 40)),
+    st.tuples(st.just("die-at-truncation")),
     st.tuples(st.just("reopen")),
     st.tuples(st.just("crash"), st.integers(0, 1 << 16)),
 ), max_size=40)
@@ -67,6 +76,10 @@ class Model:
                          if incarnation - entry.get("last_active", 0)
                          >= op[1]]:
                 del self.entries[name]
+        elif kind == "clamp":
+            for entry in self.entries.values():
+                if "origin" not in entry:
+                    entry["offset"] = min(entry["offset"], op[1])
 
 
 def run(store, op):
@@ -82,8 +95,31 @@ def run(store, op):
         store.annotate(op[1], floor=op[2])
     elif kind == "remove":
         store.remove(op[1])
+    elif kind == "clamp":
+        store.clamp(op[1])
     else:
         store.prune(op[1])
+
+
+class Crash(Exception):
+    pass
+
+
+def run_dying_at_truncation(store, op):
+    """Run ``op`` with the journal truncation raising; returns whether
+    it was reached (that is, whether ``op`` checkpointed)."""
+    def die(descriptor, length):
+        raise Crash()
+
+    real_ftruncate = os.ftruncate
+    os.ftruncate = die
+    try:
+        run(store, op)
+    except Crash:
+        return True
+    finally:
+        os.ftruncate = real_ftruncate
+    return False
 
 
 def contents(store):
@@ -111,7 +147,11 @@ class TestCursorJournalModel:
             # starting with its empty prefix (the checkpoint itself).
             stored_incarnation = 0
             boundaries = [(0, copy.deepcopy(model.entries))]
+            die_next = False
             for step, op in enumerate(ops):
+                if op[0] == "die-at-truncation":
+                    die_next = True
+                    continue
                 if op[0] in ("reopen", "crash"):
                     fresh = os.path.join(root, str(step + 1))
                     if op[0] == "reopen":
@@ -147,13 +187,40 @@ class TestCursorJournalModel:
                         continue
                     raise AssertionError("annotate created a cursor")
                 checkpoints = store.checkpoints
-                run(store, op)
+                before = copy.deepcopy(model.entries)
+                journal_before = journal_size(directory)
+                if die_next:
+                    die_next = False
+                    if run_dying_at_truncation(store, op):
+                        model.apply(op, store.incarnation)
+                        stored_incarnation = store.incarnation
+                        if journal_before:
+                            model.entries = before
+                        boundaries = [(end, copy.deepcopy(model.entries))
+                                      for end, _ in boundaries]
+                        fresh = os.path.join(root, str(step + 1))
+                        shutil.copytree(directory, fresh)
+                        store.close()
+                        directory = fresh
+                        store = CursorStore(os.path.join(directory,
+                                                         "cursors.json"))
+                        assert store.incarnation == stored_incarnation + 1
+                        assert contents(store) == model.entries
+                        continue
+                else:
+                    run(store, op)
                 model.apply(op, store.incarnation)
                 assert contents(store) == model.entries
                 if store.checkpoints != checkpoints:
+                    # The checkpoint took the state before ``op`` and
+                    # journaled ``op`` after it — or, over an empty
+                    # journal, absorbed ``op`` itself.
                     stored_incarnation = store.incarnation
-                    boundaries = [(0, copy.deepcopy(model.entries))]
-                elif journal_size(directory) != boundaries[-1][0]:
+                    boundaries = [(0, before)] \
+                        if journal_size(directory) else []
+                    boundaries.append((journal_size(directory),
+                                       copy.deepcopy(model.entries)))
+                elif journal_size(directory) != journal_before:
                     boundaries.append((journal_size(directory),
                                        copy.deepcopy(model.entries)))
         finally:
