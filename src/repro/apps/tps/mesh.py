@@ -67,6 +67,7 @@ from .pipeline import (
     ReplicationStage,
     RoutingStage,
     ValueBatch,
+    distinct_roots,
     foreign_cursor_name,
 )
 from .routing import RoutingIndex
@@ -522,14 +523,14 @@ class MeshShard(TpsBroker):
                          payload: bytes) -> None:
         """The pipeline's forwarder hook: buffer the record's frame once
         per sibling shard hosting at least one conforming subscriber,
-        targeted on the record's root types over the gossip summaries
-        (so the decision reuses cached conformance verdicts) — forwarding
+        targeted on the record's distinct root types (one summary route
+        each, reusing cached conformance verdicts) — forwarding
         costs zero value decodes.  ``log_offset`` — the record's offset
         here — travels as the forward's ``home`` id, keeping the
         receiving shard's copy attributable to this shard's log.
         """
         targets = set()
-        for index in range(len(batch)):
+        for index in distinct_roots(batch):
             event_type = batch.root_type(index)
             if event_type is None:
                 continue
@@ -1549,3 +1550,9 @@ class BrokerMesh:
     def close(self) -> None:
         for shard in self.shards:
             shard.close()
+
+    def __enter__(self) -> "BrokerMesh":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -30,8 +30,8 @@ A record enters ``process()`` in one shape: a batch exposing ``len``,
 :class:`~repro.serialization.envelope.LazyBatch` over the received
 frame, or a :class:`ValueBatch` over values already in hand (an
 in-process publish, or the values the code-fetch fallback just
-decoded).  Routing runs on root types; a value is decoded only when an
-in-process handler receives it.  On a network broker the record's frame
+decoded).  Routing runs on root types, once per record and root type;
+a value is decoded only when an in-process handler receives it.  On a network broker the record's frame
 bytes come along, and logging, replication, forwarding and remote
 delivery all carry those bytes, never re-encoded values.
 
@@ -74,6 +74,15 @@ _EPOCH = itertools.count(1)
 
 #: A route entry's view not yet built for the record being fanned out.
 _UNBUILT = object()
+
+#: :func:`distinct_roots` of a single-value record.
+_FIRST_VALUE = (0,)
+
+#: What a delivery discipline's ``remote()`` answers for one record and
+#: one remote subscription: the record did not travel (asked again for
+#: the record's next matching value), it travelled and counts for this
+#: value only, or it travelled and counts for every matching value.
+NOT_SENT, SENT_ONCE, SENT = 0, 1, 2
 
 
 def cursor_name_of(subscription: Any) -> Optional[str]:
@@ -181,8 +190,23 @@ class ValueBatch:
     def root_type(self, index: int):
         return self.values[index].type_info
 
+    def root_keys(self) -> List[int]:
+        """Per value, the identity of its root type."""
+        return [id(value.type_info) for value in self.values]
+
     def value(self, index: int) -> Any:
         return self.values[index]
+
+
+def distinct_roots(batch: Any) -> Sequence[int]:
+    """The index of the first value of each distinct root type in
+    ``batch``, in record order."""
+    if len(batch) == 1:
+        return _FIRST_VALUE
+    first: Dict[Any, int] = {}
+    for index, key in enumerate(batch.root_keys()):
+        first.setdefault(key, index)
+    return list(first.values())
 
 
 # ---------------------------------------------------------------------------
@@ -822,27 +846,26 @@ class DirectDelivery:
         return {
             "payload": payload,   # the record's frame
             "trace": trace,
-            "durable_sent": set(),  # subscription ids already sent the record
             "frame_sent": set(),  # peers already relayed the record frame
         }
 
     def remote(self, ctx: dict, subscription: Any, batch: Any, index: int,
-               log_offset: Optional[int]) -> bool:
+               log_offset: Optional[int]) -> int:
         """Send the record's frame to one remote subscription.  The
         receiver's own admission gate filters per value, header-only, so
-        the whole record travels however many of its values match."""
+        the whole record travels however many of its values match.  A
+        durable subscription counts the record once, for the value that
+        sent it."""
         cursor = cursor_name_of(subscription)
         if log_offset is not None and cursor is not None:
             # Durable live delivery: the record's frame under one
             # cumulative ack token that advances the subscriber's cursor.
-            if subscription.subscription_id in ctx["durable_sent"]:
-                return False  # the record already travelled to this peer
             tracker = self.durability.tracker
             if tracker.blocks.get(cursor) is not None:
                 # The cursor is pinned below an undelivered range; the
                 # record stays in the log for the replay that lifts the
                 # block — sending it now would strand or duplicate it.
-                return False
+                return NOT_SENT
             token = tracker.issue(subscription.peer_id,
                                   ((cursor, log_offset, log_offset + 1),))
             try:
@@ -856,15 +879,14 @@ class DirectDelivery:
                 # fan-out proceeds.
                 tracker.discard(token)
                 self.host.network.stats.record_drop()
-                return False
-            ctx["durable_sent"].add(subscription.subscription_id)
+                return NOT_SENT
             if ctx["trace"] is not None:
                 tracker.tag(token, (ctx["trace"],))
-            return True
+            return SENT_ONCE
         if subscription.peer_id in ctx["frame_sent"]:
             # The record already travelled to this peer; its dispatch
             # there serves this subscription too, so it still counts.
-            return True
+            return SENT
         # Inline post, like send_payload: DirectDelivery dispatches in
         # this call stack, it never leaves traffic for a later drain.
         try:
@@ -872,11 +894,11 @@ class DirectDelivery:
                            ctx["payload"], retries=self.host.max_retries)
         except UnknownPeerError:
             self.host.network.stats.record_drop()
-            return False
+            return NOT_SENT
         self.host.transport_stats.objects_sent += len(batch)
         self.host.transport_stats.batches_sent += 1
         ctx["frame_sent"].add(subscription.peer_id)
-        return True
+        return SENT
 
     def finish(self, ctx: dict) -> None:
         pass
@@ -927,7 +949,7 @@ class BufferedDelivery:
                 "frame_acks": None, "trace": trace}
 
     def remote(self, ctx: dict, subscription: Any, batch: Any, index: int,
-               log_offset: Optional[int]) -> bool:
+               log_offset: Optional[int]) -> int:
         """Queue the record's frame for a destination peer, verbatim.
 
         The whole record travels once per peer however many of its values
@@ -944,7 +966,7 @@ class BufferedDelivery:
             # under the replay that fills the gap — the record is in the
             # log, so the blocked-cursor replay redelivers it in order
             # instead (see MeshShard.retry_stalled_replays).
-            return False
+            return NOT_SENT
         frame_acks = ctx["frame_acks"]
         if frame_acks is None:
             frame_acks = ctx["frame_acks"] = {}
@@ -958,7 +980,7 @@ class BufferedDelivery:
             else:
                 window[0] = min(window[0], log_offset)
                 window[1] = max(window[1], log_offset + 1)
-        return True
+        return SENT
 
     def finish(self, ctx: dict) -> None:
         frame_acks = ctx.get("frame_acks")
@@ -1064,7 +1086,7 @@ class LocalDelivery:
     def begin(self, batch, origin, log_offset, payload, trace) -> dict:
         return {}
 
-    def remote(self, ctx, subscription, batch, index, log_offset) -> bool:
+    def remote(self, ctx, subscription, batch, index, log_offset) -> int:
         raise NetworkError("local pipeline cannot deliver to remote "
                            "subscription %r" % (subscription,))
 
@@ -1167,10 +1189,7 @@ class DeliveryPipeline:
             tracer.record(trace, "route", {"records": len(batch)})
         local_acks: Dict[str, bool] = {}
         ctx = self.delivery.begin(batch, origin, log_offset, payload, trace)
-        deliveries = 0
-        for index in range(len(batch)):
-            deliveries += self._fan_out_lazy(ctx, batch, index, origin,
-                                             log_offset, local_acks)
+        deliveries = self._fan_out(ctx, batch, origin, log_offset, local_acks)
         if trace is not None:
             tracer.record(trace, "dispatch", {"deliveries": deliveries})
         if forward and self.forwarder is not None:
@@ -1180,20 +1199,87 @@ class DeliveryPipeline:
             self.durability.settle_local(local_acks, log_offset)
         return Processed(log_offset, deliveries)
 
-    def _fan_out_lazy(self, ctx: dict, batch: Any, index: int,
-                      origin: Optional[str], log_offset: Optional[int],
-                      local_acks: Dict[str, bool]) -> int:
-        """Route one value of a record to every conforming subscription
-        (the single fan-out loop all three brokers share): targets come
-        from the value's root type; the value itself is materialized
-        only for in-process handlers (final local delivery — the one
-        paid decode).  Remote subscribers get the record's frame."""
-        event_type = batch.root_type(index)
-        if event_type is None:
-            return 0  # admission guarantees resolvability; defensive
+    def _fan_out(self, ctx: dict, batch: Any, origin: Optional[str],
+                 log_offset: Optional[int],
+                 local_acks: Dict[str, bool]) -> int:
+        """Route a record's values, in record order, to every conforming
+        subscription (the single fan-out loop all three brokers share),
+        deciding once per record and root type: the values of one root
+        type share one route pass, and a remote subscription is asked to
+        send the record once.  Counts stay per value.  When a handler
+        changes the routing index, the record's later values re-route, as
+        they would on their own."""
+        if len(batch) == 1:
+            event_type = batch.root_type(0)
+            if event_type is None:
+                return 0  # admission guarantees resolvability; defensive
+            return self._fan_out_value(ctx, batch, 0,
+                                       self.routing.targets(event_type),
+                                       None, None, origin, log_offset,
+                                       local_acks)
+        index_ = self.routing.index
+        #: Root key -> (routing stamp, the recorded route pass).
+        passes: Dict[Any, Tuple[Any, List[Tuple[RouteEntry, List[Any]]]]] = {}
+        #: Subscription id -> whether later values count (see ``remote``).
+        sent: Dict[int, bool] = {}
+        deliveries = 0
+        for index, key in enumerate(batch.root_keys()):
+            stamp = index_.stamp
+            recorded = passes.get(key)
+            if recorded is not None and recorded[0] == stamp:
+                targets = recorded[1]
+                if len(targets) > 1:
+                    # A handler could change the index between entries.
+                    targets = self._replayed(targets, stamp, batch, index)
+                deliveries += self._fan_out_value(
+                    ctx, batch, index, targets, sent, None, origin,
+                    log_offset, local_acks)
+                continue
+            event_type = batch.root_type(index)
+            if event_type is None:
+                continue
+            record: List[Tuple[RouteEntry, List[Any]]] = []
+            deliveries += self._fan_out_value(
+                ctx, batch, index, self.routing.targets(event_type), sent,
+                record, origin, log_offset, local_acks)
+            if index_.stamp == stamp:
+                passes[key] = (stamp, record)
+        return deliveries
+
+    def _replayed(self, record: List[Tuple[RouteEntry, List[Any]]],
+                  stamp: Any, batch: Any, index: int):
+        """Yield a recorded route pass again for value ``index``.  Should a
+        handler change the routing index part-way, the expected types not
+        yet reached come from a fresh pass, as a pass of this value's own
+        would read them at that point."""
+        index_ = self.routing.index
+        for position, target in enumerate(record):
+            if index_.stamp != stamp:
+                pending = {entry.expected.guid
+                           for entry, _ in record[position:]}
+                for target in self.routing.targets(batch.root_type(index)):
+                    if target[0].expected.guid in pending:
+                        yield target
+                return
+            yield target
+
+    def _fan_out_value(self, ctx: dict, batch: Any, index: int,
+                       targets: Any, sent: Optional[Dict[int, bool]],
+                       record: Optional[list], origin: Optional[str],
+                       log_offset: Optional[int],
+                       local_acks: Dict[str, bool]) -> int:
+        """Deliver value ``index`` to ``targets`` (``(entry,
+        subscriptions)`` pairs, appended to ``record`` when given).  The
+        value is materialized only for in-process handlers (final local
+        delivery — the one paid decode); remote subscribers get the
+        record's frame, asked for once per record when ``sent`` keeps
+        their answers."""
         deliveries = 0
         value: Any = None
-        for entry, subscriptions in self.routing.targets(event_type):
+        for target in targets:
+            if record is not None:
+                record.append(target)
+            entry, subscriptions = target
             view: Any = _UNBUILT
             for subscription in subscriptions:
                 if origin is not None and subscription.peer_id == origin:
@@ -1213,9 +1299,19 @@ class DeliveryPipeline:
                                                   and ok)
                     if not ok:
                         continue  # failures must not abort the fan-out
-                else:
+                elif sent is None:
                     if not self.delivery.remote(ctx, subscription, batch,
                                                 index, log_offset):
+                        continue
+                else:
+                    later = sent.get(subscription.subscription_id)
+                    if later is None:
+                        answer = self.delivery.remote(
+                            ctx, subscription, batch, index, log_offset)
+                        if not answer:
+                            continue
+                        sent[subscription.subscription_id] = answer == SENT
+                    elif not later:
                         continue
                 subscription.delivered += 1
                 self.stats.events_routed += 1

@@ -104,6 +104,8 @@ class RoutingIndex:
         self._by_id: Dict[int, Any] = {}  # insertion-ordered: all subscriptions
         self._verdicts: Dict[_PairKey, Optional[RouteEntry]] = {}
         self._registry_version = registry.version if registry is not None else 0
+        #: Bumped by every subscribe, unsubscribe and verdict-cache drop.
+        self.version = 0
         self.stats = RoutingStats()
 
     # -- subscription management (O(1)) ---------------------------------
@@ -116,6 +118,7 @@ class RoutingIndex:
             self._groups[guid] = group
         group.members[subscription.subscription_id] = subscription
         self._by_id[subscription.subscription_id] = subscription
+        self.version += 1
 
     def remove(self, subscription_id: int,
                peer_id: Optional[str] = None) -> bool:
@@ -130,6 +133,7 @@ class RoutingIndex:
         if peer_id is not None and subscription.peer_id != peer_id:
             return False
         del self._by_id[subscription_id]
+        self.version += 1
         guid = subscription.expected.guid
         group = self._groups.get(guid)
         if group is not None:
@@ -168,6 +172,18 @@ class RoutingIndex:
         self._verdicts.clear()
         self.checker.clear_cache()
         self.stats.invalidations += 1
+        self.version += 1
+
+    @property
+    def stamp(self) -> Tuple[int, int]:
+        """Changes whenever a :meth:`route` pass could answer differently
+        from the last one: a subscription came or went, the verdict cache
+        was dropped, or the registry changed (which drops it on the next
+        pass).  A caller that reuses one pass for several values of a
+        record re-routes once this moves."""
+        registry = self.registry
+        return (self.version,
+                registry.version if registry is not None else 0)
 
     def _check_registry(self) -> None:
         if self.registry is not None and self.registry.version != self._registry_version:

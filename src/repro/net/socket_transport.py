@@ -1035,9 +1035,16 @@ class SocketNetwork:
             if link.transport is not None:
                 link.transport.close()
         if not self._loop.is_closed() and not self._loop.is_running():
-            # Let close handshakes and connection_lost callbacks run.
+            # Let close handshakes and connection_lost callbacks run.  A
+            # transport still holding unsent bytes (its peer stopped
+            # reading) would wait for them forever: abort it, which drops
+            # the bytes and closes its socket on the next loop turn.
             try:
                 self._loop.run_until_complete(asyncio.sleep(0.01))
+                for link in list(self._links):
+                    if link.transport is not None:
+                        link.transport.abort()
+                self._loop.run_until_complete(asyncio.sleep(0))
             except RuntimeError:  # pragma: no cover - loop torn down already
                 pass
         for address in self.listen_addresses:

@@ -136,11 +136,23 @@ def entity_key(value: Any) -> Optional[str]:
     return "%s:%s=%r" % (_type_digest(info), field_name, field_value)
 
 
+#: ``quote(chr(code), safe="")`` for every ASCII code point: a
+#: ``str.translate`` table that percent-encodes an ASCII key exactly as
+#: ``quote`` would, without its per-byte Python loop.
+_QUOTED_ASCII = [quote(chr(code), safe="") for code in range(128)]
+
+
+def _quote_key(key: str) -> str:
+    if key.isascii():
+        return key.translate(_QUOTED_ASCII)
+    return quote(key, safe="")
+
+
 def _encode_keys(keys: Sequence[Optional[str]]) -> str:
     """Per-value keys -> one XML attribute (``-`` marks an unkeyed value;
     present keys are percent-encoded behind a ``_`` sigil so any key —
     spaces, empty string — survives the space-joined encoding)."""
-    return " ".join("-" if key is None else "_" + quote(key, safe="")
+    return " ".join("-" if key is None else "_" + _quote_key(key)
                     for key in keys)
 
 
@@ -746,6 +758,11 @@ class ObjectEnvelope:
         )
 
 
+#: The root keys of a single-object envelope: its one value's root type
+#: is the first entry.
+_FIRST_ENTRY = (0,)
+
+
 class LazyBatch:
     """A batch admitted by header only; values decode on first access.
 
@@ -804,6 +821,12 @@ class LazyBatch:
         info = self._resolve(self.envelope.batch_root_entry(index))
         self._types[index] = info
         return info
+
+    def root_keys(self) -> Sequence[int]:
+        """Per value, the index of its root type entry: values with equal
+        keys share one root type."""
+        roots = self.envelope.batch_roots
+        return roots if roots is not None else _FIRST_ENTRY
 
     def key(self, index: int) -> Optional[str]:
         keys = self.envelope.keys
@@ -920,7 +943,10 @@ class EnvelopeCodec:
         if not values:
             raise ValueError("cannot build an empty batch envelope")
         entries: List[TypeEntry] = []
-        index_of = {}
+        #: (name, GUID text) -> entry index, and the same by ``id`` of the
+        #: TypeInfo, so a type seen before costs no GUID formatting.
+        index_of: Dict[Tuple[str, str], int] = {}
+        index_of_info: Dict[int, int] = {}
         roots: List[int] = []
         for value in values:
             types = collect_types(value)
@@ -929,12 +955,16 @@ class EnvelopeCodec:
                     "batched value %r has no root CTS type" % (value,)
                 )
             for position, info in enumerate(types):
-                key = (info.full_name, str(info.guid))
-                if key not in index_of:
-                    index_of[key] = len(entries)
-                    entries.append(TypeEntry.for_type(info))
+                index = index_of_info.get(id(info))
+                if index is None:
+                    key = (info.full_name, str(info.guid))
+                    index = index_of.get(key)
+                    if index is None:
+                        index = index_of[key] = len(entries)
+                        entries.append(TypeEntry.for_type(info))
+                    index_of_info[id(info)] = index
                 if position == 0:
-                    roots.append(index_of[key])
+                    roots.append(index)
         if keys is None:
             keys = [entity_key(value) for value in values]
         elif len(keys) != len(values):
@@ -958,39 +988,42 @@ class EnvelopeCodec:
                             publish_ack=publish_ack, keys=keys))
 
     def _render_header(self, envelope: ObjectEnvelope) -> bytes:
-        root = ET.Element("XmlMessage")
-        type_info = ET.SubElement(root, "TypeInformation")
-        for entry in envelope.type_entries:
-            attrs = {
-                "name": entry.name,
-                "guid": entry.guid_text,
-                "assembly": entry.assembly,
-            }
-            if entry.download_path:
-                attrs["path"] = entry.download_path
-            ET.SubElement(type_info, "Type", attrs)
-        payload_attrs = {"encoding": envelope.encoding}
+        """The canonical header, byte for byte what ElementTree would
+        serialize for the same elements (attribute values through ET's
+        own escaper, UTF-8 with character references for anything it
+        cannot encode)."""
+        parts = ["<XmlMessage>"]
+        if envelope.type_entries:
+            parts.append("<TypeInformation>")
+            for entry in envelope.type_entries:
+                parts.append('<Type name="%s" guid="%s" assembly="%s"' % (
+                    _escape_attrib(entry.name),
+                    _escape_attrib(entry.guid_text),
+                    _escape_attrib(entry.assembly)))
+                if entry.download_path:
+                    parts.append(' path="%s"'
+                                 % _escape_attrib(entry.download_path))
+                parts.append(" />")
+            parts.append("</TypeInformation>")
+        else:
+            parts.append("<TypeInformation />")
+        parts.append('<Payload encoding="%s"'
+                     % _escape_attrib(envelope.encoding))
         if envelope.is_batch:
-            payload_attrs["batch"] = str(envelope.batch_count)
-            payload_attrs["roots"] = " ".join(
-                str(index) for index in envelope.batch_roots
-            )
-        if envelope.origin is not None:
-            payload_attrs["origin"] = envelope.origin
-        if envelope.ack is not None:
-            payload_attrs["ack"] = envelope.ack
-        if envelope.publish_ack is not None:
-            payload_attrs["publish_ack"] = envelope.publish_ack
-        keys_attr = envelope.keys_attr()
-        if keys_attr is not None:
-            payload_attrs["keys"] = keys_attr
-        if envelope.home is not None:
-            payload_attrs["home"] = envelope.home
-        if envelope.trace is not None:
-            payload_attrs["trace"] = envelope.trace
-        ET.SubElement(root, "Payload", payload_attrs)
+            parts.append(' batch="%d" roots="%s"' % (
+                envelope.batch_count,
+                " ".join(map(str, envelope.batch_roots))))
+        for name, value in (("origin", envelope.origin),
+                            ("ack", envelope.ack),
+                            ("publish_ack", envelope.publish_ack),
+                            ("keys", envelope.keys_attr()),
+                            ("home", envelope.home),
+                            ("trace", envelope.trace)):
+            if value is not None:
+                parts.append(' %s="%s"' % (name, _escape_attrib(value)))
+        parts.append(" /></XmlMessage>")
         self.stats.header_renders += 1
-        return ET.tostring(root, encoding="utf-8")
+        return "".join(parts).encode("utf-8", "xmlcharrefreplace")
 
     def envelope_to_bytes(self, envelope: ObjectEnvelope) -> bytes:
         """Envelope → ``XME2`` frame bytes.

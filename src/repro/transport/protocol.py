@@ -89,6 +89,10 @@ _MAX_VERDICTS = 512
 #: declared interest it conforms to, and that check's result.
 _Verdict = Tuple[TypeInfo, ConformanceResult]
 
+#: The admission of every object while no interest is declared: accepted
+#: as it is, with no interest and no view wrapper.
+_OPEN = (None, None)
+
 
 class ProtocolError(Exception):
     pass
@@ -212,7 +216,9 @@ class InteropPeer(Peer):
         #: Admission memo: ``id(provider type)`` -> (that type, its verdict
         #: or ``None`` for a rejection), valid for :attr:`_verdicts_stamp`.
         self._verdicts: Dict[int, Tuple[TypeInfo, Optional[_Verdict]]] = {}
-        self._verdicts_stamp: Tuple[int, int] = (-1, -1)
+        self._verdicts_stamp: Tuple[int, int, int] = (-1, -1, -1)
+        #: Bumped by :meth:`declare_interest`: part of the admission stamp.
+        self._interests_declared = 0
         #: Shared wire serializer for assembly transfer and control
         #: messages (e.g. TPS subscribe/unsubscribe).  Long-lived and
         #: buffer-reusing: no request path allocates a fresh serializer.
@@ -237,7 +243,7 @@ class InteropPeer(Peer):
         conform to it are delivered as that type."""
         self.runtime.registry.register(info)
         self.interests.append(info)
-        self._verdicts.clear()
+        self._interests_declared += 1
 
     def on_receive(self, callback: Callable[[ReceivedObject], None]) -> None:
         """Run ``callback`` for every received object, accepted or not,
@@ -364,39 +370,76 @@ class InteropPeer(Peer):
 
     def _admit_batch_lazy(self, envelope: ObjectEnvelope, src: str) -> bool:
         """Header-only batch admission; ``False`` defers to the eager path
-        (some type in the frame is not resolvable locally yet)."""
+        (some type in the frame is not resolvable locally yet).
+
+        The interest check runs on the header's root types BEFORE any
+        decode, once per distinct root type of the frame: its values then
+        decode, wrap and deliver one by one, in frame order.  A handler
+        that declares an interest or registers a type part-way sends the
+        frame's later values through a fresh check, as on their own."""
         batch = self.codec.lazy_batch(envelope)
         if not batch.types_known():
             return False
-        for index in range(len(batch)):
-            self._deliver(self._admit_lazy_value(batch, index, src))
+        stats = self.transport_stats
+        if len(batch) == 1:
+            stats.objects_received += 1
+            provider_info = batch.root_type(0)
+            self._deliver(self._admitted(
+                src, provider_info.full_name,
+                self._admission(src, provider_info), batch, 0))
+            return True
+        #: Root entry index -> (its type name, its verdict).
+        decided: Dict[int, Tuple[str, Optional[_Verdict]]] = {}
+        stamp = self._admission_stamp()
+        for index, root in enumerate(envelope.batch_roots):
+            stats.objects_received += 1
+            known = decided.get(root)
+            if known is None:
+                provider_info = batch.root_type(index)
+                known = decided[root] = (provider_info.full_name,
+                                         self._admission(src, provider_info))
+            self._deliver(self._admitted(src, known[0], known[1],
+                                         batch, index))
+            if self._admission_stamp() != stamp:
+                decided.clear()
+                stamp = self._admission_stamp()
         return True
 
-    def _admit_lazy_value(self, batch: LazyBatch, index: int,
-                          src: str) -> ReceivedObject:
-        """Interest check on the header's root type BEFORE any decode —
-        the lazy twin of :meth:`_admit_value`."""
-        self.transport_stats.objects_received += 1
-        provider_info = batch.root_type(index)
-        return self._admit(src, provider_info.full_name, provider_info,
-                           lambda: batch.value(index))
-
-    def _admit(self, src: str, name: str, provider_info: TypeInfo,
-               value_of: Callable[[], Any]) -> ReceivedObject:
-        """The interest check every admission path shares: pick the first
-        declared interest ``provider_info`` conforms to, and only then ask
-        ``value_of`` for the value — a rejected object is never decoded
-        (nor its code fetched).  With no interests declared, everything
-        is admitted unwrapped."""
-        if not self.interests:
-            value = value_of()
-            return ReceivedObject(src, name, value, value, None, None)
-        verdict = self._verdict(src, provider_info)
+    def _admitted(self, src: str, name: str, verdict: Optional[_Verdict],
+                  batch: LazyBatch, index: int) -> ReceivedObject:
+        """Value ``index`` of ``batch`` under its frame's ``verdict``: a
+        rejection never decodes it."""
         if verdict is None:
             self.transport_stats.objects_rejected += 1
             return ReceivedObject(src, name, None, None, None, None)
+        return self._accepted(src, name, verdict, batch.value(index))
+
+    def _admit(self, src: str, name: str, provider_info: TypeInfo,
+               value_of: Callable[[], Any]) -> ReceivedObject:
+        """The interest check of the single-object paths: only once
+        ``provider_info`` is admitted is ``value_of`` asked for the value —
+        a rejected object is never decoded (nor its code fetched)."""
+        verdict = self._admission(src, provider_info)
+        if verdict is None:
+            self.transport_stats.objects_rejected += 1
+            return ReceivedObject(src, name, None, None, None, None)
+        return self._accepted(src, name, verdict, value_of())
+
+    def _admission(self, src: str,
+                   provider_info: TypeInfo) -> Optional[_Verdict]:
+        """The verdict every admission path shares: the first declared
+        interest ``provider_info`` conforms to, ``None`` for a rejection,
+        or :data:`_OPEN` when no interest is declared (everything is
+        admitted unwrapped)."""
+        if not self.interests:
+            return _OPEN
+        return self._verdict(src, provider_info)
+
+    def _accepted(self, src: str, name: str, verdict: _Verdict,
+                  value: Any) -> ReceivedObject:
         interest, result = verdict
-        value = value_of()
+        if interest is None:
+            return ReceivedObject(src, name, value, value, None, None)
         view = wrap_with_result(value, interest, result, self.checker)
         return ReceivedObject(src, name, value, view, interest, result)
 
@@ -423,8 +466,14 @@ class InteropPeer(Peer):
         memo[id(provider_info)] = (provider_info, verdict)
         return verdict
 
+    def _admission_stamp(self) -> Tuple[int, int, int]:
+        """Changes whenever a verdict may: an interest was declared, the
+        registry changed or the checker's cache was cleared."""
+        return (self._interests_declared, self.runtime.registry.version,
+                self.checker.generation)
+
     def _valid_verdicts(self) -> Dict[int, Tuple[TypeInfo, Optional[_Verdict]]]:
-        stamp = (self.runtime.registry.version, self.checker.generation)
+        stamp = self._admission_stamp()
         if stamp != self._verdicts_stamp:
             self._verdicts.clear()
             self._verdicts_stamp = stamp

@@ -194,35 +194,70 @@ def test_malformed_frame_aborts_only_that_link(hub):
     assert client.request("caller", "service", "ping", b"") == b"OK"
 
 
-def test_backpressure_blocks_the_publisher_never_drops():
+def _unread_sink():
+    """A listening socket that accepts but never reads."""
     directory = tempfile.mkdtemp(prefix="repro-sock-")
     path = os.path.join(directory, "sink.sock")
     sink = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sink.bind(path)
     sink.listen(1)
+    return sink, path
+
+
+def _fill_until_blocked(client, sink, path):
+    """Post to the sink until the publisher blocks at the queue cap;
+    returns the sink's accepted end of the link."""
+    client.add_route("sink", "unix:" + path)
+    payload = b"x" * 32 * 1024
+    # The sink accepts but never reads: the kernel buffer fills, the
+    # asyncio transport pauses, frames pile into the link's queue —
+    # and the publisher BLOCKS at the cap instead of buffering on.
+    accepted = None
+    with pytest.raises(NetworkError, match="full"):
+        for _ in range(1000):
+            client.post_async("caller", "sink", "object", payload)
+            if accepted is None:
+                client.poll(0.01)
+                sink.setblocking(False)
+                try:
+                    accepted = sink.accept()[0]
+                except BlockingIOError:
+                    accepted = None
+    return accepted
+
+
+def test_backpressure_blocks_the_publisher_never_drops():
+    sink, path = _unread_sink()
     client = SocketNetwork("client-node", max_queue_bytes=64 * 1024,
                            backpressure_timeout=0.3)
+    accepted = None
     try:
-        client.add_route("sink", "unix:" + path)
-        payload = b"x" * 32 * 1024
-        # The sink accepts but never reads: the kernel buffer fills, the
-        # asyncio transport pauses, frames pile into the link's queue —
-        # and the publisher BLOCKS at the cap instead of buffering on.
-        accepted = None
-        with pytest.raises(NetworkError, match="full"):
-            for _ in range(1000):
-                client.post_async("caller", "sink", "object", payload)
-                if accepted is None:
-                    client.poll(0.01)
-                    sink.setblocking(False)
-                    try:
-                        accepted = sink.accept()[0]
-                    except BlockingIOError:
-                        accepted = None
+        accepted = _fill_until_blocked(client, sink, path)
         assert client.blocked_sends >= 1
         # Nothing was silently discarded: every frame sent is still
         # queued on the link or already handed to the kernel.
         assert client.frames_lost == 0
+    finally:
+        client.close()
+        if accepted is not None:
+            accepted.close()
+        sink.close()
+
+
+def test_close_releases_a_link_whose_peer_stopped_reading():
+    """A transport with unsent bytes never finishes a graceful close, so
+    close() aborts it: the link's socket is closed when close() returns."""
+    sink, path = _unread_sink()
+    client = SocketNetwork("client-node", max_queue_bytes=64 * 1024,
+                           backpressure_timeout=0.3)
+    accepted = None
+    try:
+        accepted = _fill_until_blocked(client, sink, path)
+        link, = client._links
+        link_socket = link.transport.get_extra_info("socket")
+        assert link.transport.get_write_buffer_size() > 0
+        client.close()
+        assert link_socket.fileno() == -1
     finally:
         client.close()
         if accepted is not None:

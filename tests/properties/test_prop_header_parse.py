@@ -1,4 +1,5 @@
-"""The canonical header scan is invisible: ElementTree equivalence.
+"""The canonical header scan and render are invisible: ElementTree
+equivalence.
 
 ``EnvelopeCodec.parse`` and ``parse_frame_header`` read the canonical
 ``XME2`` header without ElementTree — the type section through a
@@ -12,11 +13,17 @@ single-quoted attributes, namespace declarations, extra whitespace,
 entities, truncation, a corrupt type section after a memo hit), both
 entry points must agree field for field with a test-local ElementTree
 reference reader, or both must reject the frame.
+
+``EnvelopeCodec`` also renders headers as strings, not element trees:
+for every envelope the bytes must equal a test-local ElementTree
+reference render, and the ``keys`` attribute must percent-encode every
+key exactly as ``urllib.parse.quote(key, safe="")``.
 """
 
 import base64
 import re
 import xml.etree.ElementTree as ET
+from urllib.parse import quote
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +33,7 @@ from repro.serialization.envelope import (
     EnvelopeCodec,
     ObjectEnvelope,
     TypeEntry,
+    _encode_keys,
     _split_frame,
     parse_frame_header,
 )
@@ -335,3 +343,70 @@ def test_corrupt_type_section_after_memo_hit(envelope, data):
     corrupt = _frame(header[:start] + section + header[stop:], payload)
     assert_equivalent(corrupt)
 
+
+
+# -- the render -------------------------------------------------------------
+
+def reference_render(envelope):
+    """The header as ElementTree serializes the same elements."""
+    root = ET.Element("XmlMessage")
+    type_info = ET.SubElement(root, "TypeInformation")
+    for entry in envelope.type_entries:
+        attrs = {"name": entry.name, "guid": entry.guid_text,
+                 "assembly": entry.assembly}
+        if entry.download_path:
+            attrs["path"] = entry.download_path
+        ET.SubElement(type_info, "Type", attrs)
+    attrs = {"encoding": envelope.encoding}
+    if envelope.is_batch:
+        attrs["batch"] = str(envelope.batch_count)
+        attrs["roots"] = " ".join(str(index)
+                                  for index in envelope.batch_roots)
+    keys = None
+    if envelope.keys is not None:
+        keys = " ".join("-" if key is None else "_" + quote(key, safe="")
+                        for key in envelope.keys)
+    for name, value in (("origin", envelope.origin), ("ack", envelope.ack),
+                        ("publish_ack", envelope.publish_ack),
+                        ("keys", keys), ("home", envelope.home),
+                        ("trace", envelope.trace)):
+        if value is not None:
+            attrs[name] = value
+    ET.SubElement(root, "Payload", attrs)
+    return ET.tostring(root, encoding="utf-8")
+
+
+@settings(max_examples=400, deadline=None)
+@given(envelope=envelopes())
+def test_render_equals_the_element_tree_render(envelope):
+    assert EnvelopeCodec()._render_header(envelope) == \
+        reference_render(envelope)
+
+
+def test_render_of_unencodable_text_uses_character_references():
+    """A lone surrogate cannot be UTF-8 encoded: both renders write it as
+    a character reference."""
+    envelope = ObjectEnvelope(
+        [TypeEntry("a\ud800b", "g", "asm", "p\udfff")], "soap", b"",
+        origin="o\ud83d", trace="t")
+    rendered = EnvelopeCodec()._render_header(envelope)
+    assert rendered == reference_render(envelope)
+    assert b"&#55296;" in rendered
+
+
+any_key = st.none() | st.text() | st.text(
+    alphabet=st.characters(max_codepoint=127))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(any_key, max_size=6))
+def test_encode_keys_quotes_like_urllib(keys):
+    assert _encode_keys(keys) == " ".join(
+        "-" if key is None else "_" + quote(key, safe="") for key in keys)
+
+
+def test_encode_keys_covers_every_ascii_character():
+    keys = [chr(code) for code in range(128)] + [
+        "".join(chr(code) for code in range(128))]
+    assert _encode_keys(keys) == " ".join(
+        "_" + quote(key, safe="") for key in keys)

@@ -47,6 +47,9 @@ HOT_PATH = {
     "BinarySerializer._decode": [BinarySerializer._decode],
     "BinarySerializer._decode_object": [BinarySerializer._decode_object],
     "InteropPeer._admit": [InteropPeer._admit],
+    "InteropPeer._admit_batch_lazy": [InteropPeer._admit_batch_lazy],
+    "InteropPeer._admitted": [InteropPeer._admitted],
+    "InteropPeer._accepted": [InteropPeer._accepted],
     "InteropPeer._deliver": [InteropPeer._deliver],
     "Runtime.invoke": [Runtime.invoke],
     "CtsInstance.__getattr__": [CtsInstance.__getattr__],
