@@ -1215,11 +1215,12 @@ class DeliveryPipeline:
                 return 0  # admission guarantees resolvability; defensive
             return self._fan_out_value(ctx, batch, 0,
                                        self.routing.targets(event_type),
-                                       None, None, origin, log_offset,
-                                       local_acks)
+                                       None, origin, log_offset, local_acks)
         index_ = self.routing.index
-        #: Root key -> (routing stamp, the recorded route pass).
-        passes: Dict[Any, Tuple[Any, List[Tuple[RouteEntry, List[Any]]]]] = {}
+        #: Root key -> (routing stamp, the recorded route pass, and the
+        #: live member table of each of its groups).
+        passes: Dict[Any, Tuple[Any, List[Tuple[RouteEntry, List[Any]]],
+                                List[Dict[int, Any]]]] = {}
         #: Subscription id -> whether later values count (see ``remote``).
         sent: Dict[int, bool] = {}
         deliveries = 0
@@ -1230,56 +1231,60 @@ class DeliveryPipeline:
                 targets = recorded[1]
                 if len(targets) > 1:
                     # A handler could change the index between entries.
-                    targets = self._replayed(targets, stamp, batch, index)
+                    targets = self._replayed(targets, recorded[2], stamp)
                 deliveries += self._fan_out_value(
-                    ctx, batch, index, targets, sent, None, origin,
-                    log_offset, local_acks)
+                    ctx, batch, index, targets, sent, origin, log_offset,
+                    local_acks)
                 continue
             event_type = batch.root_type(index)
             if event_type is None:
                 continue
             record: List[Tuple[RouteEntry, List[Any]]] = []
+            members: List[Dict[int, Any]] = []
             deliveries += self._fan_out_value(
-                ctx, batch, index, self.routing.targets(event_type), sent,
-                record, origin, log_offset, local_acks)
+                ctx, batch, index, self._recorded(event_type, record, members),
+                sent, origin, log_offset, local_acks)
             if index_.stamp == stamp:
-                passes[key] = (stamp, record)
+                passes[key] = (stamp, record, members)
         return deliveries
 
+    def _recorded(self, event_type: Any,
+                  record: List[Tuple[RouteEntry, List[Any]]],
+                  members: List[Dict[int, Any]]):
+        """One route pass, appended to ``record`` as it goes, with each
+        group's live member table in ``members`` (the pass is reused only
+        if the index did not change under it, so those are the tables
+        the pass read)."""
+        index_ = self.routing.index
+        for target in self.routing.targets(event_type):
+            record.append(target)
+            members.append(index_.group_members(target[0].expected))
+            yield target
+
     def _replayed(self, record: List[Tuple[RouteEntry, List[Any]]],
-                  stamp: Any, batch: Any, index: int):
-        """Yield a recorded route pass again for value ``index``.  Should a
-        handler change the routing index part-way, the expected types not
-        yet reached come from a fresh pass, as a pass of this value's own
-        would read them at that point."""
+                  members: List[Dict[int, Any]], stamp: Any):
+        """Yield a recorded route pass again.  Should a handler change the
+        routing index part-way, each later group's subscriptions are read
+        when it is reached, as a pass of this value's own would read
+        them."""
         index_ = self.routing.index
         for position, target in enumerate(record):
             if index_.stamp != stamp:
-                pending = {entry.expected.guid
-                           for entry, _ in record[position:]}
-                for target in self.routing.targets(batch.root_type(index)):
-                    if target[0].expected.guid in pending:
-                        yield target
-                return
+                target = (target[0], list(members[position].values()))
             yield target
 
     def _fan_out_value(self, ctx: dict, batch: Any, index: int,
                        targets: Any, sent: Optional[Dict[int, bool]],
-                       record: Optional[list], origin: Optional[str],
-                       log_offset: Optional[int],
+                       origin: Optional[str], log_offset: Optional[int],
                        local_acks: Dict[str, bool]) -> int:
         """Deliver value ``index`` to ``targets`` (``(entry,
-        subscriptions)`` pairs, appended to ``record`` when given).  The
-        value is materialized only for in-process handlers (final local
-        delivery — the one paid decode); remote subscribers get the
-        record's frame, asked for once per record when ``sent`` keeps
-        their answers."""
+        subscriptions)`` pairs).  The value is materialized only for
+        in-process handlers (final local delivery — the one paid
+        decode); remote subscribers get the record's frame, asked for
+        once per record when ``sent`` keeps their answers."""
         deliveries = 0
         value: Any = None
-        for target in targets:
-            if record is not None:
-                record.append(target)
-            entry, subscriptions = target
+        for entry, subscriptions in targets:
             view: Any = _UNBUILT
             for subscription in subscriptions:
                 if origin is not None and subscription.peer_id == origin:

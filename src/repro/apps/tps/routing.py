@@ -149,6 +149,13 @@ class RoutingIndex:
         """All live subscriptions in subscribe order."""
         return list(self._by_id.values())
 
+    def group_members(self, expected: TypeInfo) -> Optional[Dict[int, Any]]:
+        """The live ``subscription_id -> subscription`` table of the group
+        expecting ``expected`` (``None`` when no subscription does): what
+        :meth:`route` snapshots when it reaches that group."""
+        group = self._groups.get(expected.guid)
+        return group.members if group is not None else None
+
     def get(self, subscription_id: int) -> Optional[Any]:
         """The live subscription with this id, if any."""
         return self._by_id.get(subscription_id)
