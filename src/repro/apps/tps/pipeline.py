@@ -1216,7 +1216,7 @@ class DeliveryPipeline:
             return self._fan_out_value(ctx, batch, 0,
                                        self.routing.targets(event_type),
                                        None, origin, log_offset, local_acks)
-        index_ = self.routing.index
+        routing_index = self.routing.index
         #: Root key -> (routing stamp, the recorded route pass, and the
         #: live member table of each of its groups).
         passes: Dict[Any, Tuple[Any, List[Tuple[RouteEntry, List[Any]]],
@@ -1225,7 +1225,7 @@ class DeliveryPipeline:
         sent: Dict[int, bool] = {}
         deliveries = 0
         for index, key in enumerate(batch.root_keys()):
-            stamp = index_.stamp
+            stamp = routing_index.stamp
             recorded = passes.get(key)
             if recorded is not None and recorded[0] == stamp:
                 targets = recorded[1]
@@ -1244,7 +1244,7 @@ class DeliveryPipeline:
             deliveries += self._fan_out_value(
                 ctx, batch, index, self._recorded(event_type, record, members),
                 sent, origin, log_offset, local_acks)
-            if index_.stamp == stamp:
+            if routing_index.stamp == stamp:
                 passes[key] = (stamp, record, members)
         return deliveries
 
@@ -1255,10 +1255,10 @@ class DeliveryPipeline:
         group's live member table in ``members`` (the pass is reused only
         if the index did not change under it, so those are the tables
         the pass read)."""
-        index_ = self.routing.index
+        routing_index = self.routing.index
         for target in self.routing.targets(event_type):
             record.append(target)
-            members.append(index_.group_members(target[0].expected))
+            members.append(routing_index.group_members(target[0].expected))
             yield target
 
     def _replayed(self, record: List[Tuple[RouteEntry, List[Any]]],
@@ -1267,9 +1267,9 @@ class DeliveryPipeline:
         routing index part-way, each later group's subscriptions are read
         when it is reached, as a pass of this value's own would read
         them."""
-        index_ = self.routing.index
+        routing_index = self.routing.index
         for position, target in enumerate(record):
-            if index_.stamp != stamp:
+            if routing_index.stamp != stamp:
                 target = (target[0], list(members[position].values()))
             yield target
 
