@@ -7,6 +7,7 @@ and compare the two payload encodings in size and speed.
 
 import pytest
 
+from repro.runtime.loader import Runtime
 from repro.serialization.envelope import EnvelopeCodec
 
 
@@ -44,7 +45,8 @@ class TestHeaderOnlyParse:
     """The zero-copy hot path consumes only the self-delimiting header
     prefix of an ``XME2`` frame — routing, forwarding and replication
     never touch the payload.  These measure that asymmetry on a 50-value
-    batch record (the shape the mesh actually moves)."""
+    batch record (the shape the mesh actually moves): the two timings are
+    a report, the decode and parse counts are the gate."""
 
     BATCH = 50
 
@@ -69,28 +71,29 @@ class TestHeaderOnlyParse:
         assert len(values) == self.BATCH
         benchmark.extra_info["codec"] = codec.stats.as_dict()
 
-    def test_header_parse_at_least_5x_cheaper_than_decode(self, runtime):
-        """The gate: a header-only parse of a batch record must cost at
-        most a fifth of parse + full value decode."""
-        import time
-
+    def test_header_only_parse_decodes_no_value(self, runtime):
+        """The gate, as exact counts rather than a timing race: header-only
+        parses of a batch record decode no value and leave the payload an
+        uncopied view of the frame, while the full path decodes every
+        value of every parse.  A peer that knows none of the payload's
+        types parses the header just the same: any value decode would
+        raise there."""
         codec, data = self._batch_frame(runtime)
-        codec.unwrap_batch(codec.parse(data))  # warm both paths
         n = 300
-        start = time.perf_counter()
+        decodes = codec.stats.decodes
+        parses = codec.stats.header_parses
+        stranger = EnvelopeCodec(Runtime(), encoding="binary")
         for _ in range(n):
-            codec.parse(data)
-        header_only = time.perf_counter() - start
-        start = time.perf_counter()
+            envelope = codec.parse(data)
+            assert stranger.parse(data).batch_count == self.BATCH
+        assert codec.stats.header_parses == parses + n
+        assert codec.stats.decodes == decodes
+        assert isinstance(envelope.payload, memoryview)
+        assert envelope.payload.obj is data
         for _ in range(n):
-            codec.unwrap_batch(codec.parse(data))
-        full = time.perf_counter() - start
-        assert header_only * 5 <= full, (
-            "header-only parse %.4fs vs full decode %.4fs (< 5x)"
-            % (header_only, full))
-        # The counters tell the two paths apart.
-        assert codec.stats.header_parses >= 2 * n
-        assert codec.stats.decodes >= self.BATCH * n
+            assert len(codec.unwrap_batch(codec.parse(data))) == self.BATCH
+        assert codec.stats.header_parses == parses + 2 * n
+        assert codec.stats.decodes == decodes + self.BATCH * n
 
 
 class TestHeaderSplice:

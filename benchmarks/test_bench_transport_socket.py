@@ -245,8 +245,7 @@ def test_forwarding_fanout_send_path_at_least_1_15x(benchmark):
         benchmark.extra_info["fast_seconds"] = min(timings)
         benchmark.extra_info["transport"] = origin.transport_snapshot()
     finally:
-        for node in hub.nodes:
-            node.close()
+        hub.close()
         for server in servers:
             server.close()
 
@@ -277,8 +276,7 @@ def test_encode_frame_scatter_at_least_2x_cheaper(benchmark):
         benchmark.extra_info["experiment"] = "transport-send-path"
         benchmark.extra_info["payload_bytes"] = len(payload)
     finally:
-        for node in hub.nodes:
-            node.close()
+        hub.close()
 
 
 def test_receive_pool_recycles_across_link_churn():

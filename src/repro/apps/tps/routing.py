@@ -34,7 +34,7 @@ from ...core.rules import ConformanceChecker
 from ...cts.identity import Guid
 from ...cts.registry import TypeRegistry
 from ...cts.types import TypeInfo
-from ...remoting.dynamic import DynamicProxy
+from ...remoting.dynamic import make_proxy
 
 _PairKey = Tuple[Guid, Guid]
 _MISS = object()  # sentinel: distinguishes "not cached" from "cached negative"
@@ -58,7 +58,7 @@ class RouteEntry:
     def view(self, event: Any, checker: Optional[ConformanceChecker] = None) -> Any:
         if not self.result.needs_proxy:
             return event
-        return DynamicProxy(event, self.expected, self.result.mapping, checker)
+        return make_proxy(event, self.expected, self.result.mapping, checker)
 
     def __repr__(self) -> str:
         return "RouteEntry(%s, %s)" % (self.expected.full_name, self.result.verdict)

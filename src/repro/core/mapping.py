@@ -96,6 +96,9 @@ class TypeMapping:
         #: How a dynamic proxy forwards each ``(name, arity)`` call,
         #: memoized by ``repro.remoting.dynamic``.
         self.call_plans: Dict[Tuple[str, int], Any] = {}
+        #: The generated proxy class for this mapping, built on first use
+        #: by ``repro.remoting.dynamic``.
+        self.proxy_class: Optional[type] = None
 
     # -- population --------------------------------------------------------
 

@@ -72,6 +72,10 @@ class DynamicProxy:
     :class:`~repro.cts.python_bridge.BridgedInstance`, a remote stub, or
     another proxy).  ``checker`` is used lazily for deep wrapping of return
     values; pass the peer's shared checker so its cache is reused.
+
+    :func:`make_proxy` builds one through its mapping's generated
+    subclass (:func:`proxy_class`), whose expected methods are real
+    methods; this class alone serves every call through ``__getattr__``.
     """
 
     __slots__ = ("_target", "_expected", "_mapping", "_checker")
@@ -83,10 +87,10 @@ class DynamicProxy:
         mapping: TypeMapping,
         checker: Optional[ConformanceChecker] = None,
     ):
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_expected", expected_type)
-        object.__setattr__(self, "_mapping", mapping)
-        object.__setattr__(self, "_checker", checker)
+        _set_target(self, target)
+        _set_expected(self, expected_type)
+        _set_mapping(self, mapping)
+        _set_checker(self, checker)
 
     # -- protocol --------------------------------------------------------
 
@@ -142,7 +146,8 @@ class DynamicProxy:
             return value
         result = self._checker.conforms(actual_type, expected_type)
         if result.ok and result.needs_proxy:
-            return DynamicProxy(value, expected_type, result.mapping, self._checker)
+            return make_proxy(value, expected_type, result.mapping,
+                              self._checker)
         return value
 
     # -- pythonic sugar -----------------------------------------------------
@@ -177,6 +182,75 @@ class DynamicProxy:
 
     def __repr__(self) -> str:
         return "DynamicProxy(%s as %s)" % (self._provider_name(), self._expected.full_name)
+
+
+#: The slot setters ``__init__`` stores through: ``__setattr__`` is the
+#: proxy's field surface, and the slot descriptors skip its lookup.
+_set_target, _set_expected, _set_mapping, _set_checker = (
+    DynamicProxy.__dict__[name].__set__ for name in DynamicProxy.__slots__)
+
+
+def _proxy_method(name: str, arity: int, plan: _CallPlan) -> Callable[..., Any]:
+    """The generated method forwarding expected method ``name`` through
+    ``plan``, the mapping's memoized plan for ``(name, arity)``; a call
+    with another argument count takes the ``_repro_invoke`` path, exactly
+    as ``__getattr__`` would have sent it."""
+    provider_name, reorder, return_ref = plan
+
+    def method(self: DynamicProxy, *args: Any) -> Any:
+        if len(args) != arity:
+            return self._repro_invoke(name, args)
+        call_args = [_unwrap(a) for a in args]
+        if reorder is not None:
+            call_args = reorder(call_args)
+        result = self._target._repro_invoke(provider_name, call_args)
+        if return_ref is None:
+            return result
+        return self._wrap_return(result, return_ref)
+
+    method.__name__ = name
+    return method
+
+
+def proxy_class(mapping: TypeMapping) -> type:
+    """The :class:`DynamicProxy` subclass for ``mapping``, built on first
+    use and kept on the mapping (a mapping does not change once the
+    checker returns it).
+
+    Each expected method whose name has one arity, is not a mapped field,
+    does not start with ``_`` and is not already a :class:`DynamicProxy`
+    attribute becomes a real method sharing the call plan
+    ``_repro_invoke`` uses; everything else (fields, other spellings,
+    several arities) still goes through ``__getattr__``.  No source is
+    generated: names reach the class only as dict keys, bodies only as
+    closures.
+    """
+    cls = mapping.proxy_class
+    if cls is not None:
+        return cls
+    by_name: dict = {}
+    for match in mapping.methods:
+        by_name.setdefault(match.expected.name.lower(), []).append(match)
+    namespace: dict = {"__slots__": ()}
+    for matches in by_name.values():
+        if len(matches) != 1:
+            continue
+        name, arity = matches[0].expected.name, matches[0].expected.arity
+        if (name.startswith("_") or hasattr(DynamicProxy, name)
+                or mapping.field(name) is not None):
+            continue
+        namespace[name] = _proxy_method(name, arity,
+                                        _call_plan(mapping, name, arity))
+    cls = mapping.proxy_class = type("DynamicProxy", (DynamicProxy,), namespace)
+    return cls
+
+
+def make_proxy(target: Any, expected_type: TypeInfo, mapping: TypeMapping,
+               checker: Optional[ConformanceChecker] = None) -> DynamicProxy:
+    """A proxy presenting ``target`` as ``expected_type``, built through
+    the mapping's generated class."""
+    cls = mapping.proxy_class or proxy_class(mapping)
+    return cls(target, expected_type, mapping, checker)
 
 
 def _type_of(value: Any) -> Optional[TypeInfo]:
@@ -231,4 +305,4 @@ def wrap_with_result(
     if not result.needs_proxy:
         return value
     assert result.mapping is not None
-    return DynamicProxy(value, expected_type, result.mapping, checker)
+    return make_proxy(value, expected_type, result.mapping, checker)

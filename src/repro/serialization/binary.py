@@ -98,54 +98,8 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) if (value & 1) == 0 else -((value + 1) >> 1)
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def read(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise WireFormatError("truncated binary payload")
-        chunk = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
-
-    def read_byte(self) -> int:
-        pos = self.pos
-        try:
-            byte = self.data[pos]
-        except IndexError:
-            raise WireFormatError("truncated binary payload")
-        self.pos = pos + 1
-        return byte
-
-    def read_varint(self) -> int:
-        byte = self.read_byte()
-        if not byte & 0x80:
-            return byte  # the common case: one byte
-        value = byte & 0x7F
-        shift = 7
-        while True:
-            byte = self.read_byte()
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 2048:  # generous: arbitrary-precision ints allowed
-                raise WireFormatError("varint too long")
-
-    def read_str(self) -> str:
-        length = self.read_varint()
-        try:
-            return self.read(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError("invalid UTF-8 in string: %s" % exc)
-
-
 class _InternTables:
-    """Per-payload v2 interning state (encode side uses dicts, decode lists)."""
+    """Per-payload v2 interning state of the encoder."""
 
     __slots__ = ("strings", "types")
 
@@ -160,14 +114,6 @@ _TypePlan = Tuple[TypeInfo, Dict[str, Any]]
 #: Bound on a serializer's type-literal memo (types are few; a peer fed
 #: ever-new GUIDs must not grow it without limit).
 _MAX_TYPE_PLANS = 1024
-
-
-class _DecodeTables:
-    __slots__ = ("strings", "types")
-
-    def __init__(self):
-        self.strings: List[str] = []
-        self.types: List[_TypePlan] = []
 
 
 class BinarySerializer:
@@ -341,17 +287,14 @@ class BinarySerializer:
                 "payload is a batch frame (RBS2B): use deserialize_batch"
             )
         if data.startswith(_MAGIC_V2):
-            tables: Optional[_DecodeTables] = _DecodeTables()
+            frame = _Frame(self, [])
         elif data.startswith(_MAGIC_V1):
-            tables = None
+            frame = _Frame(self, None)
         else:
             raise WireFormatError("bad magic: not a binary payload")
         self.last_schema_drift = []
-        reader = _Reader(data)
-        reader.pos = len(_MAGIC_V1)
-        objects: List[CtsInstance] = []
-        value = self._decode(reader, objects, tables)
-        if reader.pos != len(data):
+        value, pos = _decode(frame, data, len(_MAGIC_V1))
+        if pos != len(data):
             raise WireFormatError("trailing bytes after payload")
         return value
 
@@ -365,115 +308,15 @@ class BinarySerializer:
         if not data.startswith(_MAGIC_BATCH):
             return [self.deserialize(data)]
         self.last_schema_drift = []
-        reader = _Reader(data)
-        reader.pos = len(_MAGIC_BATCH)
-        count = reader.read_varint()
-        tables = _DecodeTables()
-        objects: List[CtsInstance] = []
-        values = [self._decode(reader, objects, tables) for _ in range(count)]
-        if reader.pos != len(data):
+        frame = _Frame(self, [])
+        count, pos = _decode_count(data)
+        values = []
+        for _ in range(count):
+            value, pos = _decode(frame, data, pos)
+            values.append(value)
+        if pos != len(data):
             raise WireFormatError("trailing bytes after batch payload")
         return values
-
-    def _decode(self, reader: _Reader, objects: List[CtsInstance],
-                tables: Optional[_DecodeTables]) -> Any:
-        tag = reader.read_byte()
-        # Objects and strings first: they are most of every payload.
-        if tag == _T_OBJ:
-            return self._decode_object(reader, objects, tables)
-        if tag == _T_STR:
-            return self._read_str(reader, tables)
-        if tag == _T_NULL:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            return _unzigzag(reader.read_varint())
-        if tag == _T_FLOAT:
-            return struct.unpack(">d", reader.read(8))[0]
-        if tag == _T_BYTES:
-            return reader.read(reader.read_varint())
-        if tag == _T_LIST:
-            count = reader.read_varint()
-            return [self._decode(reader, objects, tables) for _ in range(count)]
-        if tag == _T_DICT:
-            count = reader.read_varint()
-            out: Dict[str, Any] = {}
-            for _ in range(count):
-                key = self._read_str(reader, tables)
-                out[key] = self._decode(reader, objects, tables)
-            return out
-        if tag == _T_REF:
-            index = reader.read_varint()
-            if index >= len(objects):
-                raise WireFormatError("dangling back-reference %d" % index)
-            return objects[index]
-        raise WireFormatError("unknown tag 0x%02x" % tag)
-
-    @staticmethod
-    def _read_str(reader: _Reader, tables: Optional[_DecodeTables]) -> str:
-        if tables is None:
-            return reader.read_str()
-        code = reader.read_varint()
-        if code & 1:
-            index = code >> 1
-            if index >= len(tables.strings):
-                raise WireFormatError("dangling string reference %d" % index)
-            return tables.strings[index]
-        # reader.read, inlined: field names and string values are most of
-        # what a payload holds.
-        data, start = reader.data, reader.pos
-        end = start + (code >> 1)
-        if end > len(data):
-            raise WireFormatError("truncated binary payload")
-        try:
-            text = data[start:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError("invalid UTF-8 in string: %s" % exc)
-        reader.pos = end
-        tables.strings.append(text)
-        return text
-
-    def _decode_object(self, reader: _Reader, objects: List[CtsInstance],
-                       tables: Optional[_DecodeTables]) -> CtsInstance:
-        if self.runtime is None:
-            raise WireFormatError(
-                "payload contains objects but no runtime was provided"
-            )
-        if tables is None:
-            info, template = self._type_plan(reader.read(16), reader.read_str())
-        else:
-            code = reader.read_varint()
-            if code & 1:
-                index = code >> 1
-                if index >= len(tables.types):
-                    raise WireFormatError("dangling type reference %d" % index)
-                info, template = tables.types[index]
-            elif code == 0:
-                raw = reader.read(16)
-                plan = self._type_plan(raw, self._read_str(reader, tables))
-                tables.types.append(plan)
-                info, template = plan
-            else:
-                raise WireFormatError("malformed type literal marker %d" % code)
-        # Allocate first so cyclic back-references resolve.
-        instance = CtsInstance(info, self.runtime, template.copy())
-        objects.append(instance)
-        fields = instance.fields
-        count = reader.read_varint()
-        read_str, decode = self._read_str, self._decode
-        for _ in range(count):
-            name = read_str(reader, tables)
-            value = decode(reader, objects, tables)
-            if name not in fields:
-                # Field present on the wire but absent locally: keep it
-                # (conformance mapping may still address it) and record the
-                # drift so callers can observe it.
-                self.last_schema_drift.append((info.full_name, name))
-            fields[name] = value
-        return instance
 
     def _type_plan(self, raw: bytes, type_name: str) -> _TypePlan:
         """The local type a literal names, with its field-defaults
@@ -508,6 +351,237 @@ class BinarySerializer:
         return info
 
 
+def is_single_frame(data: bytes) -> bool:
+    """True for a single-value frame (``RBS2`` or ``RBS1``), which
+    :meth:`BinarySerializer.deserialize` reads; an ``RBS2B`` batch frame
+    is read by :class:`BatchDecoder`."""
+    if data.startswith(_MAGIC_V2):
+        return not data.startswith(_MAGIC_BATCH)
+    return data.startswith(_MAGIC_V1)
+
+
+class _Frame:
+    """One frame's decode state: the serializer resolving its types and
+    recording drift, the v2 string intern table (``None`` for v1), the
+    type table and the object back-reference space."""
+
+    __slots__ = ("serializer", "runtime", "strings", "types", "objects")
+
+    def __init__(self, serializer: BinarySerializer,
+                 strings: Optional[List[str]]):
+        self.serializer = serializer
+        self.runtime = serializer.runtime
+        self.strings = strings
+        self.types: List[_TypePlan] = []
+        self.objects: List[CtsInstance] = []
+
+
+# The decoder passes the payload and an integer position between plain
+# functions, each returning ``(value, next position)``; a one-byte varint
+# and an interned string are read inline where a payload holds most of
+# them.  Any read past the end of the payload indexes out of range, and
+# :func:`_decode` reports that IndexError as truncation.
+
+_TRUNCATED = "truncated binary payload"
+_DOUBLE = struct.Struct(">d")
+
+
+def _decode(frame: _Frame, data: bytes, pos: int) -> Tuple[Any, int]:
+    """The value at ``pos`` of ``data`` and the position after it."""
+    try:
+        return _value(frame, data, pos)
+    except IndexError:
+        raise WireFormatError(_TRUNCATED) from None
+
+
+def _decode_count(data: bytes) -> Tuple[int, int]:
+    """The value count of an ``RBS2B`` frame and the position after it."""
+    try:
+        return _varint(data, len(_MAGIC_BATCH))
+    except IndexError:
+        raise WireFormatError(_TRUNCATED) from None
+
+
+def _varint(data: bytes, pos: int) -> Tuple[int, int]:
+    byte = data[pos]
+    pos += 1
+    if not byte & 0x80:
+        return byte, pos
+    value = byte & 0x7F
+    shift = 7
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+        if shift > 2048:  # generous: arbitrary-precision ints allowed
+            raise WireFormatError("varint too long")
+
+
+def _utf8(data: bytes, start: int, end: int) -> str:
+    if end > len(data):
+        raise WireFormatError(_TRUNCATED)
+    try:
+        return data[start:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError("invalid UTF-8 in string: %s" % exc)
+
+
+def _string(strings: Optional[List[str]], data: bytes,
+            pos: int) -> Tuple[str, int]:
+    code, pos = _varint(data, pos)
+    if strings is None:  # v1: a byte length and the text
+        end = pos + code
+        return _utf8(data, pos, end), end
+    if code & 1:
+        index = code >> 1
+        if index >= len(strings):
+            raise WireFormatError("dangling string reference %d" % index)
+        return strings[index], pos
+    end = pos + (code >> 1)
+    text = _utf8(data, pos, end)
+    strings.append(text)
+    return text, end
+
+
+def _value(frame: _Frame, data: bytes, pos: int) -> Tuple[Any, int]:
+    tag = data[pos]
+    pos += 1
+    # Objects and strings first: they are most of every payload.
+    if tag == _T_OBJ:
+        return _object(frame, data, pos)
+    if tag == _T_STR:
+        return _string(frame.strings, data, pos)
+    if tag == _T_NULL:
+        return None, pos
+    if tag == _T_TRUE:
+        return True, pos
+    if tag == _T_FALSE:
+        return False, pos
+    if tag == _T_INT:
+        code, pos = _varint(data, pos)
+        return _unzigzag(code), pos
+    if tag == _T_FLOAT:
+        end = pos + 8
+        if end > len(data):
+            raise WireFormatError(_TRUNCATED)
+        return _DOUBLE.unpack_from(data, pos)[0], end
+    if tag == _T_BYTES:
+        length, pos = _varint(data, pos)
+        end = pos + length
+        if end > len(data):
+            raise WireFormatError(_TRUNCATED)
+        return data[pos:end], end
+    if tag == _T_LIST:
+        count, pos = _varint(data, pos)
+        items = []
+        for _ in range(count):
+            item, pos = _value(frame, data, pos)
+            items.append(item)
+        return items, pos
+    if tag == _T_DICT:
+        count, pos = _varint(data, pos)
+        strings = frame.strings
+        out: Dict[str, Any] = {}
+        for _ in range(count):
+            key, pos = _string(strings, data, pos)
+            item, pos = _value(frame, data, pos)
+            out[key] = item
+        return out, pos
+    if tag == _T_REF:
+        index, pos = _varint(data, pos)
+        if index >= len(frame.objects):
+            raise WireFormatError("dangling back-reference %d" % index)
+        return frame.objects[index], pos
+    raise WireFormatError("unknown tag 0x%02x" % tag)
+
+
+def _object(frame: _Frame, data: bytes, pos: int) -> Tuple[CtsInstance, int]:
+    runtime = frame.runtime
+    if runtime is None:
+        raise WireFormatError(
+            "payload contains objects but no runtime was provided"
+        )
+    strings = frame.strings
+    if strings is None:
+        start, pos = pos, pos + 16
+        if pos > len(data):
+            raise WireFormatError(_TRUNCATED)
+        type_name, pos = _string(None, data, pos)
+        info, template = frame.serializer._type_plan(data[start:start + 16],
+                                                     type_name)
+    else:
+        code = data[pos]
+        if code < 0x80:
+            pos += 1
+        else:
+            code, pos = _varint(data, pos)
+        if code & 1:
+            index = code >> 1
+            if index >= len(frame.types):
+                raise WireFormatError("dangling type reference %d" % index)
+            info, template = frame.types[index]
+        elif code == 0:
+            start, pos = pos, pos + 16
+            if pos > len(data):
+                raise WireFormatError(_TRUNCATED)
+            type_name, pos = _string(strings, data, pos)
+            plan = frame.serializer._type_plan(data[start:start + 16],
+                                               type_name)
+            frame.types.append(plan)
+            info, template = plan
+        else:
+            raise WireFormatError("malformed type literal marker %d" % code)
+    # Allocate first so cyclic back-references resolve.
+    instance = CtsInstance(info, runtime, template.copy())
+    frame.objects.append(instance)
+    fields = instance.fields
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = _varint(data, pos)
+    for _ in range(count):
+        code = data[pos]
+        if strings is None or code >= 0x80:
+            name, pos = _string(strings, data, pos)
+        elif code & 1:
+            index = code >> 1
+            if index >= len(strings):
+                raise WireFormatError("dangling string reference %d" % index)
+            name = strings[index]
+            pos += 1
+        else:
+            start = pos + 1
+            pos = start + (code >> 1)
+            name = _utf8(data, start, pos)
+            strings.append(name)
+        if data[pos] == _T_STR and strings is not None and data[pos + 1] < 0x80:
+            code = data[pos + 1]
+            if code & 1:
+                index = code >> 1
+                if index >= len(strings):
+                    raise WireFormatError("dangling string reference %d" % index)
+                value = strings[index]
+                pos += 2
+            else:
+                start = pos + 2
+                pos = start + (code >> 1)
+                value = _utf8(data, start, pos)
+                strings.append(value)
+        else:
+            value, pos = _value(frame, data, pos)
+        if name not in fields:
+            # Field present on the wire but absent locally: keep it
+            # (conformance mapping may still address it) and record the
+            # drift so callers can observe it.
+            frame.serializer.last_schema_drift.append((info.full_name, name))
+        fields[name] = value
+    return instance, pos
+
+
 class BatchDecoder:
     """Incremental, per-value reader over one ``RBS2B`` frame.
 
@@ -516,44 +590,30 @@ class BatchDecoder:
     access is cheap: decoding value ``i`` requires decoding values
     ``0..i`` exactly once, and every decoded value is cached.  A consumer
     that dispatches only value 0 of a 64-value batch pays one decode, not
-    sixty-four; a consumer that touches nothing pays zero.
+    sixty-four; a consumer that touches nothing pays zero.  (A
+    single-value frame needs none of this: see :func:`is_single_frame`.)
 
-    A plain single-value frame (``RBS2``/``RBS1``) is accepted as a
-    one-value batch, so lazy admission handles every payload uniformly.
-
-    Each value decode snapshots the reader position and table lengths
-    first: an :class:`UnknownTypeError` raised mid-value (the optimistic
-    protocol's fetch-code cue) rolls the decoder back, so the same value
-    can be retried cleanly after the type arrives.
+    The serializer's :attr:`~BinarySerializer.last_schema_drift` starts
+    afresh with each frame.  Each value decode snapshots the position and
+    table lengths first: an :class:`UnknownTypeError` raised mid-value
+    (the optimistic protocol's fetch-code cue) rolls the decoder back, so
+    the same value can be retried cleanly after the type arrives.
     """
 
-    __slots__ = ("count", "_serializer", "_reader", "_tables", "_objects",
-                 "_values", "_single")
+    __slots__ = ("count", "_frame", "_data", "_pos", "_values")
 
     def __init__(self, serializer: BinarySerializer, data: Any):
         if not isinstance(data, bytes):
             # memoryview payloads (zero-copy frame slices) are snapshotted
             # once here: value decode is the paid path by definition.
             data = bytes(data)
-        self._serializer = serializer
-        self._values: List[Any] = []
-        self._reader = _Reader(data)
-        self._objects: List[CtsInstance] = []
-        if data.startswith(_MAGIC_BATCH):
-            self._single = False
-            self._reader.pos = len(_MAGIC_BATCH)
-            self.count = self._reader.read_varint()
-            self._tables: Optional[_DecodeTables] = _DecodeTables()
-        elif data.startswith(_MAGIC_V2):
-            self._single = True
-            self.count = 1
-            self._tables = _DecodeTables()
-        elif data.startswith(_MAGIC_V1):
-            self._single = True
-            self.count = 1
-            self._tables = None
-        else:
+        if not data.startswith(_MAGIC_BATCH):
             raise WireFormatError("bad magic: not a binary payload")
+        serializer.last_schema_drift = []
+        self._frame = _Frame(serializer, [])
+        self._data = data
+        self._values: List[Any] = []
+        self.count, self._pos = _decode_count(data)
 
     def __len__(self) -> int:
         return self.count
@@ -575,42 +635,20 @@ class BatchDecoder:
         return [self.value(index) for index in range(self.count)]
 
     def _decode_next(self) -> None:
-        if self._single:
-            self._decode_single()
-            return
-        reader = self._reader
-        tables = self._tables
+        frame = self._frame
         # Snapshot so an UnknownTypeError mid-value leaves the decoder
         # exactly where this value started.
-        pos = reader.pos
-        n_strings = len(tables.strings)
-        n_types = len(tables.types)
-        n_objects = len(self._objects)
+        n_strings = len(frame.strings)
+        n_types = len(frame.types)
+        n_objects = len(frame.objects)
         try:
-            value = self._serializer._decode(reader, self._objects, tables)
+            value, self._pos = _decode(frame, self._data, self._pos)
         except UnknownTypeError:
-            reader.pos = pos
-            del tables.strings[n_strings:]
-            del tables.types[n_types:]
-            del self._objects[n_objects:]
+            del frame.strings[n_strings:]
+            del frame.types[n_types:]
+            del frame.objects[n_objects:]
             raise
         if (len(self._values) + 1 == self.count
-                and reader.pos != len(reader.data)):
+                and self._pos != len(self._data)):
             raise WireFormatError("trailing bytes after batch payload")
-        self._values.append(value)
-
-    def _decode_single(self) -> None:
-        """A plain ``RBS2``/``RBS1`` frame, decoded in place as
-        :meth:`BinarySerializer.deserialize` would; a retry after a failed
-        attempt starts from scratch."""
-        serializer = self._serializer
-        reader = self._reader
-        reader.pos = len(_MAGIC_V1)
-        tables = self._tables
-        if tables is not None and (tables.strings or tables.types):
-            tables = self._tables = _DecodeTables()  # an attempt failed
-        serializer.last_schema_drift = []
-        value = serializer._decode(reader, [], tables)
-        if reader.pos != len(reader.data):
-            raise WireFormatError("trailing bytes after payload")
         self._values.append(value)

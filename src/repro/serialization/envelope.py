@@ -43,7 +43,8 @@ from urllib.parse import quote, unquote
 
 from ..cts.identity import Guid
 from ..cts.types import TypeInfo
-from .binary import BatchDecoder, BinarySerializer, _write_varint
+from .binary import (BatchDecoder, BinarySerializer, _write_varint,
+                     is_single_frame)
 from .errors import WireFormatError
 from .graph import collect_types
 from .soap import SoapSerializer
@@ -779,7 +780,7 @@ class LazyBatch:
     _UNRESOLVED = object()
 
     __slots__ = ("envelope", "_codec", "_registry", "_types", "_decoder",
-                 "_counted")
+                 "_single", "_counted")
 
     def __init__(self, codec: "EnvelopeCodec", envelope: ObjectEnvelope,
                  registry=None):
@@ -788,6 +789,7 @@ class LazyBatch:
         self._registry = registry
         self._types: List[Any] = [self._UNRESOLVED] * envelope.batch_count
         self._decoder: Optional[BatchDecoder] = None
+        self._single: Any = None
         self._counted = 0
 
     def __len__(self) -> int:
@@ -852,7 +854,10 @@ class LazyBatch:
         """Decode (and cache) value ``index`` — the one paid decode."""
         decoder = self._decoder
         if decoder is None:
-            decoder = BatchDecoder(self._codec._binary, self.envelope.payload)
+            payload = self.envelope.payload_bytes()
+            if is_single_frame(payload):
+                return self._single_value(payload, index)
+            decoder = BatchDecoder(self._codec._binary, payload)
             if len(decoder) != len(self):
                 raise WireFormatError(
                     "batch payload holds %d values, envelope declares %d"
@@ -865,12 +870,28 @@ class LazyBatch:
             self._counted = decoded
         return value
 
+    def _single_value(self, payload: bytes, index: int) -> Any:
+        """A single-value frame decodes in one call, kept for the next
+        access: no batch decoder."""
+        if len(self) != 1:
+            raise WireFormatError(
+                "batch payload holds 1 values, envelope declares %d"
+                % len(self))
+        if index != 0:
+            raise IndexError("batch value %d out of range (1 values)" % index)
+        if not self._counted:
+            self._single = self._codec._binary.deserialize(payload)
+            self._codec.stats.decodes += 1
+            self._counted = 1
+        return self._single
+
     def values(self) -> List[Any]:
         return [self.value(index) for index in range(len(self))]
 
     def __repr__(self) -> str:
         return "LazyBatch(%d values, %d decoded)" % (
-            len(self), self._decoder.decoded_count if self._decoder else 0)
+            len(self),
+            self._decoder.decoded_count if self._decoder else self._counted)
 
 
 _UNSET = object()

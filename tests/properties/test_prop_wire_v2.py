@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.fixtures import person_assembly_pair
 from repro.runtime.loader import Runtime
 from repro.serialization.binary import BinarySerializer
+from repro.serialization.envelope import EnvelopeCodec
 from repro.serialization.errors import WireFormatError
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -258,3 +259,22 @@ class TestSchemaDrift:
         assert codec.last_schema_drift
         codec.deserialize(codec.serialize(person))
         assert codec.last_schema_drift == []
+
+    def test_drift_resets_per_lazy_batch_frame(self, runtime):
+        """Every subscriber admits batch frames through the lazy decoder:
+        each frame starts a fresh drift list, so four 3-value frames
+        record 3 entries each rather than 3, 6, 9 and 12."""
+        codec = EnvelopeCodec(runtime)
+        for frame in range(4):
+            values = []
+            for index in range(3):
+                person = runtime.new_instance("demo.a.Person",
+                                              ["p%d.%d" % (frame, index)])
+                person.fields["extra"] = index
+                values.append(person)
+            batch = codec.lazy_batch(
+                codec.parse(codec.encode_batch(values, origin="drift")))
+            assert [value.fields["extra"] for value in batch.values()] \
+                == [0, 1, 2]
+            assert codec._binary.last_schema_drift == \
+                [("demo.a.Person", "extra")] * 3

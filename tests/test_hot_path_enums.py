@@ -19,10 +19,11 @@ import pytest
 from repro.core.result import ConformanceResult
 from repro.il import interp
 from repro.il.instructions import Op
+from repro.remoting import dynamic
 from repro.remoting.dynamic import DynamicProxy
 from repro.runtime.loader import Runtime
 from repro.runtime.objects import CtsInstance
-from repro.serialization.binary import BinarySerializer
+from repro.serialization import binary
 from repro.transport.protocol import InteropPeer
 
 _LOADS = {"LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF", "LOAD_CLASSDEREF"}
@@ -44,8 +45,10 @@ HOT_PATH = {
     "the IL executor (all of repro.il.interp)": list(_functions_of_module(interp)),
     "ConformanceResult.ok": [vars(ConformanceResult)["ok"]],
     "ConformanceResult.needs_proxy": [vars(ConformanceResult)["needs_proxy"]],
-    "BinarySerializer._decode": [BinarySerializer._decode],
-    "BinarySerializer._decode_object": [BinarySerializer._decode_object],
+    "binary._value": [binary._value],
+    "binary._object": [binary._object],
+    "binary._string": [binary._string],
+    "binary._varint": [binary._varint],
     "InteropPeer._admit": [InteropPeer._admit],
     "InteropPeer._admit_batch_lazy": [InteropPeer._admit_batch_lazy],
     "InteropPeer._admitted": [InteropPeer._admitted],
@@ -54,6 +57,8 @@ HOT_PATH = {
     "Runtime.invoke": [Runtime.invoke],
     "CtsInstance.__getattr__": [CtsInstance.__getattr__],
     "DynamicProxy._repro_invoke": [DynamicProxy._repro_invoke],
+    "dynamic._proxy_method (each generated proxy method)":
+        [dynamic._proxy_method],
 }
 
 
