@@ -567,7 +567,7 @@ class MeshShard(TpsBroker):
             # stamp, which forces the rebuild on the next read.
             decoded = decode_home(envelope.home)
             if decoded is not None:
-                for offset in decoded[1]:
+                for offset in set(decoded[1]):
                     if offset is None:
                         continue
                     key = (decoded[0], offset)

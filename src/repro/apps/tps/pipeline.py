@@ -44,6 +44,7 @@ improvement lands once and applies to all three.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...net.network import NetworkError, UnknownPeerError
@@ -203,10 +204,8 @@ def distinct_roots(batch: Any) -> Sequence[int]:
     ``batch``, in record order."""
     if len(batch) == 1:
         return _FIRST_VALUE
-    first: Dict[Any, int] = {}
-    for index, key in enumerate(batch.root_keys()):
-        first.setdefault(key, index)
-    return list(first.values())
+    roots = batch.root_keys()
+    return [roots.index(key) for key in dict.fromkeys(roots)]
 
 
 # ---------------------------------------------------------------------------
@@ -1208,7 +1207,12 @@ class DeliveryPipeline:
         type share one route pass, and a remote subscription is asked to
         send the record once.  Counts stay per value.  When a handler
         changes the routing index, the record's later values re-route, as
-        they would on their own."""
+        they would on their own.
+
+        Between the first values of the record's root types, the values
+        of types already routed are counted per root type, not walked one
+        by one, whenever walking them could only count (see
+        :meth:`_settled`)."""
         if len(batch) == 1:
             event_type = batch.root_type(0)
             if event_type is None:
@@ -1216,7 +1220,8 @@ class DeliveryPipeline:
             return self._fan_out_value(ctx, batch, 0,
                                        self.routing.targets(event_type),
                                        None, origin, log_offset, local_acks)
-        routing_index = self.routing.index
+        roots = batch.root_keys()
+        firsts = distinct_roots(batch)
         #: Root key -> (routing stamp, the recorded route pass, and the
         #: live member table of each of its groups).
         passes: Dict[Any, Tuple[Any, List[Tuple[RouteEntry, List[Any]]],
@@ -1224,7 +1229,38 @@ class DeliveryPipeline:
         #: Subscription id -> whether later values count (see ``remote``).
         sent: Dict[int, bool] = {}
         deliveries = 0
-        for index, key in enumerate(batch.root_keys()):
+        for first, stop in zip(firsts, list(firsts[1:]) + [len(roots)]):
+            deliveries += self._fan_out_values(
+                ctx, batch, roots, first, first + 1, passes, sent, origin,
+                log_offset, local_acks)
+            if stop == first + 1:
+                continue
+            run = Counter(roots[first + 1:stop])
+            settled = [(count, self._settled(passes.get(key), sent, origin))
+                       for key, count in run.items()]
+            if any(counted is None for _, counted in settled):
+                deliveries += self._fan_out_values(
+                    ctx, batch, roots, first + 1, stop, passes, sent, origin,
+                    log_offset, local_acks)
+                continue
+            for count, counted in settled:
+                for subscription in counted:
+                    subscription.delivered += count
+                self.stats.events_routed += count * len(counted)
+                deliveries += count * len(counted)
+        return deliveries
+
+    def _fan_out_values(self, ctx: dict, batch: Any, roots: Sequence[Any],
+                        start: int, stop: int, passes: Dict[Any, Any],
+                        sent: Dict[int, bool], origin: Optional[str],
+                        log_offset: Optional[int],
+                        local_acks: Dict[str, bool]) -> int:
+        """Fan out values ``start`` to ``stop - 1`` one by one, reusing
+        and recording route passes in ``passes``."""
+        routing_index = self.routing.index
+        deliveries = 0
+        for index in range(start, stop):
+            key = roots[index]
             stamp = routing_index.stamp
             recorded = passes.get(key)
             if recorded is not None and recorded[0] == stamp:
@@ -1247,6 +1283,28 @@ class DeliveryPipeline:
             if routing_index.stamp == stamp:
                 passes[key] = (stamp, record, members)
         return deliveries
+
+    def _settled(self, recorded: Any, sent: Dict[int, bool],
+                 origin: Optional[str]) -> Optional[List[Any]]:
+        """The subscriptions one more value of a routed root type counts
+        for, or ``None`` when walking that value could do more than count:
+        the routing index moved since its pass, or a subscription of the
+        pass has no answer in ``sent`` — an in-process handler (which never
+        answers) or a remote subscription that answered that the record
+        did not travel (it is asked again)."""
+        if recorded is None or recorded[0] != self.routing.index.stamp:
+            return None
+        counted = []
+        for _, subscriptions in recorded[1]:
+            for subscription in subscriptions:
+                if origin is not None and subscription.peer_id == origin:
+                    continue
+                later = sent.get(subscription.subscription_id)
+                if later is None:
+                    return None
+                if later:
+                    counted.append(subscription)
+        return counted
 
     def _recorded(self, event_type: Any,
                   record: List[Tuple[RouteEntry, List[Any]]],

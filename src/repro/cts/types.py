@@ -111,9 +111,6 @@ class TypeInfo:
                 return field
         return None
 
-    def find_methods(self, name: str) -> List[MethodInfo]:
-        return [m for m in self.methods if m.name == name]
-
     def find_method(self, name: str, arity: Optional[int] = None) -> Optional[MethodInfo]:
         for method in self.methods:
             if method.name == name and (arity is None or method.arity == arity):
@@ -207,29 +204,6 @@ class TypeInfo:
                 % (",".join(ctor.parameter_type_names()), ctor.visibility.value)
             )
         return "|".join(parts)
-
-    # -- explicit conformance (ordinary subtyping) ------------------------
-
-    def explicit_supertype_names(self) -> List[str]:
-        """Names of declared supertypes reachable through resolved refs."""
-        names: List[str] = []
-        stack: List[TypeRef] = []
-        if self.superclass is not None:
-            stack.append(self.superclass)
-        stack.extend(self.interfaces)
-        seen = set()
-        while stack:
-            ref = stack.pop()
-            if ref.full_name in seen:
-                continue
-            seen.add(ref.full_name)
-            names.append(ref.full_name)
-            resolved = ref.resolved
-            if resolved is not None:
-                if resolved.superclass is not None:
-                    stack.append(resolved.superclass)
-                stack.extend(resolved.interfaces)
-        return names
 
     def __repr__(self) -> str:
         return "TypeInfo(%s %s)" % (self.kind, self.full_name)

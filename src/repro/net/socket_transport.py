@@ -969,13 +969,6 @@ class SocketNetwork:
 
     # -- observability -----------------------------------------------------
 
-    def frame_chart(self, peers=None) -> str:
-        """Message sequence chart of the bounded frame log (opt in with
-        ``frame_log_enabled = True``): the simulator's renderer applied
-        to real socket frames."""
-        from .trace import sequence_chart
-        return sequence_chart(list(self.frame_log), peers=peers)
-
     #: Kept API-compatible with the simulator for error forensics.
     @property
     def handler_error_log(self):

@@ -46,12 +46,26 @@ from ..cts.types import TypeInfo
 from .binary import (BatchDecoder, BinarySerializer, _write_varint,
                      is_single_frame)
 from .errors import WireFormatError
+from ..runtime.objects import CtsInstance
 from .graph import collect_types
 from .soap import SoapSerializer
 
 #: Field names that designate a value's entity identity, in preference
 #: order; a type declaring none of them keys on its first declared field.
 _KEY_FIELD_NAMES = ("key", "id", "name", "owner")
+
+#: Entries each process-wide memo below keeps before it starts over.  A
+#: process sees few distinct keys (one per published type set or batch
+#: shape), so the cap only bounds one fed adversarial or ever-new input.
+#: Every such memo is a pure function of its key.
+_MEMO_CAP = 256
+
+#: Field-name tuple -> the key field :func:`entity_key` picks.
+_KEY_FIELDS: Dict[Tuple[str, ...], str] = {}
+
+#: Field value types that reach no further type: a CTS instance whose
+#: fields all hold one of these contributes only its own type.
+_PRIMITIVE_TYPES = frozenset((type(None), bool, int, float, str))
 
 #: Magic of the framed envelope: header-prefix + raw payload bytes.
 _MAGIC_FRAME = b"XME2"
@@ -106,6 +120,24 @@ def _type_digest(info: TypeInfo) -> str:
     return digest
 
 
+def _key_field(names: Tuple[str, ...]) -> str:
+    """The key field of a type whose fields are ``names`` (see
+    :func:`entity_key`), memoized by the name tuple."""
+    field_name = _KEY_FIELDS.get(names)
+    if field_name is None:
+        lowered = {name.lower(): name for name in reversed(names)}
+        for candidate in _KEY_FIELD_NAMES:
+            if candidate in lowered:
+                field_name = lowered[candidate]
+                break
+        else:
+            field_name = names[0]
+        if len(_KEY_FIELDS) >= _MEMO_CAP:
+            _KEY_FIELDS.clear()
+        _KEY_FIELDS[names] = field_name
+    return field_name
+
+
 def entity_key(value: Any) -> Optional[str]:
     """The compaction key of one value: ``<type digest>:<key field value>``.
 
@@ -122,14 +154,7 @@ def entity_key(value: Any) -> Optional[str]:
     fields = getattr(value, "fields", None)
     if info is None or not fields:
         return None
-    field_name = None
-    lowered = {name.lower(): name for name in reversed(list(fields))}
-    for candidate in _KEY_FIELD_NAMES:
-        if candidate in lowered:
-            field_name = lowered[candidate]
-            break
-    if field_name is None:
-        field_name = next(iter(fields))
+    field_name = _key_field(tuple(fields))
     field_value = fields.get(field_name)
     if field_value is not None and not isinstance(field_value,
                                                   (str, int, float, bool)):
@@ -164,7 +189,13 @@ def _check_keys_text(text: str, count: int) -> None:
     headers fail exactly where they always did); the per-key
     percent-decoding — the expensive part — is deferred until something
     actually reads the keys (compaction, mostly).  Routing, forwarding
-    and replication never do."""
+    and replication never do.  When every value is keyed, three string
+    scans show it: ``count`` tokens, and ``_`` at the start and after
+    every space.  Other attributes take the token loop."""
+    spaces = text.count(" ")
+    if spaces + 1 == count and text[:1] == "_" \
+            and text.count(" _") == spaces:
+        return
     tokens = text.split(" ") if text else []
     if len(tokens) != count:
         raise WireFormatError(
@@ -184,8 +215,9 @@ def _decode_keys(text: str, count: int) -> Optional[List[Optional[str]]]:
 def encode_home(shard_id: str, offsets: Sequence[Optional[int]]) -> str:
     """Build the ``home`` attribute: the shard a batch's values were first
     durably appended at, plus one record offset (or ``-``) per value."""
-    return "%s|%s" % (shard_id, ",".join(
-        "-" if offset is None else str(offset) for offset in offsets))
+    text = {offset: "-" if offset is None else str(offset)
+            for offset in set(offsets)}
+    return "%s|%s" % (shard_id, ",".join(map(text.__getitem__, offsets)))
 
 
 def decode_home(text: str) -> Optional[Tuple[str, List[Optional[int]]]]:
@@ -194,8 +226,14 @@ def decode_home(text: str) -> Optional[Tuple[str, List[Optional[int]]]]:
     shard_id, separator, tail = text.partition("|")
     if not separator or not shard_id:
         return None
+    tokens = tail.split(",")
+    if "-" not in tail:
+        try:
+            return shard_id, list(map(int, tokens))
+        except ValueError:
+            return None
     offsets: List[Optional[int]] = []
-    for token in tail.split(","):
+    for token in tokens:
         if token == "-":
             offsets.append(None)
         else:
@@ -406,17 +444,16 @@ _CANONICAL_PAYLOAD_ATTRS = re.compile(
         '(?: %s="%s")?' % (name, _PAYLOAD_VALUE)
         for name in _PAYLOAD_ATTR_ORDER[1:]))
 
-#: Distinct type sections the memo keeps before it starts over.  A
-#: subscriber sees few distinct sections (one per published type set),
-#: so the cap only bounds a process fed adversarial or ever-new types.
-_TYPE_SECTION_MEMO_CAP = 256
-
 #: Type section text (the header decoded as latin-1, one character per
 #: byte) -> the validated entries parsed from it.  Process-wide: the same
 #: bytes always parse to the same entries, whichever codec reads them.
 #: Values are tuples so no reader can alter another's entries; each
 #: parse gets a fresh list.
 _TYPE_SECTIONS: Dict[str, Tuple["TypeEntry", ...]] = {}
+
+#: ``roots`` attribute text -> its root indexes with their least and
+#: greatest.  Only text that parses enters.
+_ROOTS: Dict[str, Tuple[Tuple[int, ...], int, int]] = {}
 
 #: ``<Payload>`` attribute values in ``_PAYLOAD_ATTR_ORDER``, None when
 #: absent.
@@ -449,7 +486,7 @@ def _parse_type_section(section: str) -> Optional[Tuple["TypeEntry", ...]]:
             ET.fromstring(section.encode("latin-1"))))
     except (ET.ParseError, WireFormatError):
         return None
-    if len(_TYPE_SECTIONS) >= _TYPE_SECTION_MEMO_CAP:
+    if len(_TYPE_SECTIONS) >= _MEMO_CAP:
         _TYPE_SECTIONS.clear()
     _TYPE_SECTIONS[section] = entries
     return entries
@@ -512,6 +549,17 @@ def _read_header_xml(
             payload_el.text)
 
 
+def _parse_roots(text: str) -> Tuple[Tuple[int, ...], int, int]:
+    """Parse one ``roots`` attribute the memo does not hold yet, and keep
+    it.  Raises ``ValueError`` for a token that is not an integer."""
+    indexes = tuple(map(int, text.split()))
+    roots = (indexes, min(indexes, default=0), max(indexes, default=0))
+    if len(_ROOTS) >= _MEMO_CAP:
+        _ROOTS.clear()
+    _ROOTS[text] = roots
+    return roots
+
+
 def _read_header(data: Buffer) -> tuple:
     """The one header reader behind :meth:`EnvelopeCodec.parse` and
     :func:`parse_frame_header`.
@@ -538,21 +586,26 @@ def _read_header(data: Buffer) -> tuple:
     if batch_attr is not None:
         try:
             count = int(batch_attr)
-            batch_roots = [int(part) for part in (roots_attr or "").split()]
+            roots_text = roots_attr or ""
+            roots = _ROOTS.get(roots_text) or _parse_roots(roots_text)
         except ValueError:
             raise WireFormatError("malformed batch attributes")
         if count < 1:
             # wrap_batch never builds an empty batch; a zero count would
             # let the lazy path admit a payload it never checked.
             raise WireFormatError("batch count %d is not positive" % count)
-        if count != len(batch_roots):
+        indexes, lowest, highest = roots
+        if count != len(indexes):
             raise WireFormatError(
                 "batch count %d does not match %d roots"
-                % (count, len(batch_roots))
+                % (count, len(indexes))
             )
-        for index in batch_roots:
-            if not 0 <= index < len(entries):
-                raise WireFormatError("batch root %d out of range" % index)
+        if lowest < 0 or highest >= len(entries):
+            for index in indexes:
+                if not 0 <= index < len(entries):
+                    raise WireFormatError(
+                        "batch root %d out of range" % index)
+        batch_roots = list(indexes)
     if keys_text is not None:
         _check_keys_text(keys_text,
                          len(batch_roots) if batch_roots is not None else 1)
@@ -798,22 +851,7 @@ class LazyBatch:
     def _resolve(self, entry: TypeEntry) -> Optional[TypeInfo]:
         if self._registry is None:
             return None
-        memo = self._codec._resolve_memo
-        info = memo.get(entry.guid_text)
-        if info is not None:
-            return info
-        try:
-            guid = Guid.parse(entry.guid_text)
-        except ValueError:
-            return None
-        info = self._registry.get_by_guid(guid)
-        if info is None:
-            candidate = self._registry.get(entry.name)
-            if candidate is not None and candidate.guid == guid:
-                info = candidate
-        if info is not None:
-            memo[entry.guid_text] = info
-        return info
+        return self._codec._resolve(entry, self._registry)
 
     def root_type(self, index: int) -> Optional[TypeInfo]:
         """The locally-resolved root type of value ``index`` (or ``None``)."""
@@ -915,10 +953,37 @@ class EnvelopeCodec:
         self._pool = _BufferPool(self.stats)
         self._binary = BinarySerializer(runtime)
         self._soap = SoapSerializer(runtime)
-        # guid text -> locally resolved TypeInfo.  Positive entries only:
-        # the registry is add-only, so a hit can never go stale, while a
-        # miss may succeed later (after a code fetch) and must be retried.
+        #: GUID text -> locally resolved TypeInfo, valid for one registry
+        #: version (:attr:`_resolve_version`).  Positive entries only: a
+        #: miss may succeed later (after a code fetch) and must be retried.
         self._resolve_memo: Dict[str, TypeInfo] = {}
+        self._resolve_version = -1
+
+    def _resolve(self, entry: TypeEntry, registry) -> Optional[TypeInfo]:
+        """The local type a header entry names, memoized by GUID text for
+        ``registry``'s current version: a type replaced in place under the
+        same GUID resolves to the replacement."""
+        memo = self._resolve_memo
+        if registry.version != self._resolve_version:
+            memo.clear()
+            self._resolve_version = registry.version
+        info = memo.get(entry.guid_text)
+        if info is not None:
+            return info
+        try:
+            guid = Guid.parse(entry.guid_text)
+        except ValueError:
+            return None
+        info = registry.get_by_guid(guid)
+        if info is None:
+            candidate = registry.get(entry.name)
+            if candidate is not None and candidate.guid == guid:
+                info = candidate
+        if info is not None:
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[entry.guid_text] = info
+        return info
 
     def _payload_serializer(self, encoding: str):
         return self._binary if encoding == "binary" else self._soap
@@ -970,7 +1035,13 @@ class EnvelopeCodec:
         index_of_info: Dict[int, int] = {}
         roots: List[int] = []
         for value in values:
-            types = collect_types(value)
+            if isinstance(value, CtsInstance) \
+                    and _PRIMITIVE_TYPES.issuperset(
+                        map(type, value.fields.values())):
+                # Nothing else is reachable: the graph's one type.
+                types = (value.type_info,)
+            else:
+                types = collect_types(value)
             if not types:
                 raise WireFormatError(
                     "batched value %r has no root CTS type" % (value,)

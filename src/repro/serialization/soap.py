@@ -38,10 +38,6 @@ class SoapSerializer:
         self._indent(envelope, 0)
         return ET.tostring(envelope, encoding="utf-8")
 
-    def serialize_element(self, value: Any) -> ET.Element:
-        """Encode to an element (used inline by the hybrid envelope)."""
-        return self._encode(value, {})
-
     def _encode(self, value: Any, seen: Dict[int, str]) -> ET.Element:
         if value is None:
             return ET.Element("null")

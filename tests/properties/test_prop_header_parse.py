@@ -35,6 +35,8 @@ from repro.serialization.envelope import (
     TypeEntry,
     _encode_keys,
     _split_frame,
+    decode_home,
+    encode_home,
     parse_frame_header,
 )
 from repro.serialization.errors import WireFormatError
@@ -410,3 +412,152 @@ def test_encode_keys_covers_every_ascii_character():
         "".join(chr(code) for code in range(128))]
     assert _encode_keys(keys) == " ".join(
         "_" + quote(key, safe="") for key in keys)
+
+
+# -- the batch, keys and home fast paths ------------------------------------
+#
+# ``roots`` parses through a memo keyed by its text, all-keyed ``keys`` are
+# checked by string scans, and ``home`` decodes by one ``map(int, ...)``
+# when it holds no ``-``.  Against the token loops below, a frame must give
+# the same envelope or the same error message, warm memo or cold.
+
+def reference_batch_checks(batch_attr, roots_attr, keys_text, n_entries):
+    """The batch and keys checks value by value, message for message."""
+    batch_roots = None
+    if batch_attr is not None:
+        try:
+            count = int(batch_attr)
+            batch_roots = [int(part) for part in (roots_attr or "").split()]
+        except ValueError:
+            raise WireFormatError("malformed batch attributes")
+        if count < 1:
+            raise WireFormatError("batch count %d is not positive" % count)
+        if count != len(batch_roots):
+            raise WireFormatError("batch count %d does not match %d roots"
+                                  % (count, len(batch_roots)))
+        for index in batch_roots:
+            if not 0 <= index < n_entries:
+                raise WireFormatError("batch root %d out of range" % index)
+    if keys_text is not None:
+        count = len(batch_roots) if batch_roots is not None else 1
+        tokens = keys_text.split(" ") if keys_text else []
+        if len(tokens) != count:
+            raise WireFormatError(
+                "keys attribute holds %d entries, envelope declares %d values"
+                % (len(tokens), count))
+        for token in tokens:
+            if token != "-" and not token.startswith("_"):
+                raise WireFormatError("malformed keys token %r" % token)
+    return batch_roots
+
+
+def reference_decode_home(text):
+    shard_id, separator, tail = text.partition("|")
+    if not separator or not shard_id:
+        return None
+    offsets = []
+    for token in tail.split(","):
+        if token == "-":
+            offsets.append(None)
+        else:
+            try:
+                offsets.append(int(token))
+            except ValueError:
+                return None
+    return shard_id, offsets
+
+
+def _with_attrs(n_types, attrs):
+    """A canonical frame with ``n_types`` type entries whose ``<Payload>``
+    carries exactly ``attrs`` (``(name, text)`` pairs, ``None`` omitted)
+    in render order."""
+    entries = [TypeEntry("t.T%d" % index, "g%d" % index, "asm", None)
+               for index in range(n_types)]
+    header = EnvelopeCodec()._render_header(
+        ObjectEnvelope(entries, "binary", b""))
+    start, end = _payload_attrs(header)
+    rendered = b"".join(b' %s="%s"' % (name.encode(), text.encode())
+                        for name, text in attrs if text is not None)
+    return _frame(header[:start] + b' encoding="binary"' + rendered + b" "
+                  + header[end:], b"\x01")
+
+
+def _batch_outcome(data):
+    try:
+        envelope = EnvelopeCodec().parse(data)
+    except WireFormatError as exc:
+        return "error", str(exc)
+    return envelope.batch_roots, envelope._keys_text
+
+
+def _reference_outcome(n_types, batch, roots, keys):
+    try:
+        return reference_batch_checks(batch, roots, keys, n_types), keys
+    except WireFormatError as exc:
+        return "error", str(exc)
+
+
+root_token = (st.integers(-3, 9).map(str)
+              | st.sampled_from(["x", "+1", "01", "1.5", "-0", "٣"]))
+roots_text = st.lists(root_token, max_size=6).map(" ".join) \
+    | st.lists(root_token, max_size=4).map("  ".join)
+batch_text = st.none() | st.integers(-1, 7).map(str) | st.just("z")
+key_token = st.sampled_from(["-", "_", "_a", "_%20b", "", "x", "-x", "__",
+                             "+a", "_-"])
+keys_text = st.none() | st.lists(key_token, max_size=7).map(" ".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_types=st.integers(1, 6), fewer=st.integers(0, 5), batch=batch_text,
+       roots=roots_text, keys=keys_text)
+def test_batch_and_keys_read_as_the_token_loops(n_types, fewer, batch, roots,
+                                                keys):
+    attrs = [("batch", batch), ("roots", roots if batch is not None
+                                         else None), ("keys", keys)]
+    data = _with_attrs(n_types, attrs)
+    expected = _reference_outcome(n_types, batch, roots, keys)
+    assert _batch_outcome(data) == expected
+    # A warm memo, and the same text under fewer type entries.
+    assert _batch_outcome(data) == expected
+    smaller = max(0, n_types - fewer)
+    assert _batch_outcome(_with_attrs(smaller, attrs)) == \
+        _reference_outcome(smaller, batch, roots, keys)
+    lenient = parse_frame_header(data)
+    if expected[0] == "error":
+        assert lenient is None
+    else:
+        assert (lenient.batch_roots, lenient._keys_text) == expected
+
+
+def test_warm_roots_memo_under_fewer_entries():
+    attrs = [("batch", "3"), ("roots", "0 2 1")]
+    assert _batch_outcome(_with_attrs(3, attrs)) == ([0, 2, 1], None)
+    assert _batch_outcome(_with_attrs(2, attrs)) == \
+        ("error", "batch root 2 out of range")
+    assert _batch_outcome(_with_attrs(1, [("batch", "2"),
+                                          ("roots", "0 -1")])) == \
+        ("error", "batch root -1 out of range")
+
+
+home_token = st.sampled_from(["-", "+7", " 7", "x", "", "7", "-3", "12",
+                              "0", "1_0"])
+home_text = st.builds(
+    lambda shard, sep, tokens: shard + sep + ",".join(tokens),
+    st.sampled_from(["s0", "", "a|b"]), st.sampled_from(["|", ""]),
+    st.lists(home_token, min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=home_text)
+def test_decode_home_reads_as_the_token_loop(text):
+    assert decode_home(text) == reference_decode_home(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(offsets=st.lists(st.none() | st.integers(-2, 4), max_size=8))
+def test_encode_home_formats_as_each_offset_alone(offsets):
+    text = encode_home("s", offsets)
+    assert text == "s|" + ",".join("-" if offset is None else str(offset)
+                                   for offset in offsets)
+    if offsets:
+        assert decode_home(text) == ("s", offsets)

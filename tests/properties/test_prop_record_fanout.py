@@ -9,12 +9,20 @@ that routes every value on its own, lazily, exactly as a per-value
 ``RoutingIndex.route`` pass reads the index.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.tps import LocalBroker
-from repro.apps.tps.pipeline import ValueBatch
+from repro.apps.tps.pipeline import (SENT, AckTracker, BufferedDelivery,
+                                     DeliveryPipeline, DirectDelivery,
+                                     RoutingStage, ValueBatch)
+from repro.apps.tps.routing import RoutingIndex
+from repro.core.context import ConformanceOptions
+from repro.core.rules import ConformanceChecker
 from repro.langs.csharp import compile_source as compile_csharp
+from repro.net.network import UnknownPeerError
 from repro.runtime.loader import Runtime
 from repro.serialization.envelope import EnvelopeCodec
 
@@ -136,3 +144,172 @@ def test_record_fan_out_matches_per_value_routing(record, initial, actions,
     assert world.calls == reference.calls
     assert deliveries == len(reference.calls) == world.broker.delivered
     assert sorted(world.subs) == sorted(reference.subs)
+
+
+# ---------------------------------------------------------------------------
+# remote-only records: counted per root type, asked once per subscription
+# ---------------------------------------------------------------------------
+#
+# A record no in-process handler sees is counted once per root type: the
+# values after the first of each type only add to the counters.  Against a
+# test-local fan-out that routes every value on its own (a remote
+# subscription still answers once per record, and is asked again while it
+# answers that the record did not travel), the counters, the returned
+# count, every queued frame with its ack windows, and — for direct
+# delivery — every send, ack token and drop must be equal.
+
+
+class RemoteSub:
+    """A remote subscription as the pipeline reads one."""
+
+    handler = None
+
+    def __init__(self, subscription_id, peer_id, expected, cursor_name):
+        self.subscription_id = subscription_id
+        self.peer_id = peer_id
+        self.expected = expected
+        self.cursor_name = cursor_name
+        self.delivered = 0
+
+
+class Host:
+    """What direct delivery calls on its broker, recorded in call order;
+    a peer in ``offline`` is unknown to the network."""
+
+    max_retries = 0
+
+    def __init__(self, offline):
+        self.offline = offline
+        self.calls = []
+        self.codec = SimpleNamespace(
+            reframe=lambda payload, ack: ("reframed", payload, ack))
+        self.transport_stats = SimpleNamespace(objects_sent=0,
+                                               batches_sent=0)
+        self.network = SimpleNamespace(stats=SimpleNamespace(
+            record_drop=lambda: self.calls.append(("drop",))))
+
+    def _send(self, op, peer_id, payload):
+        if peer_id in self.offline:
+            raise UnknownPeerError(peer_id)
+        self.calls.append((op, peer_id, payload))
+
+    def send_payload_batch(self, peer_id, frame, count):
+        self._send("batch", peer_id, frame)
+
+    def post(self, peer_id, kind, payload, retries):
+        self._send("post", peer_id, payload)
+
+
+def reference_remote_fan_out(pipeline, ctx, batch, origin, log_offset):
+    """Every value routed on its own; remote answers kept per record."""
+    index = pipeline.routing.index
+    sent = {}
+    deliveries = 0
+    for position in range(len(batch)):
+        for _, subscriptions in index.route(batch.root_type(position)):
+            for subscription in subscriptions:
+                if origin is not None and subscription.peer_id == origin:
+                    continue
+                later = sent.get(subscription.subscription_id)
+                if later is None:
+                    answer = pipeline.delivery.remote(
+                        ctx, subscription, batch, position, log_offset)
+                    if not answer:
+                        continue
+                    sent[subscription.subscription_id] = answer == SENT
+                elif not later:
+                    continue
+                subscription.delivered += 1
+                pipeline.stats.events_routed += 1
+                deliveries += 1
+    return deliveries
+
+
+class RemoteWorld:
+    """One pipeline with remote subscriptions only, over direct or
+    buffered delivery; blocked cursors answer that the record did not
+    travel, and so do offline peers under direct delivery."""
+
+    def __init__(self, kind, subs, blocked, offline, reference):
+        runtime = Runtime()
+        for info in FEED.values():
+            runtime.load_type(info)
+        self.runtime = runtime
+        self.index = RoutingIndex(
+            ConformanceChecker(options=ConformanceOptions.pragmatic()),
+            runtime.registry)
+        tracker = AckTracker("shard", lambda cursor, offset: None)
+        tracker._epoch = 0  # equal ack tokens in both worlds
+        for cursor in blocked:
+            tracker.block(cursor, 0)
+        durability = SimpleNamespace(tracker=tracker,
+                                     settle_local=lambda acks, offset: None)
+        self.host = Host(offline)
+        delivery = (DirectDelivery(self.host, durability) if kind == "direct"
+                    else BufferedDelivery(self.host, durability))
+        self.pipeline = DeliveryPipeline(RoutingStage(self.index), delivery,
+                                         durability=durability)
+        if reference:
+            pipeline = self.pipeline
+            pipeline._fan_out = \
+                lambda ctx, batch, origin, log_offset, local_acks: \
+                reference_remote_fan_out(pipeline, ctx, batch, origin,
+                                         log_offset)
+        self.subs = []
+        for number, (peer, want, durable) in enumerate(subs):
+            sub = RemoteSub(number + 1, peer, WANT[want],
+                            "c%d" % number if durable else None)
+            self.index.add(sub)
+            self.subs.append(sub)
+
+    def publish(self, record, shape, origin):
+        values = [self.runtime.new_instance("feed.%s.Quote" % kind,
+                                            ["v%d" % index])
+                  for index, kind in enumerate(record)]
+        if shape == "frame":
+            codec = EnvelopeCodec(self.runtime)
+            payload = codec.encode_batch(values)
+            batch = codec.lazy_batch(codec.parse(payload))
+        else:
+            payload = b"frame"
+            batch = ValueBatch(values)
+        return self.pipeline.process(batch, origin, payload=payload,
+                                     log_offset=7, pre_logged=True)
+
+    def outcome(self, deliveries):
+        tracker = self.pipeline.durability.tracker
+        return {
+            "deliveries": deliveries,
+            "delivered": [sub.delivered for sub in self.subs],
+            "events_routed": self.pipeline.stats.events_routed,
+            "queued": getattr(self.pipeline.delivery, "_outgoing", None),
+            "calls": self.host.calls,
+            "pending": tracker.pending, "windows": tracker.windows,
+            "blocks": tracker.blocks,
+        }
+
+
+PEERS = ["p0", "p1", "p2"]
+remote_subs = st.lists(st.tuples(st.sampled_from(PEERS),
+                                 st.sampled_from(sorted(WANT)),
+                                 st.booleans()), max_size=6)
+long_records = st.lists(st.sampled_from(sorted(FEED)), min_size=1,
+                        max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["direct", "buffered"]), record=long_records,
+       subs=remote_subs,
+       blocked=st.lists(st.sampled_from(["c%d" % n for n in range(6)]),
+                        max_size=2),
+       offline=st.lists(st.sampled_from(PEERS), max_size=1),
+       origin=st.none() | st.sampled_from(PEERS),
+       shape=st.sampled_from(["frame", "values"]))
+def test_remote_only_record_counts_as_per_value_routing(
+        kind, record, subs, blocked, offline, origin, shape):
+    outcomes = []
+    for reference in (True, False):
+        world = RemoteWorld(kind, subs, blocked, offline, reference)
+        processed = world.publish(record, shape, origin)
+        outcomes.append(world.outcome(processed.deliveries))
+    assert outcomes[1] == outcomes[0]

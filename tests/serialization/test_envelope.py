@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cts.assembly import Assembly
+from repro.cts.builder import TypeBuilder
 from repro.fixtures import employee_csharp, person_assembly_pair
 from repro.runtime.loader import Runtime
 from repro.serialization import envelope as envelope_module
@@ -314,7 +315,7 @@ class TestTypeSectionMemo:
         assert second.origin == "pub" and second.batch_roots == [0]
 
     def test_memo_never_grows_past_its_cap(self):
-        cap = envelope_module._TYPE_SECTION_MEMO_CAP
+        cap = envelope_module._MEMO_CAP
         codec = EnvelopeCodec()
         for index in range(cap * 2 + 3):
             envelope = codec.parse(self._frame(
@@ -366,6 +367,45 @@ class TestTypeSectionMemo:
         first_header.type_entries.append(first_header.type_entries[0])
         assert codec.parse(data).type_names() == ["demo.a.Person"]
         assert len(parse_frame_header(data).type_entries) == 1
+
+
+class TestResolveMemo:
+    """A codec resolves header type entries through a memo that lives for
+    one registry version and never outgrows its cap."""
+
+    @staticmethod
+    def _type(name="memo.Swap"):
+        return TypeBuilder(name).field("name", "string").build()
+
+    def test_type_replaced_in_place_resolves_to_the_replacement(self):
+        original = self._type()
+        runtime = Runtime()
+        runtime.load_type(original)
+        codec = EnvelopeCodec(runtime)
+        data = codec.encode_batch([runtime.instantiate(original),
+                                   runtime.instantiate(original)])
+        assert codec.lazy_batch(codec.parse(data)).root_type(0) is original
+        replacement = self._type()
+        assert replacement.guid == original.guid
+        assert replacement is not original
+        runtime.load_type(replacement, replace=True)
+        batch = codec.lazy_batch(codec.parse(data))
+        # Header-only routing and the decoded value agree on the type.
+        assert batch.root_type(0) is replacement
+        assert batch.value(0).type_info is replacement
+        assert batch.types_known()
+
+    def test_memo_never_grows_past_its_cap(self):
+        runtime = Runtime()
+        codec = EnvelopeCodec(runtime)
+        cap = envelope_module._MEMO_CAP
+        types = [self._type("memo.T%d" % index) for index in range(cap + 3)]
+        for info in types:
+            runtime.load_type(info)
+        frames = [codec.encode(runtime.instantiate(info)) for info in types]
+        for info, data in zip(types, frames):
+            assert codec.lazy_batch(codec.parse(data)).root_type(0) is info
+            assert 0 < len(codec._resolve_memo) <= cap
 
 
 class TestHomeAttribute:
