@@ -307,16 +307,10 @@ class BinarySerializer:
         """
         if not data.startswith(_MAGIC_BATCH):
             return [self.deserialize(data)]
-        self.last_schema_drift = []
-        frame = _Frame(self, [])
-        count, pos = _decode_count(data)
-        values = []
-        for _ in range(count):
-            value, pos = _decode(frame, data, pos)
-            values.append(value)
-        if pos != len(data):
+        decoder = BatchDecoder(self, data)
+        if not decoder.count and decoder._pos != len(data):
             raise WireFormatError("trailing bytes after batch payload")
-        return values
+        return decoder.decode_to(decoder.count)
 
     def _type_plan(self, raw: bytes, type_name: str) -> _TypePlan:
         """The local type a literal names, with its field-defaults
@@ -592,12 +586,14 @@ class BatchDecoder:
     that dispatches only value 0 of a 64-value batch pays one decode, not
     sixty-four; a consumer that touches nothing pays zero.  (A
     single-value frame needs none of this: see :func:`is_single_frame`.)
+    :meth:`decode_to` is the one decode loop: a run of values costs one
+    call, and :meth:`BinarySerializer.deserialize_batch` is one call.
 
     The serializer's :attr:`~BinarySerializer.last_schema_drift` starts
     afresh with each frame.  Each value decode snapshots the position and
-    table lengths first: an :class:`UnknownTypeError` raised mid-value
-    (the optimistic protocol's fetch-code cue) rolls the decoder back, so
-    the same value can be retried cleanly after the type arrives.
+    table lengths first: a failure mid-value rolls the decoder back, so
+    the same value can be retried cleanly — after an UnknownTypeError
+    (the protocol's fetch-code cue) once the type arrives.
     """
 
     __slots__ = ("count", "_frame", "_data", "_pos", "_values")
@@ -627,28 +623,34 @@ class BatchDecoder:
         if not 0 <= index < self.count:
             raise IndexError("batch value %d out of range (%d values)"
                              % (index, self.count))
-        while len(self._values) <= index:
-            self._decode_next()
-        return self._values[index]
+        return self.decode_to(index + 1)[index]
 
     def values(self) -> List[Any]:
-        return [self.value(index) for index in range(self.count)]
+        return list(self.decode_to(self.count))
 
-    def _decode_next(self) -> None:
+    def decode_to(self, stop: int) -> List[Any]:
+        """Decode (and cache) the batch prefix of ``stop`` (at most
+        :attr:`count`) values in one loop; returns the cache itself, which
+        is not to be changed."""
+        values = self._values
         frame = self._frame
-        # Snapshot so an UnknownTypeError mid-value leaves the decoder
-        # exactly where this value started.
-        n_strings = len(frame.strings)
-        n_types = len(frame.types)
-        n_objects = len(frame.objects)
+        strings, types, objects = frame.strings, frame.types, frame.objects
+        data, pos, last = self._data, self._pos, self.count - 1
         try:
-            value, self._pos = _decode(frame, self._data, self._pos)
-        except UnknownTypeError:
-            del frame.strings[n_strings:]
-            del frame.types[n_types:]
-            del frame.objects[n_objects:]
+            for index in range(len(values), stop):
+                # Snapshot so a failure mid-value leaves the decoder
+                # exactly where this value started.
+                marks = len(strings), len(types), len(objects)
+                value, pos = _value(frame, data, pos)
+                if index == last and pos != len(data):
+                    raise WireFormatError("trailing bytes after batch payload")
+                values.append(value)
+                self._pos = pos
+        except (UnknownTypeError, WireFormatError, IndexError) as error:
+            del strings[marks[0]:]
+            del types[marks[1]:]
+            del objects[marks[2]:]
+            if isinstance(error, IndexError):
+                raise WireFormatError(_TRUNCATED) from None
             raise
-        if (len(self._values) + 1 == self.count
-                and self._pos != len(self._data)):
-            raise WireFormatError("trailing bytes after batch payload")
-        self._values.append(value)
+        return values

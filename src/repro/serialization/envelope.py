@@ -227,21 +227,13 @@ def decode_home(text: str) -> Optional[Tuple[str, List[Optional[int]]]]:
     if not separator or not shard_id:
         return None
     tokens = tail.split(",")
-    if "-" not in tail:
-        try:
-            return shard_id, list(map(int, tokens))
-        except ValueError:
-            return None
-    offsets: List[Optional[int]] = []
-    for token in tokens:
-        if token == "-":
-            offsets.append(None)
-        else:
-            try:
-                offsets.append(int(token))
-            except ValueError:
-                return None
-    return shard_id, offsets
+    # A batch repeats one offset per value: convert each distinct token once.
+    try:
+        offsets = {token: None if token == "-" else int(token)
+                   for token in set(tokens)}
+    except ValueError:
+        return None
+    return shard_id, list(map(offsets.__getitem__, tokens))
 
 
 class CodecStats:
@@ -827,7 +819,8 @@ class LazyBatch:
     is only logged, replicated or forwarded crosses the shard with zero
     value-level decodes, and a record with one matching local subscriber
     decodes exactly the values dispatched to it (plus their prefix, which
-    the shared intern table requires).
+    the shared intern table requires).  :meth:`decode_to` decodes a run
+    of values in one call.
     """
 
     _UNRESOLVED = object()
@@ -890,23 +883,38 @@ class LazyBatch:
 
     def value(self, index: int) -> Any:
         """Decode (and cache) value ``index`` — the one paid decode."""
-        decoder = self._decoder
-        if decoder is None:
+        if self._decoder is None:
             payload = self.envelope.payload_bytes()
             if is_single_frame(payload):
                 return self._single_value(payload, index)
-            decoder = BatchDecoder(self._codec._binary, payload)
-            if len(decoder) != len(self):
-                raise WireFormatError(
-                    "batch payload holds %d values, envelope declares %d"
-                    % (len(decoder), len(self)))
-            self._decoder = decoder
-        value = decoder.value(index)
-        decoded = decoder.decoded_count
-        if decoded > self._counted:
-            self._codec.stats.decodes += decoded - self._counted
-            self._counted = decoded
-        return value
+            self._open(payload)
+        if not 0 <= index < len(self):
+            raise IndexError("batch value %d out of range (%d values)"
+                             % (index, len(self)))
+        return self.decode_to(index + 1)[index]
+
+    def decode_to(self, stop: int) -> List[Any]:
+        """:meth:`BatchDecoder.decode_to`, counted once per call.  A failed
+        value keeps the values before it: ``decode_to(0)`` returns them."""
+        decoder = self._decoder
+        if decoder is None:
+            decoder = self._open(self.envelope.payload_bytes())
+        try:
+            return decoder.decode_to(stop)
+        finally:
+            decoded = decoder.decoded_count
+            if decoded > self._counted:
+                self._codec.stats.decodes += decoded - self._counted
+                self._counted = decoded
+
+    def _open(self, payload: bytes) -> BatchDecoder:
+        decoder = BatchDecoder(self._codec._binary, payload)
+        if len(decoder) != len(self):
+            raise WireFormatError(
+                "batch payload holds %d values, envelope declares %d"
+                % (len(decoder), len(self)))
+        self._decoder = decoder
+        return decoder
 
     def _single_value(self, payload: bytes, index: int) -> Any:
         """A single-value frame decodes in one call, kept for the next

@@ -40,7 +40,7 @@ from ..net.network import (
     UnknownPeerError,
 )
 from ..net.peer import Peer, error_response
-from ..remoting.dynamic import wrap_with_result
+from ..remoting.dynamic import proxy_class, wrap_with_result
 from ..runtime.loader import Runtime
 from ..serialization.binary import BinarySerializer
 from ..serialization.envelope import (
@@ -49,7 +49,7 @@ from ..serialization.envelope import (
     ObjectEnvelope,
     split_frames,
 )
-from ..serialization.errors import UnknownTypeError
+from ..serialization.errors import SerializationError, UnknownTypeError
 
 KIND_OBJECT = "object"
 KIND_OBJECT_BATCH = "object_batch"
@@ -373,10 +373,12 @@ class InteropPeer(Peer):
         (some type in the frame is not resolvable locally yet).
 
         The interest check runs on the header's root types BEFORE any
-        decode, once per distinct root type of the frame: its values then
-        decode, wrap and deliver one by one, in frame order.  A handler
+        decode, once per run — a stretch of consecutive values with one
+        root entry.  An accepted run decodes in one call and builds its
+        views from one proxy class; a rejected run decodes nothing.  Its
+        values are then delivered one by one, in frame order.  A handler
         that declares an interest or registers a type part-way sends the
-        frame's later values through a fresh check, as on their own."""
+        run's later values through a fresh check, as on their own."""
         batch = self.codec.lazy_batch(envelope)
         if not batch.types_known():
             return False
@@ -388,21 +390,50 @@ class InteropPeer(Peer):
                 src, provider_info.full_name,
                 self._admission(src, provider_info), batch, 0))
             return True
-        #: Root entry index -> (its type name, its verdict).
-        decided: Dict[int, Tuple[str, Optional[_Verdict]]] = {}
-        stamp = self._admission_stamp()
-        for index, root in enumerate(envelope.batch_roots):
-            stats.objects_received += 1
-            known = decided.get(root)
-            if known is None:
-                provider_info = batch.root_type(index)
-                known = decided[root] = (provider_info.full_name,
-                                         self._admission(src, provider_info))
-            self._deliver(self._admitted(src, known[0], known[1],
-                                         batch, index))
-            if self._admission_stamp() != stamp:
-                decided.clear()
-                stamp = self._admission_stamp()
+        roots = envelope.batch_roots
+        registry, checker = self.runtime.registry, self.checker
+        index = 0
+        while index < len(roots):
+            stop = index + 1
+            while stop < len(roots) and roots[stop] == roots[index]:
+                stop += 1
+            provider_info = batch.root_type(index)
+            name = provider_info.full_name
+            verdict = self._admission(src, provider_info)
+            declared, version, generation = self._admission_stamp()
+            values = failure = cls = None
+            if verdict is not None:
+                interest, result = verdict
+                if interest is not None and result.needs_proxy:
+                    mapping = result.mapping
+                    cls = mapping.proxy_class or proxy_class(mapping)
+                try:
+                    values = batch.decode_to(stop)
+                except SerializationError as error:
+                    # Deliver what decoded before the bad value, then fail.
+                    failure, values = error, batch.decode_to(0)
+                    stop = len(values)
+            while index < stop:
+                stats.objects_received += 1
+                if values is None:
+                    stats.objects_rejected += 1
+                    received = ReceivedObject(src, name, None, None, None, None)
+                else:
+                    value = values[index]
+                    received = ReceivedObject(
+                        src, name, value, value if cls is None else
+                        cls(value, interest, mapping, checker),
+                        interest, result)
+                self._deliver(received)
+                index += 1
+                if (self._interests_declared != declared
+                        or registry.version != version
+                        or checker.generation != generation):
+                    break
+            else:
+                if failure is not None:
+                    stats.objects_received += 1
+                    raise failure
         return True
 
     def _admitted(self, src: str, name: str, verdict: Optional[_Verdict],

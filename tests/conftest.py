@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro import fixtures as fx
@@ -9,6 +11,19 @@ from repro.core import ConformanceChecker, ConformanceOptions
 from repro.cts.assembly import Assembly
 from repro.net.network import SimulatedNetwork
 from repro.runtime.loader import Runtime
+
+# A failing hypothesis test imports ``hypothesis.extra._patching`` to print
+# its explicit-example patch; that imports libcst, whose import warns a
+# ``mypy_extensions.TypedDict`` DeprecationWarning.  Under
+# ``-W error::DeprecationWarning`` the warning turns the failure report into
+# an INTERNALERROR that hides the falsifying example, so the module is
+# imported once here, with warnings silenced for that import alone.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -12,7 +12,9 @@ On generated v1, v2 and ``RBS2B`` payloads, each valid one, every
 truncation of it and random byte mutations of it, ``deserialize``,
 ``deserialize_batch`` and the lazy per-value path must give equal values
 (same object graph, same sharing) and the same schema drift, or raise the
-same exception type with the same message.
+same exception type with the same message.  ``BatchDecoder.decode_to`` at
+random stops must hold the same decoded prefix as the reference's
+value-by-value reader, also across an :class:`UnknownTypeError` rollback.
 """
 
 import struct
@@ -540,3 +542,76 @@ class TestUnknownTypeMidBatch:
         assert retried == canon(BinarySerializer(runtime)
                                 .deserialize_batch(data), {})
         assert new.decoded_count == len(values)
+
+
+# -- decode_to: one loop to a stop -----------------------------------------
+
+def _decode_to_step(new, ref, stop):
+    """Both decoders to ``stop`` (clamped to the frame): each one's
+    outcome, its decoded prefix and its decoded count."""
+    stop = min(stop, new.count)
+    try:
+        new.decode_to(stop)
+        new_outcome = ("ok",)
+    except Exception as exc:
+        new_outcome = ("raised", type(exc), str(exc))
+    try:
+        if stop:
+            ref.value(stop - 1)
+        ref_outcome = ("ok",)
+    except Exception as exc:
+        ref_outcome = ("raised", type(exc), str(exc))
+    assert new_outcome == ref_outcome
+    assert new.decoded_count == len(ref._values)
+    assert canon(new.decode_to(0), {}) == canon(ref._values, {})
+    return new_outcome
+
+
+class TestDecodeTo:
+    """``decode_to(stop)`` decodes the prefix in one loop; at every stop
+    it matches the reference reader value for value."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(), st.lists(st.integers(0, 5), min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                    max_size=2))
+    def test_random_stops(self, values, stops, edits):
+        data = bytearray(BinarySerializer(ENCODER).serialize_batch(
+            values.values))
+        body = len(data) - len(_MAGIC_BATCH)
+        for position, byte in edits:
+            data[len(_MAGIC_BATCH) + position % body] = byte
+        pair = Pair(_decoding_runtime())
+        try:
+            new = BatchDecoder(pair.new, bytes(data))
+        except WireFormatError:
+            with pytest.raises(WireFormatError):
+                ReferenceBatchDecoder(pair.ref, bytes(data))
+            return
+        ref = ReferenceBatchDecoder(pair.ref, bytes(data))
+        assert new.count == ref.count
+        for stop in stops:
+            outcome = _decode_to_step(new, ref, stop)
+            # Only an UnknownTypeError rolls the reference back: after
+            # any other error the two readers stand at different places.
+            if outcome[0] == "raised" and outcome[1] is not UnknownTypeError:
+                break
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=7),
+           st.lists(st.integers(0, 8), min_size=1, max_size=4),
+           st.lists(st.integers(0, 8), min_size=1, max_size=4))
+    def test_random_stops_across_a_rollback(self, picks, before, after):
+        pool = TestUnknownTypeMidBatch._pool()
+        data = BinarySerializer(ENCODER).serialize_batch(
+            [pool[pick] for pick in picks])
+        runtime = _decoding_runtime()
+        pair = Pair(runtime)
+        new = BatchDecoder(pair.new, data)
+        ref = ReferenceBatchDecoder(pair.ref, data)
+        for stop in before:
+            _decode_to_step(new, ref, stop)
+        runtime.load_assembly(ASM_B)
+        for stop in after + [len(picks)]:
+            assert _decode_to_step(new, ref, stop) == ("ok",)
+        assert new.decoded_count == len(picks)

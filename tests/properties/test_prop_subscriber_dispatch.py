@@ -6,8 +6,9 @@ through a per-provider-type verdict memo, and builds instances from
 per-type runtime plans.  Those are optimisations, not behaviour changes.
 For every generated sequence of plain subscribes, durable subscribes and
 reconnects under one ``(broker, cursor)``, unsubscribes, bare interest
-declarations and receipts of conforming and non-conforming objects
-(single, batched, direct or through the broker), the peer must make the
+declarations (also from inside a handler) and receipts of conforming and
+non-conforming objects (single, batched, in a mixed batch of several
+same-type runs, direct or through the broker), the peer must make the
 same handler calls, in the same order, and count the same
 ``TransportStats`` as a test-local reference peer that keeps the
 closure semantics:
@@ -128,8 +129,10 @@ ops = st.one_of(
               st.integers(0, 1)),
     st.tuples(st.just("unsubscribe"), st.integers(0, 7)),
     st.tuples(st.just("declare"), type_index),
+    # A subscription whose handler declares an interest on its first call.
+    st.tuples(st.just("declaring"), type_index, type_index),
     st.tuples(st.just("send"), st.sampled_from(_EVENTS),
-              st.sampled_from(("direct", "batch", "publish"))),
+              st.sampled_from(("direct", "batch", "mixed", "publish"))),
 )
 
 
@@ -146,6 +149,19 @@ class _Subscriber:
         def record(view):
             self.calls.append((label, view._repro_type().full_name, clock[0]))
         return record
+
+    def declaring_handler(self, label, clock, declare):
+        """Records like :meth:`handler`; its first call also declares an
+        interest of type index ``declare``, part-way through a frame."""
+        record = self.handler(label, clock)
+        pending = [declare]
+
+        def declaring(view):
+            record(view)
+            if pending:
+                self.peer.declare_interest(
+                    _interest(self, pending.pop(), reuse=False))
+        return declaring
 
     def summary(self):
         peer = self.peer
@@ -193,6 +209,11 @@ def _run(sequence, log_dir):
                     peer.unsubscribe_remote("broker", sid)
                 elif kind == "declare":
                     peer.declare_interest(_interest(side, op[1], reuse=False))
+                elif kind == "declaring":
+                    expected = _interest(side, op[1], reuse=False)
+                    side.live.append(peer.subscribe_remote(
+                        "broker", expected,
+                        side.declaring_handler("h%d" % step, clock, op[2])))
             network.run_until_idle()
         return [side.summary() for side in sides]
     finally:
@@ -209,10 +230,13 @@ def _interest(side, index, reuse):
 
 
 def _send(network, sender, sides, event, route, step):
-    def make():
-        if event == "person":
+    def make_event(kind):
+        if kind == "person":
             return sender.new_instance("demo.a.Person", ["p%d" % step])
         return sender.new_instance("demo.bank.Account", ["a%d" % step, step])
+
+    def make():
+        return make_event(event)
 
     if route == "publish":
         sender.publish_async("broker", make())
@@ -221,6 +245,10 @@ def _send(network, sender, sides, event, route, step):
             sender.send(side.peer.peer_id, make())
         elif route == "batch":
             sender.send_batch(side.peer.peer_id, [make(), make()])
+        elif route == "mixed":
+            sender.send_batch(side.peer.peer_id,
+                              [make_event("person"), make_event("account"),
+                               make_event("person"), make_event("person")])
     network.run_until_idle()
 
 
@@ -237,6 +265,10 @@ def _send(network, sender, sides, event, route, step):
 # Unsubscribing one of two subscriptions on one interest object.
 @example([("subscribe", 0, False), ("subscribe", 0, True),
           ("unsubscribe", 0), ("send", "person", "direct")])
+# A handler declares the Account interest on the first Person of a mixed
+# batch: the batch's Account and later Persons are admitted afresh.
+@example([("declaring", 0, 3), ("send", "account", "direct"),
+          ("send", "person", "mixed"), ("send", "person", "mixed")])
 def test_dispatch_table_matches_closure_semantics(sequence):
     with tempfile.TemporaryDirectory() as log_dir:
         table, closures = _run(sequence, log_dir)

@@ -429,6 +429,23 @@ class TestHomeAttribute:
         assert decode_home("garbage") is None
         assert decode_home("s|1,x") is None
 
+    def test_decode_home_repeated_and_missing_offsets(self):
+        from repro.serialization.envelope import decode_home, encode_home
+        text = encode_home("s", [7] * 50)
+        assert text == "s|" + ",".join(["7"] * 50)
+        assert decode_home(text) == ("s", [7] * 50)
+        offsets = [3, None, 3, None, 9, 3]
+        assert encode_home("s", offsets) == "s|3,-,3,-,9,3"
+        assert decode_home("s|3,-,3,-,9,3") == ("s", offsets)
+        assert decode_home("s|-") == ("s", [None])
+        assert decode_home("s|-4,-") == ("s", [-4, None])
+
+    def test_decode_home_malformed_tokens_read_none(self):
+        from repro.serialization.envelope import decode_home
+        for text in ("s|7,7,x,7", "s|7,,7", "s|-,--", "s|7,-,1.5",
+                     "s|", "|7", "s7"):
+            assert decode_home(text) is None, text
+
     def test_absent_home_reads_none(self, runtime):
         codec = EnvelopeCodec(runtime)
         data = codec.encode_batch(

@@ -49,6 +49,7 @@ HOT_PATH = {
     "binary._object": [binary._object],
     "binary._string": [binary._string],
     "binary._varint": [binary._varint],
+    "binary.BatchDecoder.decode_to": [binary.BatchDecoder.decode_to],
     "InteropPeer._admit": [InteropPeer._admit],
     "InteropPeer._admit_batch_lazy": [InteropPeer._admit_batch_lazy],
     "InteropPeer._admitted": [InteropPeer._admitted],

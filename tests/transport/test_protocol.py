@@ -11,7 +11,7 @@ from repro.fixtures import (
     person_java,
 )
 from repro.net.network import SimulatedNetwork
-from repro.transport.protocol import InteropPeer, ProtocolError
+from repro.transport.protocol import InteropPeer, ProtocolError, TransportStats
 
 
 @pytest.fixture
@@ -326,5 +326,108 @@ class TestDeliveryAck:
         receiver.declare_interest(person_java())
         sender.send_batch("receiver", [
             sender.new_instance("demo.a.Person", ["plain"])])
+        network.run_until_idle()
+        assert "delivery_ack" not in network.stats.by_kind_messages
+
+
+class TestRunAdmission:
+    """A multi-value frame is admitted one same-type run at a time: one
+    verdict and one decode call per run, nothing decoded for a rejected
+    run, and every value still delivered on its own, in frame order."""
+
+    @staticmethod
+    def _known_world(world):
+        """Both Person and Account registered at the receiver (an eager
+        batch fetched their code), so later frames take the lazy path."""
+        network, sender, receiver = world
+        receiver.declare_interest(person_java())
+        sender.host_assembly(Assembly("bank", [account_csharp()]))
+        sender.send_batch("receiver", [
+            sender.new_instance("demo.bank.Account", ["w", 0]),
+            sender.new_instance("demo.a.Person", ["w"])])
+        network.run_until_idle()
+        receiver.inbox.clear()
+        receiver.codec.stats.decodes = 0
+        receiver.transport_stats = TransportStats()
+        return network, sender, receiver
+
+    @staticmethod
+    def _frame(sender, kinds, ack=None):
+        values = [sender.new_instance("demo.a.Person", ["p%d" % index])
+                  if kind == "A" else
+                  sender.new_instance("demo.bank.Account", ["a%d" % index,
+                                                            index])
+                  for index, kind in enumerate(kinds)]
+        return sender.codec.wrap_batch(values, ack=ack)
+
+    def _receive(self, world, kinds, ack=None):
+        """Deliver one frame of ``kinds``; per delivered value, the
+        receiver's decode count when it was delivered."""
+        network, sender, receiver = world
+        seen = []
+        receiver.on_receive(
+            lambda received: seen.append(receiver.codec.stats.decodes))
+        envelope = self._frame(sender, kinds, ack)
+        receiver._receive_batch_frame(
+            sender.codec.envelope_to_bytes(envelope), "sender")
+        return seen
+
+    def test_a_rejected_run_decodes_nothing(self, world):
+        network, sender, receiver = self._known_world(world)
+        assert self._receive(world, "BBBB") == [0, 0, 0, 0]
+        assert receiver.codec.stats.decodes == 0
+        assert receiver.transport_stats.objects_rejected == 4
+        assert not any(received.accepted for received in receiver.inbox)
+
+    def test_only_the_needed_prefix_decodes(self, world):
+        network, sender, receiver = self._known_world(world)
+        # A A: one call decodes the run; B: nothing; A: values 2 and 3
+        # (value 2 only because the frame shares one intern table).
+        assert self._receive(world, "AABA") == [2, 2, 2, 4]
+        assert receiver.codec.stats.decodes == 4
+        assert [received.accepted for received in receiver.inbox] == \
+            [True, True, False, True]
+        assert [received.view.getPersonName()
+                for received in receiver.inbox if received.accepted] == \
+            ["p0", "p1", "p3"]
+        receiver.inbox.clear()
+        receiver.codec.stats.decodes = 0
+        # A trailing rejected run decodes nothing.
+        assert self._receive(world, "AABB") == [2, 2, 2, 2]
+
+    def test_a_handler_declaring_an_interest_splits_the_run(self, world):
+        network, sender, receiver = self._known_world(world)
+        interests = []
+
+        def declare_account(received):
+            if not interests:
+                interests.append(account_csharp())
+                receiver.declare_interest(interests[0])
+
+        receiver.on_receive(declare_account)
+        self._receive(world, "BBB")
+        # Value 0 was rejected before the Account interest existed; the
+        # rest of its run is admitted afresh, as the new interest.
+        assert [received.interest for received in receiver.inbox] == \
+            [None, interests[0], interests[0]]
+        assert receiver.transport_stats.objects_rejected == 1
+
+    def test_a_corrupt_value_delivers_the_prefix_then_raises(self, world):
+        from repro.serialization.binary import BatchDecoder
+        from repro.serialization.errors import WireFormatError
+        network, sender, receiver = self._known_world(world)
+        envelope = self._frame(sender, "AAAA", ack="token-7")
+        payload = bytearray(envelope.payload)
+        decoder = BatchDecoder(receiver.codec._binary, bytes(payload))
+        decoder.decode_to(2)
+        payload[decoder._pos] = 0xEE  # value 2 starts with no known tag
+        envelope.payload = bytes(payload)
+        with pytest.raises(WireFormatError):
+            receiver._receive_batch_frame(
+                sender.codec.envelope_to_bytes(envelope), "sender")
+        assert [received.view.getPersonName()
+                for received in receiver.inbox] == ["p0", "p1"]
+        assert receiver.transport_stats.objects_received == 3
+        assert receiver.codec.stats.decodes == 2
         network.run_until_idle()
         assert "delivery_ack" not in network.stats.by_kind_messages
