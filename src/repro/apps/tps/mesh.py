@@ -23,6 +23,11 @@ envelope each time.  The mesh refactors that data plane:
   into ONE network message, however many records and matching
   subscriptions it covers; the frames travel verbatim, never decoded or
   re-encoded.
+- **Mesh-wide replay** — a durable subscriber's backlog is completed
+  from this shard's log, its replica logs of siblings and pages fetched
+  from siblings (``backlog_fetch``); every source is a plain stream of
+  stored records fed to the pipeline's one replay pass, which relays
+  their frames verbatim too.
 
 A shard is the same :class:`~repro.apps.tps.pipeline.DeliveryPipeline`
 as the single broker with exactly two stage swaps: dispatch is
@@ -36,7 +41,8 @@ path, exactly as in the paper; only the one-way event fan-out is queued.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 from urllib.parse import quote, unquote
 
 from ...describe.description import TypeDescription
@@ -69,6 +75,7 @@ from .pipeline import (
     ValueBatch,
     distinct_roots,
     foreign_cursor_name,
+    own_records,
 )
 from .routing import RoutingIndex
 from .topology import (
@@ -100,6 +107,13 @@ KIND_MESH_SYNC = "mesh_sync"
 #: to adopt one subscription (cursor name, owner, type description, and
 #: the per-origin cursor position vector).
 KIND_MESH_HANDOFF = "mesh_handoff"
+
+
+def _page_records(message: Dict[str, Any]) -> Iterator[LogRecord]:
+    """The stored records a ``replicate`` message or a record server's
+    page carries (see :meth:`MeshShard._records_reply`)."""
+    return (LogRecord(item["offset"], item["origin"], item["payload"])
+            for item in message["records"])
 
 
 class ReplicaSet:
@@ -333,9 +347,8 @@ class MeshShard(TpsBroker):
         if self.event_log is None:
             return 0
         target = 0
-        for record in self.event_log.replay():
-            if envelope_home(record.payload) is None:
-                target = record.offset + 1
+        for record in own_records(self.event_log):
+            target = record.offset + 1
         return target
 
     def replication_covered(self) -> bool:
@@ -509,9 +522,10 @@ class MeshShard(TpsBroker):
             except (MessageDropped, NetworkError):
                 self.fetch_failures += 1
                 continue
-            for item in self._wire_codec.deserialize(response)["records"]:
-                if self.event_log.append_at(item["offset"], item["payload"],
-                                            item["origin"]) is not None:
+            for record in _page_records(self._wire_codec.deserialize(
+                    response)):
+                if self.event_log.append_at(record.offset, record.payload,
+                                            record.origin) is not None:
                     healed += 1
         self.healed_records += healed
         return healed
@@ -600,9 +614,9 @@ class MeshShard(TpsBroker):
         if message["from"] > replica.next_offset:
             self.replica_rejects += 1
         else:
-            for item in message["records"]:
-                if replica.append_at(item["offset"], item["payload"],
-                                     item["origin"]) is not None:
+            for record in _page_records(message):
+                if replica.append_at(record.offset, record.payload,
+                                     record.origin) is not None:
                     self.replica_records += 1
         try:
             self.post_async(src, KIND_REPLICATE_ACK, self._wire_codec.serialize(
@@ -635,18 +649,10 @@ class MeshShard(TpsBroker):
         instead of the local event log (the archivist path — a removed
         shard's history outlives it in its followers)."""
         request = self._wire_codec.deserialize(payload)
-        origin = request.get("origin")
-        own_only = True
-        if origin is not None and origin != self.peer_id:
-            log = self.replicas.log_for(origin, create=False) \
-                if self.replicas is not None else None
-            # Replica logs hold only the origin's own records — no
-            # forwarded-in copies to filter out.
-            own_only = False
-        else:
-            log = self.event_log
+        origin = request.get("origin") or self.peer_id
+        log = self._held_log(origin)
         if log is None:
-            return self._wire_codec.serialize({"upto": 0, "records": []})
+            return self._records_reply(0, ())
         expected = deserialize_description(
             request["description"]).to_type_info()
         self.runtime.registry.register(expected)
@@ -655,45 +661,64 @@ class MeshShard(TpsBroker):
         clamp = request.get("upto")
         if clamp is not None:
             upto = min(upto, int(clamp))
-        #: Retention may have dropped records the requester never fetched
-        #: — report how far the retained log actually starts, so the
-        #: requester can surface the gap instead of silently skipping it.
-        first = log.first_offset
         records = []
-        for record in log.replay(request["from"], upto):
-            if own_only and envelope_home(record.payload) is not None:
-                continue  # some other shard's record, forwarded here
-            match = self.pipeline.conforming_from_record(
-                record, src, expected, decode=False)
-            if match is None:
+        for record in self._held_records(origin, request["from"], upto):
+            found = self.pipeline.conforming_from_record(record, src,
+                                                         expected)
+            if found is None:
                 # Unservable right now (code unavailable): stop the scan
                 # short of it so the requester retries later instead of
                 # consuming past a record it never saw.
                 upto = record.offset
                 break
-            if match:
-                records.append({"offset": record.offset,
-                                "origin": record.origin,
-                                "payload": record.payload})
+            if found[1]:
+                records.append(record)
         self.fetch_records_served += len(records)
-        return self._wire_codec.serialize({"upto": upto, "first": first,
-                                           "records": records})
+        # Retention may have dropped records the requester never fetched
+        # — ``first`` reports how far the retained log actually starts,
+        # so the requester can surface the gap instead of skipping it.
+        return self._records_reply(upto, records, first=log.first_offset)
 
     def _handle_replica_pull(self, payload: bytes, src: str) -> bytes:
         """Serve the replicated copy of ``src``'s own records back to it —
         the recovery catch-up path of a shard whose log was lost."""
-        request = self._wire_codec.deserialize(payload)
-        replica = self.replicas.log_for(src, create=False) \
-            if self.replicas is not None else None
+        replica = self._held_log(src)
         if replica is None:
-            return self._wire_codec.serialize({"upto": 0, "records": []})
+            return self._records_reply(0, ())
         upto = replica.next_offset
-        records = [
-            {"offset": record.offset, "origin": record.origin,
-             "payload": record.payload}
-            for record in replica.replay(request["from"], upto)
-        ]
-        return self._wire_codec.serialize({"upto": upto, "records": records})
+        return self._records_reply(upto, self._held_records(
+            src, self._wire_codec.deserialize(payload)["from"], upto))
+
+    def _records_reply(self, upto: int, records: Iterable[LogRecord],
+                       first: Optional[int] = None) -> bytes:
+        """A page of stored records, as both record servers answer it:
+        ``upto`` is how far the scan got; :func:`_page_records` reads the
+        records back."""
+        reply: Dict[str, Any] = {"upto": upto}
+        if first is not None:
+            reply["first"] = first
+        reply["records"] = [{"offset": record.offset, "origin": record.origin,
+                             "payload": record.payload} for record in records]
+        return self._wire_codec.serialize(reply)
+
+    def _held_log(self, origin: str) -> Optional[EventLog]:
+        """The log holding ``origin``'s records here: this shard's event
+        log for its own, its replica log of a sibling's (``None`` without
+        one)."""
+        if origin == self.peer_id:
+            return self.event_log
+        if self.replicas is None:
+            return None
+        return self.replicas.log_for(origin, create=False)
+
+    def _held_records(self, origin: str, start: int,
+                      end: int) -> Iterator[LogRecord]:
+        """``origin``'s records in ``[start, end)`` of :meth:`_held_log`.
+        The own log's forwarded-in copies are skipped: their home shard
+        is authoritative.  Replica logs hold only the origin's records."""
+        if origin == self.peer_id:
+            return own_records(self.event_log, start, end)
+        return self._held_log(origin).replay(start, end)
 
     # -- mesh-wide durable replay (requesting side) ------------------------
 
@@ -785,31 +810,13 @@ class MeshShard(TpsBroker):
         description = serialize_description_bytes(
             TypeDescription.from_type_info(subscription.expected))
         total = 0
+        origins = list(self._siblings) + [
+            shard_id for shard_id in
+            (self.topology.departed if self.topology is not None else ())
+            if shard_id != self.peer_id]
         if floor > 0:
-            cursor = foreign_cursor_name(subscription.cursor_name,
-                                         self.peer_id)
-            self.durability.register_cursor(
-                cursor, peer_id=subscription.peer_id,
-                touch=not recovering,
-                origin=self.peer_id, base=subscription.cursor_name)
-            # ``local=True``: this fetch cursor tracks the LOCAL log, so
-            # unlike its sibling-space kin it must pin the retention
-            # floor until its pass drains.
-            self.cursors.annotate(cursor, local=True)
-            start = self.cursors.get(cursor)
-            if start < floor:
-                own = (record
-                       for record in self.event_log.replay(start, floor)
-                       if envelope_home(record.payload) is None)
-                total += self.pipeline.replay_foreign(
-                    subscription, self.peer_id, own, upto=floor,
-                    floor=floor)
-        departed = [shard_id for shard_id in
-                    (self.topology.departed
-                     if self.topology is not None else ())
-                    if shard_id != self.peer_id]
-        for origin in list(self._siblings) + departed:
-            bound = None if bounds is None else bounds.get(origin)
+            origins.insert(0, self.peer_id)  # the self pass
+        for origin in origins:
             cursor = foreign_cursor_name(subscription.cursor_name, origin)
             fresh_fetch = cursor not in self.cursors
             self.durability.register_cursor(
@@ -817,18 +824,24 @@ class MeshShard(TpsBroker):
                 touch=not recovering,
                 origin=origin, base=subscription.cursor_name)
             start = self.cursors.get(cursor)
-            replica = self.replicas.log_for(origin, create=False) \
-                if self.replicas is not None else None
-            if replica is not None and replica.next_offset > start:
-                replica_end = replica.next_offset if bound is None \
-                    else min(replica.next_offset, bound)
-                if replica_end > start:
-                    total += self.pipeline.replay_foreign(
-                        subscription, origin,
-                        replica.replay(start, replica_end),
-                        upto=replica_end, seen=seen, floor=floor,
-                        ceiling=ceiling)
-                    start = max(start, replica_end)
+            if origin == self.peer_id:
+                # ``local=True``: this fetch cursor tracks the LOCAL log, so
+                # unlike its sibling-space kin it must pin the retention
+                # floor until its pass drains.
+                self.cursors.annotate(cursor, local=True)
+                end = bound = floor
+            else:
+                replica = self._held_log(origin)
+                end = 0 if replica is None else replica.next_offset
+                bound = None if bounds is None else bounds.get(origin)
+                if bound is not None:
+                    end = min(end, bound)
+            if end > start:
+                total += self.pipeline.replay_foreign(
+                    subscription, origin,
+                    self._held_records(origin, start, end),
+                    upto=end, seen=seen, floor=floor, ceiling=ceiling)
+                start = end
             if bound is not None and start >= bound:
                 continue
             request = {"description": description, "from": start}
@@ -867,11 +880,8 @@ class MeshShard(TpsBroker):
                 # log missed nothing — it begins at the retained head).
                 self.pipeline.stats.retention_lost_records += \
                     reply["first"] - start
-            fetched: Iterator[LogRecord] = (
-                LogRecord(item["offset"], item["origin"], item["payload"])
-                for item in reply["records"])
             total += self.pipeline.replay_foreign(
-                subscription, origin, fetched,
+                subscription, origin, _page_records(reply),
                 upto=reply["upto"], seen=seen, floor=floor,
                 ceiling=ceiling)
         return total

@@ -21,9 +21,10 @@ acknowledgements against replay cursors.  Each step is a stage:
   single-broker baseline) versus per-destination buffers drained into
   one message per destination (the mesh data plane);
 - :class:`DeliveryPipeline` — the composition: one ``process()`` call is
-  one admitted record travelling every stage, and one ``replay()`` call
-  is one durable subscription's backlog travelling the same conformance
-  and ack machinery as live traffic.
+  one admitted record travelling every stage, and one replay pass is one
+  durable subscription's backlog — from the local log, a replica log or
+  a fetched page — travelling the same conformance and ack machinery as
+  live traffic.
 
 A record enters ``process()`` in one shape: a batch exposing ``len``,
 ``root_type(i)`` and ``value(i)`` — a
@@ -31,9 +32,11 @@ A record enters ``process()`` in one shape: a batch exposing ``len``,
 frame, or a :class:`ValueBatch` over values already in hand (an
 in-process publish, or the values the code-fetch fallback just
 decoded).  Routing runs on root types, once per record and root type;
-a value is decoded only when an in-process handler receives it.  On a network broker the record's frame
-bytes come along, and logging, replication, forwarding and remote
-delivery all carry those bytes, never re-encoded values.
+a value is decoded only when an in-process handler receives it.  On a
+network broker the record's frame bytes come along, and logging,
+replication, forwarding, remote delivery and replay all carry those
+bytes, never re-encoded values: replay relays each stored frame as it
+was logged, an ack token spliced into its header.
 
 The brokers are thin adapters over one pipeline each: they own the
 subscription control plane (subscribe/unsubscribe, gossip, recovery) and
@@ -45,10 +48,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ...net.network import NetworkError, UnknownPeerError
 from ...persistence import CursorStore, EventLog
+from ...persistence.log import LogRecord
 from ...serialization.envelope import LazyBatch, encode_home, envelope_home
 from ...serialization.errors import SerializationError
 from ...transport.protocol import (KIND_OBJECT_BATCH, KIND_REPLICATE,
@@ -101,6 +106,15 @@ def foreign_cursor_name(base: str, origin_shard: str) -> str:
     return "%s@%s" % (base, origin_shard)
 
 
+def own_records(log: EventLog, start: int = 0,
+                end: Optional[int] = None) -> Iterator[LogRecord]:
+    """The records of ``log`` in ``[start, end)`` that its shard is home
+    to: a forwarded-in copy carries a ``home`` attribute and is some
+    other shard's record."""
+    return (record for record in log.replay(start, end)
+            if envelope_home(record.payload) is None)
+
+
 def _merge_ack_windows(into: Dict[str, List[int]],
                        acks: Optional[Dict[str, List[int]]]) -> None:
     """Union per-cursor ``[start, end)`` offset windows in place — the ack
@@ -114,6 +128,32 @@ def _merge_ack_windows(into: Dict[str, List[int]],
         else:
             have[0] = min(have[0], window[0])
             have[1] = max(have[1], window[1])
+
+
+def send_frames(host: Any, tracker: Optional[AckTracker], dst: str,
+                frames: List[bytes], count: int,
+                ranges: Sequence[Tuple[str, int, int]] = (),
+                traces: Sequence[str] = ()) -> bool:
+    """Send stored ``frames`` (``count`` values in all) to ``dst`` as ONE
+    message, verbatim.  With durable ``(cursor, start, end)`` ``ranges``
+    the message carries one ack token covering them, spliced into the
+    last frame's header; ``traces`` tag the token so its ack closes their
+    spans.  ``False`` (token discarded, drop counted) when ``dst`` is not
+    on the fabric."""
+    codec = host.codec
+    token: Optional[str] = None
+    if ranges and tracker is not None:
+        token = tracker.issue(dst, ranges)
+        tracker.tag(token, traces)
+        frames[-1] = codec.reframe(frames[-1], ack=token)
+    try:
+        host.send_payload_batch(dst, codec.join_frames(frames), count)
+    except UnknownPeerError:
+        if token is not None:
+            tracker.discard(token)
+        host.network.stats.record_drop()
+        return False
+    return True
 
 
 class PipelineStats:
@@ -276,18 +316,6 @@ class RoutingStage:
     def targets(self, event_type):
         """Yield ``(entry, subscriptions)`` per matching expected type."""
         return self.index.route(event_type)
-
-    def conforming(self, values: Sequence[Any],
-                   expected) -> List[Tuple[Any, RouteEntry]]:
-        """The subset of ``values`` that conforms to one expected type
-        (the replay-side admission check — exactly what live publish
-        would admit), paired with the cached route entries."""
-        matched = []
-        for value in values:
-            entry = self.index.lookup(value.type_info, expected)
-            if entry is not None:
-                matched.append((value, entry))
-        return matched
 
 
 # ---------------------------------------------------------------------------
@@ -755,12 +783,9 @@ class ReplicationStage:
             return
         watermark = self.acked[follower]
         self.stats.replication_resends += 1
-        queue = []
-        for record in self.event_log.replay(watermark):
-            if envelope_home(record.payload) is not None:
-                continue  # a forwarded-in copy: not this shard's record
-            queue.append((record.offset, record.origin, record.payload))
-        self._queues[follower] = queue
+        self._queues[follower] = [
+            (record.offset, record.origin, record.payload)
+            for record in own_records(self.event_log, watermark)]
         self.sent[follower] = watermark
 
     def ensure_coverage(self) -> int:
@@ -865,22 +890,15 @@ class DirectDelivery:
                 # record stays in the log for the replay that lifts the
                 # block — sending it now would strand or duplicate it.
                 return NOT_SENT
-            token = tracker.issue(subscription.peer_id,
-                                  ((cursor, log_offset, log_offset + 1),))
-            try:
-                self.host.send_payload_batch(
-                    subscription.peer_id,
-                    self.host.codec.reframe(ctx["payload"], ack=token),
-                    len(batch))
-            except UnknownPeerError:
+            trace = ctx["trace"]
+            if not send_frames(self.host, tracker, subscription.peer_id,
+                               [ctx["payload"]], len(batch),
+                               ((cursor, log_offset, log_offset + 1),),
+                               () if trace is None else (trace,)):
                 # The durable subscriber is offline: its record stays
                 # unacked (replayed when it returns) and the rest of the
                 # fan-out proceeds.
-                tracker.discard(token)
-                self.host.network.stats.record_drop()
                 return NOT_SENT
-            if ctx["trace"] is not None:
-                tracker.tag(token, (ctx["trace"],))
             return SENT_ONCE
         if subscription.peer_id in ctx["frame_sent"]:
             # The record already travelled to this peer; its dispatch
@@ -1025,23 +1043,14 @@ class BufferedDelivery:
                 _merge_ack_windows(acks, record_acks)
                 if trace is not None:
                     traces.append(trace)
-            token: Optional[str] = None
-            if acks and tracker is not None:
-                # The message covers durable subscriptions: its ack
-                # advances their cursors through the logged offset ranges.
-                token = tracker.issue(dst, tuple(
-                    (name, window[0], window[1])
-                    for name, window in sorted(acks.items())))
-                tracker.tag(token, traces)
-                frames[-1] = codec.reframe(frames[-1], ack=token)
-            try:
-                self.host.send_payload_batch(dst, codec.join_frames(frames),
-                                             events)
-            except UnknownPeerError:
-                if token is not None:
-                    tracker.discard(token)
-                self.host.network.stats.record_drop()  # destination left
-                continue
+            # A message covering durable subscriptions carries an ack that
+            # advances their cursors through the logged offset ranges.
+            ranges = tuple((name, window[0], window[1])
+                           for name, window in sorted(acks.items())) \
+                if acks else ()
+            if not send_frames(self.host, tracker, dst, frames, events,
+                               ranges, traces):
+                continue  # the destination left
             self.batch_events += events
             sent += 1
         self._outgoing.clear()
@@ -1409,14 +1418,10 @@ class DeliveryPipeline:
 
     def replay(self, subscription: Any, fresh: bool = False) -> int:
         """Replay retained records in ``[cursor, log end)`` to one durable
-        subscription; returns the number of events sent/delivered.
-
-        A failure (handler crash, unmaterializable record) aborts the
-        pass: replaying on would let a later record's cumulative cursor
-        advance mark the failed one acked."""
+        subscription (see :meth:`_replay_pass`); returns the number of
+        conforming values delivered."""
         durability = self.durability
         log = durability.event_log
-        upto = log.next_offset
         cursor_offset = durability.cursors.get(subscription.cursor_name)
         start = max(cursor_offset, log.first_offset)
         if start > cursor_offset and not fresh:
@@ -1425,222 +1430,8 @@ class DeliveryPipeline:
             # clamping past it.  A brand-new cursor starting on an aged
             # log missed nothing; it simply begins at the retained head.
             self.stats.retention_lost_records += start - cursor_offset
-        if subscription.handler is not None:
-            replayed = 0
-            for record in log.replay(start, upto):
-                sent = self._replay_record_local(subscription, record)
-                if sent is None:
-                    break
-                replayed += sent
-            return replayed
-        return self._replay_remote(subscription, start, upto)
-
-    def conforming_from_record(self, record: Any, fallback_src: str,
-                               expected: Any, decode: bool = True
-                               ) -> Optional[List[Tuple[Any, Any]]]:
-        """Conformance-filter one stored record for replay, header-only
-        where per-value roots suffice: when the record's type section
-        resolves locally (the common case — this broker admitted it), the
-        filter runs on the header's root types through the cached routing
-        verdicts and only the values that will actually travel are
-        decoded.  A record with nothing conforming costs zero value
-        decodes; with ``decode=False`` (the backlog-fetch server, which
-        ships the stored frame verbatim) a header-routable record costs
-        none at all, each match carrying its value index instead of its
-        value.  Falls back to materialization for unknown types
-        (the code-fetch path) and legacy payloads; ``None`` (after
-        counting the failure) = unservable right now, halt the pass.
-        """
-        try:
-            envelope = self.admission.parse(record.payload)
-        except SerializationError:
-            envelope = None
-        if envelope is not None:
-            batch = self.admission.lazy(envelope)
-            if batch is not None:
-                matched: List[Tuple[Any, Any]] = []
-                try:
-                    for index in range(len(batch)):
-                        entry = self.routing.index.lookup(
-                            batch.root_type(index), expected)
-                        if entry is not None:
-                            matched.append((batch.value(index) if decode
-                                            else index, entry))
-                except SerializationError:
-                    # The header promised a value the body cannot yield —
-                    # a corrupt record is unservable, exactly like a
-                    # failed materialization.
-                    self.stats.replay_failures += 1
-                    return None
-                return matched
-        values = self.admission.materialize_record(record, fallback_src)
-        if values is None:
-            return None
-        return self.routing.conforming(values, expected)
-
-    def _replay_record_local(self, subscription: Any, record: Any,
-                             cursor: Optional[str] = None) -> Optional[int]:
-        """Replay one record to an in-process handler (self-acking).
-        ``cursor`` overrides the advance target — foreign replay acks the
-        per-sibling fetch cursor in the record's own offset space."""
-        durability = self.durability
-        if cursor is None:
-            cursor = subscription.cursor_name
-        if record.origin and record.origin == subscription.peer_id:
-            # Never echo a publisher's own events back — and do not leave
-            # the cursor pinned below them either.
-            durability.advance(cursor, record.offset + 1, touch=False)
-            return 0
-        conforming = self.conforming_from_record(
-            record, subscription.peer_id or self.host.peer_id,
-            subscription.expected)
-        if conforming is None:
-            return None  # halt: a later ack must not skip this record
-        if not conforming:
-            # Nothing to wait for: a local no-op record is acked now.
-            durability.advance(cursor, record.offset + 1, touch=False)
-            return 0
-        for value, entry in conforming:
-            view = entry.view(value, self.routing.checker)
-            if not self._deliver_local(subscription, view, record.offset,
-                                       cursor=cursor):
-                return None  # unacked: this pass stops at the failure
-            subscription.delivered += 1
-            self.stats.events_replayed += 1
-        durability.tracker.clear_block_through(cursor, record.offset)
-        durability.advance(cursor, record.offset + 1)
-        return len(conforming)
-
-    def _replay_remote(self, subscription: Any, start: int,
-                       upto: int) -> int:
-        """Replay a remote subscription's local-log backlog."""
-        return self._replay_stream(
-            subscription, subscription.cursor_name,
-            self.durability.event_log.replay(start, upto))
-
-    def _replay_stream(self, subscription: Any, cursor_name: str,
-                       records: Any, skip: Optional[Callable[[Any], bool]] = None,
-                       tail: Optional[int] = None,
-                       counter: str = "events_replayed") -> int:
-        """Replay a stream of records to a remote subscription as
-        coalesced batches, acknowledged against ``cursor_name``.
-
-        Consecutive same-origin records pool into one batch message (up
-        to :data:`REPLAY_BATCH_RECORDS` records) under ONE cumulative ack
-        token — an N-record backlog costs ~N/K messages, not 2N.  Records
-        with nothing to send (non-conforming, self-origin, or externally
-        ``skip``-ped as already consumed) extend the open batch's ack
-        range, so its acknowledgement consumes them too.  ``tail``
-        (foreign replay: the serving shard's scan end) is consumed after
-        the stream the same way — records the server filtered out must
-        not be re-fetched forever.  ``counter`` names the
-        :class:`PipelineStats` slot delivered events are counted under.
-        """
-        durability = self.durability
-        host = self.host
-        stats = self.stats
-        replayed = 0
-        batch: List[Any] = []
-        batch_origin: Optional[str] = None
-        batch_records = 0
-        batch_start = 0
-        batch_end = 0
-        # Where a run of skipped records lets the cursor move while no
-        # batch is open: one advance (one cursor-file write) per run,
-        # made before the next token is issued, not one per record.
-        idle_target: Optional[int] = None
-
-        def flush() -> bool:
-            nonlocal batch, batch_origin, batch_records, replayed, idle_target
-            if idle_target is not None:
-                durability.advance_if_idle(cursor_name, idle_target,
-                                           touch=False)
-                idle_target = None
-            if not batch:
-                return True
-            token = durability.tracker.issue(
-                subscription.peer_id,
-                ((cursor_name, batch_start, batch_end),))
-            payload = host.codec.encode_batch(batch, origin=batch_origin,
-                                              ack=token)
-            count = len(batch)
-            batch, batch_origin, batch_records = [], None, 0
-            try:
-                host.send_payload_batch(subscription.peer_id, payload, count)
-            except UnknownPeerError:
-                # No route to the subscriber right now (it may simply not
-                # have dialed this shard yet — e.g. a freshly adopted
-                # subscription on a just-joined shard).  The discarded
-                # token blocks the cursor below the batch, so a later
-                # retry redelivers instead of cumulatively acking the
-                # records away.
-                durability.tracker.discard(token)
-                stats.replay_unreachable += 1
-                host.network.stats.record_drop()
-                return False
-            # A once-failed (blocked) record inside this batch went back
-            # out: lift the block so the coming ack can advance past it.
-            durability.tracker.clear_block_through(cursor_name,
-                                                   batch_end - 1)
-            subscription.delivered += count
-            setattr(stats, counter, getattr(stats, counter) + count)
-            replayed += count
-            return True
-
-        def consume(offset: int) -> None:
-            """A record with nothing to send is folded into the open
-            batch's ack range, or acked directly when nothing is in
-            flight — never re-scanned forever, never skipping an
-            in-flight delivery."""
-            nonlocal batch_end, idle_target
-            # A skipped record needs no delivery, so a block pinned at it
-            # (a once-failed range whose records were since consumed
-            # elsewhere — e.g. delivered through the local path) must not
-            # hold the cursor forever.
-            durability.tracker.clear_block_through(cursor_name, offset)
-            if batch:
-                batch_end = offset + 1
-            else:
-                idle_target = offset + 1
-
-        for record in records:
-            if skip is not None and skip(record):
-                consume(record.offset)
-                continue
-            if record.origin and record.origin == subscription.peer_id:
-                consume(record.offset)  # own events are never echoed
-                continue
-            conforming = self.conforming_from_record(
-                record, subscription.peer_id or host.peer_id,
-                subscription.expected)
-            if conforming is None:
-                # Deliver what already accumulated (its ack stops below
-                # the failed record), then halt the pass.
-                flush()
-                return replayed
-            if not conforming:
-                consume(record.offset)
-                continue
-            origin = record.origin or None
-            if batch and (origin != batch_origin
-                          or batch_records >= REPLAY_BATCH_RECORDS):
-                if not flush():
-                    return replayed
-            if not batch:
-                batch_start = record.offset
-            batch.extend(value for value, _ in conforming)
-            batch_origin = origin
-            batch_records += 1
-            batch_end = record.offset + 1
-        if tail is not None:
-            if batch:
-                batch_end = max(batch_end, tail)
-            else:
-                idle_target = max(idle_target or 0, tail)
-        flush()
-        return replayed
-
-    # -- foreign replay (replica logs + backlog fetch) ---------------------
+        return self._replay_pass(subscription, subscription.cursor_name,
+                                 log.replay(start, log.next_offset))
 
     def replay_foreign(self, subscription: Any, origin_shard: str,
                        records: Any, upto: Optional[int] = None,
@@ -1649,7 +1440,7 @@ class DeliveryPipeline:
         """Deliver another shard's origin records to one durable
         subscription, tracked by the per-``(cursor, origin shard)`` fetch
         cursor — offsets here live in ``origin_shard``'s space, never the
-        local log's.
+        local log's.  Delivered values count as ``events_fetched``.
 
         ``records`` is a stream of that shard's records (from the local
         replica log, or a conformance-filtered ``backlog_fetch``
@@ -1672,36 +1463,175 @@ class DeliveryPipeline:
         delivered).  The defaults (0, unbounded) make every local copy
         count as seen — the ordinary-subscription behavior.
         """
-        cursor = foreign_cursor_name(subscription.cursor_name, origin_shard)
-        if seen is None:
-            seen = {}
+        seen = seen or {}
 
         def already_seen(record):
             local = seen.get((origin_shard, record.offset))
             return (local is not None and local >= floor
                     and (ceiling is None or local < ceiling))
 
-        if subscription.handler is None:
-            return self._replay_stream(subscription, cursor, records,
-                                       skip=already_seen, tail=upto,
-                                       counter="events_fetched")
+        return self._replay_pass(
+            subscription,
+            foreign_cursor_name(subscription.cursor_name, origin_shard),
+            records, skip=already_seen, tail=upto, counter="events_fetched")
+
+    def conforming_from_record(self, record: Any, fallback_src: str,
+                               expected: Any
+                               ) -> Optional[Tuple[Any, List[Tuple[int, Any]]]]:
+        """The record's batch and the ``(index, route entry)`` of each of
+        its values conforming to ``expected``, decided on root types
+        through the cached routing verdicts at zero value decodes.  A
+        record whose types do not resolve here, or whose payload is not
+        binary, is first materialized (the code fetch) into a
+        :class:`ValueBatch`.  ``None`` (after counting the failure):
+        unservable right now, halt the pass."""
+        try:
+            envelope = self.admission.parse(record.payload)
+        except SerializationError:
+            envelope = None
+        batch = None if envelope is None else self.admission.lazy(envelope)
+        if batch is None:
+            values = self.admission.materialize_record(record, fallback_src)
+            if values is None:
+                return None
+            batch = ValueBatch(values)
+        lookup = self.routing.index.lookup
+        matched = []
+        for index in range(len(batch)):
+            entry = lookup(batch.root_type(index), expected)
+            if entry is not None:
+                matched.append((index, entry))
+        return batch, matched
+
+    def _replay_pass(self, subscription: Any, cursor: str, records: Any,
+                     skip: Optional[Callable[[Any], bool]] = None,
+                     tail: Optional[int] = None,
+                     counter: str = "events_replayed") -> int:
+        """Replay stored ``records`` (the local log, a replica log, a
+        fetched page: any offset-ordered stream) to one durable
+        subscription, acked against ``cursor``; returns the conforming
+        values delivered, also counted under the :class:`PipelineStats`
+        slot ``counter``.
+
+        A remote subscription gets each matching record's stored frame
+        verbatim — trace id, encoding and keys intact — up to
+        :data:`REPLAY_BATCH_RECORDS` frames per message under ONE
+        cumulative ack token.  A record that mixes in other values
+        travels whole, as on the live path; the receiver rejects those
+        from the header.  An in-process handler gets its matched values
+        (the only decodes) and acks record by record.
+
+        A record with nothing to deliver (non-conforming, self-origin,
+        ``skip``-ped) is consumed, and so is everything below ``tail``,
+        how far the source scanned.  A failure (unservable record,
+        handler crash, unreachable subscriber) halts the pass: going on
+        would let a later cumulative ack mark the failed record acked.
+        """
         durability = self.durability
+        tracker = durability.tracker
+        stats = self.stats
+        checker = self.routing.checker
+        fallback_src = subscription.peer_id or self.host.peer_id
         replayed = 0
+        frames: List[bytes] = []
+        values = matched = start = end = 0
+        # Where a run of skipped records lets the cursor move while no
+        # message is open: one advance (one cursor-file write) per run,
+        # made before the next token is issued, not one per record.
+        idle_target: Optional[int] = None
+
+        def count(delivered: int) -> None:
+            nonlocal replayed
+            subscription.delivered += delivered
+            setattr(stats, counter, getattr(stats, counter) + delivered)
+            replayed += delivered
+
+        def flush() -> bool:
+            nonlocal values, matched, idle_target
+            if idle_target is not None:
+                durability.advance_if_idle(cursor, idle_target, touch=False)
+                idle_target = None
+            if not frames:
+                return True
+            sent = send_frames(self.host, tracker, subscription.peer_id,
+                               frames, values, ((cursor, start, end),))
+            frames.clear()
+            if not sent:
+                # No route to the subscriber right now (it may simply not
+                # have dialed this shard yet — e.g. a freshly adopted
+                # subscription on a just-joined shard).  The discarded
+                # token blocks the cursor below the message, so a later
+                # retry redelivers instead of cumulatively acking the
+                # records away.
+                stats.replay_unreachable += 1
+                return False
+            # A once-failed (blocked) record inside this message went back
+            # out: lift the block so the coming ack can advance past it.
+            tracker.clear_block_through(cursor, end - 1)
+            count(matched)
+            values = matched = 0
+            return True
+
+        def consume(offset: int) -> None:
+            """Fold a record with nothing to send into the open message's
+            ack range, or ack it directly when nothing is in flight —
+            never re-scanned forever, never skipping an in-flight
+            delivery."""
+            nonlocal end, idle_target
+            # A skipped record needs no delivery, so a block pinned at it
+            # (a once-failed range whose records were since consumed
+            # elsewhere — e.g. delivered through the local path) must not
+            # hold the cursor forever.
+            tracker.clear_block_through(cursor, offset)
+            if frames:
+                end = offset + 1
+            else:
+                idle_target = offset + 1
+
         for record in records:
-            if already_seen(record):
-                durability.advance(cursor, record.offset + 1, touch=False)
+            if (skip is not None and skip(record)) or (
+                    record.origin and record.origin == subscription.peer_id):
+                consume(record.offset)  # own events are never echoed
                 continue
-            sent = self._replay_record_local(subscription, record,
-                                             cursor=cursor)
-            if sent is None:
-                return replayed  # halt below the failed record
-            if sent:
-                # _replay_record_local counted these as replayed events;
-                # re-book them as fetched so the two paths stay tellable
-                # apart in stats.
-                self.stats.events_replayed -= sent
-                self.stats.events_fetched += sent
-            replayed += sent
-        if upto is not None:
-            durability.advance(cursor, upto, touch=False)
+            found = self.conforming_from_record(record, fallback_src,
+                                                subscription.expected)
+            if found is None:
+                # Deliver what already accumulated (its ack stops below
+                # the failed record), then halt the pass.
+                flush()
+                return replayed
+            batch, conforming = found
+            if not conforming:
+                consume(record.offset)
+                continue
+            if subscription.handler is not None:
+                flush()  # the skipped run before this record is acked
+                for index, entry in conforming:
+                    try:
+                        value = batch.value(index)
+                    except SerializationError:
+                        # The header promised a value the body cannot
+                        # yield: a corrupt record is unservable, exactly
+                        # like a failed materialization.
+                        stats.replay_failures += 1
+                        return replayed
+                    if not self._deliver_local(
+                            subscription, entry.view(value, checker),
+                            record.offset, cursor=cursor):
+                        return replayed  # unacked: the pass stops here
+                    count(1)
+                tracker.clear_block_through(cursor, record.offset)
+                durability.advance(cursor, record.offset + 1)
+                continue
+            if len(frames) >= REPLAY_BATCH_RECORDS and not flush():
+                return replayed
+            if not frames:
+                start = record.offset
+            frames.append(record.payload)
+            values += len(batch)
+            matched += len(conforming)
+            end = record.offset + 1
+        if tail is not None:
+            consume(tail - 1)  # records the source filtered out
+        flush()
         return replayed

@@ -27,7 +27,8 @@ from repro.fixtures import account_csharp, person_assembly_pair, person_java
 from repro.net.network import NetworkStats, UnknownPeerError
 from repro.persistence import CursorStore, EventLog
 from repro.runtime.loader import Runtime
-from repro.serialization.envelope import EnvelopeCodec, encode_home, split_frames
+from repro.serialization.envelope import (EnvelopeCodec, LazyBatch, encode_home,
+                                         split_frames)
 from repro.transport.protocol import ProtocolError
 
 
@@ -227,19 +228,44 @@ class TestAdmissionStage:
         log.close()
 
 
-class TestRoutingStage:
-    def test_conforming_filters_like_live_publish(self):
+class TestReplayFilter:
+    def make(self, tmp_path):
         runtime = make_runtime()
+        host = _StubHost(runtime)
         checker = ConformanceChecker(options=ConformanceOptions.pragmatic())
-        index = RoutingIndex(checker, runtime.registry)
-        stage = RoutingStage(index)
-        expected = person_java()
-        runtime.registry.register(expected)
+        pipeline = DeliveryPipeline(
+            RoutingStage(RoutingIndex(checker, runtime.registry)),
+            LocalDelivery(), admission=AdmissionStage(host), host=host)
+        runtime.registry.register(person_java())
         runtime.registry.register(account_csharp())
-        values = [person(runtime, "a"), person(runtime, "b")]
-        matched = stage.conforming(values, expected)
-        assert [value.GetName() for value, _ in matched] == ["a", "b"]
-        assert stage.conforming(values, account_csharp()) == []
+        log = EventLog(str(tmp_path))
+        offset = log.append(host.codec.encode_batch(
+            [person(runtime, "a"), person(runtime, "b")], origin="pub"),
+            origin="pub")
+        return host, pipeline, log, log.read(offset)
+
+    def test_conforming_filters_like_live_publish(self, tmp_path):
+        """Replay's filter keeps exactly the values live publish would
+        route: on the header's root types at zero decodes, or, after the
+        code-fetch fallback, on the materialized values."""
+        for header_routable in (True, False):
+            host, pipeline, log, record = self.make(
+                tmp_path / str(header_routable))
+            if not header_routable:
+                pipeline.admission.lazy = lambda envelope: None
+            host.codec.stats.decodes = 0
+            batch, matched = pipeline.conforming_from_record(
+                record, "pub", person_java())
+            assert [index for index, _ in matched] == [0, 1]
+            assert isinstance(batch,
+                              LazyBatch if header_routable else ValueBatch)
+            if header_routable:
+                assert host.codec.stats.decodes == 0
+            assert [batch.value(index).GetName()
+                    for index, _ in matched] == ["a", "b"]
+            assert pipeline.conforming_from_record(
+                record, "pub", account_csharp())[1] == []
+            log.close()
 
 
 class TestBufferedDelivery:

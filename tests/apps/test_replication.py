@@ -460,10 +460,10 @@ class TestBacklogFetchFiltering:
         assert shard.fetch_records_served == 2
 
     def test_durable_replay_filter_is_header_only(self, tmp_path, opened):
-        """Satellite unit: the durable-replay conformance filter runs on
-        frame headers — a backlog with nothing conforming replays with
-        zero value-level decodes, and a mixed backlog decodes only the
-        records that actually travel."""
+        """The durable-replay conformance filter runs on frame headers,
+        and remote replay relays the stored frames: a backlog replays at
+        zero value-level decodes, whether nothing in it conforms or all
+        of it travels."""
         network, mesh, publisher = make_world(opened, tmp_path, shards=1)
         publisher.host_assembly(Assembly("bank", [account_csharp()]))
         home = mesh.shard_ids[0]
@@ -487,7 +487,7 @@ class TestBacklogFetchFiltering:
         assert bank_got == []
         assert shard.codec.stats.decodes == 0
 
-        # A conforming subscriber decodes exactly the records it receives.
+        # A conforming subscriber gets the stored frames, never decoded.
         person_got = []
         person_sub = TpsPeer("person-sub", network)
         shard.codec.stats.decodes = 0
@@ -496,7 +496,7 @@ class TestBacklogFetchFiltering:
                                             cursor="person-c")
         mesh.run_until_idle()
         assert len(person_got) == 3
-        assert shard.codec.stats.decodes == 3
+        assert shard.codec.stats.decodes == 0
 
     def test_fetch_skips_forwarded_in_records(self, tmp_path, opened):
         """Only records a shard is home to are served — forwarded-in
@@ -521,6 +521,84 @@ class TestBacklogFetchFiltering:
             other_shard._handle_backlog_fetch(request, "tester"))
         assert reply["records"] == []
         assert reply["upto"] == other_shard.event_log.next_offset
+
+
+class TestReplayRelaysStoredFrames:
+    """Replay relays each matching record's stored frame, an ack token
+    spliced into the last frame of each message."""
+
+    def test_trace_ids_survive_every_replay_source(self, tmp_path, opened):
+        """A late durable subscriber served by its shard's own log, a
+        replica log and a backlog fetch receives frames that carry the
+        trace ids minted when the records were admitted."""
+        network, mesh, publisher = make_world(opened, tmp_path, shards=3,
+                                              replication_factor=1)
+        publish_spread(mesh, publisher, per_shard=2)
+        home = mesh.shard("mesh-shard0")
+        # mesh-shard0 follows mesh-shard2, not mesh-shard1: its own log,
+        # its replica of shard2 and a fetch from shard1 serve the backlog.
+        assert home.replicas.origins() == ["mesh-shard2"]
+        stored = sorted(
+            shard.codec.parse(record.payload).trace
+            for shard in mesh.shards for record in shard.event_log.replay()
+            if envelope_home(record.payload) is None)
+        assert len(stored) == 6 and None not in stored
+
+        late = TpsPeer("late", network)
+        received = []
+        receive = late._receive_batch_frame
+
+        def spy(frame, src):
+            received.append(late.codec.parse(frame).trace)
+            receive(frame, src)
+
+        late._receive_batch_frame = spy
+        got = []
+        late.subscribe_durable_remote(home.peer_id, person_java(),
+                                      got.append, cursor="late")
+        mesh.run_until_idle()
+        assert len(got) == 6
+        assert sorted(received) == stored
+        assert mesh.shard("mesh-shard1").fetch_records_served == 2
+
+    def test_mixed_record_travels_whole(self, tmp_path, opened):
+        """A stored Person, Account, Person record reaches a remote
+        Person subscriber whole, at zero shard decodes, and the
+        subscriber rejects the Account from the header; an in-process
+        handler gets the same two Persons.  Both cursors reach the log
+        end."""
+        network, mesh, publisher = make_world(opened, tmp_path, shards=1)
+        publisher.host_assembly(Assembly("bank", [account_csharp()]))
+        home = mesh.shard_ids[0]
+        shard = mesh.shard(home)
+        publisher.publish_durable(home, [
+            publisher.new_instance("demo.a.Person", ["p0"]),
+            publisher.new_instance("demo.bank.Account", ["o", 1]),
+            publisher.new_instance("demo.a.Person", ["p1"]),
+        ])
+        mesh.run_until_idle()
+        assert shard.event_log.record_count == 1
+
+        remote_got = []
+        remote = TpsPeer("remote-sub", network)
+        remote.host_assembly(Assembly("bank", [account_csharp()]))
+        shard.codec.stats.decodes = 0
+        remote.subscribe_durable_remote(home, person_java(),
+                                        remote_got.append, cursor="remote")
+        mesh.run_until_idle()
+        assert [view.getPersonName() for view in remote_got] == ["p0", "p1"]
+        assert shard.codec.stats.decodes == 0
+        assert remote.transport_stats.objects_rejected == 1
+        assert shard.cursors.get("remote") == shard.event_log.next_offset
+
+        local_got = []
+        shard.subscribe_durable(person_java(), local_got.append,
+                                cursor="local")
+        assert [view.getPersonName() for view in local_got] == ["p0", "p1"]
+        # Only the in-process handler decodes.  A binary batch decodes in
+        # order, so the Account before the last Person decodes too.
+        assert shard.codec.stats.decodes == 3
+        assert shard.cursors.get("local") == shard.event_log.next_offset
 
 
 class TestWipedLogRecovery:

@@ -182,7 +182,10 @@ class Host:
         self.offline = offline
         self.calls = []
         self.codec = SimpleNamespace(
-            reframe=lambda payload, ack: ("reframed", payload, ack))
+            reframe=lambda payload, ack: ("reframed", payload, ack),
+            # Like the codec's: one frame travels as it is.
+            join_frames=lambda frames: (frames[0] if len(frames) == 1
+                                        else ("joined",) + tuple(frames)))
         self.transport_stats = SimpleNamespace(objects_sent=0,
                                                batches_sent=0)
         self.network = SimpleNamespace(stats=SimpleNamespace(

@@ -11,7 +11,7 @@ non-conforming objects (single, batched, in a mixed batch of several
 same-type runs, direct or through the broker), the peer must make the
 same handler calls, in the same order, and count the same
 ``TransportStats`` as a test-local reference peer that keeps the
-closure semantics:
+closure semantics and admits a frame value by value:
 
 - one callback per subscription, run for every received object, firing
   when the object's accepted interest *is* one of its gate's interests;
@@ -20,7 +20,11 @@ closure semantics:
 - a reconnect under the same key drops the earlier callback and extends
   the new one's gate with the earlier gate;
 - an unsubscribe drops that subscription's callback (the interest stays
-  declared).
+  declared);
+- a frame's values are admitted one by one, each with its own verdict
+  and its own ``LazyBatch.value``, so an interest declared part-way
+  through a same-type run (by a handler, or by a receive callback on a
+  rejected value) decides the run's later values.
 
 Two targeted tests pin what invalidates the memos.
 """
@@ -62,7 +66,8 @@ _EVENTS = ("person", "account")
 class _ReferencePeer(TpsPeer):
     """A subscriber with the closure semantics the dispatch table
     replaced: every callback runs for every object, admission is not
-    memoized."""
+    memoized, and a frame is admitted value by value rather than one
+    same-type run at a time."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -104,6 +109,18 @@ class _ReferencePeer(TpsPeer):
         self.callbacks = [entry for entry in self.callbacks
                           if entry[0] != (broker_id, subscription_id)]
 
+    def _admit_batch_lazy(self, envelope, src):
+        batch = self.codec.lazy_batch(envelope)
+        if not batch.types_known():
+            return False
+        for index in range(len(batch)):
+            self.transport_stats.objects_received += 1
+            provider_info = batch.root_type(index)
+            self._deliver(self._admit(src, provider_info.full_name,
+                                      provider_info,
+                                      lambda: batch.value(index)))
+        return True
+
     def _verdict(self, src, provider_info):
         with self._fetching_from(src):
             for candidate in self.interests:
@@ -131,6 +148,9 @@ ops = st.one_of(
     st.tuples(st.just("declare"), type_index),
     # A subscription whose handler declares an interest on its first call.
     st.tuples(st.just("declaring"), type_index, type_index),
+    # A receive callback that declares an interest on the first object it
+    # sees, accepted or rejected.
+    st.tuples(st.just("watching"), type_index),
     st.tuples(st.just("send"), st.sampled_from(_EVENTS),
               st.sampled_from(("direct", "batch", "mixed", "publish"))),
 )
@@ -158,6 +178,18 @@ class _Subscriber:
 
         def declaring(view):
             record(view)
+            if pending:
+                self.peer.declare_interest(
+                    _interest(self, pending.pop(), reuse=False))
+        return declaring
+
+    def declaring_callback(self, declare):
+        """A receive callback declaring an interest of type index
+        ``declare`` on its first call: part-way through a frame, and
+        also on a rejected value, where no handler runs."""
+        pending = [declare]
+
+        def declaring(received):
             if pending:
                 self.peer.declare_interest(
                     _interest(self, pending.pop(), reuse=False))
@@ -214,6 +246,8 @@ def _run(sequence, log_dir):
                     side.live.append(peer.subscribe_remote(
                         "broker", expected,
                         side.declaring_handler("h%d" % step, clock, op[2])))
+                elif kind == "watching":
+                    peer.on_receive(side.declaring_callback(op[1]))
             network.run_until_idle()
         return [side.summary() for side in sides]
     finally:
@@ -269,6 +303,10 @@ def _send(network, sender, sides, event, route, step):
 # batch: the batch's Account and later Persons are admitted afresh.
 @example([("declaring", 0, 3), ("send", "account", "direct"),
           ("send", "person", "mixed"), ("send", "person", "mixed")])
+# A rejected Account declares the Account interest: the batch's second
+# Account, same run, is admitted afresh.
+@example([("subscribe", 0, False), ("watching", 3),
+          ("send", "account", "batch")])
 def test_dispatch_table_matches_closure_semantics(sequence):
     with tempfile.TemporaryDirectory() as log_dir:
         table, closures = _run(sequence, log_dir)
