@@ -62,7 +62,6 @@ from .pipeline import (
     DurabilityStage,
     LocalDelivery,
     PipelineStats,
-    RoutingStage,
     ValueBatch,
 )
 from .routing import RoutingIndex
@@ -149,7 +148,7 @@ class LocalBroker:
         self.index = RoutingIndex(self.checker, registry)
         self.codec = EnvelopeCodec(runtime) if runtime is not None else None
         self.pipeline = DeliveryPipeline(
-            routing=RoutingStage(self.index),
+            index=self.index,
             delivery=LocalDelivery(),
         )
         self._next_id = 1
@@ -285,7 +284,7 @@ class TpsBroker(InteropPeer):
         """The stage composition hook: the mesh shard overrides this to
         swap direct dispatch for buffered dispatch + forwarding."""
         return DeliveryPipeline(
-            routing=RoutingStage(self.index),
+            index=self.index,
             delivery=DirectDelivery(self, self.durability),
             durability=self.durability,
             admission=AdmissionStage(self, stats),

@@ -71,7 +71,6 @@ from .pipeline import (
     DeliveryPipeline,
     PipelineStats,
     ReplicationStage,
-    RoutingStage,
     ValueBatch,
     distinct_roots,
     foreign_cursor_name,
@@ -252,7 +251,7 @@ class MeshShard(TpsBroker):
             self.replication = ReplicationStage(
                 self, self.durability.event_log, stats=stats)
         return DeliveryPipeline(
-            routing=RoutingStage(self.index),
+            index=self.index,
             delivery=BufferedDelivery(self, self.durability,
                                       forward_kind=KIND_MESH_FORWARD),
             durability=self.durability,
@@ -635,7 +634,7 @@ class MeshShard(TpsBroker):
 
     def _handle_backlog_fetch(self, payload: bytes, src: str) -> bytes:
         """Serve this shard's own records, conformance-filtered through
-        the RoutingStage against the requester's expected type, so only
+        the routing index against the requester's expected type, so only
         matching records cross the wire.  Forwarded-in copies are never
         served (their home shard is authoritative).  ``upto`` reports how
         far the scan got — the requester consumes through it so filtered

@@ -11,8 +11,8 @@ acknowledgements against replay cursors.  Each step is a stage:
 
 - :class:`AdmissionStage` — envelope parse + on-demand code-fetching
   materialization (the optimistic protocol's steps 2-5 for batches);
-- :class:`RoutingStage` — conformance-checked fan-out targets via a
-  shared :class:`RoutingIndex`;
+- the broker's :class:`RoutingIndex` — conformance-checked fan-out
+  targets;
 - :class:`DurabilityStage` — durable append, capped cursor advancement,
   retention-floor maintenance, and the :class:`AckTracker` sliding
   windows of in-flight deliveries;
@@ -296,26 +296,6 @@ class AdmissionStage:
         except (ProtocolError, NetworkError):
             self.stats.replay_failures += 1
             return None
-
-
-# ---------------------------------------------------------------------------
-# conformance / routing
-# ---------------------------------------------------------------------------
-
-
-class RoutingStage:
-    """Conformance-checked fan-out targets over a shared RoutingIndex."""
-
-    def __init__(self, index: RoutingIndex):
-        self.index = index
-
-    @property
-    def checker(self):
-        return self.index.checker
-
-    def targets(self, event_type):
-        """Yield ``(entry, subscriptions)`` per matching expected type."""
-        return self.index.route(event_type)
 
 
 # ---------------------------------------------------------------------------
@@ -1122,7 +1102,7 @@ class DeliveryPipeline:
     ack machinery as live traffic.
     """
 
-    def __init__(self, routing: RoutingStage,
+    def __init__(self, index: RoutingIndex,
                  delivery: Any,
                  durability: Optional[DurabilityStage] = None,
                  admission: Optional[AdmissionStage] = None,
@@ -1133,7 +1113,7 @@ class DeliveryPipeline:
                  host: Any = None,
                  replication: Optional[ReplicationStage] = None,
                  tracer: Any = None):
-        self.routing = routing
+        self.index = index
         self.delivery = delivery
         self.durability = durability
         self.admission = admission
@@ -1227,7 +1207,7 @@ class DeliveryPipeline:
             if event_type is None:
                 return 0  # admission guarantees resolvability; defensive
             return self._fan_out_value(ctx, batch, 0,
-                                       self.routing.targets(event_type),
+                                       self.index.route(event_type),
                                        None, origin, log_offset, local_acks)
         roots = batch.root_keys()
         firsts = distinct_roots(batch)
@@ -1266,7 +1246,7 @@ class DeliveryPipeline:
                         local_acks: Dict[str, bool]) -> int:
         """Fan out values ``start`` to ``stop - 1`` one by one, reusing
         and recording route passes in ``passes``."""
-        routing_index = self.routing.index
+        routing_index = self.index
         deliveries = 0
         for index in range(start, stop):
             key = roots[index]
@@ -1301,7 +1281,7 @@ class DeliveryPipeline:
         pass has no answer in ``sent`` — an in-process handler (which never
         answers) or a remote subscription that answered that the record
         did not travel (it is asked again)."""
-        if recorded is None or recorded[0] != self.routing.index.stamp:
+        if recorded is None or recorded[0] != self.index.stamp:
             return None
         counted = []
         for _, subscriptions in recorded[1]:
@@ -1322,8 +1302,8 @@ class DeliveryPipeline:
         group's live member table in ``members`` (the pass is reused only
         if the index did not change under it, so those are the tables
         the pass read)."""
-        routing_index = self.routing.index
-        for target in self.routing.targets(event_type):
+        routing_index = self.index
+        for target in routing_index.route(event_type):
             record.append(target)
             members.append(routing_index.group_members(target[0].expected))
             yield target
@@ -1334,7 +1314,7 @@ class DeliveryPipeline:
         routing index part-way, each later group's subscriptions are read
         when it is reached, as a pass of this value's own would read
         them."""
-        routing_index = self.routing.index
+        routing_index = self.index
         for position, target in enumerate(record):
             if routing_index.stamp != stamp:
                 target = (target[0], list(members[position].values()))
@@ -1362,7 +1342,7 @@ class DeliveryPipeline:
                         # group: proxies are stateless translators.
                         if value is None:
                             value = batch.value(index)
-                        view = entry.view(value, self.routing.checker)
+                        view = entry.view(value, self.index.checker)
                     ok = self._deliver_local(subscription, view, log_offset)
                     if log_offset is not None:
                         cursor = cursor_name_of(subscription)
@@ -1495,7 +1475,7 @@ class DeliveryPipeline:
             if values is None:
                 return None
             batch = ValueBatch(values)
-        lookup = self.routing.index.lookup
+        lookup = self.index.lookup
         matched = []
         for index in range(len(batch)):
             entry = lookup(batch.root_type(index), expected)
@@ -1530,7 +1510,7 @@ class DeliveryPipeline:
         durability = self.durability
         tracker = durability.tracker
         stats = self.stats
-        checker = self.routing.checker
+        checker = self.index.checker
         fallback_src = subscription.peer_id or self.host.peer_id
         replayed = 0
         frames: List[bytes] = []

@@ -17,8 +17,8 @@ subscription on every publish does not survive heavy traffic.  The
   :meth:`~repro.core.rules.ConformanceChecker.equivalent`) settle
   structurally identical types for the cost of a string comparison.
 
-The verdict cache is invalidated when the backing type registry changes
-(new descriptions or assemblies can turn a name-only comparison into a
+The verdict cache lives for one type epoch of the backing registry (new
+descriptions or assemblies can turn a name-only comparison into a
 resolved one) and can be dropped explicitly with :meth:`invalidate`.
 Subscribe/unsubscribe update the groups in O(1); they never stale the
 verdict cache because entries are keyed by type identity, not by
@@ -32,12 +32,16 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ...core.result import ConformanceResult, Verdict
 from ...core.rules import ConformanceChecker
 from ...cts.identity import Guid
-from ...cts.registry import TypeRegistry
+from ...cts.registry import BoundedMemo, TypeRegistry
 from ...cts.types import TypeInfo
 from ...remoting.dynamic import make_proxy
 
 _PairKey = Tuple[Guid, Guid]
 _MISS = object()  # sentinel: distinguishes "not cached" from "cached negative"
+
+#: Bound on the verdict cache (a broker fed ever-new event types must not
+#: grow it without limit).
+_MAX_VERDICTS = 4096
 
 
 class RouteEntry:
@@ -102,9 +106,11 @@ class RoutingIndex:
         self.registry = registry
         self._groups: Dict[Guid, _Group] = {}
         self._by_id: Dict[int, Any] = {}  # insertion-ordered: all subscriptions
-        self._verdicts: Dict[_PairKey, Optional[RouteEntry]] = {}
-        self._registry_version = registry.version if registry is not None else 0
-        #: Bumped by every subscribe, unsubscribe and verdict-cache drop.
+        #: ``(provider guid, expected guid)`` -> route entry (``None``: no
+        #: route), for one epoch of the registry (else the checker's).
+        self._verdicts = BoundedMemo(
+            _MAX_VERDICTS, registry if registry is not None else checker.registry)
+        #: Bumped by every subscribe, unsubscribe and explicit invalidation.
         self.version = 0
         self.stats = RoutingStats()
 
@@ -176,8 +182,10 @@ class RoutingIndex:
         definitively, so a routing re-check would otherwise read the same
         stale verdict straight back out of the rule engine.
         """
-        self._verdicts.clear()
         self.checker.clear_cache()
+        # Taken at the epoch the clear just moved to: that bump is this
+        # invalidation, not a second one for the next lookup to count.
+        self._verdicts.fresh().clear()
         self.stats.invalidations += 1
         self.version += 1
 
@@ -185,28 +193,28 @@ class RoutingIndex:
     def stamp(self) -> Tuple[int, int]:
         """Changes whenever a :meth:`route` pass could answer differently
         from the last one: a subscription came or went, the verdict cache
-        was dropped, or the registry changed (which drops it on the next
-        pass).  A caller that reuses one pass for several values of a
-        record re-routes once this moves."""
-        registry = self.registry
-        return (self.version,
-                registry.version if registry is not None else 0)
-
-    def _check_registry(self) -> None:
-        if self.registry is not None and self.registry.version != self._registry_version:
-            self._registry_version = self.registry.version
-            self.invalidate()
+        was dropped, or the type epoch moved.  A caller that reuses one
+        pass for several values of a record re-routes once this moves."""
+        return (self.version, self._verdicts.owner.epoch)
 
     def lookup(self, event_type: TypeInfo, expected: TypeInfo) -> Optional[RouteEntry]:
-        """The cached routing decision for one pair (None = no route)."""
+        """The cached routing decision for one pair (None = no route), for
+        the current type epoch."""
+        verdicts = self._verdicts
+        if verdicts.epoch != verdicts.owner.epoch:
+            verdicts.fresh()
+            if self.checker.registry is not verdicts.owner:
+                # A checker on another epoch would answer from its cache.
+                self.checker.clear_cache()
+            self.stats.invalidations += 1
         key = (event_type.guid, expected.guid)
-        entry = self._verdicts.get(key, _MISS)
+        entry = verdicts.get(key, _MISS)
         if entry is not _MISS:
             self.stats.hits += 1
             return entry
         self.stats.misses += 1
         entry = self._decide(event_type, expected)
-        self._verdicts[key] = entry
+        verdicts.put(key, entry)
         return entry
 
     def _decide(self, event_type: TypeInfo, expected: TypeInfo) -> Optional[RouteEntry]:
@@ -236,7 +244,6 @@ class RoutingIndex:
         Snapshots groups and members so handlers may subscribe or
         unsubscribe during delivery without corrupting the iteration.
         """
-        self._check_registry()
         for group in list(self._groups.values()):
             entry = self.lookup(event_type, group.expected)
             if entry is None:

@@ -22,12 +22,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cts.identity import Guid
 from ..cts.members import ConstructorInfo, FieldInfo, MethodInfo, Modifiers, TypeRef
+from ..cts.registry import BoundedMemo, TypeRegistry
 from ..cts.types import DOUBLE, FLOAT, INT, LONG, OBJECT, TypeInfo
 from .context import ConformanceOptions, EmptyResolver, TypeResolver
 from .mapping import CtorMatch, FieldMatch, MethodMatch, TypeMapping
 from .result import Aspect, ConformanceResult, Verdict
 
 _Pair = Tuple[Guid, Guid]
+
+#: Bound on the pair cache (a checker fed ever-new types must not grow
+#: it without limit).
+_MAX_PAIRS = 4096
 
 #: Widening conversions honoured when ``allow_numeric_widening`` is on.
 _WIDENINGS = {
@@ -53,12 +58,16 @@ class ConformanceChecker:
     ):
         self.resolver = resolver if resolver is not None else EmptyResolver()
         self.options = options if options is not None else ConformanceOptions()
-        self._cache: Dict[_Pair, ConformanceResult] = {}
+        #: Owner of the type epoch the pair cache lives for: the resolver's
+        #: registry (or the resolver itself, when it is a registry), else
+        #: a private one.
+        registry = getattr(self.resolver, "registry", self.resolver)
+        if not isinstance(registry, TypeRegistry):
+            registry = TypeRegistry(include_builtins=False)
+        self.registry = registry
+        self._cache = BoundedMemo(_MAX_PAIRS, registry)
         self._assumptions: Set[_Pair] = set()
         self.stats = CheckerStats()
-        #: Bumped by :meth:`clear_cache`, so memos built on this checker's
-        #: verdicts (a peer's admission memo) know to drop theirs too.
-        self.generation = 0
 
     # ------------------------------------------------------------------
     # public API
@@ -66,6 +75,7 @@ class ConformanceChecker:
 
     def conforms(self, provider: TypeInfo, expected: TypeInfo) -> ConformanceResult:
         """Full conformance check; returns a result with witness mapping."""
+        self._cache.fresh()
         result, _deps = self._check(provider, expected)
         return result
 
@@ -85,8 +95,10 @@ class ConformanceChecker:
         return left.fingerprint() == right.fingerprint()
 
     def clear_cache(self) -> None:
+        """Drop the pair cache and move the type epoch, so every memo
+        derived from this checker's verdicts is dropped too."""
         self._cache.clear()
-        self.generation += 1
+        self.registry.bump()
 
     @property
     def cache_size(self) -> int:
@@ -128,7 +140,7 @@ class ConformanceChecker:
         # Primitives conform only by identity (plus optional widening).
         if provider.is_primitive or expected.is_primitive:
             result = self._check_primitive(provider, expected)
-            self._cache[pair] = result
+            self._cache.put(pair, result)
             return result, set()
 
         # Arrays: covariant in the element type (CTS semantics).
@@ -140,7 +152,7 @@ class ConformanceChecker:
             result = ConformanceResult.success(
                 provider.full_name, expected.full_name, Verdict.EQUIVALENT
             )
-            self._cache[pair] = result
+            self._cache.put(pair, result)
             return result, set()
 
         # Explicit conformance: declared subtyping.
@@ -148,7 +160,7 @@ class ConformanceChecker:
             result = ConformanceResult.success(
                 provider.full_name, expected.full_name, Verdict.EXPLICIT
             )
-            self._cache[pair] = result
+            self._cache.put(pair, result)
             return result, set()
 
         # Coinduction: the pair is already under examination.
@@ -169,7 +181,7 @@ class ConformanceChecker:
 
         deps.discard(pair)  # self-dependency discharged by this completion
         if not result.ok or not deps:
-            self._cache[pair] = result
+            self._cache.put(pair, result)
         return result, deps
 
     def _check_array(
@@ -181,7 +193,7 @@ class ConformanceChecker:
                 expected.full_name,
                 ["array/non-array mismatch"],
             )
-            self._cache[pair] = result
+            self._cache.put(pair, result)
             return result, set()
         warnings: List[str] = []
         conf, deps = self._refs_conform(provider.element, expected.element, warnings)
@@ -203,7 +215,7 @@ class ConformanceChecker:
                 warnings=warnings,
             )
         if not deps:
-            self._cache[pair] = result
+            self._cache.put(pair, result)
         return result, deps
 
     def _check_primitive(

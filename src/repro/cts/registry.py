@@ -8,7 +8,7 @@ conformance, maybe fetch the assembly).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional
 
 from .identity import Guid
 from .members import TypeRef
@@ -29,25 +29,31 @@ class TypeRegistry:
     The registry is pre-populated with the CTS builtins so that primitive
     type references always resolve locally (the paper's descriptions never
     ship primitive definitions either).
+
+    It also owns the peer's *type epoch*: every registration moves it, and
+    so does anything else that can change a type-derived answer
+    (:meth:`bump`).  Every type-derived memo is a :class:`BoundedMemo`
+    holding what was derived at one epoch.
     """
 
     def __init__(self, include_builtins: bool = True):
         self._by_name: Dict[str, TypeInfo] = {}
         self._by_guid: Dict[Guid, TypeInfo] = {}
-        #: Monotonic mutation counter.  Caches keyed on registry contents
-        #: (e.g. the TPS routing index's verdict cache) compare this to
-        #: decide whether their entries may have gone stale.
-        self.version = 0
+        self.epoch = 0
         if include_builtins:
             for info in BUILTINS.values():
                 self._register(info)
+
+    def bump(self) -> None:
+        """Move the type epoch: every memo filled before now is stale."""
+        self.epoch += 1
 
     # -- registration ------------------------------------------------------
 
     def _register(self, info: TypeInfo) -> None:
         self._by_name[info.full_name] = info
         self._by_guid[info.guid] = info
-        self.version += 1
+        self.epoch += 1
 
     def register(self, info: TypeInfo, replace: bool = False,
                  shadow: bool = False) -> TypeInfo:
@@ -65,7 +71,7 @@ class TypeRegistry:
                 return existing
             if shadow:
                 self._by_guid[info.guid] = info
-                self.version += 1
+                self.epoch += 1
                 return info
             raise DuplicateTypeError(
                 "type %r already registered with a different identity"
@@ -143,3 +149,37 @@ class TypeRegistry:
     def user_types(self) -> List[TypeInfo]:
         """All registered non-builtin types."""
         return [t for t in self._by_name.values() if t.full_name not in BUILTINS]
+
+
+class BoundedMemo(dict):
+    """A memo of at most ``cap`` entries: :meth:`put` starts it over when
+    it is full.
+
+    With an ``owner`` registry it holds what was derived at the epoch in
+    :attr:`epoch`, and :meth:`fresh` empties it once the owner's epoch
+    has moved on (an entry computed while the epoch moved is dropped on
+    the next read).  Per-value paths inline that test before ``get``, so
+    a hit costs no Python call.  Without an owner it memoizes a pure
+    function and only the cap applies.
+    """
+
+    __slots__ = ("cap", "owner", "epoch")
+
+    def __init__(self, cap: int, owner: Optional[TypeRegistry] = None):
+        super().__init__()
+        self.cap = cap
+        self.owner = owner
+        self.epoch = owner.epoch if owner is not None else 0
+
+    def fresh(self) -> "BoundedMemo":
+        """This memo, emptied first if its owner's epoch moved on."""
+        epoch = self.owner.epoch
+        if epoch != self.epoch:
+            self.clear()
+            self.epoch = epoch
+        return self
+
+    def put(self, key: Hashable, value: Any) -> None:
+        if len(self) >= self.cap:
+            self.clear()
+        self[key] = value

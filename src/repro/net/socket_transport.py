@@ -59,6 +59,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
+from ..cts.registry import BoundedMemo
 from ..serialization.envelope import CodecStats, _BufferPool
 from .network import Handler, NetworkError, NetworkStats, UnknownPeerError
 
@@ -127,7 +128,7 @@ def _varint_size(value: int) -> int:
 #: Cap on the memoized ``src``/``dst``/``kind`` field encodings.  The
 #: stable strings of a mesh (node ids, peer ids, message kinds) number in
 #: the hundreds; the cap only matters under unbounded peer churn, where
-#: the oldest (coldest) entry is evicted FIFO.
+#: the memo starts over.
 _FIELD_MEMO_MAX = 1024
 
 
@@ -449,7 +450,7 @@ class SocketNetwork:
         #: Scratch pool for frame headers and memoized length-prefixed
         #: ``src``/``dst``/``kind`` encodings (see :meth:`_encode_frame`).
         self._header_pool = _BufferPool()
-        self._field_memo: Dict[str, bytes] = {}
+        self._field_memo = BoundedMemo(_FIELD_MEMO_MAX)
         # Transport counters beyond the simulator's NetworkStats.
         self.frames_sent = 0          # data frames enqueued (incl. responses)
         self.frames_received = 0      # data frames dispatched/fulfilled
@@ -927,9 +928,7 @@ class SocketNetwork:
                     entry = bytes(scratch)
                 finally:
                     self._header_pool.release(scratch)
-                if len(memo) >= _FIELD_MEMO_MAX:
-                    memo.pop(next(iter(memo)))
-                memo[field] = entry
+                memo.put(field, entry)
             entries.append(entry)
             body_len += len(entry)
         header = self._header_pool.acquire()

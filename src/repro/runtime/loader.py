@@ -7,11 +7,11 @@ then on the peer can deserialize and invoke instances of the new types.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..cts.assembly import Assembly
 from ..cts.members import MethodInfo, TypeRef, Visibility
-from ..cts.registry import TypeNotFoundError, TypeRegistry
+from ..cts.registry import BoundedMemo, TypeNotFoundError, TypeRegistry
 from ..cts.types import BOOL, DOUBLE, FLOAT, INT, LONG, STRING, TypeInfo
 from ..il.instructions import MethodBody
 from ..il.interp import ExecutionEnvironment, Interpreter
@@ -101,12 +101,10 @@ class Runtime:
         #: to run (``None`` when the type has no method of that name);
         #: constructor calls ``(id, arity)``; field-defaults templates
         #: ``id``.  Superclass resolution depends on what is registered, so
-        #: all of them are dropped whenever the registry's version moves.
-        self._calls: Dict[Tuple[int, str],
-                          Tuple[TypeInfo, Optional[Dict[int, _Call]]]] = {}
-        self._ctors: Dict[Tuple[int, int], Tuple[TypeInfo, Optional[_Call]]] = {}
-        self._defaults: Dict[int, Tuple[TypeInfo, Dict[str, Any]]] = {}
-        self._plans_version = -1
+        #: each lives for one type epoch.
+        self._calls = BoundedMemo(_MAX_PLANS, self.registry)
+        self._ctors = BoundedMemo(_MAX_PLANS, self.registry)
+        self._defaults = BoundedMemo(_MAX_PLANS, self.registry)
 
     # -- loading ------------------------------------------------------------
 
@@ -142,14 +140,6 @@ class Runtime:
             current = parent
         return chain
 
-    def _drop_stale_plans(self) -> None:
-        version = self.registry.version
-        if version != self._plans_version:
-            self._calls.clear()
-            self._ctors.clear()
-            self._defaults.clear()
-            self._plans_version = version
-
     def find_method(self, info: TypeInfo, name: str,
                     arity: Optional[int] = None) -> Optional[MethodInfo]:
         for holder in self._type_chain(info):
@@ -170,16 +160,13 @@ class Runtime:
 
     def field_defaults(self, info: TypeInfo) -> Dict[str, Any]:
         """The per-type template every new instance's fields start from
-        (callers copy it; valid for the registry's current version)."""
-        self._drop_stale_plans()
-        hit = self._defaults.get(id(info))
+        (callers copy it; valid for the current type epoch)."""
+        hit = self._defaults.fresh().get(id(info))
         if hit is not None:
             return hit[1]
         template = {f.name: default_field_value(f.type_ref)
                     for f in self.all_fields(info)}
-        if len(self._defaults) >= _MAX_PLANS:
-            self._defaults.clear()
-        self._defaults[id(info)] = (info, template)
+        self._defaults.put(id(info), (info, template))
         return template
 
     # -- compiled member bodies --------------------------------------------------
@@ -204,15 +191,12 @@ class Runtime:
     def _method_plan(self, info: TypeInfo, name: str) -> Optional[Dict[int, _Call]]:
         """Arity -> compiled body for ``info.name`` (filled on demand), or
         ``None`` when the type has no method of that name."""
-        self._drop_stale_plans()
         key = (id(info), name)
-        hit = self._calls.get(key)
+        hit = self._calls.fresh().get(key)
         if hit is not None:
             return hit[1]
         plan = {} if self.find_method(info, name) is not None else None
-        if len(self._calls) >= _MAX_PLANS:
-            self._calls.clear()
-        self._calls[key] = (info, plan)
+        self._calls.put(key, (info, plan))
         return plan
 
     def _plan_call(self, info: TypeInfo, name: str, arity: int,
@@ -243,9 +227,8 @@ class Runtime:
         return bound
 
     def _ctor_call(self, info: TypeInfo, arity: int) -> Optional[_Call]:
-        self._drop_stale_plans()
         key = (id(info), arity)
-        hit = self._ctors.get(key)
+        hit = self._ctors.fresh().get(key)
         if hit is not None:
             return hit[1]
         ctor = None
@@ -254,9 +237,7 @@ class Runtime:
             if ctor is not None:
                 break
         call = self._body_call(ctor.body, info, ".ctor") if ctor is not None else None
-        if len(self._ctors) >= _MAX_PLANS:
-            self._ctors.clear()
-        self._ctors[key] = (info, call)
+        self._ctors.put(key, (info, call))
         return call
 
     # -- instantiation ------------------------------------------------------------
@@ -291,9 +272,10 @@ class Runtime:
         if args is None:
             args = []
         info = receiver.type_info
-        if self.registry.version != self._plans_version:
-            self._drop_stale_plans()
-        hit = self._calls.get((id(info), method_name))
+        calls = self._calls
+        if calls.epoch != self.registry.epoch:
+            calls.fresh()
+        hit = calls.get((id(info), method_name))
         plan = hit[1] if hit is not None else self._method_plan(info, method_name)
         if plan is None:
             raise UnknownMethodError(

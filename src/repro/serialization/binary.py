@@ -53,6 +53,7 @@ import struct
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cts.identity import Guid
+from ..cts.registry import BoundedMemo
 from ..cts.types import TypeInfo
 from ..runtime.loader import Runtime
 from ..runtime.objects import CtsInstance
@@ -143,9 +144,9 @@ class BinarySerializer:
         self.last_schema_drift: List[Tuple[str, str]] = []
         self._buf: Optional[bytearray] = bytearray()
         #: Type literal ``(16 GUID bytes, type name)`` -> plan, valid for
-        #: one registry version (:attr:`_type_plans_version`).
-        self._type_plans: Dict[Tuple[bytes, str], _TypePlan] = {}
-        self._type_plans_version = -1
+        #: one type epoch.
+        self._type_plans = BoundedMemo(
+            _MAX_TYPE_PLANS, runtime.registry if runtime is not None else None)
 
     # -- encode ------------------------------------------------------------
 
@@ -314,22 +315,18 @@ class BinarySerializer:
 
     def _type_plan(self, raw: bytes, type_name: str) -> _TypePlan:
         """The local type a literal names, with its field-defaults
-        template, memoized per ``(GUID bytes, name)`` for the registry's
-        current version.  A miss resolves exactly as an unmemoized decode
-        would; an unknown type is never memoized."""
-        version = self.runtime.registry.version
+        template, memoized per ``(GUID bytes, name)`` for the current type
+        epoch.  A miss resolves exactly as an unmemoized decode would; an
+        unknown type is never memoized."""
         plans = self._type_plans
-        if version != self._type_plans_version:
-            plans.clear()
-            self._type_plans_version = version
+        if plans.epoch != self.runtime.registry.epoch:
+            plans.fresh()
         key = (raw, type_name)
         plan = plans.get(key)
         if plan is None:
             info = self._lookup_type(Guid(raw), type_name)
             plan = (info, self.runtime.field_defaults(info))
-            if len(plans) >= _MAX_TYPE_PLANS:
-                plans.clear()
-            plans[key] = plan
+            plans.put(key, plan)
         return plan
 
     def _lookup_type(self, guid: Guid, type_name: str) -> TypeInfo:

@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import quote, unquote
 
 from ..cts.identity import Guid
+from ..cts.registry import BoundedMemo
 from ..cts.types import TypeInfo
 from .binary import (BatchDecoder, BinarySerializer, _write_varint,
                      is_single_frame)
@@ -61,7 +62,7 @@ _KEY_FIELD_NAMES = ("key", "id", "name", "owner")
 _MEMO_CAP = 256
 
 #: Field-name tuple -> the key field :func:`entity_key` picks.
-_KEY_FIELDS: Dict[Tuple[str, ...], str] = {}
+_KEY_FIELDS = BoundedMemo(_MEMO_CAP)
 
 #: Field value types that reach no further type: a CTS instance whose
 #: fields all hold one of these contributes only its own type.
@@ -132,9 +133,7 @@ def _key_field(names: Tuple[str, ...]) -> str:
                 break
         else:
             field_name = names[0]
-        if len(_KEY_FIELDS) >= _MEMO_CAP:
-            _KEY_FIELDS.clear()
-        _KEY_FIELDS[names] = field_name
+        _KEY_FIELDS.put(names, field_name)
     return field_name
 
 
@@ -441,11 +440,11 @@ _CANONICAL_PAYLOAD_ATTRS = re.compile(
 #: bytes always parse to the same entries, whichever codec reads them.
 #: Values are tuples so no reader can alter another's entries; each
 #: parse gets a fresh list.
-_TYPE_SECTIONS: Dict[str, Tuple["TypeEntry", ...]] = {}
+_TYPE_SECTIONS = BoundedMemo(_MEMO_CAP)
 
 #: ``roots`` attribute text -> its root indexes with their least and
 #: greatest.  Only text that parses enters.
-_ROOTS: Dict[str, Tuple[Tuple[int, ...], int, int]] = {}
+_ROOTS = BoundedMemo(_MEMO_CAP)
 
 #: ``<Payload>`` attribute values in ``_PAYLOAD_ATTR_ORDER``, None when
 #: absent.
@@ -478,9 +477,7 @@ def _parse_type_section(section: str) -> Optional[Tuple["TypeEntry", ...]]:
             ET.fromstring(section.encode("latin-1"))))
     except (ET.ParseError, WireFormatError):
         return None
-    if len(_TYPE_SECTIONS) >= _MEMO_CAP:
-        _TYPE_SECTIONS.clear()
-    _TYPE_SECTIONS[section] = entries
+    _TYPE_SECTIONS.put(section, entries)
     return entries
 
 
@@ -546,9 +543,7 @@ def _parse_roots(text: str) -> Tuple[Tuple[int, ...], int, int]:
     it.  Raises ``ValueError`` for a token that is not an integer."""
     indexes = tuple(map(int, text.split()))
     roots = (indexes, min(indexes, default=0), max(indexes, default=0))
-    if len(_ROOTS) >= _MEMO_CAP:
-        _ROOTS.clear()
-    _ROOTS[text] = roots
+    _ROOTS.put(text, roots)
     return roots
 
 
@@ -961,20 +956,19 @@ class EnvelopeCodec:
         self._pool = _BufferPool(self.stats)
         self._binary = BinarySerializer(runtime)
         self._soap = SoapSerializer(runtime)
-        #: GUID text -> locally resolved TypeInfo, valid for one registry
-        #: version (:attr:`_resolve_version`).  Positive entries only: a
-        #: miss may succeed later (after a code fetch) and must be retried.
-        self._resolve_memo: Dict[str, TypeInfo] = {}
-        self._resolve_version = -1
+        #: GUID text -> locally resolved TypeInfo, valid for one type
+        #: epoch.  Positive entries only: a miss may succeed later (after
+        #: a code fetch) and must be retried.
+        self._resolve_memo = BoundedMemo(
+            _MEMO_CAP, runtime.registry if runtime is not None else None)
 
     def _resolve(self, entry: TypeEntry, registry) -> Optional[TypeInfo]:
         """The local type a header entry names, memoized by GUID text for
-        ``registry``'s current version: a type replaced in place under the
-        same GUID resolves to the replacement."""
+        the current type epoch: a type replaced in place under the same
+        GUID resolves to the replacement."""
         memo = self._resolve_memo
-        if registry.version != self._resolve_version:
-            memo.clear()
-            self._resolve_version = registry.version
+        if memo.epoch != registry.epoch:
+            memo.fresh()
         info = memo.get(entry.guid_text)
         if info is not None:
             return info
@@ -988,9 +982,7 @@ class EnvelopeCodec:
             if candidate is not None and candidate.guid == guid:
                 info = candidate
         if info is not None:
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            memo[entry.guid_text] = info
+            memo.put(entry.guid_text, info)
         return info
 
     def _payload_serializer(self, encoding: str):

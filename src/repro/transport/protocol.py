@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cts.assembly import Assembly
 from ..cts.identity import Guid
+from ..cts.registry import BoundedMemo
 from ..cts.types import TypeInfo
 from ..core.context import ConformanceOptions
 from ..core.result import ConformanceResult
@@ -214,11 +215,8 @@ class InteropPeer(Peer):
         ] = {}
         self._handler_gates: Dict[Hashable, List[TypeInfo]] = {}
         #: Admission memo: ``id(provider type)`` -> (that type, its verdict
-        #: or ``None`` for a rejection), valid for :attr:`_verdicts_stamp`.
-        self._verdicts: Dict[int, Tuple[TypeInfo, Optional[_Verdict]]] = {}
-        self._verdicts_stamp: Tuple[int, int, int] = (-1, -1, -1)
-        #: Bumped by :meth:`declare_interest`: part of the admission stamp.
-        self._interests_declared = 0
+        #: or ``None`` for a rejection), valid for one type epoch.
+        self._verdicts = BoundedMemo(_MAX_VERDICTS, self.runtime.registry)
         #: Shared wire serializer for assembly transfer and control
         #: messages (e.g. TPS subscribe/unsubscribe).  Long-lived and
         #: buffer-reusing: no request path allocates a fresh serializer.
@@ -243,7 +241,7 @@ class InteropPeer(Peer):
         conform to it are delivered as that type."""
         self.runtime.registry.register(info)
         self.interests.append(info)
-        self._interests_declared += 1
+        self.runtime.registry.bump()  # verdicts depend on the interests
 
     def on_receive(self, callback: Callable[[ReceivedObject], None]) -> None:
         """Run ``callback`` for every received object, accepted or not,
@@ -400,7 +398,7 @@ class InteropPeer(Peer):
             provider_info = batch.root_type(index)
             name = provider_info.full_name
             verdict = self._admission(src, provider_info)
-            declared, version, generation = self._admission_stamp()
+            epoch = registry.epoch
             values = failure = cls = None
             if verdict is not None:
                 interest, result = verdict
@@ -426,9 +424,7 @@ class InteropPeer(Peer):
                         interest, result)
                 self._deliver(received)
                 index += 1
-                if (self._interests_declared != declared
-                        or registry.version != version
-                        or checker.generation != generation):
+                if registry.epoch != epoch:
                     break
             else:
                 if failure is not None:
@@ -476,10 +472,12 @@ class InteropPeer(Peer):
 
     def _verdict(self, src: str, provider_info: TypeInfo) -> Optional[_Verdict]:
         """First-conforming-wins over the declared interests, memoized per
-        provider type (by identity).  The memo is dropped when an interest
-        is declared, when the registry changes (a newly registered type
-        can change a verdict) and when the checker's cache is cleared."""
-        memo = self._valid_verdicts()
+        provider type (by identity), for one type epoch: declaring an
+        interest, registering a type and clearing the checker's cache each
+        move it."""
+        memo = self._verdicts
+        if memo.epoch != self.runtime.registry.epoch:
+            memo.fresh()
         hit = memo.get(id(provider_info))
         if hit is not None:
             return hit[1]
@@ -490,25 +488,8 @@ class InteropPeer(Peer):
                 if result.ok:
                     verdict = (candidate, result)
                     break
-        # The check may have registered fetched types: re-validate first.
-        memo = self._valid_verdicts()
-        if len(memo) >= _MAX_VERDICTS:
-            memo.clear()
-        memo[id(provider_info)] = (provider_info, verdict)
+        memo.put(id(provider_info), (provider_info, verdict))
         return verdict
-
-    def _admission_stamp(self) -> Tuple[int, int, int]:
-        """Changes whenever a verdict may: an interest was declared, the
-        registry changed or the checker's cache was cleared."""
-        return (self._interests_declared, self.runtime.registry.version,
-                self.checker.generation)
-
-    def _valid_verdicts(self) -> Dict[int, Tuple[TypeInfo, Optional[_Verdict]]]:
-        stamp = self._admission_stamp()
-        if stamp != self._verdicts_stamp:
-            self._verdicts.clear()
-            self._verdicts_stamp = stamp
-        return self._verdicts
 
     def _deliver(self, received: ReceivedObject) -> None:
         """Inbox, then every ``on_receive`` callback, then the handlers

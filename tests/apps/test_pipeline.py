@@ -17,7 +17,6 @@ from repro.apps.tps.pipeline import (
     DirectDelivery,
     DurabilityStage,
     LocalDelivery,
-    RoutingStage,
     ValueBatch,
 )
 from repro.apps.tps.routing import RoutingIndex
@@ -234,7 +233,7 @@ class TestReplayFilter:
         host = _StubHost(runtime)
         checker = ConformanceChecker(options=ConformanceOptions.pragmatic())
         pipeline = DeliveryPipeline(
-            RoutingStage(RoutingIndex(checker, runtime.registry)),
+            RoutingIndex(checker, runtime.registry),
             LocalDelivery(), admission=AdmissionStage(host), host=host)
         runtime.registry.register(person_java())
         runtime.registry.register(account_csharp())
@@ -334,7 +333,7 @@ class TestPipelineProcess:
         runtime = make_runtime()
         checker = ConformanceChecker(options=ConformanceOptions.pragmatic())
         index = RoutingIndex(checker, runtime.registry)
-        pipeline = DeliveryPipeline(routing=RoutingStage(index),
+        pipeline = DeliveryPipeline(index=index,
                                     delivery=LocalDelivery())
         return runtime, index, pipeline
 

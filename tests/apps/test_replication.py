@@ -6,7 +6,7 @@ Covers the three legs of mesh-wide durability:
   follower shards, watermark-acked, gap-rejected and re-sent;
 - **backlog fetch** — a durable subscriber attaching anywhere receives the
   complete conforming backlog, wherever the events were homed (records
-  filtered server-side through the RoutingStage conformance check);
+  filtered server-side through the RoutingIndex conformance check);
 - **recovery catch-up** — a restarted shard whose log directory was wiped
   heals its record set back from its followers.
 """
@@ -425,7 +425,7 @@ class TestMeshWideBacklog:
 
 class TestBacklogFetchFiltering:
     def test_fetch_returns_only_conforming_records(self, tmp_path, opened):
-        """Satellite unit: the serving side filters through RoutingStage —
+        """Satellite unit: the serving side filters through RoutingIndex —
         only records conforming to the requested description cross."""
         network, mesh, publisher = make_world(opened, tmp_path, shards=2)
         publisher.host_assembly(Assembly("bank", [account_csharp()]))

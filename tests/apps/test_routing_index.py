@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.tps import LocalBroker, RoutingIndex, Subscription, TpsBroker, TpsPeer
 from repro.core import ConformanceChecker, ConformanceOptions
+from repro.cts.builder import TypeBuilder
 from repro.cts.registry import TypeRegistry
 from repro.fixtures import (
     account_csharp,
@@ -147,6 +148,26 @@ class TestInvalidation:
             list(index.route(event_type))
         assert index.stats.misses == 1
         assert index.stats.hits == 4
+
+
+class TestTypeEpoch:
+    def test_type_replaced_in_place_is_rechecked(self):
+        """A broker whose checker has no registry of its own still drops
+        that checker's verdicts when its registry moves: a type replaced
+        under the same GUID by a non-conforming structure stops routing."""
+        runtime = Runtime()
+        person = person_csharp()
+        runtime.load_type(person)
+        broker = LocalBroker(runtime=runtime)
+        got = []
+        broker.subscribe(person_java(), got.append)
+        broker.publish(runtime.instantiate(person, ["x"]))
+        replacement = (TypeBuilder("demo.a.Person").field("age", "int")
+                       .build())
+        replacement.guid = person.guid
+        runtime.load_type(replacement, replace=True)
+        broker.publish(runtime.instantiate(replacement))
+        assert len(got) == 1
 
 
 class TestLocalBrokerIntegration:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.apps.tps import LocalBroker
 from repro.apps.tps.pipeline import (SENT, AckTracker, BufferedDelivery,
                                      DeliveryPipeline, DirectDelivery,
-                                     RoutingStage, ValueBatch)
+                                     ValueBatch)
 from repro.apps.tps.routing import RoutingIndex
 from repro.core.context import ConformanceOptions
 from repro.core.rules import ConformanceChecker
@@ -205,7 +205,7 @@ class Host:
 
 def reference_remote_fan_out(pipeline, ctx, batch, origin, log_offset):
     """Every value routed on its own; remote answers kept per record."""
-    index = pipeline.routing.index
+    index = pipeline.index
     sent = {}
     deliveries = 0
     for position in range(len(batch)):
@@ -250,7 +250,7 @@ class RemoteWorld:
         self.host = Host(offline)
         delivery = (DirectDelivery(self.host, durability) if kind == "direct"
                     else BufferedDelivery(self.host, durability))
-        self.pipeline = DeliveryPipeline(RoutingStage(self.index), delivery,
+        self.pipeline = DeliveryPipeline(self.index, delivery,
                                          durability=durability)
         if reference:
             pipeline = self.pipeline

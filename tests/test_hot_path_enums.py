@@ -17,6 +17,7 @@ import types
 import pytest
 
 from repro.core.result import ConformanceResult
+from repro.cts.registry import BoundedMemo
 from repro.il import interp
 from repro.il.instructions import Op
 from repro.remoting import dynamic
@@ -50,11 +51,15 @@ HOT_PATH = {
     "binary._string": [binary._string],
     "binary._varint": [binary._varint],
     "binary.BatchDecoder.decode_to": [binary.BatchDecoder.decode_to],
+    "BinarySerializer._type_plan": [binary.BinarySerializer._type_plan],
+    "BoundedMemo.fresh": [BoundedMemo.fresh],
+    "BoundedMemo.put": [BoundedMemo.put],
     "InteropPeer._admit": [InteropPeer._admit],
     "InteropPeer._admit_batch_lazy": [InteropPeer._admit_batch_lazy],
     "InteropPeer._admitted": [InteropPeer._admitted],
     "InteropPeer._accepted": [InteropPeer._accepted],
     "InteropPeer._deliver": [InteropPeer._deliver],
+    "InteropPeer._verdict": [InteropPeer._verdict],
     "Runtime.invoke": [Runtime.invoke],
     "CtsInstance.__getattr__": [CtsInstance.__getattr__],
     "DynamicProxy._repro_invoke": [DynamicProxy._repro_invoke],
