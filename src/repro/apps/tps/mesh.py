@@ -1297,11 +1297,14 @@ class BrokerMesh:
     remotely.  Call :meth:`run_until_idle` to drain queued publishes,
     forwards and deliveries to quiescence.
 
-    Membership, draining and stats are fabric-neutral.  The fabric is
-    reached only through the hooks under "the fabric" below, which run
-    on the simulated network here;
+    Membership, draining and stats are fabric-neutral: this is the one
+    membership controller of every runner.  The fabric is reached only
+    through the hooks under "the fabric" below, which run on the
+    simulated network here;
     :class:`~repro.apps.tps.procmesh.SocketMesh` overrides them to run
-    the same mesh over real sockets.
+    the same mesh over real sockets, and
+    :class:`~repro.apps.tps.procmesh.ProcessMesh` to run it over shard
+    processes.
     """
 
     def __init__(self, network: SimulatedNetwork, *,

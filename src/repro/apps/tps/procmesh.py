@@ -12,10 +12,10 @@ Two deployment shapes of the very same :class:`~repro.apps.tps.mesh.MeshShard`:
 - :class:`ProcessMesh` — one shard per OS process (the soak harness's
   substrate), its control plane (``proc_ping`` / ``proc_read`` /
   ``proc_admin`` / ``proc_stop``) riding the data plane's socket
-  protocol.  The driver orchestrates membership over that control
-  plane; the leaving shard's half of a removal is the shared
-  :meth:`MeshShard.retire`, the pre-check the shared
-  :func:`~repro.apps.tps.topology.removal_topology`.
+  protocol.  It too *is* a :class:`~repro.apps.tps.mesh.BrokerMesh`:
+  its fabric is shard processes, and each driver-side shard handle
+  carries the controller's calls over the control plane, so one
+  membership controller runs on all three fabrics.
 
 One operational surface serves both.  Each per-shard read is one entry
 of :data:`VIEWS`; :class:`MeshViews` reads a view over any set of shards
@@ -49,7 +49,7 @@ from ...obs.bridge import register_network_metrics
 from ...obs.http import HttpError, ObsHttpServer, json_body
 from ...obs.tracing import render_timeline, stitch
 from .mesh import BrokerMesh, MeshShard, mesh_stats
-from .topology import MeshConfig, Topology, removal_topology
+from .topology import MeshConfig, Topology
 
 __all__ = [
     "KIND_PROC_PING",
@@ -170,8 +170,7 @@ def _mesh_restart(mesh: Any, shard_id: Optional[str], args: dict) -> Any:
 
 
 def _mesh_add_shard(mesh: Any, shard_id: Optional[str], args: dict) -> Any:
-    added = mesh.add_shard(shard_id)
-    return {"added": getattr(added, "peer_id", added),
+    return {"added": mesh.add_shard(shard_id).peer_id,
             "shards": list(mesh.shard_ids)}
 
 
@@ -572,8 +571,9 @@ class SocketMesh(BrokerMesh, MeshViews):
 # one shard per OS process
 # ---------------------------------------------------------------------------
 
-#: Pump rounds a retiring shard grants its followers to acknowledge the
-#: replication watermark before the removal aborts.
+#: Pump rounds (2 ms polls) a retiring shard process grants its followers
+#: to acknowledge the replication watermark before the removal aborts —
+#: the least it grants, whatever smaller budget the controller passes.
 _RETIRE_COVERAGE_ROUNDS = 5000
 
 
@@ -582,14 +582,6 @@ class _ControlClient(MeshViews):
     :class:`ProcessMesh` driver and every shard process: views and admin
     ops of shard processes, read over ``proc_read`` and run over
     ``proc_admin`` from the ``_src`` address on :attr:`network`."""
-
-    @property
-    def shard_ids(self) -> List[str]:
-        return self.topology.shard_ids
-
-    @property
-    def epoch(self) -> int:
-        return self.topology.epoch
 
     def _ask(self, shard_id: str, kind: str, request: dict) -> dict:
         """One JSON request to one shard; an ``error`` reply raises."""
@@ -657,6 +649,14 @@ class _ShardProcess(_ControlClient):
         self.http: Optional[ObsHttpServer] = None
         self.shard = self._build_shard()
 
+    @property
+    def shard_ids(self) -> List[str]:
+        return self.topology.shard_ids
+
+    @property
+    def epoch(self) -> int:
+        return self.topology.epoch
+
     def _build_shard(self) -> MeshShard:
         shard = MeshShard(self.shard_id, self.network,
                           replication_factor=self._replication_factor,
@@ -701,10 +701,7 @@ class _ShardProcess(_ControlClient):
     def admin(self, op: str, shard_id: str,
               args: Optional[dict] = None) -> dict:
         if shard_id == self.shard_id:
-            # HTTP handlers run from server.poll() at pump-loop top
-            # level, so a membership job may run right here.
-            return self._envelope(op, self._do_admin(op, dict(args or {}),
-                                                     inline=True))
+            return self._envelope(op, self._do_admin(op, dict(args or {})))
         return super().admin(op, shard_id, args)
 
     def add_shard(self, shard_id: Optional[str] = None) -> Any:
@@ -714,9 +711,10 @@ class _ShardProcess(_ControlClient):
     remove_shard = add_shard
 
     def rebalance(self) -> Dict[str, Any]:
-        """Hand this shard's re-homed durable subscriptions off (the
-        driver's :meth:`ProcessMesh.rebalance` runs this on every shard)."""
-        moved = self._run_job("rebalance", {})["handed_off"]
+        """Hand this shard's re-homed durable subscriptions off.  HTTP
+        handlers run from the pump loop's top level, so the job runs
+        right here."""
+        moved = self._run_job("rebalance", {})
         return {"epoch": self.epoch,
                 "moved": {self.shard_id: moved} if moved else {}}
 
@@ -762,18 +760,20 @@ class _ShardProcess(_ControlClient):
                 reply = {"error": str(error)}
         return json.dumps(_jsonable(reply)).encode("utf-8")
 
-    def _run_job(self, op: str, args: dict) -> Any:
+    def _run_job(self, op: str, args: dict) -> List[str]:
+        """Run one membership job on this shard — ``retire`` (the leaving
+        shard's half of a removal) or ``rebalance`` — under the job's
+        topology (default: the committed one); returns the moved cursor
+        names."""
+        topology = Topology.from_dict(args["topology"]) \
+            if "topology" in args else self.topology
         if op == "retire":
-            survivors = Topology.from_dict(args["topology"])
-            return {"handed_off": self.shard.retire(
-                survivors, self._pump_once, _RETIRE_COVERAGE_ROUNDS)}
-        if op == "rebalance":
-            moved = self.shard.handoff_durable_subscriptions(
-                self.topology, pump=self._pump_once)
-            return {"handed_off": moved}
-        raise ValueError("unknown membership job %r" % op)
+            rounds = max(int(args.get("rounds", 0)), _RETIRE_COVERAGE_ROUNDS)
+            return self.shard.retire(topology, self._pump_once, rounds)
+        return self.shard.handoff_durable_subscriptions(
+            topology, pump=self._pump_once)
 
-    def _do_admin(self, op: str, args: dict, inline: bool = False) -> Any:
+    def _do_admin(self, op: str, args: dict) -> Any:
         shard = self.shard
         if op == "restart_shard":
             # Deferred to the pump loop: rebuilding the shard from inside
@@ -782,24 +782,25 @@ class _ShardProcess(_ControlClient):
             return {"restarting": self.shard_id}
         if op == "set_topology":
             topology = Topology.from_dict(args["topology"])
-            extra = {sid: addr
-                     for sid, addr in (args.get("addresses") or {}).items()
-                     if sid != self.shard_id}
-            if extra:
-                self.network.add_routes(extra)
+            self.network.add_routes({
+                sid: addr for sid, addr in args["addresses"].items()
+                if sid != self.shard_id})
+            rewired = shard.topology is not None
             committed = shard.set_topology(topology)
             if committed:
                 self.topology = topology
                 self.network.set_epoch(topology.epoch)
-                shard.ensure_replica_coverage()
+                if rewired:
+                    # A membership change reassigns followers: probe the
+                    # new ones now (this is where the controller's
+                    # ensure_replica_coverage call lands).
+                    shard.ensure_replica_coverage()
             return {"committed": committed, "epoch": shard.epoch}
         if op == "resync":
             return {"synced": shard._sync_summaries()}
         if op == "job_status":
             return dict(self.job_state)
         if op in ("retire", "rebalance"):
-            if inline:
-                return self._run_job(op, args)
             if not self.job_state["done"]:
                 raise ValueError("a membership job is already running")
             self.job_state.update(done=False, error=None, value=None)
@@ -846,34 +847,26 @@ class _ShardProcess(_ControlClient):
         self.network.close()
 
 
-def _shard_process_main(shard_id: str, topology: Dict[str, Any],
+def _shard_process_main(shard_id: str, address: str,
+                        topology: Dict[str, Any],
                         sock_dir: str, log_root: Optional[str],
                         replication_factor: int,
                         broker_kwargs: dict,
                         auth_token: Optional[str] = None,
-                        http: bool = True,
-                        addresses: Optional[Dict[str, str]] = None) -> None:
+                        http: bool = True) -> None:
     """Entry point of one shard process: build the shard on its own
-    socket node, serve the control kinds and the HTTP API, and pump
-    until told to stop.  ``topology`` is the membership view (wire
-    shape) the shard starts from; the driver pushes newer epochs over
-    ``set_topology``.  ``addresses`` carries the driver's resolved book
-    for non-recomputable schemes (TCP ports); Unix meshes omit it and
-    recompute the deterministic directory locally."""
-    topo = Topology.from_dict(topology)
-    if addresses is None:
-        addresses = shard_addresses(sock_dir, topo.shard_ids)
+    socket node listening on ``address``, serve the control kinds and
+    the HTTP API, and pump until told to stop.  ``topology`` is the
+    driver's committed view at spawn, which this node's views read until
+    the driver commits one on the shard with ``set_topology`` (which
+    also carries the address book of its peers)."""
     network = SocketNetwork(shard_id + "-node")
-    network.listen(addresses[shard_id])
+    network.listen(address)
     kwargs = dict(broker_kwargs)
     if log_root is not None:
         kwargs["log_dir"] = os.path.join(log_root, shard_id)
-    node = _ShardProcess(shard_id, topo, network, auth_token,
-                         replication_factor, kwargs)
-    network.add_routes({sid: addr for sid, addr in addresses.items()
-                        if sid != shard_id})
-    node.shard.set_topology(topo)
-    network.set_epoch(topo.epoch)
+    node = _ShardProcess(shard_id, Topology.from_dict(topology), network,
+                         auth_token, replication_factor, kwargs)
     if http:
         node.http = ObsHttpServer(token=auth_token)
         install_routes(node.http, node)
@@ -884,27 +877,96 @@ def _shard_process_main(shard_id: str, topology: Dict[str, Any],
     node.run()
 
 
-class ProcessMesh(_ControlClient):
-    """A mesh of shard *processes* plus a driver-side socket node.
+class _ShardHandle:
+    """The driver's entry in :attr:`ProcessMesh.shards` for one shard
+    process.  It answers the calls :class:`BrokerMesh`'s membership and
+    drain code makes on a shard, each over ``proc_read`` or
+    ``proc_admin``.  A process drains its own delivery buffers, so
+    :meth:`flush_delivery` has nothing to do."""
 
-    Spawns one OS process per shard (each running
-    :func:`_shard_process_main`), waits for every shard to answer a ping,
-    and exposes :attr:`network` — a :class:`SocketNetwork` in the calling
-    process, routed to every shard — for client peers to register on.
+    def __init__(self, mesh: "ProcessMesh", peer_id: str):
+        self.mesh = mesh
+        self.peer_id = peer_id
+
+    def _admin(self, op: str, args: Optional[dict] = None) -> Any:
+        return self.mesh.admin(op, self.peer_id, args)["result"]
+
+    @property
+    def epoch(self) -> int:
+        return self.mesh._read_one("topology", self.peer_id, {})
+
+    def stats(self) -> dict:
+        return self.mesh._read_one("stats", self.peer_id, {})
+
+    def pending_deliveries(self) -> int:
+        return self.stats()["pending_deliveries"]
+
+    def flush_delivery(self) -> int:
+        return 0
+
+    def set_topology(self, topology: Topology) -> bool:
+        """Commit ``topology`` on the process, handing it the mesh's
+        address book."""
+        return self._admin("set_topology", {
+            "topology": topology.as_dict(),
+            "addresses": self.mesh.addresses})["committed"]
+
+    def _sync_summaries(self) -> int:
+        return self._admin("resync")["synced"]
+
+    def ensure_replica_coverage(self) -> int:
+        # The process probed its new followers when it committed the
+        # membership change (see _ShardProcess._do_admin).
+        return 0
+
+    def retire(self, survivors: Topology, pump: Callable[[], Any],
+               rounds: int) -> List[str]:
+        return self._job("retire", {"topology": survivors.as_dict(),
+                                    "rounds": rounds}, pump)
+
+    def handoff_durable_subscriptions(self, topology: Topology,
+                                      pump: Callable[[], Any]) -> List[str]:
+        return self._job("rebalance", {"topology": topology.as_dict()},
+                         pump)
+
+    def _job(self, op: str, args: dict, pump: Callable[[], Any]) -> List[str]:
+        """Queue a membership job on the process and ``pump`` until it
+        reports done: the job settles subscriber ack windows, so peers
+        hosted on the driver node must keep receiving and acking."""
+        self._admin(op, args)
+        status = self._admin("job_status")
+        while not status["done"]:
+            pump()
+            status = self._admin("job_status")
+        if status["error"]:
+            raise NetworkError("%s on %s failed: %s"
+                               % (op, self.peer_id, status["error"]))
+        return status["value"]
+
+
+class ProcessMesh(BrokerMesh, _ControlClient):
+    """A :class:`~repro.apps.tps.mesh.BrokerMesh` whose fabric is shard
+    *processes*, plus a driver-side socket node.
+
+    Each shard runs in its own OS process (:func:`_shard_process_main`);
+    :attr:`shards` holds one driver-side handle per process, and
+    :attr:`network` — a :class:`SocketNetwork` in the calling process,
+    routed to every shard — is where client peers register.  Membership
+    (``add_shard``, ``remove_shard``, ``rebalance``), draining and
+    ``stats()`` are :class:`BrokerMesh`'s code: the fabric hooks spawn a
+    process and wait for its ping, stop and reap it, and decide idleness
+    per node; each handle carries the controller's calls over the
+    control plane.  A leaving shard's ``retire`` and a rebalance's
+    handoff run as jobs inside the shard's process while the driver
+    keeps pumping its own node, so subscriber acks hosted on the driver
+    keep flowing during the settle.
+
     The control plane (:meth:`ping`, the :class:`MeshViews` reads over
     ``proc_read``, :meth:`admin`, :meth:`stop`) rides the same socket
     protocol as publishes and deliveries; mutating operations carry
     :attr:`auth_token`, minted here and shared with every shard at
     spawn.  Each shard also serves the HTTP API; :meth:`http_address`
     reads the advertised URL.
-
-    Membership changes are driver-orchestrated: :meth:`add_shard`
-    spawns a process, resynchronises it, and pushes the new epoch to
-    every survivor; :meth:`remove_shard` runs the leaving shard's
-    ``retire`` job (coverage gate + cursor handoff) *asynchronously* —
-    the driver polls ``job_status`` while fully pumping its own node,
-    so subscriber acks hosted on the driver keep flowing during the
-    settle — and only then stops the process.
     """
 
     def __init__(self, *, topology: Optional[Topology] = None,
@@ -929,14 +991,9 @@ class ProcessMesh(_ControlClient):
             else secrets.token_hex(8)
         self.http_enabled = http
         self.scheme = scheme
-        self.topology = config.topology
-        self.name = config.topology.name
-        self._log_root = config.log_root
-        self._replication_factor = config.replication_factor
-        self._broker_kwargs = config.broker_kwargs
         self._start_timeout = start_timeout
-        self.addresses = shard_addresses(self.sock_dir, config.shard_ids,
-                                         scheme)
+        #: Shard id -> listening address of every shard process.
+        self.addresses: Dict[str, str] = {}
         # fork (where available) keeps startup cheap and works however the
         # parent was launched; the child builds its event loop and sockets
         # from scratch, so no live I/O state crosses the fork.
@@ -944,149 +1001,68 @@ class ProcessMesh(_ControlClient):
         self._context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
         self.processes: Dict[str, multiprocessing.process.BaseProcess] = {}
-        for shard_id in config.shard_ids:
-            self._spawn_process(shard_id, self.topology)
         self.network = SocketNetwork(name + "-driver")
-        self.network.add_routes(self.addresses)
         self._src = name + "-admin"
         self._stopped = False
         try:
-            self._wait_ready(start_timeout)
+            self._build(config)
         except Exception:
             self.stop()
             raise
 
-    def _spawn_process(self, shard_id: str, topology: Topology):
+    # -- the fabric: one OS process per shard ------------------------------
+
+    def _spawn_shard(self, shard_id: str,
+                     network: Optional[Any] = None) -> _ShardHandle:
+        """Start one shard process and wait until it answers a ping."""
+        address = shard_addresses(self.sock_dir, [shard_id],
+                                  self.scheme)[shard_id]
+        self.addresses[shard_id] = address
+        self.network.add_route(shard_id, address)
         process = self._context.Process(
             target=_shard_process_main,
-            args=(shard_id, topology.as_dict(), self.sock_dir,
-                  self._log_root, self._replication_factor,
+            args=(shard_id, address, self.topology.as_dict(), self.sock_dir,
+                  self.log_root, self.replication_factor,
                   dict(self._broker_kwargs), self.auth_token,
-                  self.http_enabled,
-                  dict(self.addresses) if self.scheme == "tcp" else None),
+                  self.http_enabled),
             daemon=True, name=shard_id)
         process.start()
         self.processes[shard_id] = process
-        return process
+        shard = _ShardHandle(self, shard_id)
+        deadline = time.monotonic() + self._start_timeout
+        while True:
+            try:
+                self.ping(shard_id)
+                return shard
+            except NetworkError:
+                if time.monotonic() > deadline:
+                    self._discard_shard(shard)
+                    raise NetworkError("shard %s did not come up in %.0fs"
+                                       % (shard_id, self._start_timeout))
+                time.sleep(0.01)
 
-    def _wait_ready(self, timeout: float,
-                    shard_ids: Optional[List[str]] = None) -> None:
-        deadline = time.monotonic() + timeout
-        for shard_id in (shard_ids if shard_ids is not None
-                         else self.topology.shard_ids):
-            while True:
-                try:
-                    self.ping(shard_id)
-                    break
-                except NetworkError:
-                    if time.monotonic() > deadline:
-                        raise NetworkError(
-                            "shard %s did not come up in %.0fs"
-                            % (shard_id, timeout))
-                    time.sleep(0.05)
+    def _discard_shard(self, shard: _ShardHandle) -> None:
+        """Stop one shard process, reap it and drop its route."""
+        self._stop_processes([shard.peer_id])
+        self.network.remove_route(shard.peer_id)
+        self.addresses.pop(shard.peer_id, None)
 
-    def shard_for(self, peer_id: str) -> str:
-        return self.topology.shard_for(peer_id)
+    def _fabric_idle(self) -> bool:
+        # Idle per node: these reads are counted frames themselves, so a
+        # frame balance summed across processes could never close.  The
+        # shards answer first, and waiting for their answers pulls any
+        # frame in flight to the driver into its inbound queue.
+        shards_idle = all(node["idle"]
+                          for node in self.transport_stats().values())
+        return shards_idle and self.network.idle()
+
+    restart_shard = _ControlClient.restart_shard
 
     def ping(self, shard_id: str) -> None:
         response = self.network.request(self._src, shard_id,
                                         KIND_PROC_PING, b"")
         if response != b"PONG":
             raise NetworkError("unexpected ping response %r" % response)
-
-    # -- elastic membership ------------------------------------------------
-
-    def _broadcast_topology(self, topology: Topology,
-                            targets: List[str],
-                            addresses: Optional[Dict[str, str]] = None
-                            ) -> None:
-        args: Dict[str, Any] = {"topology": topology.as_dict()}
-        if addresses:
-            args["addresses"] = dict(addresses)
-        for sid in targets:
-            self.admin("set_topology", sid, args)
-
-    def add_shard(self, shard_id: Optional[str] = None) -> str:
-        """Grow the mesh by one shard *process* (epoch + 1).
-
-        The newcomer is spawned on the proposed topology, pinged up and
-        resynchronised against every sibling's summaries, and only then
-        is the new epoch pushed to the survivors — so the instant an
-        old shard commits it, the newcomer is routable and
-        forwarding-aware.  A newcomer that cannot come up is terminated
-        and the epoch stays unchanged."""
-        proposed = self.topology.with_shard(shard_id)
-        new_id = [sid for sid in proposed.shard_ids
-                  if sid not in self.topology][0]
-        address = shard_addresses(self.sock_dir, [new_id],
-                                  self.scheme)[new_id]
-        self.addresses[new_id] = address
-        process = self._spawn_process(new_id, proposed)
-        self.network.add_route(new_id, address)
-        try:
-            self._wait_ready(self._start_timeout, [new_id])
-            self.admin("resync", new_id)
-            self._broadcast_topology(proposed, self.topology.shard_ids,
-                                     addresses={new_id: address})
-        except Exception:
-            process.terminate()
-            process.join(timeout=5.0)
-            self.processes.pop(new_id, None)
-            self.network.remove_route(new_id)
-            self.addresses.pop(new_id, None)
-            raise
-        self.topology = proposed
-        return new_id
-
-    def remove_shard(self, shard_id: str,
-                     timeout: float = 120.0) -> Topology:
-        """Retire one shard process for good (epoch + 1), losing
-        nothing: the shard runs its ``retire`` job (replica-coverage
-        gate, then durable-cursor handoff) while the driver pumps its
-        own node so hosted subscribers keep acking; the process is
-        stopped only after the handoff lands and the survivors commit
-        the new epoch."""
-        proposed = removal_topology(self.topology, shard_id,
-                                    self._replication_factor)
-        self._run_job(shard_id, "retire",
-                      {"topology": proposed.as_dict()}, timeout=timeout)
-        self._broadcast_topology(proposed, proposed.shard_ids)
-        self._stop_processes([shard_id])
-        self.network.remove_route(shard_id)
-        self.addresses.pop(shard_id, None)
-        self.topology = proposed
-        return proposed
-
-    def rebalance(self, timeout: float = 120.0) -> Dict[str, Any]:
-        """Move every durable subscription to its rendezvous home under
-        the committed topology, one shard job at a time."""
-        moved: Dict[str, List[str]] = {}
-        for sid in list(self.topology.shard_ids):
-            value = self._run_job(sid, "rebalance", {}, timeout=timeout)
-            handed = (value or {}).get("handed_off") or []
-            if handed:
-                moved[sid] = handed
-        return {"epoch": self.epoch, "moved": moved}
-
-    def _run_job(self, shard_id: str, op: str, args: Optional[dict] = None,
-                 timeout: float = 120.0) -> Any:
-        """Queue a deferred membership job on one shard and poll it to
-        completion, fully pumping the driver node between polls (the
-        job settles subscriber ack windows; peers hosted on this very
-        node must keep receiving and acking while it runs)."""
-        self.admin(op, shard_id, args)
-        deadline = time.monotonic() + timeout
-        while True:
-            self.network.poll(0.01)
-            status = self.admin("job_status", shard_id).get("result") or {}
-            if status.get("done"):
-                if status.get("error"):
-                    raise NetworkError("%s on %s failed: %s"
-                                       % (op, shard_id, status["error"]))
-                return status.get("value")
-            if time.monotonic() > deadline:
-                raise NetworkError("%s on %s did not finish in %.0fs"
-                                   % (op, shard_id, timeout))
 
     # -- HTTP endpoints and lifecycle --------------------------------------
 
@@ -1131,10 +1107,4 @@ class ProcessMesh(_ControlClient):
             shutil.rmtree(self.sock_dir, ignore_errors=True)
 
     def close(self) -> None:
-        self.stop()
-
-    def __enter__(self) -> "ProcessMesh":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
         self.stop()

@@ -334,8 +334,7 @@ def run_soak(shards: int = 4,
             phase["active"] = True
             try:
                 if op == "add":
-                    added = mesh.add_shard()
-                    shard = getattr(added, "peer_id", added)
+                    shard = mesh.add_shard().peer_id
                     mesh.rebalance()
                     refresh_picker()
                 else:

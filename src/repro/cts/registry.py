@@ -8,7 +8,7 @@ conformance, maybe fetch the assembly).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Set
 
 from .identity import Guid
 from .members import TypeRef
@@ -39,6 +39,8 @@ class TypeRegistry:
     def __init__(self, include_builtins: bool = True):
         self._by_name: Dict[str, TypeInfo] = {}
         self._by_guid: Dict[Guid, TypeInfo] = {}
+        #: Names bound only by a shadow load (see :meth:`register`).
+        self._shadow_names: Set[str] = set()
         self.epoch = 0
         if include_builtins:
             for info in BUILTINS.values():
@@ -63,21 +65,32 @@ class TypeRegistry:
         the same full name but a different identity is recorded under its
         GUID only (name lookups keep resolving to the first registration).
         This is how a peer holds V1 and V2 of a module simultaneously —
-        GUID-bearing references always find the right one.
+        GUID-bearing references always find the right one.  A shadow load
+        of a name nothing holds yet binds that name only until a plain
+        registration of another identity claims it; the shadowed type
+        keeps resolving by GUID.
         """
-        existing = self._by_name.get(info.full_name)
+        name = info.full_name
+        existing = self._by_name.get(name)
         if existing is not None and not replace:
             if existing.guid == info.guid:
+                if not shadow:
+                    self._shadow_names.discard(name)
                 return existing
             if shadow:
                 self._by_guid[info.guid] = info
                 self.epoch += 1
                 return info
-            raise DuplicateTypeError(
-                "type %r already registered with a different identity"
-                % info.full_name
-            )
+            if name not in self._shadow_names:
+                raise DuplicateTypeError(
+                    "type %r already registered with a different identity"
+                    % name
+                )
         self._register(info)
+        if shadow:
+            self._shadow_names.add(name)
+        else:
+            self._shadow_names.discard(name)
         return info
 
     def register_all(self, infos: Iterable[TypeInfo], replace: bool = False) -> None:

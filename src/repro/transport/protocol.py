@@ -344,9 +344,11 @@ class InteropPeer(Peer):
         deserialized — a rejected value costs zero decode work.  A frame
         naming unknown types falls back to the eager path: materialize
         the shared frame once (fetching missing code), then admit each
-        value.  The senders that batch (brokers) only batch events that
-        already passed a conformance check, so in practice no code is
-        fetched for doomed values.
+        value.  The eager path fetches code for every unknown type the
+        frame names, also for values the interests will reject: a mixed
+        record (say Person, Account, Person) replayed or delivered to a
+        subscriber that holds Person but not Account pays Account's
+        ``get_assembly`` although no interest accepts it.
         """
         envelope = self.codec.parse(frame)
         self.transport_stats.batches_received += 1

@@ -145,3 +145,43 @@ class TestShadowRegistration:
         registry.register(v1)
         with pytest.raises(DuplicateTypeError):
             registry.register(v2)
+
+    def test_plain_registration_claims_a_shadow_held_name(self, registry):
+        """A name only a shadow load holds yields to a later plain
+        registration of another identity; the shadowed type still
+        resolves by GUID and the epoch moves."""
+        v1, v2 = self._versions()
+        registry.register(v2, shadow=True)
+        assert registry.get("app.T") is v2
+        before = registry.epoch
+        assert registry.register(v1) is v1
+        assert registry.epoch > before
+        assert registry.get("app.T") is v1
+        assert registry.get_by_guid(v2.guid) is v2
+        with pytest.raises(DuplicateTypeError):
+            registry.register(v2)
+
+    def test_plain_reregistration_ends_the_shadow_hold(self, registry):
+        v1, v2 = self._versions()
+        registry.register(v2, shadow=True)
+        registry.register(v2)
+        with pytest.raises(DuplicateTypeError):
+            registry.register(v1)
+
+    def test_declared_interest_after_a_shadow_code_load(self):
+        """The code-fetch path loads with ``shadow=True``; a subscriber
+        that got another ``demo.a.Person`` that way can still register
+        the Person it wants to subscribe with."""
+        from repro.fixtures import person_csharp
+        from repro.langs.csharp import compile_source
+        from repro.runtime.loader import Runtime
+
+        other = compile_source(
+            "class Person { private int age; }",
+            namespace="demo.a", assembly_name="person-a")[0]
+        runtime = Runtime()
+        runtime.load_type(other, shadow=True)
+        wanted = person_csharp()
+        assert runtime.registry.register(wanted) is wanted
+        assert runtime.registry.get("demo.a.Person") is wanted
+        assert runtime.registry.get_by_guid(other.guid) is other

@@ -76,10 +76,10 @@ def _unrelated() -> TypeInfo:
 
 
 def _shadow(runtime):
-    """Another version of a held ``demo.a.Person``, by GUID only (with
-    no such name held, it would bind the name instead)."""
-    if runtime.registry.contains_name("demo.a.Person"):
-        runtime.load_type(_other_person(), shadow=True)
+    """Another version of ``demo.a.Person``: by GUID only when the name
+    is held, otherwise bound to the name until a plain registration of
+    another identity claims it."""
+    runtime.load_type(_other_person(), shadow=True)
 
 
 #: ``load`` variants: what each registers, and how.
@@ -295,6 +295,9 @@ def assert_memos_invisible(sequence):
 @example([("subscribe", 1, 2, None), ("publish", "person"),
           ("load", 2, "replace"), ("load", 3, "replace"),
           ("publish", "mixed")])
+# A shadow load binds a name nothing held; the subscribe's declaration
+# of another identity with that name then claims it.
+@example([("load", 0, "shadow"), ("subscribe", 0, 2, None)])
 # A retuned checker decides the next value afresh.
 @example([("subscribe", 0, 0, None), ("publish", "person"),
           ("retune", 0), ("publish", "person"), ("retune", 2),
