@@ -571,9 +571,10 @@ class SocketMesh(BrokerMesh, MeshViews):
 # one shard per OS process
 # ---------------------------------------------------------------------------
 
-#: Pump rounds (2 ms polls) a retiring shard process grants its followers
-#: to acknowledge the replication watermark before the removal aborts —
-#: the least it grants, whatever smaller budget the controller passes.
+#: Pump rounds (polls of at most 2 ms; an arrival ends one early) a
+#: retiring shard process grants its followers to acknowledge the
+#: replication watermark before the removal aborts — the least it
+#: grants, whatever smaller budget the controller passes.
 _RETIRE_COVERAGE_ROUNDS = 5000
 
 
@@ -882,21 +883,43 @@ class _ShardHandle:
     process.  It answers the calls :class:`BrokerMesh`'s membership and
     drain code makes on a shard, each over ``proc_read`` or
     ``proc_admin``.  A process drains its own delivery buffers, so
-    :meth:`flush_delivery` has nothing to do."""
+    :meth:`flush_delivery` has nothing to do.
+
+    The first call waits until the process answers a ping, so a mesh
+    build starts every process before it waits for any of them."""
 
     def __init__(self, mesh: "ProcessMesh", peer_id: str):
         self.mesh = mesh
         self.peer_id = peer_id
+        #: Deadline for the first ping; None once the process answered.
+        self._up_by: Optional[float] = time.monotonic() + mesh._start_timeout
+
+    def _await_up(self) -> None:
+        while self._up_by is not None:
+            try:
+                self.mesh.ping(self.peer_id)
+                self._up_by = None
+            except NetworkError:
+                if time.monotonic() > self._up_by:
+                    raise NetworkError("shard %s did not come up in %.0fs"
+                                       % (self.peer_id,
+                                          self.mesh._start_timeout))
+                time.sleep(0.01)
 
     def _admin(self, op: str, args: Optional[dict] = None) -> Any:
+        self._await_up()
         return self.mesh.admin(op, self.peer_id, args)["result"]
+
+    def _read(self, view: str) -> Any:
+        self._await_up()
+        return self.mesh._read_one(view, self.peer_id, {})
 
     @property
     def epoch(self) -> int:
-        return self.mesh._read_one("topology", self.peer_id, {})
+        return self._read("topology")
 
     def stats(self) -> dict:
-        return self.mesh._read_one("stats", self.peer_id, {})
+        return self._read("stats")
 
     def pending_deliveries(self) -> int:
         return self.stats()["pending_deliveries"]
@@ -953,13 +976,14 @@ class ProcessMesh(BrokerMesh, _ControlClient):
     :attr:`network` — a :class:`SocketNetwork` in the calling process,
     routed to every shard — is where client peers register.  Membership
     (``add_shard``, ``remove_shard``, ``rebalance``), draining and
-    ``stats()`` are :class:`BrokerMesh`'s code: the fabric hooks spawn a
-    process and wait for its ping, stop and reap it, and decide idleness
-    per node; each handle carries the controller's calls over the
-    control plane.  A leaving shard's ``retire`` and a rebalance's
-    handoff run as jobs inside the shard's process while the driver
-    keeps pumping its own node, so subscriber acks hosted on the driver
-    keep flowing during the settle.
+    ``stats()`` are :class:`BrokerMesh`'s code: the fabric hooks start a
+    process (its handle waits for the process's ping on first use, so a
+    build starts every process before waiting for any), stop and reap
+    it, and decide idleness per node; each handle carries the
+    controller's calls over the control plane.  A leaving shard's
+    ``retire`` and a rebalance's handoff run as jobs inside the shard's
+    process while the driver keeps pumping its own node, so subscriber
+    acks hosted on the driver keep flowing during the settle.
 
     The control plane (:meth:`ping`, the :class:`MeshViews` reads over
     ``proc_read``, :meth:`admin`, :meth:`stop`) rides the same socket
@@ -1014,7 +1038,9 @@ class ProcessMesh(BrokerMesh, _ControlClient):
 
     def _spawn_shard(self, shard_id: str,
                      network: Optional[Any] = None) -> _ShardHandle:
-        """Start one shard process and wait until it answers a ping."""
+        """Start one shard process; its handle waits for the process's
+        ping on first use (a failed start raises there, and the caller
+        discards the shard)."""
         address = shard_addresses(self.sock_dir, [shard_id],
                                   self.scheme)[shard_id]
         self.addresses[shard_id] = address
@@ -1028,18 +1054,7 @@ class ProcessMesh(BrokerMesh, _ControlClient):
             daemon=True, name=shard_id)
         process.start()
         self.processes[shard_id] = process
-        shard = _ShardHandle(self, shard_id)
-        deadline = time.monotonic() + self._start_timeout
-        while True:
-            try:
-                self.ping(shard_id)
-                return shard
-            except NetworkError:
-                if time.monotonic() > deadline:
-                    self._discard_shard(shard)
-                    raise NetworkError("shard %s did not come up in %.0fs"
-                                       % (shard_id, self._start_timeout))
-                time.sleep(0.01)
+        return _ShardHandle(self, shard_id)
 
     def _discard_shard(self, shard: _ShardHandle) -> None:
         """Stop one shard process, reap it and drop its route."""

@@ -14,9 +14,6 @@ from typing import List, Optional, Sequence
 class Node:
     """Base class for all AST nodes."""
 
-    def children(self) -> Sequence["Node"]:
-        return ()
-
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -86,9 +83,6 @@ class FieldAccess(Expr):
         self.obj = obj
         self.field = field
 
-    def children(self):
-        return (self.obj,)
-
     def __repr__(self) -> str:
         return "FieldAccess(%r.%s)" % (self.obj, self.field)
 
@@ -101,9 +95,6 @@ class MethodCall(Expr):
         self.name = name
         self.args = list(args)
 
-    def children(self):
-        return (self.obj, *self.args)
-
     def __repr__(self) -> str:
         return "MethodCall(%r.%s/%d)" % (self.obj, self.name, len(self.args))
 
@@ -112,9 +103,6 @@ class New(Expr):
     def __init__(self, type_name: str, args: Sequence[Expr]):
         self.type_name = type_name
         self.args = list(args)
-
-    def children(self):
-        return tuple(self.args)
 
     def __repr__(self) -> str:
         return "New(%s/%d)" % (self.type_name, len(self.args))
@@ -127,9 +115,6 @@ class IndexGet(Expr):
         self.obj = obj
         self.index = index
 
-    def children(self):
-        return (self.obj, self.index)
-
     def __repr__(self) -> str:
         return "IndexGet(%r[%r])" % (self.obj, self.index)
 
@@ -139,9 +124,6 @@ class ListLit(Expr):
 
     def __init__(self, items: Sequence[Expr]):
         self.items = list(items)
-
-    def children(self):
-        return tuple(self.items)
 
     def __repr__(self) -> str:
         return "ListLit(%d)" % len(self.items)
@@ -153,9 +135,6 @@ class BinOp(Expr):
         self.lhs = lhs
         self.rhs = rhs
 
-    def children(self):
-        return (self.lhs, self.rhs)
-
     def __repr__(self) -> str:
         return "BinOp(%s)" % self.op
 
@@ -164,9 +143,6 @@ class UnOp(Expr):
     def __init__(self, op: str, operand: Expr):
         self.op = op
         self.operand = operand
-
-    def children(self):
-        return (self.operand,)
 
     def __repr__(self) -> str:
         return "UnOp(%s)" % self.op
@@ -187,9 +163,6 @@ class VarDecl(Stmt):
         self.type_name = type_name
         self.init = init
 
-    def children(self):
-        return (self.init,) if self.init is not None else ()
-
     def __repr__(self) -> str:
         return "VarDecl(%s: %s)" % (self.name, self.type_name)
 
@@ -200,9 +173,6 @@ class Assign(Stmt):
     def __init__(self, target: str, value: Expr):
         self.target = target
         self.value = value
-
-    def children(self):
-        return (self.value,)
 
     def __repr__(self) -> str:
         return "Assign(%s)" % self.target
@@ -216,9 +186,6 @@ class FieldAssign(Stmt):
         self.field = field
         self.value = value
 
-    def children(self):
-        return (self.obj, self.value)
-
     def __repr__(self) -> str:
         return "FieldAssign(.%s)" % self.field
 
@@ -231,9 +198,6 @@ class IndexAssign(Stmt):
         self.index = index
         self.value = value
 
-    def children(self):
-        return (self.obj, self.index, self.value)
-
     def __repr__(self) -> str:
         return "IndexAssign()"
 
@@ -241,9 +205,6 @@ class IndexAssign(Stmt):
 class Return(Stmt):
     def __init__(self, value: Optional[Expr] = None):
         self.value = value
-
-    def children(self):
-        return (self.value,) if self.value is not None else ()
 
     def __repr__(self) -> str:
         return "Return(%s)" % ("void" if self.value is None else "expr")
@@ -255,9 +216,6 @@ class If(Stmt):
         self.then_body = list(then_body)
         self.else_body = list(else_body)
 
-    def children(self):
-        return (self.cond, *self.then_body, *self.else_body)
-
     def __repr__(self) -> str:
         return "If(then=%d, else=%d)" % (len(self.then_body), len(self.else_body))
 
@@ -266,9 +224,6 @@ class While(Stmt):
     def __init__(self, cond: Expr, body: Sequence[Stmt]):
         self.cond = cond
         self.body = list(body)
-
-    def children(self):
-        return (self.cond, *self.body)
 
     def __repr__(self) -> str:
         return "While(body=%d)" % len(self.body)
@@ -284,10 +239,6 @@ class For(Stmt):
         self.step = step
         self.body = list(body)
 
-    def children(self):
-        parts = [p for p in (self.init, self.cond, self.step) if p is not None]
-        return (*parts, *self.body)
-
     def __repr__(self) -> str:
         return "For(body=%d)" % len(self.body)
 
@@ -295,9 +246,6 @@ class For(Stmt):
 class ExprStmt(Stmt):
     def __init__(self, expr: Expr):
         self.expr = expr
-
-    def children(self):
-        return (self.expr,)
 
     def __repr__(self) -> str:
         return "ExprStmt(%r)" % self.expr

@@ -43,7 +43,9 @@ Delivery discipline:
   inside :meth:`poll`'s run phase, handlers run synchronously in its
   dispatch phase (never inside a socket callback), exactly like the
   simulator's drain — so broker code needs no locking and a handler may
-  issue nested :meth:`request` calls mid-dispatch.
+  issue nested :meth:`request` calls mid-dispatch.  The run phase is
+  event-driven: it ends as soon as a data frame, a reply or a link event
+  arrives, and its ``wait`` is only an upper bound.
 - Peers are discovered per link: each side of a connection announces its
   registered peer ids (and keeps announcing as peers register and
   unregister), so one socket multiplexes every peer of a process and
@@ -207,6 +209,42 @@ class _Inbound:
         self.end = end
 
 
+class _Waiter:
+    """Runs an explicitly pumped event loop until something arrives that
+    a pump should act on, or a time bound passes.
+
+    One per event loop, shared by every node on it (a :class:`SocketHub`
+    hands its own to each node), so a frame parsed for any node ends the
+    wait of whichever node is pumping.  Links :meth:`wake` it when a data
+    frame is queued, a reply is stored, a link is lost or a paused link
+    resumes writing."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self.loop = loop
+        self._woken: Optional[asyncio.Future] = None
+
+    def wake(self) -> None:
+        woken = self._woken
+        if woken is not None and not woken.done():
+            woken.set_result(None)
+
+    def run(self, wait: float) -> None:
+        """Run the loop until woken or ``wait`` seconds pass; ``wait=0``
+        runs one turn, and a wait nothing wakes lasts its full bound.
+        Only events during the run wake it: whatever was already queued
+        when it began, the caller has seen."""
+        loop = self.loop
+        if loop.is_running() or loop.is_closed():
+            return  # re-entered from a handler running inside the loop
+        woken = self._woken = loop.create_future()
+        timer = loop.call_later(wait, self.wake)
+        try:
+            loop.run_until_complete(woken)
+        finally:
+            timer.cancel()
+            self._woken = None
+
+
 class _Link(asyncio.Protocol):
     """One socket connection: bounded send queue + pooled receive buffer."""
 
@@ -277,6 +315,7 @@ class _Link(asyncio.Protocol):
     def resume_writing(self) -> None:
         self.paused = False
         self._drain()
+        self.network._waiter.wake()
 
     # -- asyncio.Protocol --------------------------------------------------
 
@@ -371,6 +410,7 @@ class _Link(asyncio.Protocol):
         elif flags in (_FLAG_ONEWAY, _FLAG_REQUEST):
             self.inbound.append(
                 _Inbound(flags, req_id, src, dst, kind, pos, end))
+            self.network._waiter.wake()
         else:
             raise NetworkError("unknown frame flags %d" % flags)
 
@@ -419,6 +459,7 @@ class SocketNetwork:
         self.epoch = 0
         self._owns_loop = loop is None
         self._loop = loop if loop is not None else asyncio.new_event_loop()
+        self._waiter = _Waiter(self._loop)
         self.max_queue_bytes = max_queue_bytes
         self.request_timeout = request_timeout
         self.backpressure_timeout = backpressure_timeout
@@ -571,7 +612,9 @@ class SocketNetwork:
                 # may need us (or a third node) to answer something first.
                 # One-way data frames stay queued — dispatching them here
                 # would run fan-out handlers mid-request and reorder the
-                # publish stream around the blocked frame.
+                # publish stream around the blocked frame.  The pump
+                # returns when the reply (or a request, or the link's
+                # loss) arrives; 2 ms only bounds a quiet wait.
                 self._pump(0.002, requests_only=True)
                 if req_id not in self._responses \
                         and time.monotonic() > deadline:
@@ -606,13 +649,15 @@ class SocketNetwork:
                       for link in self._links))
 
     def flush(self) -> int:
-        """One pump: run the I/O phase briefly, dispatch what arrived."""
+        """One pump: run the I/O phase until something arrives (at most
+        1 ms), dispatch what arrived."""
         return self.poll(0.001)
 
     def run_until_idle(self, max_rounds: int = 10_000,
                        settle: float = 0.05) -> int:
         """Pump until this node has nothing queued in either direction and
-        ``settle`` seconds pass without new work.  A single node cannot
+        ``settle`` seconds pass without new work (each pump returns on
+        the first arrival, or after 2 ms of quiet).  A single node cannot
         see bytes in flight elsewhere — use :meth:`SocketHub.run_until_idle`
         (or application-level accounting) for whole-fabric quiescence."""
         total = 0
@@ -635,21 +680,18 @@ class SocketNetwork:
     # -- pumping -----------------------------------------------------------
 
     def poll(self, wait: float = 0.0, requests_only: bool = False) -> int:
-        """Run the event loop for up to ``wait`` seconds (the I/O phase),
-        then dispatch parsed inbound frames (the dispatch phase).
+        """Run the event loop until a data frame, a reply or a link event
+        arrives, for at most ``wait`` seconds (the I/O phase), then
+        dispatch parsed inbound frames (the dispatch phase).  ``wait=0``
+        runs one loop turn; a wait nothing wakes lasts its full bound.
         Returns the number of frames dispatched."""
-        self._run_io(wait)
+        self._waiter.run(wait)
         return self._dispatch_ready(requests_only=requests_only)
 
     def _pump(self, wait: float, requests_only: bool = False) -> int:
         if self.hub is not None:
             return self.hub.poll(wait, requests_only=requests_only)
         return self.poll(wait, requests_only=requests_only)
-
-    def _run_io(self, wait: float) -> None:
-        if self._loop.is_running() or self._loop.is_closed():
-            return  # re-entered from a handler running inside the loop
-        self._loop.run_until_complete(asyncio.sleep(wait))
 
     def _dispatch_ready(self, requests_only: bool = False) -> int:
         processed = 0
@@ -855,6 +897,7 @@ class SocketNetwork:
         self.bytes_received += len(payload)
         if req_id in self._pending_requests:
             self._responses[req_id] = payload
+            self._waiter.wake()
 
     def _framing_error(self, link: _Link) -> None:
         self.framing_errors += 1
@@ -893,6 +936,7 @@ class SocketNetwork:
                 self._responses[req_id] = failure
         if not link.inbound:
             self._reap(link)
+        self._waiter.wake()
 
     def _reap(self, link: _Link) -> None:
         """Final teardown once a dead link's parsed frames are dispatched:
@@ -953,7 +997,7 @@ class SocketNetwork:
             deadline = time.monotonic() + self.backpressure_timeout
             while not link.dead \
                     and link.tx_bytes + len(frame) > self.max_queue_bytes:
-                self._run_io(0.002)
+                self._waiter.run(0.002)
                 if time.monotonic() > deadline:
                     raise NetworkError(
                         "send queue to %s full for %.0fs (%d bytes queued)"
@@ -1061,17 +1105,21 @@ class SocketHub:
 
     def __init__(self):
         self.loop = asyncio.new_event_loop()
+        self._waiter = _Waiter(self.loop)
         self.nodes: List[SocketNetwork] = []
 
     def network(self, node_id: str, **kwargs) -> SocketNetwork:
         node = SocketNetwork(node_id, loop=self.loop, **kwargs)
         node.hub = self
+        node._waiter = self._waiter
         self.nodes.append(node)
         return node
 
     def poll(self, wait: float = 0.0, requests_only: bool = False) -> int:
-        if not self.loop.is_running() and not self.loop.is_closed():
-            self.loop.run_until_complete(asyncio.sleep(wait))
+        """Run the shared loop until a frame, a reply or a link event
+        arrives for any node, or for at most ``wait`` seconds, then
+        dispatch every node.  Returns the number of frames dispatched."""
+        self._waiter.run(wait)
         return sum(node._dispatch_ready(requests_only=requests_only)
                    for node in self.nodes)
 

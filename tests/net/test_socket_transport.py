@@ -5,6 +5,7 @@ peers vanishing mid-batch, and send queues hitting backpressure."""
 import os
 import socket
 import tempfile
+import time
 
 import pytest
 
@@ -549,3 +550,118 @@ def test_transport_snapshot_shape(hub):
     assert snapshot["node"] == "client-node"
     assert snapshot["by_kind_messages"].get("ping") == 1
     assert "buffer_pool_hits" in snapshot["recv_pool"]
+
+
+# -- event-driven pumping ----------------------------------------------------
+
+
+def _linked_pair(hub):
+    """A client and a server hub node whose link is already up."""
+    server = hub.network("server-node")
+    client = hub.network("client-node")
+    address = uds_address()
+    server.listen(address)
+    seen = []
+    server.register("service", lambda kind, payload, src:
+                    seen.append(bytes(payload)) or b"OK")
+    client.add_route("service", address)
+    assert client.request("caller", "service", "ping", b"") == b"OK"
+    hub.run_until_idle()
+    seen.clear()
+    return client, seen
+
+
+def test_hub_poll_returns_when_a_oneway_frame_arrives(hub):
+    client, seen = _linked_pair(hub)
+    client.post_async("caller", "service", "tick", b"early")
+    began = time.monotonic()
+    dispatched = hub.poll(5.0)
+    # The bound is 5 s; the frame ends the wait as soon as it is read.
+    assert time.monotonic() - began < 1.0
+    assert dispatched == 1
+    assert seen == [b"early"]
+
+
+def test_standalone_poll_returns_when_a_oneway_frame_arrives():
+    server = SocketNetwork("server-node")
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        address = server.listen(uds_address())
+        seen = []
+        server.register("service", lambda kind, payload, src:
+                        seen.append(bytes(payload)) or b"OK")
+        raw.connect(parse_address(address)[1])
+        raw.sendall(encode_frame("caller", "service", "tick", b"early"))
+        began = time.monotonic()
+        dispatched = server.poll(5.0)
+        assert time.monotonic() - began < 1.0
+        assert dispatched == 1
+        assert seen == [b"early"]
+    finally:
+        raw.close()
+        server.close()
+
+
+def test_hub_request_completes_inside_one_pump_slice(hub):
+    client, _ = _linked_pair(hub)
+    rounds = 50
+    began = time.monotonic()
+    for _ in range(rounds):
+        assert client.request("caller", "service", "ping", b"") == b"OK"
+    # A request pumps in 2 ms slices; each round trip ends its slice
+    # early instead of sleeping it out (at least two slices apiece).
+    assert time.monotonic() - began < rounds * 0.002
+
+
+@pytest.mark.parametrize("on_hub", [True, False])
+def test_poll_without_traffic_waits_its_full_bound(hub, on_hub):
+    node = hub.network("quiet-node") if on_hub else SocketNetwork("quiet")
+    try:
+        began = time.monotonic()
+        assert node.poll(0.05) == 0
+        assert time.monotonic() - began >= 0.04
+    finally:
+        if not on_hub:
+            node.close()
+
+
+def test_requests_only_wait_does_not_spin_on_queued_oneway_frames(
+        monkeypatch):
+    directory = tempfile.mkdtemp(prefix="repro-sock-")
+    path = os.path.join(directory, "slow.sock")
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(path)
+    listener.listen(1)
+    client = SocketNetwork("client-node", request_timeout=0.2)
+    accepted = None
+    try:
+        seen = []
+        client.register("svc", lambda kind, payload, src:
+                        seen.append(bytes(payload)) or b"OK")
+        client.add_route("slow", "unix:" + path)
+        client.connect("unix:" + path)
+        client.poll(0.01)
+        accepted = listener.accept()[0]
+        accepted.sendall(encode_frame("slow", "svc", "tick", b"queued"))
+        # The arrival ends a requests-only wait, which leaves it queued.
+        began = time.monotonic()
+        assert client.poll(5.0, requests_only=True) == 0
+        assert time.monotonic() - began < 1.0
+        assert client.pending() == 1
+        runs = []
+        run = client._loop.run_until_complete
+        monkeypatch.setattr(client._loop, "run_until_complete",
+                            lambda future: runs.append(1) or run(future))
+        # The peer never answers: the request waits out its timeout in
+        # 2 ms slices, and the queued frame must not cut any of them
+        # short (a spinning wait would run the loop thousands of times).
+        with pytest.raises(NetworkError, match="timed out"):
+            client.request("caller", "slow", "fetch", b"")
+        assert 0 < len(runs) <= 110
+        assert client.poll(0) == 1
+        assert seen == [b"queued"]
+    finally:
+        client.close()
+        if accepted is not None:
+            accepted.close()
+        listener.close()
