@@ -20,8 +20,7 @@ from typing import Any, Dict, List, Optional
 
 from ...core.context import ConformanceOptions
 from ...cts.types import TypeInfo
-from ...describe.description import TypeDescription
-from ...describe.xml_codec import deserialize_description, serialize_description_bytes
+from ...describe.xml_codec import description_bytes, description_type
 from ...net.network import SimulatedNetwork
 from ...net.peer import error_response
 from ...remoting.dynamic import wrap
@@ -121,9 +120,8 @@ class BorrowLendPeer(RemotingPeer):
 
     def _handle_borrow(self, payload: bytes, src: str) -> bytes:
         request = self._wire_codec.deserialize(payload)
-        description = deserialize_description(request["description"])
-        query_type = description.to_type_info()
-        self.runtime.registry.register(query_type)
+        query_type = description_type(request["description"],
+                                      self.runtime.registry)
         for offer in self._offers.values():
             if not offer.available:
                 continue
@@ -184,10 +182,8 @@ class BorrowLendPeer(RemotingPeer):
         expected type (remote stub, dynamically proxied if the match is only
         implicit)."""
         self.runtime.registry.register(expected)
-        description = TypeDescription.from_type_info(expected)
         payload = self._wire_codec.serialize(
-            {"description": serialize_description_bytes(description)}
-        )
+            {"description": description_bytes(expected)})
         try:
             response_bytes = self.request(lender_id, KIND_BL_BORROW, payload)
         except Exception as exc:

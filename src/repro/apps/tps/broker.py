@@ -39,8 +39,7 @@ from ...core.context import ConformanceOptions
 from ...core.rules import ConformanceChecker
 from ...cts.registry import TypeRegistry
 from ...cts.types import TypeInfo
-from ...describe.description import TypeDescription
-from ...describe.xml_codec import deserialize_description, serialize_description_bytes
+from ...describe.xml_codec import description_bytes, description_type
 from ...net.network import NetworkError, SimulatedNetwork, UnknownPeerError
 from ...obs.bridge import (
     register_broker_metrics,
@@ -349,9 +348,8 @@ class TpsBroker(InteropPeer):
 
     def _handle_subscribe(self, payload: bytes, src: str) -> bytes:
         request = self._wire_codec.deserialize(payload)
-        description = deserialize_description(request["description"])
-        expected = description.to_type_info()
-        self.runtime.registry.register(expected)
+        expected = description_type(request["description"],
+                                    self.runtime.registry)
         subscription = Subscription(expected, None, self._next_id, peer_id=src)
         self._next_id += 1
         self.index.add(subscription)
@@ -385,8 +383,8 @@ class TpsBroker(InteropPeer):
 
     def _handle_subscribe_durable(self, payload: bytes, src: str) -> bytes:
         request = self._wire_codec.deserialize(payload)
-        expected = deserialize_description(request["description"]).to_type_info()
         description_xml = request["description"]
+        expected = description_type(description_xml, self.runtime.registry)
         if isinstance(description_xml, bytes):
             description_xml = description_xml.decode("utf-8")
         subscription = self.subscribe_durable(
@@ -466,9 +464,10 @@ class TpsBroker(InteropPeer):
                                            peer_id=peer_id, cursor_name=cursor)
         self._next_id += 1
         self.index.add(subscription)
+        description = description_bytes(expected) if description_xml is None \
+            else description_xml.encode("utf-8")
         if description_xml is None and peer_id is not None:
-            description_xml = serialize_description_bytes(
-                TypeDescription.from_type_info(expected)).decode("utf-8")
+            description_xml = description.decode("utf-8")
         fresh_cursor = cursor not in self.cursors
         # Recovery's mechanical re-registration must not refresh the
         # cursor's idleness stamp — only the subscriber itself coming
@@ -476,16 +475,13 @@ class TpsBroker(InteropPeer):
         self.durability.register_cursor(cursor, peer_id=peer_id,
                                         description=description_xml,
                                         touch=not _recovering)
-        self._on_subscribed(subscription, {
-            "description": serialize_description_bytes(
-                TypeDescription.from_type_info(expected)),
-        })
+        self._on_subscribed(subscription, {"description": description})
         self.pipeline.replay(subscription, fresh=fresh_cursor)
-        self._replay_mesh(subscription, recovering=_recovering)
+        self._replay_mesh(subscription, description, recovering=_recovering)
         return subscription
 
     def _replay_mesh(self, subscription: DurableSubscription,
-                     recovering: bool = False) -> int:
+                     description: bytes, recovering: bool = False) -> int:
         """Hook for subclasses: complete a durable subscription's backlog
         with records homed on *other* brokers.  The single broker has no
         siblings — the mesh shard overrides this with replica-log replay
@@ -512,7 +508,8 @@ class TpsBroker(InteropPeer):
             description = entry.get("description")
             if not peer_id or not description or entry.get("origin"):
                 continue  # fetch cursors ride their base subscription
-            expected = deserialize_description(description).to_type_info()
+            expected = description_type(description.encode("utf-8"),
+                                        self.runtime.registry)
             restored.append(self.subscribe_durable(
                 expected, None, name, peer_id=peer_id,
                 description_xml=description, _recovering=True))
@@ -666,8 +663,7 @@ class TpsSubscriberMixin:
         stacking a second handler that would run twice per event.
         """
         self.declare_interest(expected)
-        description = TypeDescription.from_type_info(expected)
-        request = {"description": serialize_description_bytes(description)}
+        request = {"description": description_bytes(expected)}
         if extra:
             request.update(extra)
         response = self.request(

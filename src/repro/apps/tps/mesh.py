@@ -45,8 +45,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 from urllib.parse import quote, unquote
 
-from ...describe.description import TypeDescription
-from ...describe.xml_codec import deserialize_description, serialize_description_bytes
+from ...describe.xml_codec import description_bytes, description_type
 from ...net.network import (
     MessageDropped,
     NetworkError,
@@ -433,8 +432,7 @@ class MeshShard(TpsBroker):
         """Index one refcounted (shard, expected-type) summary entry —
         the single construction site for both gossip adds and restart
         resyncs."""
-        expected = deserialize_description(description).to_type_info()
-        self.runtime.registry.register(expected)
+        expected = description_type(description, self.runtime.registry)
         summary = Subscription(expected, None, self._next_summary_id,
                                peer_id=src)
         self._next_summary_id += 1
@@ -457,8 +455,7 @@ class MeshShard(TpsBroker):
             if group is None:
                 group = groups[guid] = {
                     "guid": guid,
-                    "description": serialize_description_bytes(
-                        TypeDescription.from_type_info(subscription.expected)),
+                    "description": description_bytes(subscription.expected),
                     "count": 0,
                 }
             group["count"] += 1
@@ -652,9 +649,8 @@ class MeshShard(TpsBroker):
         log = self._held_log(origin)
         if log is None:
             return self._records_reply(0, ())
-        expected = deserialize_description(
-            request["description"]).to_type_info()
-        self.runtime.registry.register(expected)
+        expected = description_type(request["description"],
+                                    self.runtime.registry)
         self.fetches_served += 1
         upto = log.next_offset
         clamp = request.get("upto")
@@ -775,7 +771,7 @@ class MeshShard(TpsBroker):
         return int(entry.get("floor", 0)) if entry else 0
 
     def _replay_mesh(self, subscription: DurableSubscription,
-                     recovering: bool = False,
+                     description: bytes, recovering: bool = False,
                      bounds: Optional[Dict[str, int]] = None,
                      ceiling: Optional[int] = None) -> int:
         """Complete a durable subscription's backlog mesh-wide: for each
@@ -806,8 +802,6 @@ class MeshShard(TpsBroker):
             return 0
         seen = self._home_ids_in_log()
         floor = self._cursor_floor(subscription.cursor_name)
-        description = serialize_description_bytes(
-            TypeDescription.from_type_info(subscription.expected))
         total = 0
         origins = list(self._siblings) + [
             shard_id for shard_id in
@@ -927,8 +921,7 @@ class MeshShard(TpsBroker):
             # response was lost): adopting is idempotent.
             return {"ok": True, "already": True,
                     "floor": self._cursor_floor(cursor)}
-        expected = deserialize_description(description).to_type_info()
-        self.runtime.registry.register(expected)
+        expected = description_type(description, self.runtime.registry)
         floor = self.event_log.next_offset
         subscription = DurableSubscription(expected, None, self._next_id,
                                            peer_id=peer_id,
@@ -961,8 +954,7 @@ class MeshShard(TpsBroker):
         # publish falls between the two homes.
         announce = self._wire_codec.serialize({
             "op": "add", "guid": str(expected.guid),
-            "description": serialize_description_bytes(
-                TypeDescription.from_type_info(expected)),
+            "description": description,
         })
         bounds: Dict[str, int] = {}
         for shard_id in self._siblings:
@@ -979,7 +971,7 @@ class MeshShard(TpsBroker):
                 bounds[shard_id] = int(bound)
         self.adoptions += 1
         unreachable = self.pipeline.stats.replay_unreachable
-        self._replay_mesh(subscription, bounds=bounds)
+        self._replay_mesh(subscription, description, bounds=bounds)
         if self.pipeline.stats.replay_unreachable > unreachable:
             # The subscriber has no route to this shard yet, so part of
             # the adopted backlog could not go out (its cursors stay
@@ -1069,7 +1061,8 @@ class MeshShard(TpsBroker):
             # deactivation (at or above the frontier, hence never
             # delivered) go out to the subscriber now.
             frontier = self.cursors.get(cursor)
-            self._replay_mesh(subscription, ceiling=frontier)
+            description = description_bytes(subscription.expected)
+            self._replay_mesh(subscription, description, ceiling=frontier)
             self._settle_cursor_family(cursor, pump)
             floor = self._cursor_floor(cursor)
             selfpass = foreign_cursor_name(cursor, self.peer_id)
@@ -1092,9 +1085,7 @@ class MeshShard(TpsBroker):
                 self._wire_codec.serialize({
                     "cursor": cursor,
                     "peer_id": subscription.peer_id,
-                    "description": serialize_description_bytes(
-                        TypeDescription.from_type_info(
-                            subscription.expected)),
+                    "description": description,
                     "positions": positions,
                 }),
                 retries=self.max_retries)
@@ -1220,7 +1211,8 @@ class MeshShard(TpsBroker):
             unreachable = self.pipeline.stats.replay_unreachable
             delivered += self.pipeline.replay(subscription)
             if cursor in self._stalled_replays:
-                delivered += self._replay_mesh(subscription, bounds=bounds)
+                delivered += self._replay_mesh(subscription, description_bytes(
+                    subscription.expected), bounds=bounds)
                 if self.pipeline.stats.replay_unreachable == unreachable:
                     del self._stalled_replays[cursor]
         return delivered

@@ -45,6 +45,8 @@ class TypeRegistry:
         if include_builtins:
             for info in BUILTINS.values():
                 self._register(info)
+        #: Parsed description bytes -> type (``xml_codec.description_type``).
+        self.described = BoundedMemo(256, self)
 
     def bump(self) -> None:
         """Move the type epoch: every memo filled before now is stale."""

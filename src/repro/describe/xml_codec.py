@@ -12,6 +12,9 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Any, Dict, List, Optional
 
+from ..cts.assembly import type_to_wire
+from ..cts.registry import BoundedMemo, TypeRegistry
+from ..cts.types import TypeInfo
 from .description import TypeDescription
 
 
@@ -109,6 +112,26 @@ def serialize_description(description: TypeDescription) -> str:
 def serialize_description_bytes(description: TypeDescription) -> bytes:
     """Description → UTF-8 XML bytes (what the network accounts)."""
     return ET.tostring(description_to_element(description), encoding="utf-8")
+
+
+#: GUID -> (body-free wire form, the XML bytes rendered from it).
+_RENDERED = BoundedMemo(256)
+
+
+def description_bytes(info: TypeInfo) -> bytes:
+    """The XML bytes of ``info``'s description, rendered once per wire form.
+
+    The body-free wire form is the whole input of the XML: bytes are reused
+    only while it equals the form they were rendered from, so a type
+    replaced in place, a new download path or a reference resolved since
+    (which adds its GUID and path) renders afresh."""
+    wire = type_to_wire(info, include_bodies=False)
+    stored = _RENDERED.get(wire["guid"])
+    if stored is not None and stored[0] == wire:
+        return stored[1]
+    data = serialize_description_bytes(TypeDescription(wire))
+    _RENDERED.put(wire["guid"], (wire, data))
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +240,24 @@ def deserialize_description(text) -> TypeDescription:
     except ET.ParseError as exc:
         raise XmlCodecError("invalid XML: %s" % exc)
     return element_to_description(root)
+
+
+def description_type(data: bytes, registry: TypeRegistry) -> TypeInfo:
+    """The type a received description names, registered with ``registry``.
+
+    Keyed on the exact bytes, in a memo owned by ``registry``: an epoch
+    move empties it, as a stored type's references may have resolved
+    against the old state, except registering a type whose name and GUID
+    were both unbound, which rebinds nothing.  Only parses that succeed
+    and register are stored, so malformed XML raises on every call."""
+    memo = registry.described.fresh()
+    info = memo.get(data)
+    if info is None:
+        info = deserialize_description(data).to_type_info()
+        added = not (registry.contains_guid(info.guid)
+                     or registry.contains_name(info.full_name))
+        registry.register(info)
+        if added:
+            memo.epoch = registry.epoch
+        memo.fresh().put(data, info)
+    return info

@@ -9,7 +9,7 @@ assembly ships and a peer downloads over the optimistic protocol.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..cts.members import (
     ConstructorInfo,
@@ -20,9 +20,13 @@ from ..cts.members import (
     TypeRef,
     Visibility,
 )
+from ..cts.registry import BoundedMemo
 from ..cts.types import OBJECT, TypeInfo, TypeKind, VOID, lookup_builtin
 from ..il.instructions import BodyBuilder, Op
 from . import ast_nodes as ast
+
+#: Parsed declarations by (frontend ``parse`` function, source text).
+_PARSED = BoundedMemo(256)
 
 
 class CompileError(Exception):
@@ -334,3 +338,19 @@ def compile_classes(
         compile_class(d, namespace=namespace, assembly_name=assembly_name, language=language)
         for d in decls
     ]
+
+
+def compile_with(parse: Callable[[str], List[ast.ClassDecl]], source: str,
+                 namespace: str, assembly_name: str,
+                 language: str) -> List[TypeInfo]:
+    """A frontend's ``compile_source``: ``parse`` then :func:`compile_classes`,
+    parsing each distinct (``parse``, ``source``) once.  ``parse`` is a pure
+    function of the text and nothing here mutates an AST, so a hit is what
+    parsing again would give; every call still builds fresh TypeInfos."""
+    key = (parse, source)
+    decls = _PARSED.get(key)
+    if decls is None:
+        decls = parse(source)
+        _PARSED.put(key, decls)
+    return compile_classes(decls, namespace=namespace,
+                           assembly_name=assembly_name, language=language)

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 from ..cts.types import TypeInfo
 from . import ast_nodes as ast
 from .cfamily import Dialect, Parser
-from .compiler import compile_classes
+from .compiler import compile_with
 from .lexer import TokenStream
 
 LANGUAGE = "java"
@@ -61,9 +61,4 @@ def compile_source(
     assembly_name: str = "default",
 ) -> List[TypeInfo]:
     """Parse and compile Java-like source into CTS types."""
-    return compile_classes(
-        parse(source),
-        namespace=namespace,
-        assembly_name=assembly_name,
-        language=LANGUAGE,
-    )
+    return compile_with(parse, source, namespace, assembly_name, LANGUAGE)

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..cts.types import TypeInfo
 from . import ast_nodes as ast
-from .compiler import compile_classes
+from .compiler import compile_with
 
 LANGUAGE = "vb"
 
@@ -579,9 +579,4 @@ def compile_source(
     assembly_name: str = "default",
 ) -> List[TypeInfo]:
     """Parse and compile VB-like source into CTS types."""
-    return compile_classes(
-        parse(source),
-        namespace=namespace,
-        assembly_name=assembly_name,
-        language=LANGUAGE,
-    )
+    return compile_with(parse, source, namespace, assembly_name, LANGUAGE)

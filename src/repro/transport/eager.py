@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..cts.assembly import Assembly
-from ..describe.description import TypeDescription
-from ..describe.xml_codec import serialize_description_bytes
+from ..describe.xml_codec import description_bytes
 from ..serialization.graph import collect_types
 from .protocol import InteropPeer
 
@@ -41,9 +40,7 @@ class EagerPeer(InteropPeer):
         assemblies: List[Dict] = []
         seen_assemblies = set()
         for info in collect_types(value):
-            descriptions.append(
-                serialize_description_bytes(TypeDescription.from_type_info(info))
-            )
+            descriptions.append(description_bytes(info))
             hosting = self._find_hosting_assembly(info.full_name)
             if hosting is not None and hosting.download_path not in seen_assemblies:
                 seen_assemblies.add(hosting.download_path)

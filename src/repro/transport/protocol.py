@@ -32,7 +32,7 @@ from ..core.rules import ConformanceChecker
 from ..describe.cache import DescriptionCache
 from ..describe.description import TypeDescription
 from ..describe.resolver import DescriptionResolver
-from ..describe.xml_codec import deserialize_description, serialize_description_bytes
+from ..describe.xml_codec import description_bytes, deserialize_description
 from ..net.codeserver import KIND_GET_ASSEMBLY, KIND_GET_DESCRIPTION
 from ..net.network import (
     MessageDropped,
@@ -649,7 +649,7 @@ class InteropPeer(Peer):
         info = self.runtime.registry.get(type_name)
         if info is None:
             return error_response("no description for %s" % type_name)
-        return serialize_description_bytes(TypeDescription.from_type_info(info))
+        return description_bytes(info)
 
     def _serve_assembly(self, payload: bytes, src: str) -> bytes:
         key = payload.decode("utf-8")
