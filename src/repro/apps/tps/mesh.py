@@ -1370,6 +1370,13 @@ class BrokerMesh:
         """Tear down a shard that left the mesh or failed to join."""
         shard.close()
 
+    def _crash_shard(self, shard_id: str) -> Optional[Any]:
+        """Drop a shard as a crash would; returns the endpoint its
+        replacement takes over (None: a fresh one at the same address)."""
+        shard = self._by_id[shard_id]
+        shard.close()  # unregisters from the fabric, closes the log
+        return shard.network
+
     def _commit_topology(self, topology: Topology) -> None:
         self.topology = topology
         for shard in self.shards:
@@ -1467,8 +1474,13 @@ class BrokerMesh:
     # -- crash recovery ----------------------------------------------------
 
     def restart_shard(self, shard_id: str) -> MeshShard:
-        """Crash-restart one shard: tear it down, rebuild it from its
-        durable state, and reconnect it to the mesh.
+        """Crash-restart one shard — the one restart of every runner: crash
+        it through the fabric (:meth:`_crash_shard`; a
+        :class:`~repro.apps.tps.procmesh.ProcessMesh` SIGKILLs the shard
+        process), respawn it over its durable state, and reconnect it.
+        Frames in flight to a killed process are lost (counted in
+        ``frames_lost``); ``TpsPeer.republish_unacked`` resends the
+        durable publishes among them.
 
         The replacement shard reopens the same event log (running the
         torn-tail recovery scan), reloads its remote durable
@@ -1478,11 +1490,11 @@ class BrokerMesh:
         unacked ones go out again (at-least-once).  Non-durable
         subscriptions die with the old shard, exactly like a real broker
         crash.  The old incarnation's buffered deliveries die with it;
-        messages already queued on the fabric under the shard's peer id
-        are delivered to the NEW incarnation at drain time (a stale
-        forward is logged and delivered — a possible duplicate the
-        at-least-once contract allows; a stale ack misses the empty
-        pending table and is ignored).
+        messages already queued on an in-process fabric under the
+        shard's peer id are delivered to the NEW incarnation at drain
+        time (a stale forward is logged and delivered — a possible
+        duplicate the at-least-once contract allows; a stale ack misses
+        the empty pending table and is ignored).
 
         Drain the mesh afterwards to deliver the replayed backlog.
         """
@@ -1490,8 +1502,7 @@ class BrokerMesh:
         if old is None:
             raise ValueError("no shard %r in this mesh" % shard_id)
         position = self.shards.index(old)
-        old.close()  # unregisters from the fabric, closes the log
-        shard = self._spawn_shard(shard_id, old.network)
+        shard = self._spawn_shard(shard_id, self._crash_shard(shard_id))
         shard.set_topology(self.topology)
         self.shards[position] = shard
         self._by_id[shard_id] = shard

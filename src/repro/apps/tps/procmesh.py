@@ -194,7 +194,8 @@ ADMIN_REGISTRY: Dict[str, AdminOp] = {
                           "returned"),
     "restart_shard": AdminOp("restart_shard", "mesh", _mesh_restart,
                              needs_shard=True,
-                             help="crash-restart one shard in place"),
+                             help="kill and respawn one shard from its "
+                                  "durable state"),
     "add_shard": AdminOp("add_shard", "mesh", _mesh_add_shard,
                          help="grow the mesh by one live shard "
                               "(epoch + 1)"),
@@ -208,6 +209,7 @@ ADMIN_REGISTRY: Dict[str, AdminOp] = {
     # speaks them over proc_admin; they never appear in ADMIN_OPS.
     "set_topology": AdminOp("set_topology", "node"),
     "resync": AdminOp("resync", "node"),
+    "recover": AdminOp("recover", "node"),
     "retire": AdminOp("retire", "node"),
     "job_status": AdminOp("job_status", "node"),
 }
@@ -614,11 +616,6 @@ class _ControlClient(MeshViews):
             raise ValueError("no shard %r in this mesh" % shard_id)
         return self.admin(op, shard_id, args).get("result")
 
-    def restart_shard(self, shard_id: str) -> dict:
-        """Ask one shard process to crash-restart its shard in place (the
-        rebuild happens on the shard's next pump tick)."""
-        return self.admin("restart_shard", shard_id)
-
 
 class _ShardProcess(_ControlClient):
     """One shard process: the shard on its own socket node, the four
@@ -633,10 +630,7 @@ class _ShardProcess(_ControlClient):
         self.network = network
         self.auth_token = auth_token
         self._src = shard_id + "-obs"  # reply address for peer requests
-        self._replication_factor = replication_factor
-        self._broker_kwargs = broker_kwargs
         self.stopping = False
-        self.restart_pending = False
         #: Deferred membership jobs (retire / rebalance).  They must run
         #: at pump-loop top level: a job settles subscriber ack windows,
         #: and running it inside a blocking driver request would leave the
@@ -646,29 +640,14 @@ class _ShardProcess(_ControlClient):
         self.job_state: Dict[str, Any] = {"done": True, "error": None,
                                           "value": None}
         self.unauthorized = 0
-        self.restarts = 0
         self.http: Optional[ObsHttpServer] = None
-        self.shard = self._build_shard()
-
-    @property
-    def shard_ids(self) -> List[str]:
-        return self.topology.shard_ids
-
-    @property
-    def epoch(self) -> int:
-        return self.topology.epoch
-
-    def _build_shard(self) -> MeshShard:
-        shard = MeshShard(self.shard_id, self.network,
-                          replication_factor=self._replication_factor,
-                          **self._broker_kwargs)
-        register_network_metrics(shard.metrics, self.network)
+        self.shard = shard = MeshShard(
+            shard_id, network, replication_factor=replication_factor,
+            **broker_kwargs)
+        register_network_metrics(shard.metrics, network)
         shard.metrics.gauge("control.unauthorized",
                             "rejected control-plane requests",
                             sample=lambda: self.unauthorized)
-        shard.metrics.gauge("control.restarts",
-                            "in-place shard restarts served",
-                            sample=lambda: self.restarts)
         shard.metrics.gauge("control.http_unauthorized",
                             "rejected HTTP admin requests",
                             sample=lambda: self.http.unauthorized
@@ -677,7 +656,14 @@ class _ShardProcess(_ControlClient):
         shard.on(KIND_PROC_READ, self._handle_read)
         shard.on(KIND_PROC_ADMIN, self._handle_admin)
         shard.on(KIND_PROC_STOP, self._handle_stop)
-        return shard
+
+    @property
+    def shard_ids(self) -> List[str]:
+        return self.topology.shard_ids
+
+    @property
+    def epoch(self) -> int:
+        return self.topology.epoch
 
     def _authorized(self, token: bytes) -> bool:
         # A mesh built without a token is explicitly unsecured.
@@ -706,10 +692,10 @@ class _ShardProcess(_ControlClient):
         return super().admin(op, shard_id, args)
 
     def add_shard(self, shard_id: Optional[str] = None) -> Any:
-        raise ValueError("a shard process cannot spawn or reap shards; "
-                         "ask the ProcessMesh driver")
+        raise ValueError("a shard process cannot spawn, restart or reap "
+                         "shards; ask the ProcessMesh driver")
 
-    remove_shard = add_shard
+    remove_shard = restart_shard = add_shard
 
     def rebalance(self) -> Dict[str, Any]:
         """Hand this shard's re-homed durable subscriptions off.  HTTP
@@ -776,11 +762,6 @@ class _ShardProcess(_ControlClient):
 
     def _do_admin(self, op: str, args: dict) -> Any:
         shard = self.shard
-        if op == "restart_shard":
-            # Deferred to the pump loop: rebuilding the shard from inside
-            # a dispatch handler would re-enter the network mid-poll.
-            self.restart_pending = True
-            return {"restarting": self.shard_id}
         if op == "set_topology":
             topology = Topology.from_dict(args["topology"])
             self.network.add_routes({
@@ -799,6 +780,8 @@ class _ShardProcess(_ControlClient):
             return {"committed": committed, "epoch": shard.epoch}
         if op == "resync":
             return {"synced": shard._sync_summaries()}
+        if op == "recover":
+            return {"recovered": [sub.cursor_name for sub in shard.recover()]}
         if op == "job_status":
             return dict(self.job_state)
         if op in ("retire", "rebalance"):
@@ -815,8 +798,8 @@ class _ShardProcess(_ControlClient):
     # -- the pump loop -----------------------------------------------------
 
     def run(self) -> None:
-        """Pump until told to stop, running deferred jobs and restarts
-        at top level, then tear down."""
+        """Pump until told to stop, running deferred jobs at top level,
+        then tear down."""
         while not self.stopping:
             self.network.poll(0.005)
             if self.jobs:
@@ -828,13 +811,6 @@ class _ShardProcess(_ControlClient):
                                           value=None)
                 else:
                     self.job_state.update(done=True, error=None, value=value)
-            if self.restart_pending:
-                self.restart_pending = False
-                self.shard.close()
-                self.shard = self._build_shard()
-                self.shard.set_topology(self.topology)
-                self.shard.recover()
-                self.restarts += 1
             self.shard.flush_delivery()
             if self.http is not None:
                 self.http.poll()
@@ -937,6 +913,10 @@ class _ShardHandle:
     def _sync_summaries(self) -> int:
         return self._admin("resync")["synced"]
 
+    def recover(self) -> List[str]:
+        """Recover a respawned process; returns its durable cursor names."""
+        return self._admin("recover")["recovered"]
+
     def ensure_replica_coverage(self) -> int:
         # The process probed its new followers when it committed the
         # membership change (see _ShardProcess._do_admin).
@@ -979,11 +959,12 @@ class ProcessMesh(BrokerMesh, _ControlClient):
     ``stats()`` are :class:`BrokerMesh`'s code: the fabric hooks start a
     process (its handle waits for the process's ping on first use, so a
     build starts every process before waiting for any), stop and reap
-    it, and decide idleness per node; each handle carries the
-    controller's calls over the control plane.  A leaving shard's
-    ``retire`` and a rebalance's handoff run as jobs inside the shard's
-    process while the driver keeps pumping its own node, so subscriber
-    acks hosted on the driver keep flowing during the settle.
+    it, SIGKILL it for a restart, and decide idleness per node; each
+    handle carries the controller's calls over the control plane.  A
+    leaving shard's ``retire`` and a rebalance's handoff run as jobs
+    inside the shard's process while the driver keeps pumping its own
+    node, so subscriber acks hosted on the driver keep flowing during
+    the settle.
 
     The control plane (:meth:`ping`, the :class:`MeshViews` reads over
     ``proc_read``, :meth:`admin`, :meth:`stop`) rides the same socket
@@ -1038,11 +1019,12 @@ class ProcessMesh(BrokerMesh, _ControlClient):
 
     def _spawn_shard(self, shard_id: str,
                      network: Optional[Any] = None) -> _ShardHandle:
-        """Start one shard process; its handle waits for the process's
-        ping on first use (a failed start raises there, and the caller
-        discards the shard)."""
-        address = shard_addresses(self.sock_dir, [shard_id],
-                                  self.scheme)[shard_id]
+        """Start one shard process — a respawned one at its dead
+        predecessor's address; its handle waits for the process's ping on
+        first use (a failed start raises there, and the caller discards
+        the shard)."""
+        address = self.addresses.get(shard_id) or shard_addresses(
+            self.sock_dir, [shard_id], self.scheme)[shard_id]
         self.addresses[shard_id] = address
         self.network.add_route(shard_id, address)
         process = self._context.Process(
@@ -1062,6 +1044,13 @@ class ProcessMesh(BrokerMesh, _ControlClient):
         self.network.remove_route(shard.peer_id)
         self.addresses.pop(shard.peer_id, None)
 
+    def _crash_shard(self, shard_id: str) -> None:
+        """SIGKILL the shard process (no ``proc_stop``; a no-op once it
+        exited) and reap it; its address stays for the respawned one."""
+        process = self.processes.pop(shard_id)
+        process.kill()
+        process.join()
+
     def _fabric_idle(self) -> bool:
         # Idle per node: these reads are counted frames themselves, so a
         # frame balance summed across processes could never close.  The
@@ -1070,8 +1059,6 @@ class ProcessMesh(BrokerMesh, _ControlClient):
         shards_idle = all(node["idle"]
                           for node in self.transport_stats().values())
         return shards_idle and self.network.idle()
-
-    restart_shard = _ControlClient.restart_shard
 
     def ping(self, shard_id: str) -> None:
         response = self.network.request(self._src, shard_id,
@@ -1106,11 +1093,8 @@ class ProcessMesh(BrokerMesh, _ControlClient):
             except NetworkError:
                 pass  # already gone; the join below settles it
         for shard_id in shard_ids:
-            process = self.processes.pop(shard_id)
-            process.join(timeout=timeout)
-            if process.is_alive():  # pragma: no cover - stuck-shard safety
-                process.terminate()
-                process.join(timeout=5.0)
+            self.processes[shard_id].join(timeout=timeout)
+            self._crash_shard(shard_id)  # kills only a stuck shard
 
     def stop(self, timeout: float = 10.0) -> None:
         if self._stopped:

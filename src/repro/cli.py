@@ -517,7 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     mesh.add_argument("action",
                       help="topology (read the membership view), or an "
                            "admin operation: add_shard, remove_shard, "
-                           "rebalance, restart_shard, compact, prune")
+                           "rebalance, restart_shard (kill and respawn "
+                           "one shard from its durable state), compact, "
+                           "prune")
     mesh.add_argument("--url", required=True, metavar="BASE",
                       help="a mesh node's HTTP base URL")
     mesh.add_argument("--token", default=None,

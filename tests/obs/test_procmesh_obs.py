@@ -12,6 +12,7 @@ timeline, every node's parseable ``/metrics`` page, one node answering
 
 import io
 import json
+import signal
 import threading
 import urllib.error
 import urllib.request
@@ -304,17 +305,11 @@ class TestProcessMeshObservability:
             assert control["unauthorized"] >= 1
             assert control["http_unauthorized"] >= 1
 
-            # -- in-place restart keeps the shard serving --
-            restart = mesh.restart_shard(target)
-            assert restart["ok"] and restart["result"]["restarting"] == target
-            def restarts():
-                return mesh.metrics_snapshots()[target]["control"]["restarts"]
-
-            for _ in range(200):
-                driver.poll(0.01)
-                if restarts():
-                    break
-            assert restarts() == 1
+            # -- a kill-restart: the shard process dies by SIGKILL and its
+            #    respawned successor keeps the shard serving --
+            old = mesh.processes[target]
+            mesh.restart_shard(target)
+            assert old.exitcode == -signal.SIGKILL
             before_restart = len(delivered)
             publisher.publish_async(
                 target, publisher.new_instance("demo.a.Person", ["again"]))
@@ -458,6 +453,20 @@ class TestOneRouteSchema:
             "/admin/prune", token=endpoint.token, method="POST",
             body=json.dumps({"shard": "nope"}).encode("utf-8"))
         assert status == 400
+
+    def test_shard_node_refuses_process_lifecycle_ops(self, process_mesh):
+        # Only the driver spawns, respawns or reaps shard processes: a
+        # shard node answers 400 to the three ops that would need it.
+        node = process_mesh.shard_ids[0]
+        base = process_mesh.http_address(node)
+        for op in ("add_shard", "remove_shard", "restart_shard"):
+            status, payload = get(
+                base + "/admin/" + op, token=process_mesh.auth_token,
+                method="POST", body=json.dumps({"shard": node})
+                .encode("utf-8"))
+            assert status == 400, (op, payload)
+        assert process_mesh.processes[node].is_alive()
+        assert process_mesh.epoch == 1
 
     def test_cli_reads_both_runners_alike(self, endpoint):
         out = io.StringIO()
