@@ -49,6 +49,7 @@ from ...obs.metrics import MetricsRegistry
 from ...obs.tracing import TraceBuffer, TraceIdSource
 from ...persistence import CursorStore, EventLog
 from ...serialization.envelope import EnvelopeCodec, split_frames
+from ...serialization.errors import UnknownTypeError
 from ...transport.protocol import (
     KIND_DELIVERY_ACK,
     KIND_PUBLISH_ACK,
@@ -158,19 +159,20 @@ class LocalBroker:
     def publish_frame(self, payload: Any) -> int:
         """Route one encoded batch frame; returns the number of deliveries.
 
-        Header-driven: the frame's type section decides which local
-        subscriptions match, and a value is deserialized only at the
-        moment a matching handler actually receives it — a no-match
-        publish touches the header and nothing else.  Frames whose type
-        section does not resolve locally (foreign guids, soap payloads,
-        legacy all-XML frames) are decoded whole first.
+        Header-driven, like every broker: the frame's type section
+        decides which local subscriptions match, and a value is
+        deserialized only at the moment a matching handler actually
+        receives it — a no-match publish touches the header and nothing
+        else.  This broker has no peer to fetch code from, so a frame
+        naming a type this runtime cannot resolve raises
+        :class:`~repro.serialization.errors.UnknownTypeError`.
         """
         if self.codec is None:
             raise TypeError("publish_frame requires LocalBroker(runtime=...)")
-        envelope = self.codec.parse(payload)
-        batch = self.codec.lazy_batch(envelope)
-        if not batch.types_known():
-            batch = ValueBatch(self.codec.unwrap_batch(envelope))
+        batch = self.codec.lazy_batch(self.codec.parse(payload))
+        missing = batch.missing()
+        if missing is not None:
+            raise UnknownTypeError(missing.name, missing.guid_text)
         self.published += len(batch)
         return self.pipeline.process(batch, origin=None).deliveries
 
@@ -589,11 +591,8 @@ class TpsBroker(InteropPeer):
 
         The record is routed on its header's root types and logged (and,
         on a mesh shard, forwarded and replicated) as its *frame* —
-        values decode only at final local delivery.  A frame whose types
-        are unknown here, or whose payload is soap, first takes the
-        paper's code fetch (:meth:`AdmissionStage.materialize`) and
-        enters the pipeline as a :class:`ValueBatch` of the values it
-        decoded; it is still logged and relayed as its frame.
+        values decode only at final local delivery.  The code of a type
+        unknown here is fetched first (:meth:`AdmissionStage.admit`).
 
         A ``publish_ack`` token marks a *durable publish*: it is
         acknowledged back to the publisher only after the append
@@ -602,10 +601,7 @@ class TpsBroker(InteropPeer):
         echoes it.  Neither token stays in the stored frame.
         """
         envelope = self.codec.parse(payload)
-        admission = self.pipeline.admission
-        admitted = admission.lazy(envelope)
-        if admitted is None:
-            admitted = ValueBatch(admission.materialize(envelope, src))
+        admitted = self.pipeline.admission.admit(envelope, src)
         token, delivery_ack = envelope.publish_ack, envelope.ack
         origin = envelope.origin or src
         # ONE header rewrite: the stored/forwarded frame names its

@@ -70,7 +70,6 @@ from .pipeline import (
     DeliveryPipeline,
     PipelineStats,
     ReplicationStage,
-    ValueBatch,
     distinct_roots,
     foreign_cursor_name,
     own_records,
@@ -565,10 +564,10 @@ class MeshShard(TpsBroker):
             self.tracer.record(envelope.trace, "admit",
                                {"src": src, "origin": origin,
                                 "via": "forward", "bytes": len(payload)})
-        # Forwarded-in events are logged too — BEFORE materializing: this
+        # Forwarded-in events are logged too — BEFORE loading code: this
         # shard's log is the full local-delivery history, and a transient
         # code-fetch failure below must not lose the record (the sender
-        # will not resend; replay retries materialization later).
+        # will not resend; replay retries the fetch later).
         log_offset = self.durability.append_payload(payload, origin)
         if self._home_ids is not None and envelope.home is not None \
                 and log_offset is not None:
@@ -583,12 +582,9 @@ class MeshShard(TpsBroker):
                     key = (decoded[0], offset)
                     if self._home_ids.get(key, -1) < log_offset:
                         self._home_ids[key] = log_offset
-        # Zero-copy ingest: route on the header, deliver the frame; a
-        # type unknown here is fetched first (the paper's protocol).
-        admission = self.pipeline.admission
-        batch = admission.lazy(envelope)
-        if batch is None:
-            batch = ValueBatch(admission.materialize(envelope, src))
+        # Zero-copy ingest: route on the header, deliver the frame; the
+        # code of a type unknown here is fetched first.
+        batch = self.pipeline.admission.admit(envelope, src)
         # Never re-forwarded: an event crosses at most one shard boundary.
         self.pipeline.process(batch, origin, payload=payload,
                               log_offset=log_offset,

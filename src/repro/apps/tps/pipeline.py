@@ -9,8 +9,9 @@ the record to the durable log, fan out to matching subscriptions
 (inline, or buffered per destination), and track delivery
 acknowledgements against replay cursors.  Each step is a stage:
 
-- :class:`AdmissionStage` — envelope parse + on-demand code-fetching
-  materialization (the optimistic protocol's steps 2-5 for batches);
+- :class:`AdmissionStage` — envelope parse, then the code of every
+  header type this runtime cannot resolve, fetched and loaded (the
+  optimistic protocol's steps 4-5 for a whole frame);
 - the broker's :class:`RoutingIndex` — conformance-checked fan-out
   targets;
 - :class:`DurabilityStage` — durable append, capped cursor advancement,
@@ -29,9 +30,11 @@ acknowledgements against replay cursors.  Each step is a stage:
 A record enters ``process()`` in one shape: a batch exposing ``len``,
 ``root_type(i)`` and ``value(i)`` — a
 :class:`~repro.serialization.envelope.LazyBatch` over the received
-frame, or a :class:`ValueBatch` over values already in hand (an
-in-process publish, or the values the code-fetch fallback just
-decoded).  Routing runs on root types, once per record and root type;
+frame, its code loaded first when a type is new here, or a
+:class:`ValueBatch` over the values of an in-process publish.  One
+admission rule serves every frame, live, forwarded or replayed: load
+the code of unknown types, then admit on the header.  Routing runs on
+root types, once per record and root type;
 a value is decoded only when an in-process handler receives it.  On a
 network broker the record's frame bytes come along, and logging,
 replication, forwarding, remote delivery and replay all carry those
@@ -217,8 +220,8 @@ class Processed:
 
 class ValueBatch:
     """The batch shape of :class:`~repro.serialization.envelope.LazyBatch`
-    over values already materialized, so they route by root type and
-    are never decoded a second time."""
+    over values already in hand (an in-process publish), so they route
+    by root type like a received frame."""
 
     __slots__ = ("values",)
 
@@ -254,11 +257,10 @@ def distinct_roots(batch: Any) -> Sequence[int]:
 
 
 class AdmissionStage:
-    """Decode incoming envelopes into CTS values, fetching code on demand.
-
-    Wraps the host peer's optimistic-protocol machinery (envelope codec +
-    assembly downloads) behind the two operations the pipeline needs:
-    parsing a wire payload and materializing a stored log record.
+    """Admit incoming frames: parse a payload, then load the code of every
+    type its header names that this runtime cannot resolve (the host
+    peer's :meth:`~repro.transport.protocol.InteropPeer.loaded_batch`), so
+    every record routes on its header at zero value decodes.
     """
 
     def __init__(self, host: Any, stats: Optional[PipelineStats] = None):
@@ -271,28 +273,19 @@ class AdmissionStage:
     def parse(self, payload: bytes):
         return self.host.codec.parse(payload)
 
-    def materialize(self, envelope: Any, src: str) -> List[Any]:
-        """Envelope -> values; raises when code cannot be obtained."""
-        return self.host._materialize_batch(envelope, src)
+    def admit(self, envelope: Any, src: str) -> LazyBatch:
+        """``envelope`` as a batch whose types all resolve here, its code
+        fetched from ``src`` on demand; raises when code cannot be had."""
+        return self.host.loaded_batch(envelope, src)
 
-    def lazy(self, envelope: Any) -> Optional[LazyBatch]:
-        """A header-driven batch over ``envelope`` — or ``None`` when the
-        header alone cannot route it: a type entry this runtime cannot
-        resolve (:meth:`materialize` must fetch code) or a non-binary
-        payload."""
-        batch = self.host.codec.lazy_batch(envelope)
-        if not batch.types_known():
-            return None
-        return batch
-
-    def materialize_record(self, record: Any,
-                           fallback_src: str) -> Optional[List[Any]]:
-        """Decode one log record's values, fetching code from the record's
-        origin on demand; ``None`` (after counting the failure) when the
+    def admit_record(self, record: Any,
+                     fallback_src: str) -> Optional[LazyBatch]:
+        """:meth:`admit` for one stored log record, fetching code from the
+        record's origin; ``None`` (after counting the failure) when the
         origin — and every code source — cannot serve it right now."""
         envelope = self.parse(record.payload)
         try:
-            return self.materialize(envelope, record.origin or fallback_src)
+            return self.admit(envelope, record.origin or fallback_src)
         except (ProtocolError, NetworkError):
             self.stats.replay_failures += 1
             return None
@@ -1144,7 +1137,7 @@ class DeliveryPipeline:
         it.  ``payload`` is the record's frame, which a network broker
         always has: it is appended to the log when durability is enabled
         — unless ``pre_logged`` marks it already appended (the forward
-        path logs *before* materialization, so a transient code-fetch
+        path logs *before* it loads code, so a transient code-fetch
         failure cannot lose the record) with ``log_offset`` carrying the
         record's offset — and it is what replication, forwarding and
         remote delivery send.  ``forward`` routes the record through the
@@ -1460,21 +1453,12 @@ class DeliveryPipeline:
                                ) -> Optional[Tuple[Any, List[Tuple[int, Any]]]]:
         """The record's batch and the ``(index, route entry)`` of each of
         its values conforming to ``expected``, decided on root types
-        through the cached routing verdicts at zero value decodes.  A
-        record whose types do not resolve here, or whose payload is not
-        binary, is first materialized (the code fetch) into a
-        :class:`ValueBatch`.  ``None`` (after counting the failure):
-        unservable right now, halt the pass."""
-        try:
-            envelope = self.admission.parse(record.payload)
-        except SerializationError:
-            envelope = None
-        batch = None if envelope is None else self.admission.lazy(envelope)
+        through the cached routing verdicts at zero value decodes, once
+        the code of its types is loaded.  ``None`` (after counting the
+        failure): unservable right now, halt the pass."""
+        batch = self.admission.admit_record(record, fallback_src)
         if batch is None:
-            values = self.admission.materialize_record(record, fallback_src)
-            if values is None:
-                return None
-            batch = ValueBatch(values)
+            return None
         lookup = self.index.lookup
         matched = []
         for index in range(len(batch)):
@@ -1592,7 +1576,7 @@ class DeliveryPipeline:
                     except SerializationError:
                         # The header promised a value the body cannot
                         # yield: a corrupt record is unservable, exactly
-                        # like a failed materialization.
+                        # like one whose code cannot be fetched.
                         stats.replay_failures += 1
                         return replayed
                     if not self._deliver_local(

@@ -159,7 +159,7 @@ class RemotingPeer(InteropPeer):
             if target is None:
                 return error_response("stale object id %d" % call["oid"])
             args_envelope = self.codec.parse(call["args"])
-            args = self._materialize(args_envelope, src)
+            args = self.loaded_batch(args_envelope, src).value(0)
             result = target._repro_invoke(call["method"], args)
             result_bytes = self.codec.encode(unwrap(result))
             return self._wire_codec.serialize({"ok": True, "value": result_bytes})
@@ -218,4 +218,4 @@ class RemotingPeer(InteropPeer):
         if not response.get("ok"):
             raise RemotingError(response.get("error", "remote invocation failed"))
         value_envelope = self.codec.parse(response["value"])
-        return self._materialize(value_envelope, ref.peer_id)
+        return self.loaded_batch(value_envelope, ref.peer_id).value(0)

@@ -860,27 +860,21 @@ class LazyBatch:
         keys = self.envelope.keys
         return keys[index] if keys is not None else None
 
-    def types_known(self) -> bool:
-        """True when *every* header type entry resolves locally.
-
-        The type section is the union of all reachable types, so full
-        resolvability guarantees :meth:`value` cannot hit
-        :class:`~repro.serialization.errors.UnknownTypeError` — the
-        admission gate for the lazy path (anything else falls back to the
-        eager, code-fetching path).
-        """
-        if self.envelope.encoding != "binary":
-            return False
-        entries = self.envelope.type_entries
-        if not entries:
-            return False
-        return all(self._resolve(entry) is not None for entry in entries)
+    def missing(self) -> Optional[TypeEntry]:
+        """The first header type entry that does not resolve locally, or
+        ``None``.  The type section is the union of all reachable types,
+        so once none is missing :meth:`value` cannot hit
+        :class:`~repro.serialization.errors.UnknownTypeError`."""
+        for entry in self.envelope.type_entries:
+            if self._resolve(entry) is None:
+                return entry
+        return None
 
     def value(self, index: int) -> Any:
         """Decode (and cache) value ``index`` — the one paid decode."""
         if self._decoder is None:
             payload = self.envelope.payload_bytes()
-            if is_single_frame(payload):
+            if self.envelope.encoding != "binary" or is_single_frame(payload):
                 return self._single_value(payload, index)
             self._open(payload)
         if not 0 <= index < len(self):
@@ -912,8 +906,8 @@ class LazyBatch:
         return decoder
 
     def _single_value(self, payload: bytes, index: int) -> Any:
-        """A single-value frame decodes in one call, kept for the next
-        access: no batch decoder."""
+        """A single-value frame (binary or soap) decodes in one call, kept
+        for the next access: no batch decoder."""
         if len(self) != 1:
             raise WireFormatError(
                 "batch payload holds 1 values, envelope declares %d"
@@ -921,7 +915,8 @@ class LazyBatch:
         if index != 0:
             raise IndexError("batch value %d out of range (1 values)" % index)
         if not self._counted:
-            self._single = self._codec._binary.deserialize(payload)
+            self._single = self._codec._payload_serializer(
+                self.envelope.encoding).deserialize(payload)
             self._codec.stats.decodes += 1
             self._counted = 1
         return self._single

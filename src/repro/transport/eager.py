@@ -70,6 +70,5 @@ class EagerPeer(InteropPeer):
             assembly = Assembly.from_wire(wire)
             if not self.runtime.has_assembly(assembly.name):
                 self.runtime.load_assembly(assembly)
-        envelope = self.codec.parse(bundle["envelope"])
-        self._deliver(self.receive_envelope(envelope, src))
+        self.receive_envelope(self.codec.parse(bundle["envelope"]), src)
         return b"OK"

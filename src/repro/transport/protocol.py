@@ -50,7 +50,7 @@ from ..serialization.envelope import (
     ObjectEnvelope,
     split_frames,
 )
-from ..serialization.errors import SerializationError, UnknownTypeError
+from ..serialization.errors import SerializationError, WireFormatError
 
 KIND_OBJECT = "object"
 KIND_OBJECT_BATCH = "object_batch"
@@ -79,7 +79,7 @@ KIND_BACKLOG_FETCH = "backlog_fetch"
 #: its followers for the replicated copy of its own records.
 KIND_REPLICA_PULL = "replica_pull"
 
-#: Safety bound on the materialisation loop (one fetch per unknown type).
+#: Safety bound on the code-loading loop (one fetch per unknown type).
 _MAX_CODE_FETCHES = 64
 
 #: Bound on the admission memo.  Registered types are few; a provider type
@@ -172,7 +172,7 @@ class _FetchScope:
         peer, src = self._peer, self._src
         self._saved = peer.resolver.fetch
         peer.resolver.fetch = (
-            lambda name, path: peer._obtain_description(src, name, path)
+            lambda name, path: peer._obtain_description(src, name, None)
         )
         return self
 
@@ -322,9 +322,7 @@ class InteropPeer(Peer):
     # ------------------------------------------------------------------
 
     def _handle_object(self, payload: bytes, src: str) -> bytes:
-        envelope = self.codec.parse(payload)
-        received = self.receive_envelope(envelope, src)
-        self._deliver(received)
+        self.receive_envelope(self.codec.parse(payload), src)
         return b"OK"
 
     def _handle_object_batch(self, payload: bytes, src: str) -> bytes:
@@ -336,26 +334,20 @@ class InteropPeer(Peer):
         return b"OK"
 
     def _receive_batch_frame(self, frame, src: str) -> None:
-        """Admit one batch frame.
+        """Admit one batch frame: load the code of every header type this
+        runtime cannot resolve (:meth:`loaded_batch`), then admit its
+        values on the header's root types (:meth:`_admit_batch`).
 
-        When every type in the frame's header section is already known
-        locally, admission is *lazy*: the interest check runs against the
-        header's per-value root type and only accepted values are ever
-        deserialized — a rejected value costs zero decode work.  A frame
-        naming unknown types falls back to the eager path: materialize
-        the shared frame once (fetching missing code), then admit each
-        value.  The eager path fetches code for every unknown type the
-        frame names, also for values the interests will reject: a mixed
-        record (say Person, Account, Person) replayed or delivered to a
-        subscriber that holds Person but not Account pays Account's
-        ``get_assembly`` although no interest accepts it.
+        A broker relays a frame only to a peer with a subscription that
+        one of its values matched, so the code comes first, with no
+        description round trip.  A mixed record (say Person, Account,
+        Person) delivered to a subscriber that holds Person but not
+        Account therefore still pays Account's ``get_assembly``, although
+        no interest accepts it.
         """
         envelope = self.codec.parse(frame)
         self.transport_stats.batches_received += 1
-        if not self._admit_batch_lazy(envelope, src):
-            values = self._materialize_batch(envelope, src)
-            for value in values:
-                self._deliver(self._admit_value(value, src))
+        self._admit_batch(envelope, src, self.loaded_batch(envelope, src))
         if envelope.ack is not None:
             self._echo_ack(envelope.ack, src)
 
@@ -368,28 +360,44 @@ class InteropPeer(Peer):
         except UnknownPeerError:
             self.network.stats.record_drop()  # sender left the fabric
 
-    def _admit_batch_lazy(self, envelope: ObjectEnvelope, src: str) -> bool:
-        """Header-only batch admission; ``False`` defers to the eager path
-        (some type in the frame is not resolvable locally yet).
+    def receive_envelope(self, envelope: ObjectEnvelope, src: str) -> None:
+        """Admit and deliver one directly sent object, as Figure 1 does:
+        an unknown root type is decided on its description (steps 2-3),
+        and code is fetched only for an accepted object (steps 4-5), so a
+        non-conformant object never costs a code download."""
+        if envelope.is_batch:
+            raise WireFormatError("a batch envelope sent as one object")
+        self._admit_batch(envelope, src, None)
+
+    def _admit_batch(self, envelope: ObjectEnvelope, src: str,
+                     batch: Optional[LazyBatch]) -> None:
+        """Admit and deliver a frame's values, in frame order.  ``batch``
+        is the frame with its code loaded, or ``None`` for a direct send
+        (see :meth:`receive_envelope`), the only way to reach an unknown
+        root type here.
 
         The interest check runs on the header's root types BEFORE any
         decode, once per run — a stretch of consecutive values with one
         root entry.  An accepted run decodes in one call and builds its
-        views from one proxy class; a rejected run decodes nothing.  Its
-        values are then delivered one by one, in frame order.  A handler
-        that declares an interest or registers a type part-way sends the
-        run's later values through a fresh check, as on their own."""
-        batch = self.codec.lazy_batch(envelope)
-        if not batch.types_known():
-            return False
+        views from one proxy class; a rejected run decodes nothing.  A
+        handler that declares an interest or registers a type part-way
+        sends the run's later values through a fresh check, as on their
+        own."""
         stats = self.transport_stats
-        if len(batch) == 1:
+        if batch is None or len(batch) == 1:
             stats.objects_received += 1
-            provider_info = batch.root_type(0)
-            self._deliver(self._admitted(
-                src, provider_info.full_name,
-                self._admission(src, provider_info), batch, 0))
-            return True
+            provider_info = (self._described(envelope, src) if batch is None
+                             else batch.root_type(0))
+            name = provider_info.full_name
+            verdict = self._admission(src, provider_info)
+            if verdict is None:
+                stats.objects_rejected += 1
+                self._deliver(ReceivedObject(src, name, None, None, None, None))
+                return
+            if batch is None:
+                batch = self.loaded_batch(envelope, src)
+            self._deliver(self._accepted(src, name, verdict, batch.value(0)))
+            return
         roots = envelope.batch_roots
         registry, checker = self.runtime.registry, self.checker
         index = 0
@@ -432,31 +440,10 @@ class InteropPeer(Peer):
                 if failure is not None:
                     stats.objects_received += 1
                     raise failure
-        return True
-
-    def _admitted(self, src: str, name: str, verdict: Optional[_Verdict],
-                  batch: LazyBatch, index: int) -> ReceivedObject:
-        """Value ``index`` of ``batch`` under its frame's ``verdict``: a
-        rejection never decodes it."""
-        if verdict is None:
-            self.transport_stats.objects_rejected += 1
-            return ReceivedObject(src, name, None, None, None, None)
-        return self._accepted(src, name, verdict, batch.value(index))
-
-    def _admit(self, src: str, name: str, provider_info: TypeInfo,
-               value_of: Callable[[], Any]) -> ReceivedObject:
-        """The interest check of the single-object paths: only once
-        ``provider_info`` is admitted is ``value_of`` asked for the value —
-        a rejected object is never decoded (nor its code fetched)."""
-        verdict = self._admission(src, provider_info)
-        if verdict is None:
-            self.transport_stats.objects_rejected += 1
-            return ReceivedObject(src, name, None, None, None, None)
-        return self._accepted(src, name, verdict, value_of())
 
     def _admission(self, src: str,
                    provider_info: TypeInfo) -> Optional[_Verdict]:
-        """The verdict every admission path shares: the first declared
+        """The verdict every admission shares: the first declared
         interest ``provider_info`` conforms to, ``None`` for a rejection,
         or :data:`_OPEN` when no interest is declared (everything is
         admitted unwrapped)."""
@@ -506,62 +493,42 @@ class InteropPeer(Peer):
             for handler in entry[1]:
                 handler(view)
 
-    def receive_envelope(self, envelope: ObjectEnvelope, src: str) -> ReceivedObject:
-        self.transport_stats.objects_received += 1
-        root = envelope.root_entry()
-
-        provider_info = self._known_type(root.name, root.guid_text)
-        description: Optional[TypeDescription] = None
-        if provider_info is None:
-            # Step 2-3: ask for the type information (description only).
-            description = self._obtain_description(src, root.name, root.download_path)
-            if description is None:
-                raise ProtocolError(
-                    "peer %s cannot describe type %s" % (src, root.name)
-                )
-            provider_info = description.to_type_info()
-
-        # Rules check against declared interests, on the *description* —
-        # before any code is transferred: non-conformant objects never
-        # cost a code download.  Step 4-5: types conform (or no interest
-        # filter) — fetch the code and deserialize.
-        return self._admit(src, root.name, provider_info,
-                           lambda: self._materialize(envelope, src))
-
-    def _admit_value(self, value: Any, src: str) -> ReceivedObject:
-        """Interest check + view construction for an already-materialized
-        value (the per-item tail of :meth:`receive_envelope`, used by the
-        batch path where the whole frame decodes up front)."""
-        self.transport_stats.objects_received += 1
-        provider_info = value.type_info
-        return self._admit(src, provider_info.full_name, provider_info,
-                           lambda: value)
-
     # -- step 2-3 helpers ---------------------------------------------------
 
-    def _known_type(self, name: str, guid_text: str) -> Optional[TypeInfo]:
-        info = self.runtime.registry.get_by_guid(Guid.parse(guid_text))
+    def _described(self, envelope: ObjectEnvelope, src: str) -> TypeInfo:
+        """The root type of a direct send: the local type, else the type
+        its description tells (steps 2-3) — of exactly that version."""
+        info = self.codec.lazy_batch(envelope).root_type(0)
         if info is not None:
             return info
-        info = self.runtime.registry.get(name)
-        if info is not None and str(info.guid) == guid_text:
-            return info
-        return None
+        root = envelope.root_entry()
+        description = self._obtain_description(src, root.name,
+                                                Guid.parse(root.guid_text))
+        if description is None:
+            raise ProtocolError(
+                "peer %s cannot describe type %s" % (src, root.name))
+        return description.to_type_info()
 
     def _obtain_description(
-        self, src: str, type_name: str, download_path: Optional[str]
+        self, src: str, type_name: str, guid: Optional[Guid]
     ) -> Optional[TypeDescription]:
-        if self.cache.contains_name(type_name):
-            return self.cache.get_by_name(type_name)
-        description = self.fetch_description(src, type_name)
-        if description is None:
-            for source in self._code_fallback_sources(src):
-                description = self.fetch_description(source, type_name)
-                if description is not None:
-                    break
-        if description is not None:
-            self.cache.put(description)
-        return description
+        """The description of ``type_name``, cached or fetched from
+        ``src`` (then the fallback sources).  With a ``guid`` only that
+        version will do: the cache is searched by GUID, and a fetched
+        description of another version cannot describe it.  Without one
+        (nested member types) any version of the name will do."""
+        if guid is None:
+            if self.cache.contains_name(type_name):
+                return self.cache.get_by_name(type_name)
+        elif self.cache.contains_guid(guid):
+            return self.cache.get_by_guid(guid)
+        for source in [src] + self._code_fallback_sources(src):
+            description = self.fetch_description(source, type_name)
+            if description is not None and (guid is None
+                                            or description.guid() == guid):
+                self.cache.put(description)
+                return description
+        return None
 
     def _code_fallback_sources(self, src: str) -> List[str]:
         """Peers to ask for code/descriptions after ``src`` failed.  The
@@ -602,42 +569,37 @@ class InteropPeer(Peer):
         self.transport_stats.assemblies_fetched += 1
         return Assembly.from_wire(self._wire_codec.deserialize(data))
 
-    def _materialize(self, envelope: ObjectEnvelope, src: str) -> Any:
-        """Deserialize, downloading assemblies for unknown types on demand."""
-        return self._materialize_with(envelope, src, self.codec.unwrap)
-
-    def _materialize_batch(self, envelope: ObjectEnvelope, src: str) -> List[Any]:
-        """Batch variant: one fetch loop covers every value in the frame
-        (a single unknown type is downloaded once for the whole batch)."""
-        return self._materialize_with(envelope, src, self.codec.unwrap_batch)
-
-    def _materialize_with(self, envelope: ObjectEnvelope, src: str,
-                          unwrap: Callable[[ObjectEnvelope], Any]) -> Any:
-        paths = {entry.name: entry.download_path for entry in envelope.type_entries}
+    def loaded_batch(self, envelope: ObjectEnvelope, src: str) -> LazyBatch:
+        """The frame as a :class:`LazyBatch` whose every header type
+        resolves here: the code of each type this runtime cannot resolve
+        is fetched from ``src`` (then the fallback sources), loaded, and
+        re-served to other peers.  One fetch covers every value of the
+        frame.  Raises :class:`ProtocolError` when code cannot be had."""
+        batch = self.codec.lazy_batch(envelope)
         for _ in range(_MAX_CODE_FETCHES):
-            try:
-                return unwrap(envelope)
-            except UnknownTypeError as missing:
-                self.transport_stats.unknown_type_retries += 1
-                target = paths.get(missing.type_name) or missing.type_name
-                assembly = self.fetch_assembly(src, target)
-                if assembly is None:
-                    for source in self._code_fallback_sources(src):
-                        assembly = self.fetch_assembly(source, target)
-                        if assembly is not None:
-                            break
-                if assembly is None:
-                    raise ProtocolError(
-                        "cannot obtain code for type %s (asked %s)"
-                        % (missing.type_name, src)
-                    )
-                # shadow=True: a different *version* of an already-known
-                # name coexists under its own identity.
-                self.runtime.load_assembly(assembly, shadow=True)
-                # Peers propagate code: once downloaded, an assembly is
-                # re-served to other peers (needed e.g. by pub/sub brokers).
-                self._hosted[assembly.download_path] = assembly
-                self._hosted[assembly.name] = assembly
+            missing = batch.missing()
+            if missing is None:
+                return batch
+            self.transport_stats.unknown_type_retries += 1
+            target = missing.download_path or missing.name
+            assembly = self.fetch_assembly(src, target)
+            if assembly is None:
+                for source in self._code_fallback_sources(src):
+                    assembly = self.fetch_assembly(source, target)
+                    if assembly is not None:
+                        break
+            if assembly is None:
+                raise ProtocolError(
+                    "cannot obtain code for type %s (asked %s)"
+                    % (missing.name, src)
+                )
+            # shadow=True: a different *version* of an already-known
+            # name coexists under its own identity.
+            self.runtime.load_assembly(assembly, shadow=True)
+            # Peers propagate code: once downloaded, an assembly is
+            # re-served to other peers (needed e.g. by pub/sub brokers).
+            self._hosted[assembly.download_path] = assembly
+            self._hosted[assembly.name] = assembly
         raise ProtocolError("too many unknown-type retries; giving up")
 
     # ------------------------------------------------------------------

@@ -48,12 +48,17 @@ class _StubNetwork:
 
 
 class _StubHost:
-    """The slice of the InteropPeer surface the dispatch stages use."""
+    """The slice of the InteropPeer surface the pipeline stages use.
+    ``code`` is the assembly ``loaded_batch`` "fetches" (one counted
+    fetch) when a frame names a type its runtime cannot resolve."""
 
-    def __init__(self, runtime):
+    def __init__(self, runtime, code=None):
         self.peer_id = "stub"
+        self.runtime = runtime
         self.codec = EnvelopeCodec(runtime)
         self.network = _StubNetwork()
+        self.code = code
+        self.fetches = 0
         self.batches = []   # (dst, payload, count)
         self.posts = []     # (dst, kind, payload)
         self.gone = set()
@@ -68,8 +73,14 @@ class _StubHost:
             raise UnknownPeerError(dst)
         self.posts.append((dst, kind, payload))
 
-    def _materialize_batch(self, envelope, src):
-        return self.codec.unwrap_batch(envelope)
+    def loaded_batch(self, envelope, src):
+        batch = self.codec.lazy_batch(envelope)
+        if batch.missing() is not None:
+            if self.code is None:
+                raise ProtocolError("no code source")
+            self.fetches += 1
+            self.runtime.load_assembly(self.code, shadow=True)
+        return batch
 
 
 class TestAckTracker:
@@ -199,38 +210,38 @@ class TestDurabilityStage:
 
 class TestAdmissionStage:
     def test_materialize_record_roundtrip(self, tmp_path):
-        runtime = make_runtime()
-        host = _StubHost(runtime)
+        """A stored record of a type new here: ``admit_record`` loads its
+        code (one fetch), then decodes nothing until asked."""
+        publisher = make_runtime()
+        host = _StubHost(Runtime(), code=person_assembly_pair()[0])
         stage = AdmissionStage(host)
         log = EventLog(str(tmp_path))
-        offset = log.append(host.codec.encode_batch(
-            [person(runtime, "alice")], origin="pub"), origin="pub")
-        values = stage.materialize_record(log.read(offset), "pub")
-        assert [value.GetName() for value in values] == ["alice"]
+        offset = log.append(EnvelopeCodec(publisher).encode_batch(
+            [person(publisher, "alice")], origin="pub"), origin="pub")
+        batch = stage.admit_record(log.read(offset), "pub")
+        assert host.fetches == 1
+        assert host.codec.stats.decodes == 0
+        assert [batch.value(0).GetName()] == ["alice"]
         assert stage.stats.replay_failures == 0
         log.close()
 
     def test_materialize_failure_is_counted_not_raised(self, tmp_path):
-        runtime = make_runtime()
-        host = _StubHost(runtime)
-
-        def broken(envelope, src):
-            raise ProtocolError("no code source")
-
-        host._materialize_batch = broken
+        publisher = make_runtime()
+        host = _StubHost(Runtime())  # no code source
         stage = AdmissionStage(host)
         log = EventLog(str(tmp_path))
-        offset = log.append(host.codec.encode_batch(
-            [person(runtime, "x")], origin="pub"), origin="pub")
-        assert stage.materialize_record(log.read(offset), "pub") is None
+        offset = log.append(EnvelopeCodec(publisher).encode_batch(
+            [person(publisher, "x")], origin="pub"), origin="pub")
+        assert stage.admit_record(log.read(offset), "pub") is None
         assert stage.stats.replay_failures == 1
         log.close()
 
 
 class TestReplayFilter:
-    def make(self, tmp_path):
-        runtime = make_runtime()
-        host = _StubHost(runtime)
+    def make(self, tmp_path, known):
+        publisher = make_runtime()
+        runtime = make_runtime() if known else Runtime()
+        host = _StubHost(runtime, code=person_assembly_pair()[0])
         checker = ConformanceChecker(options=ConformanceOptions.pragmatic())
         pipeline = DeliveryPipeline(
             RoutingIndex(checker, runtime.registry),
@@ -238,28 +249,24 @@ class TestReplayFilter:
         runtime.registry.register(person_java())
         runtime.registry.register(account_csharp())
         log = EventLog(str(tmp_path))
-        offset = log.append(host.codec.encode_batch(
-            [person(runtime, "a"), person(runtime, "b")], origin="pub"),
+        offset = log.append(EnvelopeCodec(publisher).encode_batch(
+            [person(publisher, "a"), person(publisher, "b")], origin="pub"),
             origin="pub")
         return host, pipeline, log, log.read(offset)
 
     def test_conforming_filters_like_live_publish(self, tmp_path):
         """Replay's filter keeps exactly the values live publish would
-        route: on the header's root types at zero decodes, or, after the
-        code-fetch fallback, on the materialized values."""
-        for header_routable in (True, False):
-            host, pipeline, log, record = self.make(
-                tmp_path / str(header_routable))
-            if not header_routable:
-                pipeline.admission.lazy = lambda envelope: None
-            host.codec.stats.decodes = 0
+        route, on the header's root types at zero decodes — also for a
+        record whose type is new here, once admission loaded its code."""
+        for known in (True, False):
+            host, pipeline, log, record = self.make(tmp_path / str(known),
+                                                    known)
             batch, matched = pipeline.conforming_from_record(
                 record, "pub", person_java())
             assert [index for index, _ in matched] == [0, 1]
-            assert isinstance(batch,
-                              LazyBatch if header_routable else ValueBatch)
-            if header_routable:
-                assert host.codec.stats.decodes == 0
+            assert isinstance(batch, LazyBatch)
+            assert host.codec.stats.decodes == 0
+            assert host.fetches == (0 if known else 1)
             assert [batch.value(index).GetName()
                     for index, _ in matched] == ["a", "b"]
             assert pipeline.conforming_from_record(

@@ -6,8 +6,10 @@ import pytest
 
 from repro.core import ConformanceChecker, ConformanceOptions, Verdict
 from repro.cts.assembly import Assembly
+from repro.describe.xml_codec import description_bytes
 from repro.fixtures import person_java
 from repro.langs.csharp import compile_source
+from repro.net.codeserver import KIND_GET_DESCRIPTION
 from repro.net.network import SimulatedNetwork
 from repro.transport.protocol import InteropPeer
 
@@ -139,3 +141,54 @@ class TestVersionedExchange:
         sender.host_assembly(Assembly("fresh", [brand_new]))
         sender.send("receiver", sender.new_instance("runtime.fresh.Person", ["Hot"]))
         assert receiver.inbox[0].view.getPersonName() == "Hot"
+
+
+class TestDescriptionIdentity:
+    """A description stands for one version of a type: it is looked up
+    by the GUID the envelope names, never by the type's name alone."""
+
+    def v2_shaped_subscriber(self, network):
+        subscriber = InteropPeer("subscriber", network,
+                                 options=ConformanceOptions.pragmatic())
+        subscriber.declare_interest(compile_source(
+            PERSON_V2, namespace="sub", assembly_name="sub")[0])
+        return subscriber
+
+    def test_second_version_is_judged_on_its_own_description(self):
+        """V2 arrives first and is accepted; V1 from another publisher
+        shares V2's name but not its members, and is rejected on V1's own
+        description, with no code fetched for it."""
+        network = SimulatedNetwork()
+        publisher1 = InteropPeer("p1", network)
+        publisher2 = InteropPeer("p2", network)
+        publisher1.host_assembly(Assembly("app-v1", [v1_type()]))
+        publisher2.host_assembly(Assembly("app-v2", [v2_type()]))
+        subscriber = self.v2_shaped_subscriber(network)
+
+        publisher2.send("subscriber",
+                        publisher2.new_instance("app.Person", ["Two"]))
+        publisher1.send("subscriber",
+                        publisher1.new_instance("app.Person", ["One"]))
+
+        assert [r.accepted for r in subscriber.inbox] == [True, False]
+        assert subscriber.inbox[0].view.GetAge() == 0
+        assert subscriber.transport_stats.descriptions_fetched == 2
+        assert subscriber.transport_stats.assemblies_fetched == 1
+
+    def test_description_of_another_version_cannot_describe(self):
+        """A sender that answers with another version's description has
+        not described the type it sent: nothing is delivered and no code
+        is fetched."""
+        network = SimulatedNetwork()
+        publisher = InteropPeer("p1", network)
+        publisher.host_assembly(Assembly("app-v1", [v1_type()]))
+        publisher.on(KIND_GET_DESCRIPTION,
+                     lambda payload, src: description_bytes(v2_type()))
+        subscriber = self.v2_shaped_subscriber(network)
+
+        publisher.send("subscriber",
+                       publisher.new_instance("app.Person", ["One"]))
+
+        assert subscriber.inbox == []
+        assert "cannot describe" in network.handler_error_log[0][2]
+        assert subscriber.transport_stats.assemblies_fetched == 0

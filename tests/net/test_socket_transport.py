@@ -3,6 +3,7 @@ paths the simulator cannot exercise — truncated frames on a real wire,
 peers vanishing mid-batch, and send queues hitting backpressure."""
 
 import os
+import shutil
 import socket
 import tempfile
 import time
@@ -39,9 +40,27 @@ def encode_frame(src, dst, kind, payload, flags=0, req_id=0):
     return bytes(frame)
 
 
-def uds_address():
+#: Socket directories the running test made; removed when it ends.
+_SOCK_DIRS = []
+
+
+def _sock_dir():
+    """A fresh directory for unix socket files.  Its path stays short
+    (``/tmp/repro-sock-XXXXXXXX``): an AF_UNIX path holds 107 bytes."""
     directory = tempfile.mkdtemp(prefix="repro-sock-")
-    return "unix:%s/node.sock" % directory
+    _SOCK_DIRS.append(directory)
+    return directory
+
+
+@pytest.fixture(autouse=True)
+def _remove_sock_dirs():
+    yield
+    while _SOCK_DIRS:
+        shutil.rmtree(_SOCK_DIRS.pop(), ignore_errors=True)
+
+
+def uds_address():
+    return "unix:%s/node.sock" % _sock_dir()
 
 
 @pytest.fixture
@@ -197,7 +216,7 @@ def test_malformed_frame_aborts_only_that_link(hub):
 
 def _unread_sink():
     """A listening socket that accepts but never reads."""
-    directory = tempfile.mkdtemp(prefix="repro-sock-")
+    directory = _sock_dir()
     path = os.path.join(directory, "sink.sock")
     sink = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sink.bind(path)
@@ -267,7 +286,7 @@ def test_close_releases_a_link_whose_peer_stopped_reading():
 
 
 def test_peer_disconnect_mid_batch_fails_pending_request():
-    directory = tempfile.mkdtemp(prefix="repro-sock-")
+    directory = _sock_dir()
     path = os.path.join(directory, "flaky.sock")
     flaky = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     flaky.bind(path)
@@ -287,7 +306,7 @@ def test_peer_disconnect_mid_batch_fails_pending_request():
 
 
 def test_dead_link_counts_queued_frames_as_lost():
-    directory = tempfile.mkdtemp(prefix="repro-sock-")
+    directory = _sock_dir()
     path = os.path.join(directory, "gone.sock")
     listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     listener.bind(path)
@@ -627,7 +646,7 @@ def test_poll_without_traffic_waits_its_full_bound(hub, on_hub):
 
 def test_requests_only_wait_does_not_spin_on_queued_oneway_frames(
         monkeypatch):
-    directory = tempfile.mkdtemp(prefix="repro-sock-")
+    directory = _sock_dir()
     path = os.path.join(directory, "slow.sock")
     listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     listener.bind(path)

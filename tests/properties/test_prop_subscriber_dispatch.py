@@ -109,17 +109,34 @@ class _ReferencePeer(TpsPeer):
         self.callbacks = [entry for entry in self.callbacks
                           if entry[0] != (broker_id, subscription_id)]
 
-    def _admit_batch_lazy(self, envelope, src):
-        batch = self.codec.lazy_batch(envelope)
-        if not batch.types_known():
-            return False
+    def _admit_batch(self, envelope, src, batch):
+        """A received frame, its code loaded, admitted value by value:
+        each value gets its own verdict and its own ``LazyBatch.value``.
+        A direct send (``batch`` is ``None``) takes the production path,
+        whose verdicts come from the unmemoized :meth:`_verdict` below."""
+        if batch is None:
+            super()._admit_batch(envelope, src, batch)
+            return
+        stats = self.transport_stats
         for index in range(len(batch)):
-            self.transport_stats.objects_received += 1
+            stats.objects_received += 1
             provider_info = batch.root_type(index)
-            self._deliver(self._admit(src, provider_info.full_name,
-                                      provider_info,
-                                      lambda: batch.value(index)))
-        return True
+            name = provider_info.full_name
+            verdict = (self._verdict(src, provider_info) if self.interests
+                       else (None, None))
+            if verdict is None:
+                stats.objects_rejected += 1
+                received = protocol.ReceivedObject(src, name, None, None,
+                                                   None, None)
+            else:
+                interest, result = verdict
+                value = batch.value(index)
+                view = value if interest is None else \
+                    protocol.wrap_with_result(value, interest, result,
+                                              self.checker)
+                received = protocol.ReceivedObject(src, name, value, view,
+                                                   interest, result)
+            self._deliver(received)
 
     def _verdict(self, src, provider_info):
         with self._fetching_from(src):

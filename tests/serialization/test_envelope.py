@@ -393,7 +393,7 @@ class TestResolveMemo:
         # Header-only routing and the decoded value agree on the type.
         assert batch.root_type(0) is replacement
         assert batch.value(0).type_info is replacement
-        assert batch.types_known()
+        assert batch.missing() is None
 
     def test_memo_never_grows_past_its_cap(self):
         runtime = Runtime()

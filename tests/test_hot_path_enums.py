@@ -54,9 +54,8 @@ HOT_PATH = {
     "BinarySerializer._type_plan": [binary.BinarySerializer._type_plan],
     "BoundedMemo.fresh": [BoundedMemo.fresh],
     "BoundedMemo.put": [BoundedMemo.put],
-    "InteropPeer._admit": [InteropPeer._admit],
-    "InteropPeer._admit_batch_lazy": [InteropPeer._admit_batch_lazy],
-    "InteropPeer._admitted": [InteropPeer._admitted],
+    "InteropPeer._admit_batch": [InteropPeer._admit_batch],
+    "InteropPeer.loaded_batch": [InteropPeer.loaded_batch],
     "InteropPeer._accepted": [InteropPeer._accepted],
     "InteropPeer._deliver": [InteropPeer._deliver],
     "InteropPeer._verdict": [InteropPeer._verdict],
