@@ -14,6 +14,7 @@ out and put the reference encoding on the wire byte for byte.
 """
 
 import os
+import shutil
 import socket
 import tempfile
 import threading
@@ -248,6 +249,7 @@ def test_forwarding_fanout_send_path_at_least_1_15x(benchmark):
         hub.close()
         for server in servers:
             server.close()
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def test_encode_frame_scatter_at_least_2x_cheaper(benchmark):

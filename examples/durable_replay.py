@@ -29,7 +29,11 @@ N_BACKLOG = 8
 
 
 def main():
-    log_root = tempfile.mkdtemp(prefix="repro-durable-")
+    with tempfile.TemporaryDirectory(prefix="repro-durable-") as log_root:
+        run(log_root)
+
+
+def run(log_root):
     network = SimulatedNetwork()
     mesh = BrokerMesh(network, topology=Topology.sized(3), log_root=log_root)
     publisher = TpsPeer("publisher", network)
@@ -106,6 +110,7 @@ def main():
     print("\nInspect any shard log yourself:")
     print("  PYTHONPATH=src python -m repro log inspect %s/%s"
           % (log_root, home))
+    mesh.close()
 
 
 if __name__ == "__main__":

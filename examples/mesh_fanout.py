@@ -3,8 +3,8 @@
 
 The seed :class:`TpsBroker` pushes one synchronous network message per
 matching subscription per event.  The :class:`BrokerMesh` shards the
-broker, gossips subscription summaries so a publish crosses only the
-shard boundaries it must, and drains deliveries as per-peer batch frames
+broker, announces each shard's subscription summary so a publish
+crosses only the shard boundaries it must, and drains deliveries as per-peer batch frames
 (one ``RBS2B`` payload, one intern table, one message — however many
 events are queued for that peer).
 
@@ -99,7 +99,7 @@ def main():
     print("\nEvery subscriber saw: %s"
           % [event.getPersonName() for event in first])
 
-    # Summary gossip at work: an event type nobody subscribed to is
+    # Summaries at work: an event type nobody subscribed to is
     # forwarded to ZERO other shards (and delivered to nobody).
     publisher.host_assembly(Assembly("bank", [account_csharp()]))
     mesh_net.reset_accounting()

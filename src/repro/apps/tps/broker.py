@@ -355,7 +355,7 @@ class TpsBroker(InteropPeer):
         subscription = Subscription(expected, None, self._next_id, peer_id=src)
         self._next_id += 1
         self.index.add(subscription)
-        self._on_subscribed(subscription, request)
+        self._subscriptions_changed()
         return self._wire_codec.serialize({"id": subscription.subscription_id})
 
     def _handle_unsubscribe(self, payload: bytes, src: str) -> bytes:
@@ -368,15 +368,13 @@ class TpsBroker(InteropPeer):
                 # restart must not resurrect a cancelled subscription,
                 # and in-flight acks for it become no-ops.
                 self.durability.remove_cursor(subscription.cursor_name)
-            self._on_unsubscribed(subscription)
+            self._subscriptions_changed()
         return self._wire_codec.serialize({"ok": True})
 
-    def _on_subscribed(self, subscription: Subscription, request: dict) -> None:
-        """Hook for subclasses (the mesh shard gossips summaries here);
-        ``request`` is the decoded subscribe message, description included."""
-
-    def _on_unsubscribed(self, subscription: Subscription) -> None:
-        """Hook for subclasses, called after a successful removal."""
+    def _subscriptions_changed(self) -> None:
+        """Hook for subclasses, called after a remote or durable
+        subscription was added or removed (the mesh shard announces its
+        summary here)."""
 
     def remote_subscriptions(self) -> List[Subscription]:
         return self.index.subscriptions()
@@ -444,8 +442,8 @@ class TpsBroker(InteropPeer):
                     raise NetworkError(
                         "cursor %r belongs to %s" % (
                             cursor, existing.peer_id or "a local handler"))
-                if self.index.remove(existing.subscription_id):
-                    self._on_unsubscribed(existing)
+                # The registration below reports the change.
+                self.index.remove(existing.subscription_id)
                 # The old incarnation's in-flight deliveries are moot: the
                 # replay below redelivers everything unacked, so its ack
                 # window, undelivered-range block, AND outstanding tokens
@@ -477,7 +475,7 @@ class TpsBroker(InteropPeer):
         self.durability.register_cursor(cursor, peer_id=peer_id,
                                         description=description_xml,
                                         touch=not _recovering)
-        self._on_subscribed(subscription, {"description": description})
+        self._subscriptions_changed()
         self.pipeline.replay(subscription, fresh=fresh_cursor)
         self._replay_mesh(subscription, description, recovering=_recovering)
         return subscription

@@ -10,13 +10,15 @@ envelope each time.  The mesh refactors that data plane:
   subscriber has a *home shard* chosen by rendezvous (highest-random-
   weight) hashing, so placement is deterministic, uniform, and stable
   when shards are added or removed.
-- **Summary gossip** — shards exchange compact subscription summaries
-  (the expected type's description, refcounted by GUID).  A publish is
-  forwarded only to shards hosting at least one *conforming* subscriber:
-  each shard keeps a second :class:`~repro.apps.tps.routing.RoutingIndex`
-  over the summaries, so the forward decision reuses the same cached
-  conformance verdicts as local routing.  An event nobody else wants
-  crosses zero shard boundaries.
+- **Summaries** — a shard's summary is the set of expected types its
+  subscriptions expect (GUID and description each).  It announces the
+  whole set to every sibling when the set changes, and a sibling
+  replaces what it held for that shard.  A publish is forwarded only to
+  shards hosting at least one *conforming* subscriber: each shard keeps
+  a second :class:`~repro.apps.tps.routing.RoutingIndex` over the
+  summaries, so the forward decision reuses the same cached conformance
+  verdicts as local routing.  An event nobody else wants crosses zero
+  shard boundaries.
 - **Batched, queue-driven delivery** — routing a record *buffers* its
   frame per destination; nothing is sent inside the publisher's call
   stack.  Draining the mesh joins, per destination, the buffered frames
@@ -33,7 +35,7 @@ A shard is the same :class:`~repro.apps.tps.pipeline.DeliveryPipeline`
 as the single broker with exactly two stage swaps: dispatch is
 :class:`~repro.apps.tps.pipeline.BufferedDelivery` instead of direct
 posts, and a summary-gated forwarder hook buffers cross-shard copies.
-Control-plane traffic (subscribe/unsubscribe, summary gossip, the
+Control-plane traffic (subscribe/unsubscribe, summary announcements, the
 description/code fetches of Figure 1) stays on the synchronous request
 path, exactly as in the paper; only the one-way event fan-out is queued.
 """
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import os
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+                    Tuple)
 from urllib.parse import quote, unquote
 
 from ...describe.xml_codec import description_bytes, description_type
@@ -177,7 +179,7 @@ class MeshShard(TpsBroker):
     per-destination buffers instead of being posted inline; forwarded
     events arriving from sibling shards (``mesh_forward``) are routed the
     same way but never re-forwarded, so an event crosses at most one
-    shard boundary and gossip loops are impossible.
+    shard boundary and forwarding loops are impossible.
     """
 
     def __init__(self, peer_id: str, network: SimulatedNetwork,
@@ -195,14 +197,17 @@ class MeshShard(TpsBroker):
         super().__init__(peer_id, network, **kwargs)
         self._siblings: List[str] = []
         #: The membership epoch this shard last committed (see
-        #: :meth:`set_topology`); ``None`` until a topology is applied —
-        #: legacy ``set_siblings`` wiring leaves it unset.
+        #: :meth:`set_topology`); ``None`` until a topology is applied.
         self.topology: Optional[Topology] = None
-        #: Summaries of sibling shards' subscriptions: one refcounted
-        #: entry per (shard, expected-type GUID), indexed for routing.
+        #: Summaries of sibling shards' subscriptions: one entry per
+        #: (shard, expected-type GUID), indexed for routing.
         self.summary_index = RoutingIndex(self.checker, self.runtime.registry)
-        self._summaries: Dict[Tuple[str, str], List[Any]] = {}  # key -> [sub, refs]
+        self._summaries: Dict[Tuple[str, str], Subscription] = {}
         self._next_summary_id = 1
+        #: The expected-type GUIDs every sibling acknowledged last (see
+        #: :meth:`_announce`); ``None`` until then, or after a sibling
+        #: missed an announcement.
+        self._announced: Optional[frozenset] = None
         self.forwards_received = 0
         self.gossip_failures = 0
         #: Cached home ids of forwarded-in records mapped to the local
@@ -277,15 +282,6 @@ class MeshShard(TpsBroker):
     def forward_events(self) -> int:
         return self.delivery.forward_events
 
-    def set_siblings(self, shard_ids: Sequence[str]) -> None:
-        self._siblings = [sid for sid in shard_ids if sid != self.peer_id]
-        if self.replication is not None:
-            # Followers: the shard's rendezvous preference list over its
-            # siblings — deterministic, so a restarted incarnation (and
-            # every other shard) recomputes the same placement.
-            self.replication.set_followers(rendezvous_rank(
-                self.peer_id, self._siblings)[:self._replication_factor])
-
     def set_topology(self, topology: Topology) -> bool:
         """Commit a membership view: adopt its sibling list (follower
         placement recomputes deterministically) and drop summaries of
@@ -296,17 +292,23 @@ class MeshShard(TpsBroker):
         if self.topology is not None and topology.epoch <= self.topology.epoch:
             return False
         self.topology = topology
-        self.set_siblings(topology.shard_ids)
-        live = set(topology.shard_ids)
-        for key in [key for key in self._summaries if key[0] not in live]:
-            summary, _ = self._summaries.pop(key)
-            self.summary_index.remove(summary.subscription_id,
-                                      peer_id=key[0])
+        self._siblings = [sid for sid in topology.shard_ids
+                          if sid != self.peer_id]
+        if self.replication is not None:
+            # Followers: the shard's rendezvous preference list over its
+            # siblings — deterministic, so a restarted incarnation (and
+            # every other shard) recomputes the same placement.
+            self.replication.set_followers(rendezvous_rank(
+                self.peer_id, self._siblings)[:self._replication_factor])
+        departed = {key[0] for key in self._summaries} \
+            - set(topology.shard_ids)
+        for shard_id in departed:
+            self._apply_summary(shard_id, {})
         return True
 
     @property
     def epoch(self) -> int:
-        """The committed membership epoch (0 = statically wired)."""
+        """The committed membership epoch (0 until the first commit)."""
         return self.topology.epoch if self.topology is not None else 0
 
     @property
@@ -361,82 +363,83 @@ class MeshShard(TpsBroker):
         marks = self.replication.watermarks()
         return all(mark["acked"] >= target for mark in marks.values())
 
-    # -- subscription management + gossip ---------------------------------
+    # -- subscription summaries --------------------------------------------
 
-    def _on_subscribed(self, subscription: Subscription, request: dict) -> None:
-        self._gossip({
-            "op": "add",
-            "guid": str(subscription.expected.guid),
-            "description": request["description"],
-        })
+    def _subscriptions_changed(self) -> None:
+        self._announce()
 
-    def _on_unsubscribed(self, subscription: Subscription) -> None:
-        self._gossip({
-            "op": "remove",
-            "guid": str(subscription.expected.guid),
-        })
+    def _summary(self) -> Dict[str, Any]:
+        """This shard's summary: the description of each expected type of
+        its subscriptions, by GUID.  An announcement and a sync reply
+        both carry it."""
+        return {"summaries": {
+            str(guid): description_bytes(expected)
+            for guid, expected in self.index.expected_types().items()}}
 
-    def _gossip(self, message: Dict[str, Any]) -> None:
-        """Tell every sibling shard about a subscription change.  Gossip
-        rides the synchronous control plane; a loss only widens (add) or
-        narrows (remove) that sibling's forwarding filter, so failures are
-        counted, not fatal."""
-        if not self._siblings:
-            return
-        payload = self._wire_codec.serialize(message)
+    def _announce(self, force: bool = False) -> Dict[str, int]:
+        """Send this shard's summary to every sibling if its set of
+        expected types changed since every sibling last acknowledged one
+        (always with ``force``).  Returns each answering sibling's log
+        end as of applying it (see :meth:`_handle_summary`).
+
+        Announcements ride the synchronous control plane.  A sibling
+        that misses one keeps a stale forwarding filter, so failures are
+        counted, not fatal; the set then stays unrecorded, and the next
+        subscribe or unsubscribe sends it again."""
+        guids = frozenset(self.index.expected_types())
+        if guids == self._announced and not force:
+            return {}
+        payload = self._wire_codec.serialize(self._summary())
+        bounds: Dict[str, int] = {}
         for shard_id in self._siblings:
             try:
-                self.request(shard_id, KIND_MESH_SUMMARY, payload,
-                             retries=self.max_retries)
+                response = self.request(shard_id, KIND_MESH_SUMMARY, payload,
+                                        retries=self.max_retries)
             except (MessageDropped, NetworkError):
                 self.gossip_failures += 1
+                continue
+            bounds[shard_id] = int(
+                self._wire_codec.deserialize(response)["next_offset"])
+        self._announced = guids if len(bounds) == len(self._siblings) \
+            else None
+        return bounds
 
     def _handle_summary(self, payload: bytes, src: str) -> bytes:
-        """Apply one gossiped summary mutation.  The response carries
-        this shard's log end (``next_offset``) *as of indexing the
-        mutation*: for a subscription adoption's summary-add this is the
-        exact dual-routing bound — every record this shard admits after
+        """Apply a sibling's announced summary.  The response carries
+        this shard's log end (``next_offset``) *as of applying it*: for
+        a subscription adoption's announcement this is the exact
+        dual-routing bound — every record this shard admits after
         answering is forwarded to the new home live, so the adopter's
         backlog fetch stops below it (handlers run serially per shard,
         making the partition gapless and overlap-free)."""
-        message = self._wire_codec.deserialize(payload)
+        self._apply_summary(
+            src, self._wire_codec.deserialize(payload)["summaries"])
         next_offset = self.event_log.next_offset \
             if self.event_log is not None else 0
-        if message["op"] == "reset":
-            # A restarted sibling is about to re-announce its world: drop
-            # whatever we believed about it (stale refcounts included).
-            for key in [key for key in self._summaries if key[0] == src]:
-                summary, _ = self._summaries.pop(key)
-                self.summary_index.remove(summary.subscription_id, peer_id=src)
-            return self._wire_codec.serialize({"ok": True,
-                                               "next_offset": next_offset})
-        key = (src, message["guid"])
-        entry = self._summaries.get(key)
-        if message["op"] == "add":
-            if entry is not None:
-                entry[1] += 1
-            else:
-                self._add_summary(src, message["guid"],
-                                  message["description"], 1)
-        elif entry is not None:
-            entry[1] -= 1
-            if entry[1] <= 0:
-                self.summary_index.remove(entry[0].subscription_id, peer_id=src)
-                del self._summaries[key]
-        return self._wire_codec.serialize({"ok": True,
-                                           "next_offset": next_offset})
+        return self._wire_codec.serialize({"next_offset": next_offset})
 
-    def _add_summary(self, src: str, guid: str, description,
-                     count: int) -> None:
-        """Index one refcounted (shard, expected-type) summary entry —
-        the single construction site for both gossip adds and restart
-        resyncs."""
-        expected = description_type(description, self.runtime.registry)
-        summary = Subscription(expected, None, self._next_summary_id,
-                               peer_id=src)
-        self._next_summary_id += 1
-        self.summary_index.add(summary)
-        self._summaries[(src, guid)] = [summary, count]
+    def _apply_summary(self, shard_id: str,
+                       summaries: Dict[str, Any]) -> int:
+        """Replace the entries held for ``shard_id`` with its
+        ``summaries`` (see :meth:`_summary`); returns the entries
+        added."""
+        for key in [key for key in self._summaries
+                    if key[0] == shard_id and key[1] not in summaries]:
+            self.summary_index.remove(
+                self._summaries.pop(key).subscription_id)
+        added = 0
+        for guid, description in summaries.items():
+            key = (shard_id, guid)
+            if key in self._summaries:
+                continue
+            expected = description_type(description, self.runtime.registry)
+            summary = Subscription(expected, None, self._next_summary_id,
+                                   peer_id=shard_id)
+            self._next_summary_id += 1
+            self.summary_index.add(summary)
+            self._summaries[key] = summary
+            added += 1
+        return added
 
     def summaries(self) -> List[Subscription]:
         """The sibling-subscription summaries this shard currently holds."""
@@ -445,24 +448,12 @@ class MeshShard(TpsBroker):
     # -- crash recovery ----------------------------------------------------
 
     def _handle_sync(self, payload: bytes, src: str) -> bytes:
-        """Serve this shard's local-subscription summary to a restarted
-        sibling: one refcounted entry per expected-type identity."""
-        groups: Dict[str, Dict[str, Any]] = {}
-        for subscription in self.index.subscriptions():
-            guid = str(subscription.expected.guid)
-            group = groups.get(guid)
-            if group is None:
-                group = groups[guid] = {
-                    "guid": guid,
-                    "description": description_bytes(subscription.expected),
-                    "count": 0,
-                }
-            group["count"] += 1
-        return self._wire_codec.serialize({"summaries": list(groups.values())})
+        """Serve this shard's summary to a restarted or joining sibling."""
+        return self._wire_codec.serialize(self._summary())
 
     def _sync_summaries(self) -> int:
-        """Rebuild the forwarding filter after a restart by asking every
-        sibling for its current local-subscription summary."""
+        """Rebuild the forwarding filter (after a restart or a join) from
+        every sibling's summary; returns the entries added."""
         synced = 0
         for shard_id in self._siblings:
             try:
@@ -471,30 +462,25 @@ class MeshShard(TpsBroker):
             except (MessageDropped, NetworkError):
                 self.gossip_failures += 1
                 continue
-            for item in self._wire_codec.deserialize(response)["summaries"]:
-                key = (shard_id, item["guid"])
-                if key in self._summaries:
-                    self._summaries[key][1] = item["count"]
-                    continue
-                self._add_summary(shard_id, item["guid"],
-                                  item["description"], item["count"])
-                synced += 1
+            synced += self._apply_summary(
+                shard_id, self._wire_codec.deserialize(response)["summaries"])
         return synced
 
     def recover(self) -> List[DurableSubscription]:
         """Bring a freshly restarted shard back into the mesh.
 
-        Rebuilds the sibling-summary forwarding filter, tells siblings to
-        drop their stale view of this shard, heals the shard's own log
-        from its followers' replicated copies (the catch-up phase — a
-        wiped or truncated log directory gets its record set back before
-        anything replays from it), re-registers every persisted remote
-        durable subscription (which re-gossips its summary), and replays
+        Rebuilds the sibling-summary forwarding filter, announces this
+        shard's (still empty) summary so siblings drop their stale view
+        of it, heals the shard's own log from its followers' replicated
+        copies (the catch-up phase — a wiped or truncated log directory
+        gets its record set back before anything replays from it),
+        re-registers every persisted remote durable subscription (which
+        announces the summary again as its types return), and replays
         each one's unacknowledged backlog.  Replay batches ride the
         queued one-way path — drain the mesh to deliver them.
         """
         self._sync_summaries()
-        self._gossip({"op": "reset"})
+        self._announce(force=True)
         self._catch_up_from_followers()
         return self.recover_durable_subscriptions()
 
@@ -908,6 +894,11 @@ class MeshShard(TpsBroker):
         the moment the subscription enters the index; handlers run
         serially, so nothing can append between the floor capture and
         that registration — the seam is exact.
+
+        Siblings learn of the adoption from this shard's summary,
+        announced even when its set of types did not change; each
+        sibling's reply (its log end) bounds the fetch from that sibling
+        (see :meth:`_handle_summary`).
         """
         if self.event_log is None or self.cursors is None:
             raise NetworkError("shard %s has no event log; cannot adopt "
@@ -941,30 +932,13 @@ class MeshShard(TpsBroker):
             self.cursors.advance(fetch, positions[origin], touch=False)
             if origin == self.peer_id:
                 self.cursors.annotate(fetch, local=True)
-        # Announce the adoption to every sibling with a synchronous
-        # summary-add, collecting each one's log end as the dual-routing
-        # bound: records a sibling admitted before indexing the add can
-        # only arrive through this adoption's bounded fetch; records
-        # after it are forwarded here live.  The old home keeps its
-        # summary until the handoff completes (add-before-remove), so no
-        # publish falls between the two homes.
-        announce = self._wire_codec.serialize({
-            "op": "add", "guid": str(expected.guid),
-            "description": description,
-        })
-        bounds: Dict[str, int] = {}
-        for shard_id in self._siblings:
-            try:
-                response = self.request(shard_id, KIND_MESH_SUMMARY,
-                                        announce, retries=self.max_retries)
-            except (MessageDropped, NetworkError):
-                # No summary indexed there means no live forwards from
-                # it either: the unbounded fetch below stays exact.
-                self.gossip_failures += 1
-                continue
-            bound = self._wire_codec.deserialize(response).get("next_offset")
-            if bound is not None:
-                bounds[shard_id] = int(bound)
+        # Records a sibling admitted before applying the announcement
+        # can only arrive through this adoption's bounded fetch; records
+        # after it are forwarded here live.  A sibling that missed it
+        # gives no bound, so the fetch from it runs unbounded.  The old
+        # home keeps its summary until the handoff completes
+        # (add-before-remove), so no publish falls between the two homes.
+        bounds = self._announce(force=True)
         self.adoptions += 1
         unreachable = self.pipeline.stats.replay_unreachable
         self._replay_mesh(subscription, description, bounds=bounds)
@@ -1039,10 +1013,10 @@ class MeshShard(TpsBroker):
         here, settle its in-flight ack windows so the cursor family holds
         exact consumed-through marks, ship the position vector, and —
         only once the new home confirmed adoption — retire the cursors
-        and gossip the summary-remove that closes the dual-routing
-        window.  Any failure reactivates the subscription here: the
-        membership operation aborts with the subscription still live at
-        its old home."""
+        and announce the summary, which closes the dual-routing window
+        unless another subscription here expects the type.  Any failure
+        reactivates the subscription here: the membership operation
+        aborts with the subscription still live at its old home."""
         cursor = subscription.cursor_name
         self.index.remove(subscription.subscription_id)
         try:
@@ -1097,8 +1071,7 @@ class MeshShard(TpsBroker):
         self.durability.remove_cursor(cursor)
         self._stalled_replays.pop(cursor, None)
         self.handoffs += 1
-        self._gossip({"op": "remove",
-                      "guid": str(subscription.expected.guid)})
+        self._announce()
 
     def _settle_cursor_family(self, base: str,
                               pump: Optional[Callable[[], Any]],

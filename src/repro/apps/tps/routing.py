@@ -162,6 +162,10 @@ class RoutingIndex:
         group = self._groups.get(expected.guid)
         return group.members if group is not None else None
 
+    def expected_types(self) -> Dict[Guid, TypeInfo]:
+        """The expected type of every live group, by GUID."""
+        return {guid: group.expected for guid, group in self._groups.items()}
+
     def get(self, subscription_id: int) -> Optional[Any]:
         """The live subscription with this id, if any."""
         return self._by_id.get(subscription_id)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.apps.tps import BrokerMesh, TpsPeer, rendezvous_shard
+from repro.apps.tps import (
+    KIND_MESH_SUMMARY,
+    BrokerMesh,
+    TpsPeer,
+    rendezvous_shard,
+)
 from repro.apps.tps.procmesh import SocketMesh
 from repro.apps.tps.topology import Topology
 from repro.cts.assembly import Assembly
@@ -13,7 +18,7 @@ from repro.fixtures import (
     person_java,
     person_vb,
 )
-from repro.net.network import NetworkError, SimulatedNetwork
+from repro.net.network import MessageDropped, NetworkError, SimulatedNetwork
 
 
 def make_world(shards=3, n_subscribers=6, drop_rate=0.0, seed=0,
@@ -325,7 +330,7 @@ class TestLossyFabric:
 class TestGossipRefcountsWithBufferedEvents:
     """Satellite: unsubscribing while events for the subscriber are still
     buffered in shard delivery queues must neither crash delivery nor
-    leak summary refcounts."""
+    leave a stale summary behind."""
 
     def test_unsubscribe_while_events_buffered(self):
         network = SimulatedNetwork()
@@ -351,7 +356,7 @@ class TestGossipRefcountsWithBufferedEvents:
         assert mesh.shard(other).pending_deliveries() > 0
 
         subscriber.unsubscribe_remote(other, sid)
-        # The last conforming subscriber left: every refcount must be zero
+        # The last conforming subscriber left: every summary must be gone
         # even though its events are still sitting in delivery buffers.
         assert all(shard.summaries() == [] for shard in mesh.shards)
         assert all(not shard._summaries for shard in mesh.shards)
@@ -362,7 +367,8 @@ class TestGossipRefcountsWithBufferedEvents:
 
     def test_refcounts_zero_after_interleaved_unsubscribes(self):
         """Two subscribers sharing a type, unsubscribing at different
-        points of the buffered pipeline: counts go 2 -> 1 -> 0."""
+        points of the buffered pipeline: the sibling keeps the summary
+        until the second one leaves."""
         network = SimulatedNetwork()
         mesh = BrokerMesh(network, topology=Topology.sized(2))
         publisher = TpsPeer("publisher", network)
@@ -371,24 +377,100 @@ class TestGossipRefcountsWithBufferedEvents:
         home = mesh.shard_for("publisher")
         other = next(sid for sid in mesh.shard_ids if sid != home)
         expected = person_java()
+        summary = (other, str(expected.guid))
 
         got_a, got_b = [], []
         sub_a = TpsPeer("ref-a", network)
         sub_b = TpsPeer("ref-b", network)
         id_a = sub_a.subscribe_remote(other, expected, got_a.append)
         id_b = sub_b.subscribe_remote(other, expected, got_b.append)
-        assert mesh.shard(home)._summaries[(other, str(expected.guid))][1] == 2
+        assert summary in held_summaries(mesh.shard(home))
 
         publisher.publish_async(
             home, publisher.new_instance("demo.a.Person", ["mid"]))
         network.flush()
         sub_a.unsubscribe_remote(other, id_a)
-        assert mesh.shard(home)._summaries[(other, str(expected.guid))][1] == 1
+        assert summary in held_summaries(mesh.shard(home))
         mesh.run_until_idle()
         sub_b.unsubscribe_remote(other, id_b)
-        assert (other, str(expected.guid)) not in mesh.shard(home)._summaries
+        assert summary not in held_summaries(mesh.shard(home))
         assert network.stats.handler_errors == 0
         assert len(got_b) == 1
+
+
+def held_summaries(shard):
+    """The (shard, expected-type GUID) summaries ``shard`` routes by."""
+    return {(summary.peer_id, str(summary.expected.guid))
+            for summary in shard.summaries()}
+
+
+def count_summary_requests(network, monkeypatch, drop_first=False):
+    """Count the ``mesh_summary`` requests sent on ``network``; with
+    ``drop_first`` the first one is lost before its handler runs."""
+    sent = []
+    request = network.request
+
+    def counting(src, dst, kind, payload):
+        if kind == KIND_MESH_SUMMARY:
+            sent.append((src, dst))
+            if drop_first and len(sent) == 1:
+                raise MessageDropped("dropped by the test")
+        return request(src, dst, kind, payload)
+
+    monkeypatch.setattr(network, "request", counting)
+    return sent
+
+
+class TestSummaryAnnouncements:
+    """A shard announces its whole set of expected types, and only when
+    that set changes."""
+
+    def test_lost_announcement_is_sent_again(self, monkeypatch):
+        network = SimulatedNetwork()
+        mesh = BrokerMesh(network, topology=Topology.sized(2))
+        publisher = TpsPeer("publisher", network)
+        asm_a, _ = person_assembly_pair()
+        publisher.host_assembly(asm_a)
+        home = mesh.shard_for("publisher")
+        other = next(sid for sid in mesh.shard_ids if sid != home)
+        sent = count_summary_requests(network, monkeypatch, drop_first=True)
+
+        got_a, got_b = [], []
+        sub_a = TpsPeer("lost-a", network)
+        sub_b = TpsPeer("lost-b", network)
+        id_a = sub_a.subscribe_remote(other, person_java(), got_a.append)
+        assert mesh.shard(other).gossip_failures == 1
+        sub_b.subscribe_remote(other, person_java(), got_b.append)
+        sub_a.unsubscribe_remote(other, id_a)
+        publisher.publish_async(
+            home, publisher.new_instance("demo.a.Person", ["after"]))
+        mesh.run_until_idle()
+        assert len(got_b) == 1
+        assert got_a == []
+        # The lost announcement, then the whole set again on b's
+        # subscribe; a's unsubscribe leaves the set as it was.
+        assert len(sent) == 2
+
+    def test_requests_follow_set_changes_only(self, monkeypatch):
+        network = SimulatedNetwork()
+        mesh = BrokerMesh(network, topology=Topology.sized(3))
+        target = mesh.shard_ids[0]
+        sent = count_summary_requests(network, monkeypatch)
+
+        peers = [TpsPeer("same-%d" % index, network) for index in range(5)]
+        for peer in peers:
+            peer.subscribe_remote(target, person_java(), lambda event: None)
+        assert sorted(sent) == [(target, sid) for sid in mesh.shard_ids[1:]]
+
+        del sent[:]
+        extra = TpsPeer("same-extra", network)
+        sid = extra.subscribe_remote(target, person_java(),
+                                     lambda event: None)
+        extra.unsubscribe_remote(target, sid)
+        assert sent == []
+        for shard in mesh.shards[1:]:
+            assert held_summaries(shard) == {
+                (target, str(person_java().guid))}
 
 
 def make_durable_world(opened, tmp_path, shards=3, n_subscribers=4,
