@@ -149,6 +149,9 @@ class TestAcceptanceCompaction:
 N_REPLICATED_PUBLISHES = 200
 REPLICATION_DRAIN_EVERY = 5
 REPLICATION_MAX_OVERHEAD = 2.5
+#: Timed (unreplicated, replicated) run pairs, alternating which goes
+#: first; the gate compares the fastest run of each side.
+N_REPLICATION_PAIRS = 5
 
 
 class TestAcceptanceReplicationOverhead:
@@ -188,14 +191,22 @@ class TestAcceptanceReplicationOverhead:
             mesh.close()
             return elapsed
 
-        unreplicated_s = run(0, "plain")
-        replicated_s = run(2, "replicated")
+        # One run per side races host drift as much as replication: time
+        # alternating pairs and compare the fastest run of each side, the
+        # one least disturbed by the rest of the machine.
+        timings = {0: [], 2: []}
+        for pair in range(N_REPLICATION_PAIRS):
+            for factor in ((0, 2) if pair % 2 == 0 else (2, 0)):
+                timings[factor].append(
+                    run(factor, "run-%d-%d" % (pair, factor)))
+        unreplicated_s = min(timings[0])
+        replicated_s = min(timings[2])
         overhead = replicated_s / unreplicated_s
         assert overhead < REPLICATION_MAX_OVERHEAD, (
             "replicated publish is %.2fx the unreplicated mesh (budget "
-            "%.1fx): %.3fs vs %.3fs for %d events"
+            "%.1fx): fastest %.3fs vs %.3fs of %d pairs, %d events each"
             % (overhead, REPLICATION_MAX_OVERHEAD, replicated_s,
-               unreplicated_s, N_REPLICATED_PUBLISHES)
+               unreplicated_s, N_REPLICATION_PAIRS, N_REPLICATED_PUBLISHES)
         )
 
 

@@ -48,6 +48,7 @@ def run_seed():
     for index in range(N_EVENTS):
         publisher.publish("broker",
                           publisher.new_instance("demo.a.Person", ["e%d" % index]))
+    network.run_until_idle()
     return network, deliveries
 
 

@@ -82,6 +82,7 @@ def main():
     ]:
         event = publisher.new_instance("com.reuters.NewsEvent", [headline, body])
         publisher.publish("broker", event)
+    network.run_until_idle()
 
     print("\nJava shop received %d events (via its own surface):" % len(java_inbox))
     for event in java_inbox:

@@ -23,10 +23,11 @@ Both are thin adapters over one shared
 subscription control plane (subscribe/unsubscribe, durable-cursor
 registration, crash recovery) and delegate every admitted event to the
 pipeline's admission → conformance → durable-append → dispatch → ack
-stages.  :class:`TpsBroker` dispatches one post per matching subscription
-(the honest single-broker baseline); for sharded, batched, queue-driven
-delivery see :mod:`repro.apps.tps.mesh`, which swaps in the buffered
-dispatch stage of the very same pipeline.
+stages.  :class:`TpsBroker` buffers a record's frame per destination
+peer and sends one message per peer before the inbound message's
+handler returns, however many of the peer's subscriptions match; for
+sharded delivery batched across publishes see :mod:`repro.apps.tps.mesh`,
+whose shards drain the same buffers on the mesh's pump instead.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from ...transport.protocol import (
 )
 from .pipeline import (
     AdmissionStage,
+    BufferedDelivery,
     DeliveryPipeline,
-    DirectDelivery,
     DurabilityStage,
     LocalDelivery,
     PipelineStats,
@@ -283,10 +284,10 @@ class TpsBroker(InteropPeer):
 
     def _build_pipeline(self, stats: PipelineStats) -> DeliveryPipeline:
         """The stage composition hook: the mesh shard overrides this to
-        swap direct dispatch for buffered dispatch + forwarding."""
+        add forwarding and replication."""
         return DeliveryPipeline(
             index=self.index,
-            delivery=DirectDelivery(self, self.durability),
+            delivery=BufferedDelivery(self, self.durability),
             durability=self.durability,
             admission=AdmissionStage(self, stats),
             stats=stats,
@@ -295,6 +296,10 @@ class TpsBroker(InteropPeer):
         )
 
     # -- pipeline state, re-exported for observability ---------------------
+
+    @property
+    def delivery(self) -> BufferedDelivery:
+        return self.pipeline.delivery
 
     @property
     def event_log(self) -> Optional[EventLog]:
@@ -574,15 +579,27 @@ class TpsBroker(InteropPeer):
     # -- publish admission ---------------------------------------------------
 
     def _handle_object(self, payload: bytes, src: str) -> bytes:
-        self._admit_frame(payload, src, batch=False)
+        try:
+            self._admit_frame(payload, src, batch=False)
+        finally:
+            self._send_buffered()
         return b"OK"
 
     def _handle_object_batch(self, payload: bytes, src: str) -> bytes:
         """Broker-side batch admission: every frame of a (possibly
         multi-frame) message is admitted as its own record."""
-        for frame in split_frames(payload):
-            self._admit_frame(frame, src, batch=True)
+        try:
+            for frame in split_frames(payload):
+                self._admit_frame(frame, src, batch=True)
+        finally:
+            self._send_buffered()
         return b"OK"
+
+    def _send_buffered(self) -> None:
+        """Send what one inbound message buffered, one message per
+        destination peer.  A mesh shard overrides this: its pump drains
+        the buffers (:meth:`~repro.apps.tps.mesh.MeshShard.flush_delivery`)."""
+        self.delivery.flush()
 
     def _admit_frame(self, payload: Any, src: str, batch: bool) -> None:
         """Admit one publish frame as one record.

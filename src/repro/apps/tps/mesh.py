@@ -1,10 +1,10 @@
 """Sharded broker mesh with batched, queue-driven event delivery.
 
 The paper's TPS vision (Section 8) needs event dissemination that scales
-past one broker.  The seed :class:`~repro.apps.tps.broker.TpsBroker` is a
-single peer pushing one synchronous network post per subscriber per event
-— every publish costs O(subscribers) messages and re-sends the full
-envelope each time.  The mesh refactors that data plane:
+past one broker.  The single :class:`~repro.apps.tps.broker.TpsBroker`
+is one peer sending one message per subscriber peer per inbound publish
+— every publish costs O(subscribers) messages, each carrying the
+record's frame again.  The mesh refactors that data plane:
 
 - **Sharding** — N broker shards on one fabric; each publisher and
   subscriber has a *home shard* chosen by rendezvous (highest-random-
@@ -32,9 +32,11 @@ envelope each time.  The mesh refactors that data plane:
   their frames verbatim too.
 
 A shard is the same :class:`~repro.apps.tps.pipeline.DeliveryPipeline`
-as the single broker with exactly two stage swaps: dispatch is
-:class:`~repro.apps.tps.pipeline.BufferedDelivery` instead of direct
-posts, and a summary-gated forwarder hook buffers cross-shard copies.
+as the single broker, with the same
+:class:`~repro.apps.tps.pipeline.BufferedDelivery` dispatch, plus a
+summary-gated forwarder hook that buffers cross-shard copies.  Only
+when the buffers drain differs: the single broker sends before its
+inbound message's handler returns, a shard when the mesh pumps it.
 Control-plane traffic (subscribe/unsubscribe, summary announcements, the
 description/code fetches of Figure 1) stays on the synchronous request
 path, exactly as in the paper; only the one-way event fan-out is queued.
@@ -265,10 +267,6 @@ class MeshShard(TpsBroker):
             replication=self.replication,
             tracer=self.tracer,
         )
-
-    @property
-    def delivery(self) -> BufferedDelivery:
-        return self.pipeline.delivery
 
     @property
     def batch_events(self) -> int:
@@ -1105,6 +1103,10 @@ class MeshShard(TpsBroker):
         if self.replication is not None:
             pending += self.replication.pending()
         return pending
+
+    def _send_buffered(self) -> None:
+        """Leave an inbound message's buffered frames to the pump, which
+        joins them with other messages' (:meth:`flush_delivery`)."""
 
     def flush_delivery(self) -> int:
         """Encode and enqueue one batch message per buffered destination

@@ -6,8 +6,9 @@
 the incoming envelope, run the
 :class:`~repro.apps.tps.routing.RoutingIndex` conformance check, append
 the record to the durable log, fan out to matching subscriptions
-(inline, or buffered per destination), and track delivery
-acknowledgements against replay cursors.  Each step is a stage:
+(in-process handlers inline, remote peers buffered per destination),
+and track delivery acknowledgements against replay cursors.  Each step
+is a stage:
 
 - :class:`AdmissionStage` — envelope parse, then the code of every
   header type this runtime cannot resolve, fetched and loaded (the
@@ -17,10 +18,13 @@ acknowledgements against replay cursors.  Each step is a stage:
 - :class:`DurabilityStage` — durable append, capped cursor advancement,
   retention-floor maintenance, and the :class:`AckTracker` sliding
   windows of in-flight deliveries;
-- :class:`DirectDelivery` / :class:`BufferedDelivery` — the two dispatch
-  disciplines: one network post per matching peer (the honest
-  single-broker baseline) versus per-destination buffers drained into
-  one message per destination (the mesh data plane);
+- :class:`BufferedDelivery` — the one network dispatch discipline:
+  per-destination buffers drained into one message per destination,
+  however many of the destination's subscriptions a record matches.  The single
+  broker drains them before its inbound message's handler returns, a
+  mesh shard on its pump; neither runs a subscriber's handler inside
+  the publisher's call stack.  :class:`LocalDelivery` serves the
+  network-less in-process broker;
 - :class:`DeliveryPipeline` — the composition: one ``process()`` call is
   one admitted record travelling every stage, and one replay pass is one
   durable subscription's backlog — from the local log, a replica log or
@@ -52,15 +56,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+                    Set, Tuple)
 
 from ...net.network import NetworkError, UnknownPeerError
 from ...persistence import CursorStore, EventLog
 from ...persistence.log import LogRecord
 from ...serialization.envelope import LazyBatch, encode_home, envelope_home
 from ...serialization.errors import SerializationError
-from ...transport.protocol import (KIND_OBJECT_BATCH, KIND_REPLICATE,
-                                   ProtocolError)
+from ...transport.protocol import KIND_REPLICATE, ProtocolError
 from .routing import RouteEntry, RoutingIndex
 
 #: Default bound on outstanding (issued, unacknowledged) delivery tokens.
@@ -86,12 +89,6 @@ _UNBUILT = object()
 
 #: :func:`distinct_roots` of a single-value record.
 _FIRST_VALUE = (0,)
-
-#: What a delivery discipline's ``remote()`` answers for one record and
-#: one remote subscription: the record did not travel (asked again for
-#: the record's next matching value), it travelled and counts for this
-#: value only, or it travelled and counts for every matching value.
-NOT_SENT, SENT_ONCE, SENT = 0, 1, 2
 
 
 def cursor_name_of(subscription: Any) -> Optional[str]:
@@ -823,91 +820,14 @@ class ReplicationStage:
 # ---------------------------------------------------------------------------
 
 
-class DirectDelivery:
-    """One network message per matching remote peer — the honest
-    single-broker baseline.  Non-durable subscribers get the record's
-    frame relayed verbatim, once per peer; durable subscribers get it
-    once per subscription, personalised with an ack token (a header
-    splice — the payload bytes are never re-encoded)."""
-
-    #: Direct dispatch isolates local handler failures from the fan-out.
-    isolate_failures = True
-
-    def __init__(self, host: Any, durability: Optional[DurabilityStage]):
-        self.host = host
-        self.durability = durability
-
-    def begin(self, batch: Any, origin: Optional[str],
-              log_offset: Optional[int], payload: Optional[bytes],
-              trace: Optional[str]) -> dict:
-        return {
-            "payload": payload,   # the record's frame
-            "trace": trace,
-            "frame_sent": set(),  # peers already relayed the record frame
-        }
-
-    def remote(self, ctx: dict, subscription: Any, batch: Any, index: int,
-               log_offset: Optional[int]) -> int:
-        """Send the record's frame to one remote subscription.  The
-        receiver's own admission gate filters per value, header-only, so
-        the whole record travels however many of its values match.  A
-        durable subscription counts the record once, for the value that
-        sent it."""
-        cursor = cursor_name_of(subscription)
-        if log_offset is not None and cursor is not None:
-            # Durable live delivery: the record's frame under one
-            # cumulative ack token that advances the subscriber's cursor.
-            tracker = self.durability.tracker
-            if tracker.blocks.get(cursor) is not None:
-                # The cursor is pinned below an undelivered range; the
-                # record stays in the log for the replay that lifts the
-                # block — sending it now would strand or duplicate it.
-                return NOT_SENT
-            trace = ctx["trace"]
-            if not send_frames(self.host, tracker, subscription.peer_id,
-                               [ctx["payload"]], len(batch),
-                               ((cursor, log_offset, log_offset + 1),),
-                               () if trace is None else (trace,)):
-                # The durable subscriber is offline: its record stays
-                # unacked (replayed when it returns) and the rest of the
-                # fan-out proceeds.
-                return NOT_SENT
-            return SENT_ONCE
-        if subscription.peer_id in ctx["frame_sent"]:
-            # The record already travelled to this peer; its dispatch
-            # there serves this subscription too, so it still counts.
-            return SENT
-        # Inline post, like send_payload: DirectDelivery dispatches in
-        # this call stack, it never leaves traffic for a later drain.
-        try:
-            self.host.post(subscription.peer_id, KIND_OBJECT_BATCH,
-                           ctx["payload"], retries=self.host.max_retries)
-        except UnknownPeerError:
-            self.host.network.stats.record_drop()
-            return NOT_SENT
-        self.host.transport_stats.objects_sent += len(batch)
-        self.host.transport_stats.batches_sent += 1
-        ctx["frame_sent"].add(subscription.peer_id)
-        return SENT
-
-    def finish(self, ctx: dict) -> None:
-        pass
-
-    def pending(self) -> int:
-        return 0
-
-    def flush(self) -> int:
-        return 0
-
-
 class BufferedDelivery:
     """Per-destination frame buffers drained into ONE message each — the
-    mesh data plane.  Routing a record only queues its frame for each
-    destination peer (and, via :meth:`buffer_forward`, each sibling
-    shard); :meth:`flush` joins every destination's frames into one
-    network message, however many records and matching subscriptions it
-    covers.  Frames travel verbatim: no value decode, no re-encode; only
-    an ack token or a ``home`` stamp rewrites a header."""
+    data plane of every network broker.  Routing a record only queues its
+    frame for each destination peer (and, via :meth:`buffer_forward`,
+    each sibling shard); :meth:`flush` joins every destination's frames
+    into one network message, however many records and matching
+    subscriptions it covers.  Frames travel verbatim: no value decode, no
+    re-encode; only an ack token or a ``home`` stamp rewrites a header."""
 
     isolate_failures = True
 
@@ -939,8 +859,9 @@ class BufferedDelivery:
                 "frame_acks": None, "trace": trace}
 
     def remote(self, ctx: dict, subscription: Any, batch: Any, index: int,
-               log_offset: Optional[int]) -> int:
-        """Queue the record's frame for a destination peer, verbatim.
+               log_offset: Optional[int]) -> bool:
+        """Queue the record's frame for a destination peer, verbatim;
+        answers whether the record travels to ``subscription``.
 
         The whole record travels once per peer however many of its values
         (or the peer's subscriptions) match — the receiver's own admission
@@ -956,7 +877,7 @@ class BufferedDelivery:
             # under the replay that fills the gap — the record is in the
             # log, so the blocked-cursor replay redelivers it in order
             # instead (see MeshShard.retry_stalled_replays).
-            return NOT_SENT
+            return False
         frame_acks = ctx["frame_acks"]
         if frame_acks is None:
             frame_acks = ctx["frame_acks"] = {}
@@ -970,7 +891,7 @@ class BufferedDelivery:
             else:
                 window[0] = min(window[0], log_offset)
                 window[1] = max(window[1], log_offset + 1)
-        return SENT
+        return True
 
     def finish(self, ctx: dict) -> None:
         frame_acks = ctx.get("frame_acks")
@@ -1067,18 +988,12 @@ class LocalDelivery:
     def begin(self, batch, origin, log_offset, payload, trace) -> dict:
         return {}
 
-    def remote(self, ctx, subscription, batch, index, log_offset) -> int:
+    def remote(self, ctx, subscription, batch, index, log_offset) -> bool:
         raise NetworkError("local pipeline cannot deliver to remote "
                            "subscription %r" % (subscription,))
 
     def finish(self, ctx) -> None:
         pass
-
-    def pending(self) -> int:
-        return 0
-
-    def flush(self) -> int:
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -1208,8 +1123,8 @@ class DeliveryPipeline:
         #: live member table of each of its groups).
         passes: Dict[Any, Tuple[Any, List[Tuple[RouteEntry, List[Any]]],
                                 List[Dict[int, Any]]]] = {}
-        #: Subscription id -> whether later values count (see ``remote``).
-        sent: Dict[int, bool] = {}
+        #: Ids of the remote subscriptions the record travelled to.
+        sent: Set[int] = set()
         deliveries = 0
         for first, stop in zip(firsts, list(firsts[1:]) + [len(roots)]):
             deliveries += self._fan_out_values(
@@ -1234,7 +1149,7 @@ class DeliveryPipeline:
 
     def _fan_out_values(self, ctx: dict, batch: Any, roots: Sequence[Any],
                         start: int, stop: int, passes: Dict[Any, Any],
-                        sent: Dict[int, bool], origin: Optional[str],
+                        sent: Set[int], origin: Optional[str],
                         log_offset: Optional[int],
                         local_acks: Dict[str, bool]) -> int:
         """Fan out values ``start`` to ``stop - 1`` one by one, reusing
@@ -1266,14 +1181,14 @@ class DeliveryPipeline:
                 passes[key] = (stamp, record, members)
         return deliveries
 
-    def _settled(self, recorded: Any, sent: Dict[int, bool],
+    def _settled(self, recorded: Any, sent: Set[int],
                  origin: Optional[str]) -> Optional[List[Any]]:
         """The subscriptions one more value of a routed root type counts
         for, or ``None`` when walking that value could do more than count:
         the routing index moved since its pass, or a subscription of the
-        pass has no answer in ``sent`` — an in-process handler (which never
-        answers) or a remote subscription that answered that the record
-        did not travel (it is asked again)."""
+        pass is not in ``sent`` — an in-process handler (which is never
+        sent to) or a remote subscription the record did not travel to
+        (it is asked again)."""
         if recorded is None or recorded[0] != self.index.stamp:
             return None
         counted = []
@@ -1281,11 +1196,9 @@ class DeliveryPipeline:
             for subscription in subscriptions:
                 if origin is not None and subscription.peer_id == origin:
                     continue
-                later = sent.get(subscription.subscription_id)
-                if later is None:
+                if subscription.subscription_id not in sent:
                     return None
-                if later:
-                    counted.append(subscription)
+                counted.append(subscription)
         return counted
 
     def _recorded(self, event_type: Any,
@@ -1314,14 +1227,14 @@ class DeliveryPipeline:
             yield target
 
     def _fan_out_value(self, ctx: dict, batch: Any, index: int,
-                       targets: Any, sent: Optional[Dict[int, bool]],
+                       targets: Any, sent: Optional[Set[int]],
                        origin: Optional[str], log_offset: Optional[int],
                        local_acks: Dict[str, bool]) -> int:
         """Deliver value ``index`` to ``targets`` (``(entry,
         subscriptions)`` pairs).  The value is materialized only for
         in-process handlers (final local delivery — the one paid
         decode); remote subscribers get the record's frame, asked for
-        once per record when ``sent`` keeps their answers."""
+        once per record when ``sent`` keeps the ids it travelled to."""
         deliveries = 0
         value: Any = None
         for entry, subscriptions in targets:
@@ -1344,20 +1257,12 @@ class DeliveryPipeline:
                                                   and ok)
                     if not ok:
                         continue  # failures must not abort the fan-out
-                elif sent is None:
+                elif sent is None or subscription.subscription_id not in sent:
                     if not self.delivery.remote(ctx, subscription, batch,
                                                 index, log_offset):
                         continue
-                else:
-                    later = sent.get(subscription.subscription_id)
-                    if later is None:
-                        answer = self.delivery.remote(
-                            ctx, subscription, batch, index, log_offset)
-                        if not answer:
-                            continue
-                        sent[subscription.subscription_id] = answer == SENT
-                    elif not later:
-                        continue
+                    if sent is not None:
+                        sent.add(subscription.subscription_id)
                 subscription.delivered += 1
                 self.stats.events_routed += 1
                 deliveries += 1

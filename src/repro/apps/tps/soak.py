@@ -71,10 +71,10 @@ def latency_percentiles(samples_ms: List[float]) -> Dict[str, float]:
 
 class _StableSubscriber:
     """A run-long subscriber: counts deliveries, checks uniqueness and
-    records the publisher-stamp → handler latency per event.  Once the
-    harness attaches :attr:`histogram` (after warm-up), every latency
-    sample also lands in the registry's fixed-bucket histogram — the
-    source of the report's p50/p99/p999."""
+    measures the publisher-stamp → handler latency per event, kept per
+    phase.  Once the harness attaches :attr:`histogram` (after warm-up),
+    every latency sample also lands in the registry's fixed-bucket
+    histogram — the source of the report's p50/p99/p999."""
 
     def __init__(self, peer: TpsPeer, shard_id: str,
                  phase: Optional[Dict[str, Any]] = None):
@@ -83,7 +83,6 @@ class _StableSubscriber:
         self.received = 0
         self.duplicates = 0
         self.seen = set()
-        self.latencies_ms: List[float] = []
         self.histogram = None
         # Shared phase box ({"active": bool, "until": monotonic s}): set
         # by the harness around membership ops so each sample lands in
@@ -106,7 +105,6 @@ class _StableSubscriber:
             latency_ms = (now - int(stamp)) / 1e6
         except ValueError:
             return  # malformed stamp: latency lost, the count still stands
-        self.latencies_ms.append(latency_ms)
         if self.phase is not None:
             migrating = (self.phase["active"]
                          or now / 1e9 < self.phase["until"])
@@ -221,6 +219,9 @@ def run_soak(shards: int = 4,
         pick_shard = _shard_picker(shard_ids, skew, zipf_s, rng)
         published = 0
         http_server: Optional[ObsHttpServer] = None
+        #: The subscribing peers: their handlers consume every delivery,
+        #: so the pump empties their inboxes, which nothing reads.
+        consumers: List[TpsPeer] = []
 
         def pump() -> None:
             driver.poll(0.001)
@@ -228,6 +229,8 @@ def run_soak(shards: int = 4,
                 mesh.flush()
             if http_server is not None:
                 http_server.poll()
+            for peer in consumers:
+                peer.inbox.clear()
 
         asm_a, _ = person_assembly_pair()
         pub_peers = []
@@ -254,6 +257,8 @@ def run_soak(shards: int = 4,
 
         churn_peers = [TpsPeer("%s-churn-%d" % (name, index), driver)
                        for index in range(churners)]
+        consumers.extend([subscriber.peer for subscriber in stable]
+                         + churn_peers)
         churn_subs: Dict[int, tuple] = {}
         churn_ops = 0
 
@@ -373,7 +378,6 @@ def run_soak(shards: int = 4,
         for subscriber in stable:
             subscriber.received = 0
             subscriber.seen.clear()
-            subscriber.latencies_ms.clear()
             for bucket in subscriber.phase_latencies.values():
                 bucket.clear()
             # Measurement starts here: warm-up samples never reach the

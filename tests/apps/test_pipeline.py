@@ -14,7 +14,6 @@ from repro.apps.tps.pipeline import (
     AdmissionStage,
     BufferedDelivery,
     DeliveryPipeline,
-    DirectDelivery,
     DurabilityStage,
     LocalDelivery,
     ValueBatch,
@@ -390,35 +389,6 @@ class TestAckSpliceCounters:
         runtime = make_runtime()
         host = _StubHost(runtime)
         return runtime, host, DurabilityStage(host)
-
-    def test_direct_durable_delivery_splices_stored_frame(self):
-        runtime, host, durability = self.make_durable()
-        delivery = DirectDelivery(host, durability)
-        frame = host.codec.encode_batch([person(runtime, "d")])
-        envelope = host.codec.parse(frame)
-        batch = host.codec.lazy_batch(envelope)
-        stats = host.codec.stats
-        stats.header_renders = 0
-        stats.header_splices = 0
-        ctx = delivery.begin(batch, "pub", 5, frame, None)
-        subs = [DurableSubscription(person_java(), None, index,
-                                    peer_id="peer-%d" % index,
-                                    cursor_name="c%d" % index)
-                for index in range(3)]
-        for sub in subs:
-            assert delivery.remote(ctx, sub, batch, 0, 5)
-        assert stats.header_renders == 0
-        assert stats.header_splices == len(subs)
-        # Every stamped frame carries its own live token over the SAME
-        # payload bytes the record was stored with.
-        tokens = set()
-        for _, payload, _ in host.batches:
-            stamped = host.codec.parse(payload)
-            assert stamped.ack is not None
-            tokens.add(stamped.ack)
-            assert stamped.payload_bytes() == envelope.payload_bytes()
-        assert len(tokens) == len(subs)
-        assert durability.tracker.pending_count() == len(subs)
 
     def test_buffered_flush_stamps_ack_without_rerender(self):
         runtime, host, durability = self.make_durable()

@@ -279,9 +279,9 @@ def test_mixed_record_across_local_and_remote_subscribers(kind, tmp_path,
         assert peer.transport_stats.objects_received == len(RECORD)
         assert peer.transport_stats.objects_rejected == \
             len(RECORD) - len(texts)
-    # A durable remote subscription on a single broker counts its record
-    # once, for the value that sent it; the mesh counts every value.
-    durable_count = 1 if kind == "direct" else len(SOURCED_TEXTS)
+    # A durable remote subscription counts every matching value, on the
+    # single broker as on the mesh.
+    durable_count = len(SOURCED_TEXTS)
     counts = delivered_by_cursor(brokers)
     assert counts == {"l-any": 6, "l-sourced": 3, "any": 6, "sourced": 3,
                       "c": durable_count}

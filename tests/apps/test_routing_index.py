@@ -238,6 +238,7 @@ class TestTpsBrokerIntegration:
         subscriber.unsubscribe_remote("broker", sid)
         assert len(broker.index) == 0
         publisher.publish("broker", publisher.new_instance("demo.a.Person", ["x"]))
+        network.run_until_idle()
         assert events == []
 
     def test_foreign_peer_cannot_unsubscribe(self, world):
@@ -248,6 +249,7 @@ class TestTpsBrokerIntegration:
         publisher.unsubscribe_remote("broker", sid)
         assert len(broker.index) == 1
         publisher.publish("broker", publisher.new_instance("demo.a.Person", ["kept"]))
+        network.run_until_idle()
         assert len(events) == 1
 
     def test_repeat_publishes_hit_verdict_cache(self, world):
@@ -258,6 +260,7 @@ class TestTpsBrokerIntegration:
             publisher.publish(
                 "broker", publisher.new_instance("demo.a.Person", ["p%d" % i])
             )
+        network.run_until_idle()
         assert len(events) == 3
         assert broker.index.stats.hits >= 1
         assert broker.index.stats.misses <= 2  # at most one re-check after code loads

@@ -98,6 +98,7 @@ class TestDistributedTps:
         events = []
         subscriber.subscribe_remote("broker", person_java(), events.append)
         publisher.publish("broker", publisher.new_instance("demo.a.Person", ["Wire"]))
+        network.run_until_idle()
         assert len(events) == 1
         assert events[0].getPersonName() == "Wire"
         assert broker.events_routed == 1
@@ -108,6 +109,7 @@ class TestDistributedTps:
         events = []
         subscriber.subscribe_remote("broker", person_java(), events.append)
         publisher.publish("broker", publisher.new_instance("demo.bank.Account", ["o", 2]))
+        network.run_until_idle()
         assert events == []
         assert broker.events_routed == 0
 
@@ -118,6 +120,7 @@ class TestDistributedTps:
         subscriber.subscribe_remote("broker", person_java(), e1.append)
         sub2.subscribe_remote("broker", person_vb(), e2.append)
         publisher.publish("broker", publisher.new_instance("demo.a.Person", ["both"]))
+        network.run_until_idle()
         assert len(e1) == 1 and len(e2) == 1
         assert e1[0].getPersonName() == "both"
         assert e2[0].GetName() == "both"
@@ -128,6 +131,7 @@ class TestDistributedTps:
         sid = subscriber.subscribe_remote("broker", person_java(), events.append)
         subscriber.unsubscribe_remote("broker", sid)
         publisher.publish("broker", publisher.new_instance("demo.a.Person", ["x"]))
+        network.run_until_idle()
         assert events == []
 
     def test_unsubscribe_remote_drops_the_handler(self, world):
@@ -154,6 +158,7 @@ class TestDistributedTps:
         events = []
         publisher.subscribe_remote("broker", person_java(), events.append)
         publisher.publish("broker", publisher.new_instance("demo.a.Person", ["self"]))
+        network.run_until_idle()
         assert events == []
 
     def test_code_flows_through_broker(self, world):
@@ -163,10 +168,55 @@ class TestDistributedTps:
         events = []
         subscriber.subscribe_remote("broker", person_java(), events.append)
         publisher.publish("broker", publisher.new_instance("demo.a.Person", ["relay"]))
+        network.run_until_idle()
         assert events[0].getPersonName() == "relay"
         # All subscriber traffic went to the broker.
         partners = {dst for (src, dst, kind, size) in network.log if src == "subscriber"}
         assert partners <= {"broker"}
+
+
+class TestOneRelayPerPeer:
+    """A record reaches a subscriber peer in one message, however many of
+    the peer's subscriptions it matches, and the peer's handlers run once
+    per record, not once per matching subscription."""
+
+    @pytest.mark.parametrize("durable", [(False, True), (True, True)],
+                             ids=["plain-and-durable", "two-durable"])
+    def test_one_frame_per_record_per_peer(self, durable, tmp_path, opened):
+        network = SimulatedNetwork()
+        broker = opened(TpsBroker("broker", network,
+                                  log_dir=str(tmp_path / "broker")))
+        publisher = TpsPeer("publisher", network)
+        publisher.host_assembly(person_assembly_pair()[0])
+        subscriber = TpsPeer("subscriber", network)
+        calls = []
+        for number, is_durable in enumerate(durable):
+            if is_durable:
+                subscriber.subscribe_durable_remote(
+                    "broker", person_java(), calls.append,
+                    cursor="c%d" % number)
+            else:
+                subscriber.subscribe_remote("broker", person_java(),
+                                            calls.append)
+        network.run_until_idle()
+        before = len(network.log)
+        for index in range(3):
+            publisher.publish("broker", publisher.new_instance(
+                "demo.a.Person", ["p%d" % index]))
+        network.run_until_idle()
+
+        assert [view.getPersonName() for view in calls] == ["p0", "p1", "p2"]
+        relays = [kind for src, dst, kind, _ in network.log[before:]
+                  if (src, dst) == ("broker", "subscriber")]
+        assert relays == ["object_batch"] * 3
+        assert subscriber.transport_stats.objects_received == 3
+        # Every subscription counts every record, and one ack per message
+        # advances each durable cursor to the log end.
+        assert list(broker.stats()["subscriptions"].values()) == [3, 3]
+        for number, is_durable in enumerate(durable):
+            if is_durable:
+                assert broker.cursors.get("c%d" % number) == 3
+        assert broker.pending_ack_count() == 0
 
 
 class TestBrokerObservability:
@@ -205,6 +255,7 @@ class TestBrokerObservability:
         network, broker, publisher, subscriber = world
         subscriber.subscribe_remote("broker", person_java(), lambda e: None)
         publisher.publish("broker", publisher.new_instance("demo.a.Person", ["s"]))
+        network.run_until_idle()
 
         snapshot = broker.stats()
         assert snapshot["events_routed"] == 1

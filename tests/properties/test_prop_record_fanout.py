@@ -15,9 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.tps import LocalBroker
-from repro.apps.tps.pipeline import (SENT, AckTracker, BufferedDelivery,
-                                     DeliveryPipeline, DirectDelivery,
-                                     ValueBatch)
+from repro.apps.tps.pipeline import (AckTracker, BufferedDelivery,
+                                     DeliveryPipeline, ValueBatch)
 from repro.apps.tps.routing import RoutingIndex
 from repro.core.context import ConformanceOptions
 from repro.core.rules import ConformanceChecker
@@ -153,10 +152,10 @@ def test_record_fan_out_matches_per_value_routing(record, initial, actions,
 # A record no in-process handler sees is counted once per root type: the
 # values after the first of each type only add to the counters.  Against a
 # test-local fan-out that routes every value on its own (a remote
-# subscription still answers once per record, and is asked again while it
-# answers that the record did not travel), the counters, the returned
-# count, every queued frame with its ack windows, and — for direct
-# delivery — every send, ack token and drop must be equal.
+# subscription is asked once per record, and again while it answers that
+# the record did not travel), the counters, the returned count, every
+# queued frame with its ack windows, and every send, ack token and drop of
+# the flush that follows must be equal.
 
 
 class RemoteSub:
@@ -173,10 +172,8 @@ class RemoteSub:
 
 
 class Host:
-    """What direct delivery calls on its broker, recorded in call order;
-    a peer in ``offline`` is unknown to the network."""
-
-    max_retries = 0
+    """What buffered delivery calls on its broker, recorded in call
+    order; a peer in ``offline`` is unknown to the network."""
 
     def __init__(self, offline):
         self.offline = offline
@@ -186,42 +183,31 @@ class Host:
             # Like the codec's: one frame travels as it is.
             join_frames=lambda frames: (frames[0] if len(frames) == 1
                                         else ("joined",) + tuple(frames)))
-        self.transport_stats = SimpleNamespace(objects_sent=0,
-                                               batches_sent=0)
         self.network = SimpleNamespace(stats=SimpleNamespace(
             record_drop=lambda: self.calls.append(("drop",))))
 
-    def _send(self, op, peer_id, payload):
+    def send_payload_batch(self, peer_id, frame, count):
         if peer_id in self.offline:
             raise UnknownPeerError(peer_id)
-        self.calls.append((op, peer_id, payload))
-
-    def send_payload_batch(self, peer_id, frame, count):
-        self._send("batch", peer_id, frame)
-
-    def post(self, peer_id, kind, payload, retries):
-        self._send("post", peer_id, payload)
+        self.calls.append(("batch", peer_id, frame, count))
 
 
 def reference_remote_fan_out(pipeline, ctx, batch, origin, log_offset):
-    """Every value routed on its own; remote answers kept per record."""
+    """Every value routed on its own; the subscriptions the record
+    travelled to are kept per record."""
     index = pipeline.index
-    sent = {}
+    sent = set()
     deliveries = 0
     for position in range(len(batch)):
         for _, subscriptions in index.route(batch.root_type(position)):
             for subscription in subscriptions:
                 if origin is not None and subscription.peer_id == origin:
                     continue
-                later = sent.get(subscription.subscription_id)
-                if later is None:
-                    answer = pipeline.delivery.remote(
-                        ctx, subscription, batch, position, log_offset)
-                    if not answer:
+                if subscription.subscription_id not in sent:
+                    if not pipeline.delivery.remote(
+                            ctx, subscription, batch, position, log_offset):
                         continue
-                    sent[subscription.subscription_id] = answer == SENT
-                elif not later:
-                    continue
+                    sent.add(subscription.subscription_id)
                 subscription.delivered += 1
                 pipeline.stats.events_routed += 1
                 deliveries += 1
@@ -229,11 +215,11 @@ def reference_remote_fan_out(pipeline, ctx, batch, origin, log_offset):
 
 
 class RemoteWorld:
-    """One pipeline with remote subscriptions only, over direct or
-    buffered delivery; blocked cursors answer that the record did not
-    travel, and so do offline peers under direct delivery."""
+    """One pipeline with remote subscriptions only, over buffered
+    delivery; blocked cursors answer that the record did not travel, and
+    offline peers drop at the flush."""
 
-    def __init__(self, kind, subs, blocked, offline, reference):
+    def __init__(self, subs, blocked, offline, reference):
         runtime = Runtime()
         for info in FEED.values():
             runtime.load_type(info)
@@ -248,9 +234,9 @@ class RemoteWorld:
         durability = SimpleNamespace(tracker=tracker,
                                      settle_local=lambda acks, offset: None)
         self.host = Host(offline)
-        delivery = (DirectDelivery(self.host, durability) if kind == "direct"
-                    else BufferedDelivery(self.host, durability))
-        self.pipeline = DeliveryPipeline(self.index, delivery,
+        self.pipeline = DeliveryPipeline(self.index,
+                                         BufferedDelivery(self.host,
+                                                          durability),
                                          durability=durability)
         if reference:
             pipeline = self.pipeline
@@ -280,12 +266,16 @@ class RemoteWorld:
                                      log_offset=7, pre_logged=True)
 
     def outcome(self, deliveries):
+        delivery = self.pipeline.delivery
+        queued = {peer: list(frames)
+                  for peer, frames in delivery._outgoing.items()}
+        delivery.flush()
         tracker = self.pipeline.durability.tracker
         return {
             "deliveries": deliveries,
             "delivered": [sub.delivered for sub in self.subs],
             "events_routed": self.pipeline.stats.events_routed,
-            "queued": getattr(self.pipeline.delivery, "_outgoing", None),
+            "queued": queued,
             "calls": self.host.calls,
             "pending": tracker.pending, "windows": tracker.windows,
             "blocks": tracker.blocks,
@@ -301,18 +291,17 @@ long_records = st.lists(st.sampled_from(sorted(FEED)), min_size=1,
 
 
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(["direct", "buffered"]), record=long_records,
-       subs=remote_subs,
+@given(record=long_records, subs=remote_subs,
        blocked=st.lists(st.sampled_from(["c%d" % n for n in range(6)]),
                         max_size=2),
        offline=st.lists(st.sampled_from(PEERS), max_size=1),
        origin=st.none() | st.sampled_from(PEERS),
        shape=st.sampled_from(["frame", "values"]))
 def test_remote_only_record_counts_as_per_value_routing(
-        kind, record, subs, blocked, offline, origin, shape):
+        record, subs, blocked, offline, origin, shape):
     outcomes = []
     for reference in (True, False):
-        world = RemoteWorld(kind, subs, blocked, offline, reference)
+        world = RemoteWorld(subs, blocked, offline, reference)
         processed = world.publish(record, shape, origin)
         outcomes.append(world.outcome(processed.deliveries))
     assert outcomes[1] == outcomes[0]
