@@ -1,9 +1,10 @@
 """Mesh scaling — sharded, batched delivery vs the seed single broker.
 
 The ROADMAP's north star is event dissemination that scales past one
-broker.  The seed single broker posted one synchronous message per
-matching subscription per event (its traffic counts are frozen below);
-the :class:`BrokerMesh` shards the broker, forwards between shards only
+broker.  The seed single broker posted one message per matching subscription
+per event (its traffic counts are frozen below); today's
+:class:`TpsBroker` queues one relay per peer per record.  The
+:class:`BrokerMesh` shards the broker, forwards between shards only
 on subscription-summary match, and drains per-destination batches (one
 message per peer per round).
 
@@ -59,7 +60,7 @@ def subscribe_all(subscribe, events):
 
 
 def build_seed_world():
-    """One broker, one synchronous publish per event."""
+    """One broker, one publish per event."""
     network = SimulatedNetwork()
     broker = TpsBroker("broker", network)
     publisher = TpsPeer("publisher", network)
@@ -96,6 +97,7 @@ def publish_seed(network, broker, publisher, n_events):
     for index in range(n_events):
         publisher.publish("broker",
                           publisher.new_instance("demo.a.Person", ["e%d" % index]))
+    network.run_until_idle()
 
 
 def publish_mesh(network, mesh, publisher, n_events):
@@ -112,12 +114,12 @@ class TestAcceptance:
         messages, >=2x fewer bytes than the seed path's frozen counts
         (delivery traffic only — both worlds warm up one event first so
         code/description fetches are paid)."""
-        seed_net, broker, seed_pub, _ = build_seed_world()
+        seed_net, broker, seed_pub, seed_events = build_seed_world()
         publish_seed(seed_net, broker, seed_pub, 1)  # warm the code paths
         publish_seed(seed_net, broker, seed_pub, N_EVENTS)
         seed_delivered = broker.events_routed - N_PEERS * SUBS_PER_PEER
 
-        mesh_net, mesh, mesh_pub, _ = build_mesh_world()
+        mesh_net, mesh, mesh_pub, mesh_events = build_mesh_world()
         publish_mesh(mesh_net, mesh, mesh_pub, 1)
         mesh_net.reset_accounting()
         routed_before = mesh.events_routed()
@@ -127,6 +129,12 @@ class TestAcceptance:
         mesh_delivered = mesh.events_routed() - routed_before
 
         assert seed_delivered == mesh_delivered == N_EVENTS * N_PEERS * SUBS_PER_PEER
+        # Every peer's handler ran once per record (the warm-up and
+        # N_EVENTS), however many of its subscriptions matched.
+        for events in (seed_events, mesh_events):
+            assert {len(got) for got in events.values()} == {1 + N_EVENTS}
+            assert sum(len(got) for got in events.values()) \
+                == N_PEERS * (1 + N_EVENTS)
         assert mesh_msgs * 5 <= SEED_MESSAGES, (
             "mesh sent %d messages vs seed %d (< 5x reduction)"
             % (mesh_msgs, SEED_MESSAGES)

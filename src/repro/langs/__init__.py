@@ -2,7 +2,10 @@
 
 Three surface syntaxes — C#-like, Java-like and VB-like — all land in the
 same CTS, reproducing the "language interoperability underneath type
-interoperability" layering of the paper's platform.
+interoperability" layering of the paper's platform.  They share one
+tokenizer (``lexer``) and one table-driven parser (``cfamily``); a
+``Dialect`` holds what differs, and the VB-like frontend's line-oriented
+declarations and statements parse each line with that parser.
 """
 
 from . import ast_nodes

@@ -1,15 +1,18 @@
-"""Shared recursive-descent parser for the brace-structured frontends.
+"""Shared recursive-descent parser for the three frontends.
 
 C#-like and Java-like sources differ only in their inheritance clause syntax
-(``class A : B, IC`` vs ``class A extends B implements IC``) and a couple of
-keywords (``this``, type spellings).  Everything else — member declarations,
-statements, expressions — is parsed here once, parameterised by a
-:class:`Dialect`.
+(``class A : B, IC`` vs ``class A extends B implements IC``).  Member
+declarations, statements and expressions are parsed here once,
+parameterised by a :class:`Dialect`.  The expression grammar is
+table-driven: a dialect's binary, prefix and keyword-literal tables are the
+whole difference between C-family and VB expressions, so the VB-like
+frontend parses each line's expressions, parameters and type names here too.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 from . import ast_nodes as ast
 from .lexer import LexError, Token, TokenStream, tokenize
@@ -18,6 +21,7 @@ from .lexer import LexError, Token, TokenStream, tokenize
 class ParseError(Exception):
     def __init__(self, message: str, line: int):
         super().__init__("%s (line %d)" % (message, line))
+        self.message = message
         self.line = line
 
 
@@ -27,35 +31,74 @@ MODIFIER_TOKENS = ("static", "abstract", "final", "virtual", "sealed")
 _MODIFIER_CANON = {"sealed": "final"}
 
 
+#: Precedence of a prefix operator that binds tighter than every binary one.
+UNARY = 7
+
+
 class Dialect:
-    """Syntax knobs distinguishing the C#-like and Java-like grammars."""
+    """Syntax knobs distinguishing the frontends' grammars.
+
+    The expression tables map an operator or keyword, as written (or
+    lower-cased when ``fold_case``), to what it parses into.
+    """
 
     name = "cfamily"
-    self_keyword = "this"
+    #: Binary operator -> (precedence, AST operator); all left-associative.
+    binary: Dict[str, Tuple[int, str]] = {
+        "||": (1, "||"),
+        "&&": (2, "&&"),
+        "==": (3, "=="), "!=": (3, "!="),
+        "<": (4, "<"), "<=": (4, "<="), ">": (4, ">"), ">=": (4, ">="),
+        "+": (5, "+"), "-": (5, "-"),
+        "*": (6, "*"), "/": (6, "/"), "%": (6, "%"),
+    }
+    #: Prefix operator -> (precedence of its operand, AST operator).
+    prefix: Dict[str, Tuple[int, str]] = {"-": (UNARY, "-"), "!": (UNARY, "!")}
+    #: Keyword -> factory of the literal it denotes.
+    literals = {
+        "true": partial(ast.BoolLit, True),
+        "false": partial(ast.BoolLit, False),
+        "null": ast.NullLit,
+        "this": ast.SelfRef,
+    }
+    #: Whether keywords match in any case (VB) or only as written.
+    fold_case = False
+    #: Whether ``new T`` may omit its argument list.
+    new_args_optional = False
 
     def parse_heritage(self, ts: TokenStream) -> Tuple[Optional[str], List[str]]:
         """Parse the superclass/interfaces clause; returns (super, interfaces)."""
         raise NotImplementedError
 
+    def parse_param(self, parser: "Parser") -> ast.ParamDecl:
+        """One formal parameter: ``Type name``."""
+        type_name = parser._parse_type_name()
+        return ast.ParamDecl(parser.ts.expect_ident().value, type_name)
+
+    @staticmethod
+    def qualified(ts: TokenStream) -> str:
+        """A dotted name: ``a.b.C``."""
+        parts = [ts.expect_ident().value]
+        while ts.accept_punct("."):
+            parts.append(ts.expect_ident().value)
+        return ".".join(parts)
+
 
 class Parser:
-    """Parses a compilation unit into :class:`ast.ClassDecl` objects."""
+    """Parses a compilation unit into :class:`ast.ClassDecl` objects.
 
-    # Precedence climbing table: operator -> (precedence, right-assoc)
-    _PRECEDENCE = {
-        "||": 1,
-        "&&": 2,
-        "==": 3, "!=": 3,
-        "<": 4, "<=": 4, ">": 4, ">=": 4,
-        "+": 5, "-": 5,
-        "*": 6, "/": 6, "%": 6,
-    }
+    ``tokens``, when given, is the token list to parse instead of
+    tokenizing ``source``.
+    """
 
-    def __init__(self, source: str, dialect: Dialect):
-        try:
-            self.ts = TokenStream(tokenize(source))
-        except LexError as exc:
-            raise ParseError(exc.message, exc.line)
+    def __init__(self, source: str, dialect: Dialect,
+                 tokens: Optional[List[Token]] = None):
+        if tokens is None:
+            try:
+                tokens = tokenize(source)
+            except LexError as exc:
+                raise ParseError(exc.message, exc.line)
+        self.ts = TokenStream(tokens, fold_case=dialect.fold_case)
         self.dialect = dialect
 
     # -- compilation unit ----------------------------------------------------
@@ -156,11 +199,7 @@ class Parser:
             )
 
     def _parse_type_name(self) -> str:
-        parts = [self.ts.expect_ident().value]
-        while self.ts.at_punct("."):
-            self.ts.next()
-            parts.append(self.ts.expect_ident().value)
-        name = ".".join(parts)
+        name = self.dialect.qualified(self.ts)
         # Array suffixes: string[], demo.Person[][], ...
         while self.ts.at_punct("["):
             mark_next = self.ts.peek(1)
@@ -177,9 +216,7 @@ class Parser:
         params: List[ast.ParamDecl] = []
         if not ts.at_punct(")"):
             while True:
-                type_name = self._parse_type_name()
-                pname = ts.expect_ident().value
-                params.append(ast.ParamDecl(pname, type_name))
+                params.append(self.dialect.parse_param(self))
                 if not ts.accept_punct(","):
                     break
         ts.expect_punct(")")
@@ -333,29 +370,31 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------------
 
+    def _word(self, token: Token) -> str:
+        """The key of ``token`` in the dialect's operator and keyword tables."""
+        if token.kind == Token.PUNCT:
+            return token.value
+        if token.kind == Token.IDENT:
+            return token.value.lower() if self.dialect.fold_case else token.value
+        return ""
+
     def _parse_expr(self, min_prec: int = 1) -> ast.Expr:
         lhs = self._parse_unary()
         while True:
-            token = self.ts.peek()
-            if token.kind != Token.PUNCT:
-                break
-            prec = self._PRECEDENCE.get(token.value)
-            if prec is None or prec < min_prec:
-                break
+            entry = self.dialect.binary.get(self._word(self.ts.peek()))
+            if entry is None or entry[0] < min_prec:
+                return lhs
             self.ts.next()
-            rhs = self._parse_expr(prec + 1)
-            lhs = ast.BinOp(token.value, lhs, rhs)
-        return lhs
+            prec, op = entry
+            lhs = ast.BinOp(op, lhs, self._parse_expr(prec + 1))
 
     def _parse_unary(self) -> ast.Expr:
-        ts = self.ts
-        if ts.at_punct("-"):
-            ts.next()
-            return ast.UnOp("-", self._parse_unary())
-        if ts.at_punct("!"):
-            ts.next()
-            return ast.UnOp("!", self._parse_unary())
-        return self._parse_postfix()
+        entry = self.dialect.prefix.get(self._word(self.ts.peek()))
+        if entry is None:
+            return self._parse_postfix()
+        self.ts.next()
+        prec, op = entry
+        return ast.UnOp(op, self._parse_expr(prec))
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
@@ -395,19 +434,10 @@ class Parser:
             ts.expect_punct(")")
             return inner
         if token.kind == Token.IDENT:
-            word = token.value
-            if word == "true":
+            word = self._word(token)
+            if word in self.dialect.literals:
                 ts.next()
-                return ast.BoolLit(True)
-            if word == "false":
-                ts.next()
-                return ast.BoolLit(False)
-            if word == "null":
-                ts.next()
-                return ast.NullLit()
-            if word == self.dialect.self_keyword:
-                ts.next()
-                return ast.SelfRef()
+                return self.dialect.literals[word]()
             if word == "new":
                 ts.next()
                 type_name = self._parse_type_name()
@@ -422,13 +452,14 @@ class Parser:
                                 break
                     ts.expect_punct("}")
                     return ast.ListLit(items)
-                args = self._parse_args()
-                return ast.New(type_name, args)
+                if self.dialect.new_args_optional and not ts.at_punct("("):
+                    return ast.New(type_name, [])
+                return ast.New(type_name, self._parse_args())
             ts.next()
             if ts.at_punct("("):
                 args = self._parse_args()
-                return ast.MethodCall(ast.SelfRef(), word, args)
-            return ast.Name(word)
+                return ast.MethodCall(ast.SelfRef(), token.value, args)
+            return ast.Name(token.value)
         raise ParseError("unexpected token %r" % (token.value or "<eof>"), token.line)
 
     def _parse_args(self) -> List[ast.Expr]:

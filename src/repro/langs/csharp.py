@@ -28,14 +28,13 @@ LANGUAGE = "csharp"
 
 class CSharpDialect(Dialect):
     name = LANGUAGE
-    self_keyword = "this"
 
     def parse_heritage(self, ts: TokenStream) -> Tuple[Optional[str], List[str]]:
         if not ts.accept_punct(":"):
             return None, []
-        names = [self._qualified(ts)]
+        names = [self.qualified(ts)]
         while ts.accept_punct(","):
-            names.append(self._qualified(ts))
+            names.append(self.qualified(ts))
         # C# convention: a leading non-interface name is the base class;
         # interface names start with 'I' followed by an uppercase letter.
         superclass: Optional[str] = None
@@ -50,14 +49,6 @@ class CSharpDialect(Dialect):
             else:
                 interfaces.append(name)
         return superclass, interfaces
-
-    @staticmethod
-    def _qualified(ts: TokenStream) -> str:
-        parts = [ts.expect_ident().value]
-        while ts.at_punct("."):
-            ts.next()
-            parts.append(ts.expect_ident().value)
-        return ".".join(parts)
 
 
 def parse(source: str) -> List[ast.ClassDecl]:

@@ -28,26 +28,17 @@ LANGUAGE = "java"
 
 class JavaDialect(Dialect):
     name = LANGUAGE
-    self_keyword = "this"
 
     def parse_heritage(self, ts: TokenStream) -> Tuple[Optional[str], List[str]]:
         superclass: Optional[str] = None
         interfaces: List[str] = []
         if ts.accept_ident("extends"):
-            superclass = self._qualified(ts)
+            superclass = self.qualified(ts)
         if ts.accept_ident("implements"):
-            interfaces.append(self._qualified(ts))
+            interfaces.append(self.qualified(ts))
             while ts.accept_punct(","):
-                interfaces.append(self._qualified(ts))
+                interfaces.append(self.qualified(ts))
         return superclass, interfaces
-
-    @staticmethod
-    def _qualified(ts: TokenStream) -> str:
-        parts = [ts.expect_ident().value]
-        while ts.at_punct("."):
-            ts.next()
-            parts.append(ts.expect_ident().value)
-        return ".".join(parts)
 
 
 def parse(source: str) -> List[ast.ClassDecl]:

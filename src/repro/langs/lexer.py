@@ -1,7 +1,9 @@
-"""A small tokenizer shared by the C-family frontends (C#-like, Java-like).
+"""The tokenizer shared by every frontend.
 
-The VB-like frontend has its own line-oriented lexer in ``vb.py``; this one
-handles brace-structured sources.
+``tokenize(source)`` reads the C-family sources (C#-like, Java-like):
+``//`` and ``/* */`` comments, backslash escapes in strings.  The VB-like
+frontend passes its own lexical rules — ``'`` comments, ``""`` inside
+strings, its operator set — and groups the tokens by their line.
 """
 
 from __future__ import annotations
@@ -35,12 +37,24 @@ class Token:
         return "Token(%s, %r, line=%d)" % (self.kind, self.value, self.line)
 
 
-_TWO_CHAR_PUNCT = {"==", "!=", "<=", ">=", "&&", "||"}
-_ONE_CHAR_PUNCT = set("{}()[];,.:=+-*/%<>!&|")
+#: The C-family operators and punctuation, one and two characters long.
+C_PUNCT = frozenset(["==", "!=", "<=", ">=", "&&", "||", *"{}()[];,.:=+-*/%<>!&|"])
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
-def tokenize(source: str) -> List[Token]:
-    """Tokenize a C-family source string (handles ``//`` and ``/* */`` comments)."""
+def tokenize(
+    source: str,
+    line_comment: str = "//",
+    block_comments: bool = True,
+    doubled_quotes: bool = False,
+    punct: frozenset = C_PUNCT,
+) -> List[Token]:
+    """Tokenize a source string.
+
+    The defaults are the C-family rules.  ``doubled_quotes`` reads ``""``
+    inside a string as a quote, and a backslash as itself.
+    """
     tokens: List[Token] = []
     i = 0
     line = 1
@@ -54,11 +68,11 @@ def tokenize(source: str) -> List[Token]:
         if ch in " \t\r":
             i += 1
             continue
-        if source.startswith("//", i):
+        if source.startswith(line_comment, i):
             end = source.find("\n", i)
             i = n if end == -1 else end
             continue
-        if source.startswith("/*", i):
+        if block_comments and source.startswith("/*", i):
             end = source.find("*/", i + 2)
             if end == -1:
                 raise LexError("unterminated block comment", line)
@@ -66,7 +80,7 @@ def tokenize(source: str) -> List[Token]:
             i = end + 2
             continue
         if ch == '"':
-            value, i, line = _read_string(source, i, line)
+            value, i = _read_string(source, i, line, doubled_quotes)
             tokens.append(Token(Token.STRING, value, line))
             continue
         if ch.isdigit():
@@ -88,11 +102,11 @@ def tokenize(source: str) -> List[Token]:
             tokens.append(Token(Token.IDENT, source[start:i], line))
             continue
         two = source[i:i + 2]
-        if two in _TWO_CHAR_PUNCT:
+        if two in punct:
             tokens.append(Token(Token.PUNCT, two, line))
             i += 2
             continue
-        if ch in _ONE_CHAR_PUNCT:
+        if ch in punct:
             tokens.append(Token(Token.PUNCT, ch, line))
             i += 1
             continue
@@ -101,7 +115,7 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
-def _read_string(source: str, i: int, line: int):
+def _read_string(source: str, i: int, line: int, doubled_quotes: bool):
     assert source[i] == '"'
     i += 1
     out: List[str] = []
@@ -109,15 +123,18 @@ def _read_string(source: str, i: int, line: int):
     while i < n:
         ch = source[i]
         if ch == '"':
-            return "".join(out), i + 1, line
-        if ch == "\\":
+            if doubled_quotes and source.startswith('"', i + 1):
+                out.append('"')
+                i += 2
+                continue
+            return "".join(out), i + 1
+        if ch == "\\" and not doubled_quotes:
             if i + 1 >= n:
                 raise LexError("unterminated escape", line)
             esc = source[i + 1]
-            mapping = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-            if esc not in mapping:
+            if esc not in _ESCAPES:
                 raise LexError("unknown escape \\%s" % esc, line)
-            out.append(mapping[esc])
+            out.append(_ESCAPES[esc])
             i += 2
             continue
         if ch == "\n":
@@ -128,11 +145,15 @@ def _read_string(source: str, i: int, line: int):
 
 
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over a token list with the usual peek/expect helpers.
 
-    def __init__(self, tokens: List[Token]):
+    With ``fold_case`` the ``*_ident`` helpers match words in any case.
+    """
+
+    def __init__(self, tokens: List[Token], fold_case: bool = False):
         self._tokens = tokens
         self._pos = 0
+        self._fold_case = fold_case
 
     def peek(self, offset: int = 0) -> Token:
         idx = min(self._pos + offset, len(self._tokens) - 1)
@@ -150,9 +171,11 @@ class TokenStream:
 
     def at_ident(self, value: Optional[str] = None) -> bool:
         token = self.peek()
-        if token.kind != Token.IDENT:
-            return False
-        return value is None or token.value == value
+        if token.kind != Token.IDENT or value is None:
+            return token.kind == Token.IDENT
+        if self._fold_case:
+            return token.value.lower() == value.lower()
+        return token.value == value
 
     def accept_punct(self, value: str) -> bool:
         if self.at_punct(value):
@@ -175,8 +198,8 @@ class TokenStream:
         return self.next()
 
     def expect_ident(self, value: Optional[str] = None) -> Token:
-        token = self.peek()
-        if token.kind != Token.IDENT or (value is not None and token.value != value):
+        if not self.at_ident(value):
+            token = self.peek()
             raise LexError(
                 "expected identifier%s, found %r"
                 % (" %r" % value if value else "", token.value or "<eof>"),

@@ -4,6 +4,14 @@ A line-oriented Visual-Basic-flavoured syntax, compiled to the same shared
 AST (and thus the same IL) as the C-family frontends — demonstrating the
 "language interoperability underneath type interoperability" property.
 
+Declarations and statements are read one line at a time.  The tokens come
+from the shared tokenizer under VB's lexical rules, and every line is parsed
+whole by the shared :class:`~repro.langs.cfamily.Parser` under
+:class:`VbDialect`, whose tables give VB's operator precedence: ``Or`` <
+``And`` < ``Not`` < comparisons < ``&`` < ``+ -`` < ``* / Mod`` < unary
+minus.  ``Not`` takes a comparison as its operand wherever it stands, so
+``Not a < b`` means ``Not (a < b)`` and ``a = Not b`` means ``a = (Not b)``.
+
 Example::
 
     Class Person
@@ -22,11 +30,14 @@ Example::
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Tuple
 
 from ..cts.types import TypeInfo
 from . import ast_nodes as ast
+from .cfamily import UNARY, Dialect, ParseError, Parser
 from .compiler import compile_with
+from .lexer import LexError, Token, TokenStream, tokenize
 
 LANGUAGE = "vb"
 
@@ -37,242 +48,74 @@ class VbParseError(Exception):
         self.line_no = line_no
 
 
-# ---------------------------------------------------------------------------
-# Line tokenizer
-# ---------------------------------------------------------------------------
+class VbDialect(Dialect):
+    name = LANGUAGE
+    binary = {
+        "or": (1, "||"),
+        "and": (2, "&&"),
+        "=": (3, "=="), "<>": (3, "!="),
+        "<": (3, "<"), "<=": (3, "<="), ">": (3, ">"), ">=": (3, ">="),
+        "&": (4, "&"),
+        "+": (5, "+"), "-": (5, "-"),
+        "*": (6, "*"), "/": (6, "/"), "mod": (6, "%"),
+    }
+    prefix = {"not": (3, "!"), "-": (UNARY, "-")}
+    literals = {
+        "true": partial(ast.BoolLit, True),
+        "false": partial(ast.BoolLit, False),
+        "nothing": ast.NullLit,
+        "me": ast.SelfRef,
+    }
+    fold_case = True
+    new_args_optional = True
 
-_PUNCT2 = ("<>", "<=", ">=")
-_PUNCT1 = set("()=<>,.&+-*/")
+    def parse_param(self, parser: Parser) -> ast.ParamDecl:
+        name = parser.ts.expect_ident().value
+        parser.ts.expect_ident("As")
+        return ast.ParamDecl(name, parser._parse_type_name())
 
 
-def _tokenize_line(text: str, line_no: int) -> List[str]:
-    tokens: List[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "'":
-            break  # comment to end of line
-        if ch == '"':
-            j = i + 1
-            out: List[str] = []
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        out.append('"')
-                        j += 2
-                        continue
-                    break
-                out.append(text[j])
-                j += 1
-            else:
-                raise VbParseError("unterminated string literal", line_no)
-            tokens.append('"' + "".join(out))
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCT2:
-            tokens.append(two)
-            i += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(ch)
-            i += 1
-            continue
-        raise VbParseError("unexpected character %r" % ch, line_no)
-    return tokens
+_DIALECT = VbDialect()
+_PUNCT = frozenset(["<>", "<=", ">=", *"()=<>,.&+-*/"])
 
 
 class _Line:
     __slots__ = ("tokens", "number")
 
-    def __init__(self, tokens: List[str], number: int):
+    def __init__(self, tokens: List[Token], number: int):
         self.tokens = tokens
         self.number = number
 
-    def starts_with(self, *words: str) -> bool:
-        if len(self.tokens) < len(words):
-            return False
-        return all(
-            self.tokens[i].lower() == w.lower() for i, w in enumerate(words)
+    def is_exactly(self, *words: str) -> bool:
+        """Whether the line is just ``words``, in any case."""
+        return len(self.tokens) == len(words) and all(
+            token.kind == Token.IDENT and token.value.lower() == word.lower()
+            for token, word in zip(self.tokens, words)
         )
+
+    def parser(self) -> Parser:
+        """A parser over this line's tokens alone."""
+        eof = Token(Token.EOF, "", self.number)
+        return Parser("", _DIALECT, tokens=self.tokens + [eof])
 
 
 def _lines(source: str) -> List[_Line]:
+    tokens = tokenize(source, line_comment="'", block_comments=False,
+                      doubled_quotes=True, punct=_PUNCT)
     out: List[_Line] = []
-    for number, raw in enumerate(source.splitlines(), start=1):
-        tokens = _tokenize_line(raw, number)
-        if tokens:
-            out.append(_Line(tokens, number))
+    for token in tokens[:-1]:
+        if out and out[-1].number == token.line:
+            out[-1].tokens.append(token)
+        else:
+            out.append(_Line([token], token.line))
     return out
 
 
-# ---------------------------------------------------------------------------
-# Expression parsing (within one line)
-# ---------------------------------------------------------------------------
-
-_VB_KEYWORD_LITERALS = {"true": True, "false": False}
-
-
-class _ExprParser:
-    """Expression grammar with VB's operator precedence:
-
-    ``Or`` < ``And`` < ``Not`` < comparisons < ``&`` < ``+ -`` < ``* / Mod``
-    < unary minus < postfix.  Notably ``Not a < b`` means ``Not (a < b)``.
-    """
-
-    _OP_CANON = {"=": "==", "<>": "!=", "and": "&&", "or": "||", "mod": "%"}
-    _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
-
-    def __init__(self, tokens: Sequence[str], pos: int, line_no: int):
-        self.tokens = list(tokens)
-        self.pos = pos
-        self.line_no = line_no
-
-    def peek(self, offset: int = 0) -> Optional[str]:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
-
-    def next(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise VbParseError("unexpected end of line", self.line_no)
-        self.pos += 1
-        return token
-
-    def expect(self, value: str) -> None:
-        token = self.next()
-        if token.lower() != value.lower():
-            raise VbParseError("expected %r, found %r" % (value, token), self.line_no)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    # -- grammar -------------------------------------------------------------
-
-    def _binary_level(self, operators: Sequence[str], next_level) -> ast.Expr:
-        lhs = next_level()
-        while True:
-            token = self.peek()
-            if token is None or token.lower() not in operators:
-                return lhs
-            self.next()
-            rhs = next_level()
-            canon = self._OP_CANON.get(token.lower(), token.lower())
-            lhs = ast.BinOp(canon, lhs, rhs)
-
-    def parse_expr(self, min_prec: int = 1) -> ast.Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> ast.Expr:
-        return self._binary_level(("or",), self.parse_and)
-
-    def parse_and(self) -> ast.Expr:
-        return self._binary_level(("and",), self.parse_not)
-
-    def parse_not(self) -> ast.Expr:
-        token = self.peek()
-        if token is not None and token.lower() == "not":
-            self.next()
-            return ast.UnOp("!", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> ast.Expr:
-        return self._binary_level(self._COMPARISONS, self.parse_concat)
-
-    def parse_concat(self) -> ast.Expr:
-        return self._binary_level(("&",), self.parse_add)
-
-    def parse_add(self) -> ast.Expr:
-        return self._binary_level(("+", "-"), self.parse_mul)
-
-    def parse_mul(self) -> ast.Expr:
-        return self._binary_level(("*", "/", "mod"), self.parse_unary)
-
-    def parse_unary(self) -> ast.Expr:
-        if self.peek() == "-":
-            self.next()
-            return ast.UnOp("-", self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> ast.Expr:
-        expr = self.parse_primary()
-        while self.peek() == ".":
-            self.next()
-            member = self.next()
-            if self.peek() == "(":
-                args = self.parse_args()
-                expr = ast.MethodCall(expr, member, args)
-            else:
-                expr = ast.FieldAccess(expr, member)
-        return expr
-
-    def parse_primary(self) -> ast.Expr:
-        token = self.next()
-        low = token.lower()
-        if token.startswith('"'):
-            return ast.StrLit(token[1:])
-        if token[0].isdigit():
-            if "." in token:
-                return ast.FloatLit(float(token))
-            return ast.IntLit(int(token))
-        if low in _VB_KEYWORD_LITERALS:
-            return ast.BoolLit(_VB_KEYWORD_LITERALS[low])
-        if low == "nothing":
-            return ast.NullLit()
-        if low == "me":
-            return ast.SelfRef()
-        if low == "new":
-            type_name = self.next()
-            while self.peek() == "." and not self.at_end():
-                self.next()
-                type_name += "." + self.next()
-            args = self.parse_args() if self.peek() == "(" else []
-            return ast.New(type_name, args)
-        if token == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if token[0].isalpha() or token[0] == "_":
-            if self.peek() == "(":
-                args = self.parse_args()
-                return ast.MethodCall(ast.SelfRef(), token, args)
-            return ast.Name(token)
-        raise VbParseError("unexpected token %r" % token, self.line_no)
-
-    def parse_args(self) -> List[ast.Expr]:
-        self.expect("(")
-        args: List[ast.Expr] = []
-        if self.peek() != ")":
-            while True:
-                args.append(self.parse_expr())
-                if self.peek() == ",":
-                    self.next()
-                    continue
-                break
-        self.expect(")")
-        return args
+def _end_of_line(ts: TokenStream) -> None:
+    """A line is consumed whole: no token may follow what it declares."""
+    if not ts.exhausted:
+        token = ts.peek()
+        raise VbParseError("unexpected %r at end of line" % token.value, token.line)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +152,14 @@ class _VbParser:
 
     def _parse_class(self) -> ast.ClassDecl:
         header = self._next()
-        tokens = [t.lower() for t in header.tokens]
-        is_interface = False
-        offset = 0
-        if tokens[0] in _VISIBILITY_WORDS:
-            offset = 1
-        if offset >= len(tokens):
+        ts = header.parser().ts
+        if ts.at_ident() and ts.peek().value.lower() in _VISIBILITY_WORDS:
+            ts.next()
+        is_interface = ts.accept_ident("Interface")
+        if not is_interface and not ts.accept_ident("Class"):
             raise VbParseError("expected Class or Interface", header.number)
-        if tokens[offset] == "interface":
-            is_interface = True
-        elif tokens[offset] != "class":
-            raise VbParseError("expected Class or Interface", header.number)
-        if offset + 1 >= len(header.tokens):
-            raise VbParseError("missing class name", header.number)
-        name = header.tokens[offset + 1]
+        name = ts.expect_ident().value
+        _end_of_line(ts)
 
         superclass: Optional[str] = None
         interfaces: List[str] = []
@@ -335,128 +172,64 @@ class _VbParser:
             line = self._peek()
             if line is None:
                 raise VbParseError("missing End %s" % end_words[1], header.number)
-            if line.starts_with(*end_words):
-                self._next()
+            self._next()
+            if line.is_exactly(*end_words):
                 break
-            if line.starts_with("Inherits"):
-                self._next()
-                superclass = "".join(line.tokens[1:])
+            parser = line.parser()
+            ts = parser.ts
+            if ts.accept_ident("Inherits"):
+                superclass = _DIALECT.qualified(ts)
+            elif ts.accept_ident("Implements"):
+                interfaces.append(_DIALECT.qualified(ts))
+                while ts.accept_punct(","):
+                    interfaces.append(_DIALECT.qualified(ts))
+            else:
+                self._parse_member(parser, is_interface, fields, methods, ctors)
                 continue
-            if line.starts_with("Implements"):
-                self._next()
-                interfaces.extend(self._split_names(line.tokens[1:]))
-                continue
-            self._parse_member(line, is_interface, fields, methods, ctors)
+            _end_of_line(ts)
         return ast.ClassDecl(
             name, superclass, interfaces, fields, methods, ctors, is_interface=is_interface
         )
 
-    @staticmethod
-    def _split_names(tokens: Sequence[str]) -> List[str]:
-        names: List[str] = []
-        current: List[str] = []
-        for token in tokens:
-            if token == ",":
-                names.append("".join(current))
-                current = []
-            else:
-                current.append(token)
-        if current:
-            names.append("".join(current))
-        return names
-
     # -- members ---------------------------------------------------------------
 
-    def _parse_member(self, line: _Line, is_interface, fields, methods, ctors) -> None:
-        self._next()
-        tokens = line.tokens
-        pos = 0
+    def _parse_member(self, parser: Parser, is_interface, fields, methods, ctors) -> None:
+        ts = parser.ts
         visibility = "public"
         modifier_tokens: List[str] = []
-        while pos < len(tokens) and tokens[pos].lower() in (_VISIBILITY_WORDS | set(_MODIFIER_WORDS)):
-            word = tokens[pos].lower()
+        while ts.at_ident() and ts.peek().value.lower() in (_VISIBILITY_WORDS | set(_MODIFIER_WORDS)):
+            word = ts.next().value.lower()
             if word in _VISIBILITY_WORDS:
                 visibility = _VIS_CANON.get(word, word)
             else:
                 modifier_tokens.append(_MODIFIER_WORDS[word])
-            pos += 1
-        if pos >= len(tokens):
-            raise VbParseError("incomplete member declaration", line.number)
 
-        keyword = tokens[pos].lower()
-        if keyword == "sub":
-            name = tokens[pos + 1]
-            params = self._parse_param_list(tokens, pos + 2, line.number)
-            if is_interface:
-                methods.append(
-                    ast.MethodDecl(name, params, "void", body=None,
-                                   visibility=visibility, modifier_tokens=modifier_tokens)
-                )
-                return
-            body = self._parse_body(("End", "Sub"))
-            if name.lower() == "new":
-                ctors.append(ast.CtorDecl(params, body, visibility=visibility))
-            else:
-                methods.append(
-                    ast.MethodDecl(name, params, "void", body=body,
-                                   visibility=visibility, modifier_tokens=modifier_tokens)
-                )
+        if not (ts.at_ident("Sub") or ts.at_ident("Function")):
+            # Field: <name> As <Type>
+            name = ts.expect_ident().value
+            ts.expect_ident("As")
+            fields.append(
+                ast.FieldDecl(name, parser._parse_type_name(), visibility=visibility,
+                              modifier_tokens=modifier_tokens)
+            )
+            _end_of_line(ts)
             return
+        keyword = ts.next().value.lower()
+        name = ts.expect_ident().value
+        params = parser._parse_params()
+        return_type = "void"
         if keyword == "function":
-            name = tokens[pos + 1]
-            parser = _ExprParser(tokens, pos + 2, line.number)
-            params = self._parse_params_with(parser)
-            parser.expect("As")
-            return_type = self._parse_type_name_with(parser)
-            if is_interface:
-                methods.append(
-                    ast.MethodDecl(name, params, return_type, body=None,
-                                   visibility=visibility, modifier_tokens=modifier_tokens)
-                )
-                return
-            body = self._parse_body(("End", "Function"))
+            ts.expect_ident("As")
+            return_type = parser._parse_type_name()
+        _end_of_line(ts)
+        body = None if is_interface else self._parse_body(("End", keyword.capitalize()))
+        if keyword == "sub" and name.lower() == "new" and body is not None:
+            ctors.append(ast.CtorDecl(params, body, visibility=visibility))
+        else:
             methods.append(
                 ast.MethodDecl(name, params, return_type, body=body,
                                visibility=visibility, modifier_tokens=modifier_tokens)
             )
-            return
-        # Field: <name> As <Type>
-        name = tokens[pos]
-        if pos + 1 >= len(tokens) or tokens[pos + 1].lower() != "as":
-            raise VbParseError("expected 'As' in field declaration", line.number)
-        type_name = "".join(tokens[pos + 2:])
-        fields.append(
-            ast.FieldDecl(name, type_name, visibility=visibility, modifier_tokens=modifier_tokens)
-        )
-
-    def _parse_param_list(self, tokens: Sequence[str], pos: int, line_no: int) -> List[ast.ParamDecl]:
-        parser = _ExprParser(tokens, pos, line_no)
-        return self._parse_params_with(parser)
-
-    @staticmethod
-    def _parse_params_with(parser: _ExprParser) -> List[ast.ParamDecl]:
-        parser.expect("(")
-        params: List[ast.ParamDecl] = []
-        if parser.peek() != ")":
-            while True:
-                pname = parser.next()
-                parser.expect("As")
-                type_name = _VbParser._parse_type_name_with(parser)
-                params.append(ast.ParamDecl(pname, type_name))
-                if parser.peek() == ",":
-                    parser.next()
-                    continue
-                break
-        parser.expect(")")
-        return params
-
-    @staticmethod
-    def _parse_type_name_with(parser: _ExprParser) -> str:
-        parts = [parser.next()]
-        while parser.peek() == ".":
-            parser.next()
-            parts.append(parser.next())
-        return ".".join(parts)
 
     # -- statements ---------------------------------------------------------------
 
@@ -466,101 +239,63 @@ class _VbParser:
             line = self._peek()
             if line is None:
                 raise VbParseError("missing %s %s" % end_words, 0)
-            if line.starts_with(*end_words):
+            if line.is_exactly(*end_words):
                 self._next()
                 return stmts
             stmts.append(self._parse_stmt())
 
     def _parse_stmt(self) -> ast.Stmt:
-        line = self._next()
-        tokens = line.tokens
-        first = tokens[0].lower()
-        if first == "return":
-            if len(tokens) == 1:
-                return ast.Return(None)
-            parser = _ExprParser(tokens, 1, line.number)
-            return ast.Return(parser.parse_expr())
-        if first == "dim":
-            name = tokens[1]
-            if len(tokens) < 4 or tokens[2].lower() != "as":
-                raise VbParseError("expected 'Dim name As Type'", line.number)
-            parser = _ExprParser(tokens, 3, line.number)
-            type_name = self._parse_type_name_with(parser)
-            init: Optional[ast.Expr] = None
-            if parser.peek() == "=":
-                parser.next()
-                init = parser.parse_expr()
-            return ast.VarDecl(name, type_name, init)
-        if first == "if":
-            return self._parse_if(line)
-        if first == "while":
-            parser = _ExprParser(tokens, 1, line.number)
-            cond = parser.parse_expr()
-            body = self._parse_body(("End", "While"))
-            return ast.While(cond, body)
-        # Assignment or expression statement.
-        parser = _ExprParser(tokens, 0, line.number)
-        target = parser.parse_postfix()
-        if parser.peek() == "=":
-            parser.next()
-            value = parser.parse_expr()
-            if isinstance(target, ast.Name):
-                return ast.Assign(target.ident, value)
-            if isinstance(target, ast.FieldAccess):
-                return ast.FieldAssign(target.obj, target.field, value)
-            raise VbParseError("invalid assignment target", line.number)
-        return ast.ExprStmt(target)
+        parser = self._next().parser()
+        ts = parser.ts
+        if ts.accept_ident("If"):
+            return self._parse_if(parser)
+        if ts.accept_ident("While"):
+            cond = parser._parse_expr()
+            _end_of_line(ts)
+            return ast.While(cond, self._parse_body(("End", "While")))
+        if ts.accept_ident("Return"):
+            stmt: ast.Stmt = ast.Return(None if ts.exhausted else parser._parse_expr())
+        elif ts.accept_ident("Dim"):
+            name = ts.expect_ident().value
+            ts.expect_ident("As")
+            type_name = parser._parse_type_name()
+            init = parser._parse_expr() if ts.accept_punct("=") else None
+            stmt = ast.VarDecl(name, type_name, init)
+        else:
+            # Assignment or expression statement.  '=' is also VB's
+            # equality, so the target is only a postfix expression.
+            target = parser._parse_postfix()
+            if ts.accept_punct("="):
+                stmt = parser._assignment_for(target, parser._parse_expr())
+            else:
+                stmt = ast.ExprStmt(target)
+        _end_of_line(ts)
+        return stmt
 
-    def _parse_if(self, line: _Line) -> ast.Stmt:
-        tokens = line.tokens
-        if tokens[-1].lower() != "then":
-            raise VbParseError("multi-line If must end with Then", line.number)
-        parser = _ExprParser(tokens[:-1], 1, line.number)
-        cond = parser.parse_expr()
+    def _parse_if(self, parser: Parser) -> ast.Stmt:
+        """The rest of an ``If``/``ElseIf`` line, then its branches up to
+        ``End If``; an ``ElseIf`` line nests the rest of the chain."""
+        ts = parser.ts
+        line = ts.peek().line
+        cond = parser._parse_expr()
+        ts.expect_ident("Then")
+        _end_of_line(ts)
         then_body: List[ast.Stmt] = []
         else_body: List[ast.Stmt] = []
         current = then_body
         while True:
             nxt = self._peek()
             if nxt is None:
-                raise VbParseError("missing End If", line.number)
-            if nxt.starts_with("End", "If"):
+                raise VbParseError("missing End If", line)
+            if nxt.is_exactly("End", "If"):
                 self._next()
                 break
-            if nxt.starts_with("ElseIf"):
-                nested_line = self._next()
-                nested = self._parse_if_tail(nested_line)
-                else_body.append(nested)
-                return ast.If(cond, then_body, else_body)
-            if nxt.starts_with("Else"):
+            nested = nxt.parser()
+            if nested.ts.accept_ident("ElseIf"):
                 self._next()
-                current = else_body
-                continue
-            current.append(self._parse_stmt())
-        return ast.If(cond, then_body, else_body)
-
-    def _parse_if_tail(self, line: _Line) -> ast.Stmt:
-        """Parse the remainder of an ``ElseIf ... Then`` chain."""
-        tokens = line.tokens
-        if tokens[-1].lower() != "then":
-            raise VbParseError("ElseIf must end with Then", line.number)
-        parser = _ExprParser(tokens[:-1], 1, line.number)
-        cond = parser.parse_expr()
-        then_body: List[ast.Stmt] = []
-        else_body: List[ast.Stmt] = []
-        current = then_body
-        while True:
-            nxt = self._peek()
-            if nxt is None:
-                raise VbParseError("missing End If", line.number)
-            if nxt.starts_with("End", "If"):
-                self._next()
+                else_body.append(self._parse_if(nested))
                 break
-            if nxt.starts_with("ElseIf"):
-                nested_line = self._next()
-                else_body.append(self._parse_if_tail(nested_line))
-                return ast.If(cond, then_body, else_body)
-            if nxt.starts_with("Else"):
+            if nxt.is_exactly("Else"):
                 self._next()
                 current = else_body
                 continue
@@ -570,7 +305,10 @@ class _VbParser:
 
 def parse(source: str) -> List[ast.ClassDecl]:
     """Parse VB-like source into AST declarations."""
-    return _VbParser(source).parse_unit()
+    try:
+        return _VbParser(source).parse_unit()
+    except (LexError, ParseError) as exc:
+        raise VbParseError(exc.message, exc.line)
 
 
 def compile_source(
