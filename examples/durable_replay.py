@@ -107,9 +107,13 @@ def run(log_root):
         "events_replayed": mesh.stats()["events_replayed"],
         "replay_failures": mesh.stats()["replay_failures"],
     })
-    print("\nInspect any shard log yourself:")
-    print("  PYTHONPATH=src python -m repro log inspect %s/%s"
-          % (log_root, home))
+    # The log root is a temporary directory, removed when main() returns,
+    # so the path is printed relative to it: the output is the same on
+    # every run.
+    print("\nInspect a shard log (pass run() a directory of your own to "
+          "keep it):")
+    print("  PYTHONPATH=src python -m repro log inspect <log root>/%s"
+          % home)
     mesh.close()
 
 

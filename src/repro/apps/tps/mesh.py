@@ -23,13 +23,14 @@ record's frame again.  The mesh refactors that data plane:
   frame per destination; nothing is sent inside the publisher's call
   stack.  Draining the mesh joins, per destination, the buffered frames
   into ONE network message, however many records and matching
-  subscriptions it covers; the frames travel verbatim, never decoded or
-  re-encoded.
+  subscriptions it covers; the frames are never decoded or re-encoded,
+  and a subscriber gets each less its ``keys`` and ``home`` attributes
+  (one header splice per record).
 - **Mesh-wide replay** — a durable subscriber's backlog is completed
   from this shard's log, its replica logs of siblings and pages fetched
-  from siblings (``backlog_fetch``); every source is a plain stream of
-  stored records fed to the pipeline's one replay pass, which relays
-  their frames verbatim too.
+  from siblings (``backlog_fetch``, which serves stored frames whole);
+  every source is a plain stream of stored records fed to the
+  pipeline's one replay pass, which relays their frames the same way.
 
 A shard is the same :class:`~repro.apps.tps.pipeline.DeliveryPipeline`
 as the single broker, with the same

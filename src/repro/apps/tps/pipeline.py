@@ -42,8 +42,10 @@ root types, once per record and root type;
 a value is decoded only when an in-process handler receives it.  On a
 network broker the record's frame bytes come along, and logging,
 replication, forwarding, remote delivery and replay all carry those
-bytes, never re-encoded values: replay relays each stored frame as it
-was logged, an ack token spliced into its header.
+bytes, never re-encoded values.  A subscriber gets the frame without
+its ``keys`` and ``home`` attributes, which only logs and sibling shards
+read (see :func:`subscriber_frame`): live or replayed, one header splice
+per record, which also stamps the ack token of a durable message.
 
 The brokers are thin adapters over one pipeline each: they own the
 subscription control plane (subscribe/unsubscribe, gossip, recovery) and
@@ -130,24 +132,50 @@ def _merge_ack_windows(into: Dict[str, List[int]],
             have[1] = max(have[1], window[1])
 
 
+def subscriber_frame(codec: Any, frame: bytes, ack: Optional[str] = None,
+                     shared: Optional[Dict[int, bytes]] = None) -> bytes:
+    """A stored or admitted ``frame`` as a subscriber receives it.
+
+    The compaction ``keys`` and the ``home`` provenance are read only by
+    logs and sibling shards, so they are cut from the header; ``origin``,
+    ``trace`` and the payload stay as they are, and ``ack`` is stamped
+    in the same splice.  Frames a shard logs, forwards, replicates or
+    serves to a sibling keep both attributes.  ``shared`` memoizes
+    results without an ack by frame object, so the destinations of one
+    flush share one strip."""
+    memo = shared is not None and ack is None
+    if memo:
+        out = shared.get(id(frame))
+        if out is not None:
+            return out
+    out = codec.reframe(frame, ack=ack, keys=None, home=None)
+    if memo:
+        shared[id(frame)] = out
+    return out
+
+
 def send_frames(host: Any, tracker: Optional[AckTracker], dst: str,
                 frames: List[bytes], count: int,
                 ranges: Sequence[Tuple[str, int, int]] = (),
-                traces: Sequence[str] = ()) -> bool:
+                traces: Sequence[str] = (),
+                shared: Optional[Dict[int, bytes]] = None) -> bool:
     """Send stored ``frames`` (``count`` values in all) to ``dst`` as ONE
-    message, verbatim.  With durable ``(cursor, start, end)`` ``ranges``
-    the message carries one ack token covering them, spliced into the
-    last frame's header; ``traces`` tag the token so its ack closes their
-    spans.  ``False`` (token discarded, drop counted) when ``dst`` is not
-    on the fabric."""
+    message of their :func:`subscriber_frame` forms (``shared`` as
+    there).  With durable ``(cursor, start, end)`` ``ranges`` the message
+    carries one ack token covering them, spliced into the last frame's
+    header in the same pass that strips it; ``traces`` tag the token so
+    its ack closes their spans.  ``False`` (token discarded, drop
+    counted) when ``dst`` is not on the fabric."""
     codec = host.codec
     token: Optional[str] = None
     if ranges and tracker is not None:
         token = tracker.issue(dst, ranges)
         tracker.tag(token, traces)
-        frames[-1] = codec.reframe(frames[-1], ack=token)
+    out = [subscriber_frame(codec, frame, shared=shared)
+           for frame in frames[:-1]]
+    out.append(subscriber_frame(codec, frames[-1], token, shared))
     try:
-        host.send_payload_batch(dst, codec.join_frames(frames), count)
+        host.send_payload_batch(dst, codec.join_frames(out), count)
     except UnknownPeerError:
         if token is not None:
             tracker.discard(token)
@@ -826,8 +854,11 @@ class BufferedDelivery:
     frame for each destination peer (and, via :meth:`buffer_forward`,
     each sibling shard); :meth:`flush` joins every destination's frames
     into one network message, however many records and matching
-    subscriptions it covers.  Frames travel verbatim: no value decode, no
-    re-encode; only an ack token or a ``home`` stamp rewrites a header."""
+    subscriptions it covers.  No value is decoded or re-encoded: a
+    subscriber frame is the record's frame less ``keys`` and ``home``
+    (one splice per record, shared by every destination, or one per
+    message when it also takes the ack token), and a forward is the
+    frame with a ``home`` stamp."""
 
     isolate_failures = True
 
@@ -860,8 +891,9 @@ class BufferedDelivery:
 
     def remote(self, ctx: dict, subscription: Any, batch: Any, index: int,
                log_offset: Optional[int]) -> bool:
-        """Queue the record's frame for a destination peer, verbatim;
-        answers whether the record travels to ``subscription``.
+        """Queue the record's frame for a destination peer; answers
+        whether the record travels to ``subscription``.  The flush sends
+        it as a :func:`subscriber_frame`.
 
         The whole record travels once per peer however many of its values
         (or the peer's subscriptions) match — the receiver's own admission
@@ -920,12 +952,14 @@ class BufferedDelivery:
         Returns the number of network messages enqueued.  A destination
         with several buffered records gets their frames joined into a
         single multi-frame container.  One ack token covers every
-        durable window in the message; stamping it re-renders a single
+        durable window in the message; stamping it splices a single
         frame's header, never a payload.
         """
         codec = self.host.codec
         sent = 0
         tracker = self.durability.tracker if self.durability else None
+        # One subscriber frame per record, shared across destinations.
+        stripped: Dict[int, bytes] = {}
         for dst, buffered in self._outgoing.items():
             frames: List[bytes] = []
             events = 0
@@ -943,7 +977,7 @@ class BufferedDelivery:
                            for name, window in sorted(acks.items())) \
                 if acks else ()
             if not send_frames(self.host, tracker, dst, frames, events,
-                               ranges, traces):
+                               ranges, traces, stripped):
                 continue  # the destination left
             self.batch_events += events
             sent += 1
@@ -1382,8 +1416,9 @@ class DeliveryPipeline:
         values delivered, also counted under the :class:`PipelineStats`
         slot ``counter``.
 
-        A remote subscription gets each matching record's stored frame
-        verbatim — trace id, encoding and keys intact — up to
+        A remote subscription gets each matching record's
+        :func:`subscriber_frame` — the stored frame less ``keys`` and
+        ``home``, trace id and encoding intact — up to
         :data:`REPLAY_BATCH_RECORDS` frames per message under ONE
         cumulative ack token.  A record that mixes in other values
         travels whole, as on the live path; the receiver rejects those

@@ -107,6 +107,19 @@ _WRITE_HIGH_WATER = 64 * 1024
 #: ``writelines`` (sendmsg-based) always get the single segmented call.
 _SEGMENT_WRITE_MIN = 4096
 
+#: Free room a link keeps at the tail of its receive buffer, which the
+#: socket reads into directly (``recv_into``).  Small, because every link
+#: holds it for its lifetime.
+_RX_SPARE = 16 * 1024
+
+#: Room below which the next read first grows the receive buffer.
+_RX_MIN_READ = 4 * 1024
+
+#: The most room one read is given for the rest of a frame whose length
+#: has arrived (asyncio's own read size), so a corrupt length prefix
+#: cannot make the buffer allocate up to ``_MAX_FRAME_BYTES`` at once.
+_RX_MAX_READ = 256 * 1024
+
 
 def _write_varint(out: bytearray, value: int) -> None:
     while True:
@@ -245,8 +258,9 @@ class _Waiter:
             self._woken = None
 
 
-class _Link(asyncio.Protocol):
-    """One socket connection: bounded send queue + pooled receive buffer."""
+class _Link(asyncio.BufferedProtocol):
+    """One socket connection: bounded send queue + pooled receive buffer
+    that the socket reads into."""
 
     def __init__(self, network: "SocketNetwork", address: Optional[str]):
         self.network = network
@@ -262,9 +276,13 @@ class _Link(asyncio.Protocol):
         self.tx: Deque[_WireFrame] = deque()
         self.tx_bytes = 0
         self.tx_high_water = 0
-        #: Pooled receive buffer; ``scan`` is the parse position.
+        #: Pooled receive buffer: ``rx[:filled]`` is received bytes, the
+        #: rest room for the next read; ``scan`` is the parse position and
+        #: ``need`` where the frame it stopped in ends (0 when unknown).
         self.rx = network._recv_pool.acquire()
+        self.filled = 0
         self.scan = 0
+        self.need = 0
         self.inbound: Deque[_Inbound] = deque()
         self.remote_node: Optional[str] = None
         self.remote_peers: Set[str] = set()
@@ -317,7 +335,7 @@ class _Link(asyncio.Protocol):
         self._drain()
         self.network._waiter.wake()
 
-    # -- asyncio.Protocol --------------------------------------------------
+    # -- asyncio.BufferedProtocol ------------------------------------------
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -333,18 +351,31 @@ class _Link(asyncio.Protocol):
         self.network._link_connected(self)
         self._drain()
 
-    def data_received(self, data: bytes) -> None:
-        try:
-            self.rx += data
-        except BufferError:
-            # A live memoryview pins the buffer against resizing — this
-            # happens when a handler pumps the loop mid-dispatch (a nested
-            # request) while still holding its zero-copy payload.  The
-            # content moves to a fresh buffer (same layout, so queued
-            # frame offsets stay valid); view holders keep the old one.
-            fresh = bytearray(self.rx)
-            fresh += data
-            self.rx = fresh
+    def get_buffer(self, sizehint: int) -> memoryview:
+        """The tail room of the receive buffer: grown first to the rest
+        of a pending frame (within one maximum read, never below the
+        spare room) when the frame does not fit or little room is left."""
+        filled = self.filled
+        room = len(self.rx) - filled
+        want = min(max(self.need - filled, _RX_SPARE), _RX_MAX_READ)
+        if room < want and (room < _RX_MIN_READ or self.need > len(self.rx)):
+            size = filled + want
+            try:
+                self.rx += bytes(size - len(self.rx))
+            except BufferError:
+                # A live memoryview pins the buffer against resizing —
+                # this happens when a handler pumps the loop mid-dispatch
+                # (a nested request) while still holding its zero-copy
+                # payload.  The content moves to a fresh buffer (same
+                # layout, so queued frame offsets stay valid); view
+                # holders keep the old one.
+                fresh = bytearray(size)
+                fresh[:filled] = memoryview(self.rx)[:filled]
+                self.rx = fresh
+        return memoryview(self.rx)[filled:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.filled += nbytes
         self._scan()
 
     def connection_lost(self, exc) -> None:
@@ -365,9 +396,10 @@ class _Link(asyncio.Protocol):
         phase.  A malformed header kills the link — framing has no
         resync point."""
         rx = self.rx
+        total = self.filled
+        self.need = 0
         try:
             while True:
-                total = len(rx)
                 parsed = _scan_varint(rx, self.scan, total)
                 if parsed is None:
                     return
@@ -377,6 +409,7 @@ class _Link(asyncio.Protocol):
                                        % body_len)
                 end = body_start + body_len
                 if end > total:
+                    self.need = end
                     return  # incomplete: wait for more bytes
                 self._parse_body(rx, body_start, end)
                 self.scan = end
@@ -423,12 +456,16 @@ class _Link(asyncio.Protocol):
         can be live.  A handler that (wrongly) retained a view makes the
         trim impossible — the buffer is abandoned to the view holders and
         a fresh one takes over, so nothing ever reads recycled bytes."""
-        if self.inbound or not self.scan:
+        scan = self.scan
+        if self.inbound or not scan:
             return
         try:
-            del self.rx[:self.scan]
+            del self.rx[:scan]
         except BufferError:
-            self.rx = bytearray(memoryview(self.rx)[self.scan:])
+            self.rx = bytearray(memoryview(self.rx)[scan:self.filled])
+        self.filled -= scan
+        if self.need:
+            self.need -= scan
         self.scan = 0
 
     def queued(self) -> int:
@@ -918,7 +955,7 @@ class SocketNetwork:
             self.stats.dropped += len(link.tx)
             link.tx.clear()
             link.tx_bytes = 0
-        if len(link.rx) > link.scan and not link.failed:
+        if link.filled > link.scan and not link.failed:
             # The peer vanished mid-frame: a truncated frame on the wire.
             self.framing_errors += 1
             self.stats.record_drop()
@@ -943,7 +980,7 @@ class SocketNetwork:
         the receive buffer goes back to the pool for the next link."""
         if link in self._links:
             self._links.remove(link)
-        link.scan = 0
+        link.filled = link.scan = link.need = 0
         self._recv_pool.release(link.rx)
         link.rx = bytearray()
 

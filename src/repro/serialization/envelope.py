@@ -98,9 +98,25 @@ _PAYLOAD_ATTR_ORDER = ("encoding", "batch", "roots", "origin", "ack",
 
 #: Attributes :meth:`EnvelopeCodec.reframe` may stamp by splicing header
 #: bytes: single string values with no cross-attribute invariants (keys
-#: and batch shape are validated at parse time, so changing them must go
-#: through the full parse + re-render path).
+#: and batch shape are validated at parse time, so setting them must go
+#: through the full parse + re-render path; removing ``keys`` splices).
 _SPLICE_ATTRS = frozenset(("origin", "ack", "publish_ack", "home", "trace"))
+
+#: The bytes a rendered ``<Payload>`` attribute pair starts with.
+_PAIR_NEEDLES = {name: b' %s="' % name.encode("ascii")
+                 for name in _PAYLOAD_ATTR_ORDER}
+
+
+def _find_pair(header: bytes, name: str, start: int, stop: int) -> int:
+    """Where attribute ``name``'s pair starts in ``header[start:stop]``,
+    or -1.  The same bytes can end another value (`` x="a name="``); ET
+    escapes ``"`` inside values, so a genuine pair has an even number of
+    quotes before it."""
+    needle = _PAIR_NEEDLES[name]
+    at = header.find(needle, start, stop)
+    while at >= 0 and header.count(b'"', start, at) & 1:
+        at = header.find(needle, at + 1, stop)
+    return at
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -246,8 +262,8 @@ class CodecStats:
     ``buffer_pool_hits`` counts encode buffers served from the reuse pool
     instead of freshly allocated; ``header_renders`` counts full XML
     header builds (every ``envelope_to_bytes``); ``header_splices``
-    counts single-attribute re-stamps served by patching the header
-    bytes in place instead of a parse + re-render (see
+    counts header rewrites (one attribute set, any removed) served by
+    patching the header bytes instead of a parse + re-render (see
     :meth:`EnvelopeCodec.reframe`).
     """
 
@@ -1176,19 +1192,22 @@ class EnvelopeCodec:
                 home: Any = _UNSET,
                 keys: Any = _UNSET,
                 trace: Any = _UNSET) -> bytes:
-        """Re-render a frame's header with changed attributes.
+        """Re-render a frame's header with changed attributes (``None``
+        removes one).
 
         The payload bytes are reused verbatim (zero value-level decodes);
         only the header XML is rebuilt, in a pooled buffer.  This is how
         the pipeline stamps ``origin`` at admission, ``home`` on
-        forwarded copies and ``ack`` tokens on per-subscriber deliveries
-        without re-encoding the values.
+        forwarded copies and ``ack`` tokens on per-subscriber deliveries,
+        and drops ``keys`` and ``home`` from subscriber frames, without
+        re-encoding the values.
 
-        When exactly one string-valued attribute changes (the hot
-        per-subscriber ack / per-forward home stamp), the header bytes
-        are spliced in place — no XML parse, no re-render — producing
+        When at most one string-valued attribute is set and any number
+        are removed (the hot per-subscriber ack stamp, the per-forward
+        home stamp, the subscriber-frame strip), the header bytes are
+        spliced in one pass — no XML parse, no re-render — producing
         output byte-identical to the full path on codec-built frames.
-        Anything else (several attributes, removals, ``keys``, legacy
+        Anything else (several attributes set, a ``keys`` list, legacy
         frames, hand-built headers) falls back to parse + re-render.
         """
         changes = {}
@@ -1204,29 +1223,39 @@ class EnvelopeCodec:
             changes["keys"] = keys
         if trace is not _UNSET:
             changes["trace"] = trace
-        if len(changes) == 1:
-            (name, value), = changes.items()
-            if name in _SPLICE_ATTRS and isinstance(value, str):
-                patched = self._splice_attr(data, name, value)
-                if patched is not None:
-                    return patched
+        stamp = None
+        removals = []
+        for name, value in changes.items():
+            if value is None:
+                removals.append(name)
+            elif stamp is None and name in _SPLICE_ATTRS \
+                    and isinstance(value, str):
+                stamp = (name, value)
+            else:
+                break
+        else:
+            patched = self._splice_attrs(data, stamp, removals)
+            if patched is not None:
+                return patched
         envelope = self.parse(data)
         for name, value in changes.items():
             setattr(envelope, name, value)
         return self.envelope_to_bytes(envelope)
 
-    def _splice_attr(self, data: Buffer, name: str,
-                     value: str) -> Optional[bytes]:
-        """Stamp one ``<Payload>`` attribute by patching header bytes.
+    def _splice_attrs(self, data: Buffer,
+                      stamp: Optional[Tuple[str, str]],
+                      removals: Sequence[str]) -> Optional[bytes]:
+        """Set one ``<Payload>`` attribute and remove others by patching
+        header bytes.
 
-        Replaces the attribute's value bytes when it is already present,
-        or inserts the whole ``name="value"`` pair at its canonical
-        render position otherwise.  ET escapes ``<``/``>``/``"`` inside
-        attribute values, so the markup needles below can only match at
-        genuine element/attribute boundaries.  Returns ``None`` when the
-        frame's shape defeats the splice (not ``XME2``, no ``<Payload``
-        element, unterminated attribute) — the caller falls back to the
-        full parse + re-render path.
+        ``stamp`` is ``(name, value)`` or ``None``.  A present attribute
+        has its value bytes replaced; an absent one is inserted as a
+        whole ``name="value"`` pair at its canonical render position.  A
+        removal cuts its pair, leading space included.  Returns ``data``
+        itself (as ``bytes``) when nothing is present to change, and
+        ``None`` when the frame's shape defeats the splice (not
+        ``XME2``, no ``<Payload`` element, unterminated attribute) — the
+        caller falls back to the full parse + re-render path.
         """
         view = memoryview(data)
         if bytes(view[:4]) != _MAGIC_FRAME:
@@ -1242,39 +1271,57 @@ class EnvelopeCodec:
         elem = header.find(b"<Payload ")
         if elem < 0:
             return None
+        # ET escapes `<`, `>` and `"` inside attribute values, so `/>`
+        # only closes the element.
         close = header.find(b"/>", elem)
         if close < 0:
             return None
-        encoded = _escape_attrib(value).encode("utf-8")
-        needle = b' %s="' % name.encode("ascii")
-        at = header.find(needle, elem, close)
-        if at >= 0:
-            start = at + len(needle)
-            stop = header.find(b'"', start, close)
-            if stop < 0:
-                return None
-            insert = encoded
-        else:
-            rank = _PAYLOAD_ATTR_ORDER.index(name)
-            for later in _PAYLOAD_ATTR_ORDER[rank + 1:]:
-                later_at = header.find(b' %s="' % later.encode("ascii"),
-                                       elem, close)
-                if later_at >= 0:
-                    start = stop = later_at
-                    break
+        edits = []
+        for name in removals:
+            at = _find_pair(header, name, elem, close)
+            if at >= 0:
+                stop = header.find(b'"', at + len(_PAIR_NEEDLES[name]), close)
+                if stop < 0:
+                    return None
+                edits.append((at, stop + 1, b""))
+        if stamp is not None:
+            name, value = stamp
+            encoded = _escape_attrib(value).encode("utf-8")
+            at = _find_pair(header, name, elem, close)
+            if at >= 0:
+                start = at + len(_PAIR_NEEDLES[name])
+                stop = header.find(b'"', start, close)
+                if stop < 0:
+                    return None
+                edits.append((start, stop, encoded))
             else:
-                # ET renders a childless element as `<Payload ... />`:
-                # slot the new attribute in before that trailing space.
-                start = stop = close - 1 if header[close - 1:close] == b" " \
-                    else close
-            insert = b' %s="%s"' % (name.encode("ascii"), encoded)
+                rank = _PAYLOAD_ATTR_ORDER.index(name)
+                for later in _PAYLOAD_ATTR_ORDER[rank + 1:]:
+                    at = _find_pair(header, later, elem, close)
+                    if at >= 0:
+                        break
+                else:
+                    # ET renders a childless element as `<Payload ... />`:
+                    # slot the new attribute in before that trailing space.
+                    at = close - 1 if header[close - 1] == 0x20 else close
+                edits.append((at, at, b' %s="%s"' % (
+                    name.encode("ascii"), encoded)))
+        if not edits:
+            return data if isinstance(data, bytes) else bytes(data)
+        # An insertion sorts before a removal starting at the same byte.
+        edits.sort()
         buf = self._pool.acquire()
         try:
             buf += _MAGIC_FRAME
-            _write_varint(buf, header_len - (stop - start) + len(insert))
-            buf += header[:start]
-            buf += insert
-            buf += header[stop:]
+            _write_varint(buf, header_len + sum(
+                len(insert) - (stop - start)
+                for start, stop, insert in edits))
+            last = 0
+            for start, stop, insert in edits:
+                buf += header[last:start]
+                buf += insert
+                last = stop
+            buf += header[last:]
             buf += view[end:]
             self.stats.header_splices += 1
             return bytes(buf)

@@ -306,12 +306,22 @@ class TestBufferedDelivery:
         assert delivery.pending() == 0
         assert [(dst, count) for dst, _, count in host.batches] == \
             [("east", 2), ("west", 2)]
-        # Both destinations get the same record frames, verbatim: the
-        # flush joins them and encodes nothing.
+        # Both destinations get the same subscriber frames: each record's
+        # frame less its keys, byte for byte what parse + re-render
+        # builds.  The flush joins them and encodes nothing.
+        reference = EnvelopeCodec(runtime)
+        stripped = []
+        for frame in frames:
+            envelope = reference.parse(frame)
+            assert envelope.keys is not None
+            envelope.keys = None
+            stripped.append(reference.envelope_to_bytes(envelope))
         for _, payload, _ in host.batches:
             assert [bytes(frame) for frame in split_frames(payload)] == \
-                frames
+                stripped
         assert host.codec.stats.header_renders == renders
+        # One splice per record, shared by both destinations.
+        assert host.codec.stats.header_splices == 2
 
     def test_forward_flow_shares_the_encoder(self):
         runtime, host, delivery = self.make()

@@ -13,6 +13,8 @@ import pytest
 from repro.net.network import NetworkError, UnknownPeerError
 from repro.net.socket_transport import (
     _FIELD_MEMO_MAX,
+    _RX_MAX_READ,
+    _RX_SPARE,
     _SEGMENT_WRITE_MIN,
     SocketHub,
     SocketNetwork,
@@ -158,6 +160,77 @@ def test_zero_copy_kinds_arrive_as_memoryview(hub):
     # kinds get a private bytes copy their handlers may retain.
     assert types_seen["object"] is memoryview
     assert types_seen["tps_subscribe"] is bytes
+
+
+def test_frames_larger_than_the_read_room_arrive_whole(hub):
+    """The socket reads into the receive buffer's tail room: a frame far
+    larger than that room arrives intact between small ones, and the
+    buffer keeps only the bounded room once it is dispatched."""
+    server = hub.network("server-node")
+    client = hub.network("client-node")
+    address = uds_address()
+    server.listen(address)
+    received = []
+    server.register("service", lambda kind, payload, src:
+                    received.append(bytes(payload)) or b"OK")
+    client.add_route("service", address)
+    payloads = [b"small", bytes(range(256)) * 4096, b"tiny",
+                os.urandom(3 * _RX_SPARE + 7), os.urandom(2 * _RX_MAX_READ)]
+    for payload in payloads:
+        client.post_async("caller", "service", "object", payload)
+    hub.run_until_idle()
+    assert received == payloads
+    link, = server._links
+    assert link.scan == link.filled == 0
+    assert len(link.rx) <= _RX_SPARE
+
+
+def test_read_room_moves_to_a_fresh_buffer_while_a_view_is_held():
+    """A handler that pumps the loop while holding its zero-copy payload
+    pins the receive buffer; when the next read needs more room (here:
+    the rest of a frame larger than the spare room), it comes from a
+    fresh buffer with the same bytes at the same offsets."""
+    network = SocketNetwork("node")
+    try:
+        link = _Link(network, None)
+        head = bytearray()
+        _write_varint(head, 3 * _RX_SPARE)
+        head += b"start"
+        room = link.get_buffer(-1)
+        room[:len(head)] = head
+        del room
+        link.buffer_updated(len(head))
+        assert link.need == 3 * _RX_SPARE + len(head) - 5
+        held = memoryview(link.rx)[:len(head)]
+        old = link.rx
+        room = link.get_buffer(-1)
+        assert len(room) == link.need - len(head)
+        del room
+        assert link.rx is not old
+        assert bytes(link.rx[:len(head)]) == bytes(held) == bytes(head)
+        held.release()
+    finally:
+        network.close()
+
+
+def test_a_huge_announced_frame_is_read_one_bounded_room_at_a_time():
+    """A length prefix near the frame limit (or a corrupt one) grows the
+    receive buffer by at most one maximum read, not to the whole frame."""
+    network = SocketNetwork("node")
+    try:
+        link = _Link(network, None)
+        head = bytearray()
+        _write_varint(head, 200 * 1024 * 1024)
+        room = link.get_buffer(-1)
+        room[:len(head)] = head
+        del room
+        link.buffer_updated(len(head))
+        assert link.need == len(head) + 200 * 1024 * 1024
+        room = link.get_buffer(-1)
+        assert len(room) == _RX_MAX_READ
+        del room
+    finally:
+        network.close()
 
 
 def test_truncated_frame_on_the_wire_is_counted():

@@ -179,7 +179,8 @@ class Host:
         self.offline = offline
         self.calls = []
         self.codec = SimpleNamespace(
-            reframe=lambda payload, ack: ("reframed", payload, ack),
+            reframe=lambda payload, **attrs: (
+                "reframed", payload, sorted(attrs.items())),
             # Like the codec's: one frame travels as it is.
             join_frames=lambda frames: (frames[0] if len(frames) == 1
                                         else ("joined",) + tuple(frames)))

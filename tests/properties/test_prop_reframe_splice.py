@@ -1,14 +1,16 @@
 """Header splice-patching is invisible: ``reframe`` byte-equivalence.
 
-``EnvelopeCodec.reframe`` patches a single string attribute directly in
-the frame's header bytes (the ack-stamp hot path) instead of parsing and
-re-rendering the XML.  The splice is an optimisation, not a behaviour
-change: for every generated envelope — arbitrary attribute values
-including every XML-escaped character, percent-encoded ``keys`` attrs,
-batches, trace ids — the spliced frame must be byte-identical to a
-full re-render (parse, set the attribute, render the header again — the
-codec's own multi-attribute fallback), splice after splice.  Legacy all-XML frames and multi-attribute changes must fall
-back (``header_splices`` stays flat) and still agree.
+``EnvelopeCodec.reframe`` sets one string attribute and removes any
+others directly in the frame's header bytes (the ack stamp and the
+subscriber-frame strip) instead of parsing and re-rendering the XML.
+The splice is an optimisation, not a behaviour change: for every
+generated envelope — arbitrary attribute values including every
+XML-escaped character, percent-encoded ``keys`` attrs, batches, trace
+ids — the spliced frame must be byte-identical to a full re-render
+(parse, set the attributes, render the header again — the codec's own
+fallback), splice after splice.  Legacy all-XML frames and changes that
+set several attributes must fall back (``header_splices`` stays flat)
+and still agree.
 """
 
 from hypothesis import given, settings
@@ -34,6 +36,9 @@ opt_attr = st.none() | attr_text
 
 #: The single-string attributes the splice path handles.
 _SPLICEABLE = ("origin", "ack", "publish_ack", "home", "trace")
+
+#: The attributes the splice path removes.
+_REMOVABLE = _SPLICEABLE + ("keys",)
 
 
 @st.composite
@@ -136,14 +141,55 @@ def test_legacy_frame_falls_back_without_splice():
     assert fast.parse(out).ack == "tok"
 
 
-def test_attr_removal_falls_back_and_agrees():
+def test_attr_removal_splices_and_agrees():
     fast = EnvelopeCodec()
     envelope = ObjectEnvelope(
         [TypeEntry("demo.T", "guid-0", "asm", None)], "binary", b"\x05",
         ack="old-token", trace="tid")
     data = fast.envelope_to_bytes(envelope)
+    renders = fast.stats.header_renders
     out = fast.reframe(data, ack=None)
-    assert fast.stats.header_splices == 0
+    assert fast.stats.header_splices == 1
+    assert fast.stats.header_renders == renders
     assert out == rerender(data, ack=None)
     parsed = fast.parse(out)
     assert parsed.ack is None and parsed.trace == "tid"
+
+
+@settings(max_examples=150, deadline=None)
+@given(envelope=envelopes(),
+       removed=st.sets(st.sampled_from(_REMOVABLE), min_size=1),
+       stamp=st.none() | st.tuples(st.sampled_from(_SPLICEABLE), attr_text))
+def test_removals_with_one_set_splice_in_one_pass(envelope, removed, stamp):
+    """Any removals plus at most one string set: one splice, no render,
+    the bytes of parse + re-render."""
+    changes = dict.fromkeys(removed)
+    if stamp is not None:
+        changes[stamp[0]] = stamp[1]
+    fast = EnvelopeCodec()
+    data = fast.envelope_to_bytes(envelope)
+    renders = fast.stats.header_renders
+    out = fast.reframe(data, **changes)
+    assert out == rerender(data, **changes)
+    assert fast.stats.header_renders == renders
+    # A frame with nothing to change comes back as it was, unspliced.
+    assert fast.stats.header_splices == (out is not data)
+    parsed = fast.parse(out)
+    for name, value in changes.items():
+        assert getattr(parsed, name) == value
+
+
+def test_value_that_looks_like_a_later_attribute_is_not_matched():
+    """An ``origin`` ending in `` ack=`` puts the bytes `` ack="`` in the
+    header (its closing quote); the splice walks the attribute list
+    pair by pair, so it patches the real ``ack``, not that text."""
+    fast = EnvelopeCodec()
+    envelope = ObjectEnvelope(
+        [TypeEntry("demo.T", "guid-0", "asm", None)], "binary", b"\x05",
+        origin="x ack=", ack="tok", home="y keys=")
+    data = fast.envelope_to_bytes(envelope)
+    for changes in ({"ack": "new"}, {"ack": None},
+                    {"trace": "t", "keys": None, "home": None}):
+        out = fast.reframe(data, **changes)
+        assert out == rerender(data, **changes)
+        assert fast.parse(out).origin == "x ack="
